@@ -3,9 +3,11 @@
 Subcommands: scheme build|verify|eigen|krein|fuse, gh build|eigen|
 fusion-check, code enumerate|transform|dual|z4|gray-check, modinv
 verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
-(axiom violation, non-additive code, no scalar cube, ...), 2 usage,
-I/O, or format error.  --json switches every command to structured
-output with rationals serialized as exact strings.
+(axiom violation, non-additive code, no scalar cube, an attached P that
+fails certification, ...), 2 usage, I/O, or format error (a size below
+1 included).  Errors print an `error:` line on stderr and nothing on
+stdout.  --json switches every command to structured output with
+rationals serialized as exact strings.
 """
 
 from __future__ import annotations
@@ -422,8 +424,28 @@ def cmd_modinv_lift(args):
 # -- parser --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors start with an `error:` line, like every other
+    failure, and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s: %s\n%s" % (self.prog, message,
+                                              self.format_usage()))
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r"
+                                         % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schemekit",
         description="Exact association schemes, composite (Hamming-type) "
                     "schemes, weight-enumerator transforms, and "
@@ -479,20 +501,24 @@ def build_parser():
     p = gsub.add_parser("build", parents=[common],
                         help="explicit H(n, base) on the word set")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", required=True, type=int, help="number of factors")
+    p.add_argument("--n", required=True, type=_positive_int,
+                   help="number of factors")
     p.set_defaults(func=cmd_gh_build)
 
     p = gsub.add_parser("eigen", parents=[common],
                         help="eigenmatrix of H(n, base) from the base P")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", required=True, type=int, help="number of factors")
+    p.add_argument("--n", required=True, type=_positive_int,
+                   help="number of factors")
     p.set_defaults(func=cmd_gh_eigen)
 
     p = gsub.add_parser("fusion-check", parents=[common],
                         help="H(m*n, base) coarsens H(m, H(n, base))")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--m", required=True, type=int, help="outer factor count")
-    p.add_argument("--n", required=True, type=int, help="inner factor count")
+    p.add_argument("--m", required=True, type=_positive_int,
+                   help="outer factor count")
+    p.add_argument("--n", required=True, type=_positive_int,
+                   help="inner factor count")
     p.set_defaults(func=cmd_gh_fusion_check)
 
     code = top.add_parser("code", help="codes and weight enumerators")
@@ -501,14 +527,16 @@ def build_parser():
     p = csub.add_parser("enumerate", parents=[common],
                         help="weight enumerator of a code file")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", type=int, help="expected word length (cross-check)")
+    p.add_argument("--n", type=_positive_int,
+                   help="expected word length (cross-check)")
     p.add_argument("file", help="code file (one word per line) or -")
     p.set_defaults(func=cmd_code_enumerate)
 
     p = csub.add_parser("transform", parents=[common],
                         help="transformed (dual) weight enumerator")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", type=int, help="expected word length (cross-check)")
+    p.add_argument("--n", type=_positive_int,
+                   help="expected word length (cross-check)")
     p.add_argument("file", help="code file or -")
     p.set_defaults(func=cmd_code_transform)
 
@@ -516,7 +544,8 @@ def build_parser():
                         help="dual of an additive code over a translation "
                              "scheme")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", type=int, help="expected word length (cross-check)")
+    p.add_argument("--n", type=_positive_int,
+                   help="expected word length (cross-check)")
     p.add_argument("file", help="code file or -")
     p.set_defaults(func=cmd_code_dual)
 
@@ -552,7 +581,8 @@ def build_parser():
     p = msub.add_parser("lift", parents=[common],
                         help="check the witness lifts to H(n, base)")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--n", required=True, type=int, help="lift degree")
+    p.add_argument("--n", required=True, type=_positive_int,
+                   help="lift degree")
     p.add_argument("--T", help="diagonal entries; searched if omitted")
     p.set_defaults(func=cmd_modinv_lift)
 
@@ -573,7 +603,7 @@ def run(argv=None):
     except SchemeKitError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, TypeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -2,12 +2,14 @@
 
 A code is a set of words over the vertex set of a base scheme.  Its
 weight enumerator collects pair profiles as a homogeneous polynomial;
-the transform sends it to the dual enumerator via the exact substitution
-t -> P^-1 t scaled by v^n/|C|.  For additive codes over a translation
-scheme the dual code is computed by character-pairing arithmetic (no
-root-of-unity numerics), and the transform of the enumerator must equal
-the dual code's enumerator exactly.  A literal idempotent-based oracle
-is provided as an independent route to the dual enumerator.
+the transform sends it to the dual enumerator, the exact substitution
+t -> P^-1 t scaled by v^n/|C|, computed as the enumerator's coefficient
+vector times the induced matrix of Q = v P^-1.  For additive codes over
+a translation scheme the dual code is computed by character-pairing
+arithmetic (no root-of-unity numerics), and the transform of the
+enumerator must equal the dual code's enumerator exactly.  A literal
+idempotent-based oracle is provided as an independent route to the dual
+enumerator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .exact import (
     MPoly,
     composition_index,
     compositions,
-    substitute_linear,
+    induced_matrix,
     substitute_polys,
 )
 from .genham import h_vector
@@ -108,12 +110,26 @@ def weight_enumerator(code):
 
 
 def macwilliams_transform(enumerator, P, v, code_size):
-    """The dual enumerator (v^n/|C|) W(P^-1 t), computed exactly."""
+    """The dual enumerator (v^n/|C|) W(P^-1 t), computed exactly.
+
+    Row gamma of induced(Q, n), Q = v P^-1, holds the coefficients of
+    prod_i (Q t)_i^gamma_i = v^n prod_i (P^-1 t)_i^gamma_i, so the
+    transform is the coefficient vector of W times induced(Q, n),
+    divided by |C|.
+    """
     if not enumerator.is_homogeneous() or enumerator.degree() < 0:
         raise DimensionMismatch("enumerator must be homogeneous and nonzero")
+    if P.nrows != enumerator.nvars:
+        raise DimensionMismatch(
+            "matrix has %d rows but polynomial has %d variables"
+            % (P.nrows, enumerator.nvars))
     n = enumerator.degree()
-    out = substitute_linear(enumerator, P.inverse())
-    return out * GaussRat(Fraction(v**n, code_size))
+    comps = compositions(n, enumerator.nvars)
+    size = GaussRat(code_size)
+    scaled = {gamma: c / size for gamma, c in enumerator.terms.items()}
+    a = ExactMatrix([[scaled.get(gamma, GaussRat(0)) for gamma in comps]])
+    out = a @ induced_matrix(dual_eigenmatrix(P, v), n)
+    return MPoly(enumerator.nvars, dict(zip(comps, out.row(0))))
 
 
 def exact_idempotents(scheme):

@@ -51,6 +51,10 @@ class SnapFailure(MathError):
     """Eigenvalues could not be certified as Gaussian rationals."""
 
 
+class CertificationFailure(MathError):
+    """A given eigenmatrix failed its exact certificate."""
+
+
 class NotAdditive(MathError):
     def __init__(self, witness):
         self.witness = witness

@@ -3,12 +3,23 @@
 Everything in this module is exact.  Scalars are Gaussian rationals
 (complex numbers with Fraction real and imaginary parts), matrices and
 polynomials are built over them, and no operation ever rounds.
+
+GaussRat is the type at the edge: ExactMatrix stores GaussRat entries
+and MPoly GaussRat coefficients.  The heavy kernels -- matrix product,
+inverse and induced matrices -- run on one private integer form
+instead: a matrix becomes its Gaussian-integer numerators, held as a
+real and an imaginary integer matrix, over one common denominator D,
+the lcm of the entry denominators.  A kernel converts to that form
+once, works on Python ints only, and converts back once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from math import lcm
+from operator import add, itemgetter, mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -169,6 +180,160 @@ class GaussRat:
 I = GaussRat(0, 1)
 
 
+# -- the private integer form ----------------------------------------------
+#
+# A matrix is (re, im, D): lists of integer rows, entry (i, j) standing
+# for (re[i][j] + im[i][j] i) / D.  A vector is a pair (re, im) of
+# integer sequences and a scalar a pair (a, b) of ints for a + b i.  An
+# imaginary part that is zero throughout may be None, so real matrices
+# never pay for one.
+
+
+def _to_int(rows):
+    """The integer form (re, im, D) of rows of GaussRat entries, with D
+    the lcm of the entry denominators."""
+    D = lcm(*{f.denominator for row in rows for x in row
+              for f in (x.re, x.im)})
+    re = [[x.re.numerator * (D // x.re.denominator) for x in row]
+          for row in rows]
+    im = None
+    if any(x.im for row in rows for x in row):
+        im = [[x.im.numerator * (D // x.im.denominator) for x in row]
+              for row in rows]
+    return re, im, D
+
+
+def _to_gauss(re, im, D):
+    """Rows of GaussRat entries (re + im i) / D for a nonzero int D.
+
+    im is None or a list of rows, each of which may be None."""
+    made = {}
+
+    def entry(a, b):
+        g = made.get((a, b))
+        if g is None:
+            g = made[a, b] = GaussRat(Fraction(a, D), Fraction(b, D))
+        return g
+
+    if im is None:
+        im = [None] * len(re)
+    return tuple(tuple(map(entry, r, repeat(0) if i is None else i))
+                 for r, i in zip(re, im))
+
+
+def _gmul(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _axpy(acc, c, xs):
+    """acc + c*xs for an int c and int sequences; acc None is zero."""
+    if acc is None:
+        return [c * x for x in xs]
+    return list(map(add, acc, map(mul, xs, repeat(c))))
+
+
+def _gauss_axpy(acc, c, x):
+    """acc + c*x for a Gaussian scalar c and Gaussian vectors acc, x.
+
+    An acc of (None, None) is zero; the real part of the result is
+    always a list."""
+    a, b = c
+    xr, xi = x
+    re, im = acc
+    if a:
+        re = _axpy(re, a, xr)
+        if xi is not None:
+            im = _axpy(im, a, xi)
+    if b:
+        im = _axpy(im, b, xr)
+        if xi is not None:
+            re = _axpy(re, -b, xi)
+    if re is None:
+        re = [0] * len(xr)
+    return re, im
+
+
+def _divisor(c):
+    """(m, n) with x / c == (m * x) / n for every Gaussian x, n an int:
+    (1, c) for a real c, else (conj(c), |c|^2)."""
+    if c[1]:
+        return (c[0], -c[1]), c[0] ** 2 + c[1] ** 2
+    return (1, 0), c[0]
+
+
+def _int_matmul(A, Bt):
+    """Product of integer matrices, the right factor given by columns."""
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
+
+
+def _minus(gamma, j):
+    return gamma[:j] + (gamma[j] - 1,) + gamma[j + 1:]
+
+
+def _gatherer(indices):
+    # itemgetter of a single index returns the item, not a 1-tuple
+    if len(indices) == 1:
+        t = indices[0]
+        return lambda seq: (seq[t],)
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _degree_step(m, k):
+    """Tables that take the induced rows of degree m-1 to degree m.
+
+    steps[g] = (j, p): j is the first nonzero part of the g-th
+    composition gamma of m and p the index of gamma - e_j among the
+    compositions of m-1.  gathers[i] reads, from a vector over the
+    compositions of m-1 ended by one extra 0, the entry at beta - e_i
+    for every composition beta of m (the 0 where beta_i = 0).
+    """
+    lower = composition_index(m - 1, k)
+    upper = compositions(m, k)
+    steps = []
+    for gamma in upper:
+        j = next(t for t, e in enumerate(gamma) if e)
+        steps.append((j, lower[_minus(gamma, j)]))
+    gathers = tuple(
+        _gatherer([lower[_minus(beta, i)] if beta[i] else len(lower)
+                   for beta in upper])
+        for i in range(k))
+    return tuple(steps), gathers
+
+
+def _induced_rows(re, im, n):
+    """Rows of the induced matrix of the integer matrix (re, im) on
+    degree-n monomials, as Gaussian vectors.
+
+    Row gamma of degree m is row gamma - e_j of degree m-1 times the
+    linear form of row j, where j is the first nonzero part of gamma;
+    only two degrees are held at a time.
+    """
+    k = len(re)
+    forms = [tuple(zip(re[j], repeat(0) if im is None else im[j]))
+             for j in range(k)]
+    rows = [([1], None)]
+    for m in range(1, n + 1):
+        steps, gathers = _degree_step(m, k)
+        for xr, xi in rows:
+            xr.append(0)
+            if xi is not None:
+                xi.append(0)
+        new = []
+        for j, p in steps:
+            xr, xi = rows[p]
+            acc = (None, None)
+            for c, gather in zip(forms[j], gathers):
+                if c[0] or c[1]:
+                    shifted = (gather(xr), None if xi is None else gather(xi))
+                    acc = _gauss_axpy(acc, c, shifted)
+            if acc[0] is None:
+                acc = ([0] * len(steps), None)
+            new.append(acc)
+        rows = new
+    return rows
+
+
 class ExactMatrix:
     """A dense matrix of GaussRat entries.  Immutable.
 
@@ -259,16 +424,21 @@ class ExactMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        bt = list(zip(*other._e))
-        return ExactMatrix(
-            [
-                [
-                    sum((a * b for a, b in zip(row, col)), GaussRat(0))
-                    for col in bt
-                ]
-                for row in self._e
-            ]
-        )
+        # (ar + ai i)(br + bi i) = ar br - ai bi + (ar bi + ai br) i
+        ar, ai, da = _to_int(self._e)
+        br, bi, db = _to_int(other._e)
+        brt = list(zip(*br))
+        bit = None if bi is None else list(zip(*bi))
+        re = _int_matmul(ar, brt)
+        im = None if bit is None else _int_matmul(ar, bit)
+        if ai is not None:
+            ai_br = _int_matmul(ai, brt)
+            im = ai_br if im is None else [list(map(add, x, y))
+                                           for x, y in zip(im, ai_br)]
+            if bit is not None:
+                re = [list(map(sub, x, y))
+                      for x, y in zip(re, _int_matmul(ai, bit))]
+        return ExactMatrix(_to_gauss(re, im, da * db))
 
     def scale(self, s):
         s = GaussRat.coerce(s)
@@ -284,29 +454,59 @@ class ExactMatrix:
         return self.transpose().conjugate()
 
     def inverse(self):
-        """Exact inverse by Gauss-Jordan elimination with exact pivoting.
+        """Exact inverse by fraction-free Gauss-Jordan elimination
+        (Bareiss) on the Gaussian-integer numerators.
 
-        Raises SingularMatrix if no nonzero pivot exists in some column.
+        The pivot of each column is its first nonzero entry on or below
+        the diagonal; the entries seen there are those of plain
+        Gauss-Jordan elimination up to nonzero factors.  Raises
+        SingularMatrix naming the first column without a pivot.
         """
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices are invertible")
         k = self.nrows
-        aug = [
-            list(self._e[i]) + [GaussRat(1 if i == j else 0) for j in range(k)]
-            for i in range(k)
-        ]
+        re, im, D = _to_int(self._e)
+        # rows of [A | I], A = D * self; step col drops column col of A
+        rows = [(re[i] + [int(i == j) for j in range(k)],
+                 None if im is None else im[i] + [0] * k) for i in range(k)]
+
+        def head(row):
+            return (row[0][0], 0 if row[1] is None else row[1][0])
+
+        def tail(row):
+            return (row[0][1:], None if row[1] is None else row[1][1:])
+
+        prev = (1, 0)
         for col in range(k):
-            pivot = next((r for r in range(col, k) if aug[r][col]), None)
+            pivot = next((r for r in range(col, k) if any(head(rows[r]))),
+                         None)
             if pivot is None:
                 raise SingularMatrix("matrix is singular at column %d" % col)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            p = head(rows[col])
+            pivot_row = tail(rows[col])
+            # (p * row - f * pivot row) / prev is exact; a non-real prev
+            # divides through its norm
+            conj, norm = _divisor(prev)
+            a = _gmul(p, conj)
             for r in range(k):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[k:] for row in aug])
+                if r == col:
+                    rows[r] = pivot_row
+                    continue
+                f = head(rows[r])
+                xr, xi = _gauss_axpy((None, None), a, tail(rows[r]))
+                xr, xi = _gauss_axpy((xr, xi), _gmul((-f[0], -f[1]), conj),
+                                     pivot_row)
+                rows[r] = ([x // norm for x in xr],
+                           None if xi is None else [x // norm for x in xi])
+            prev = p
+        # A is now det * I, det the last pivot, and the rows hold
+        # det * A^-1 = det / D times the inverse
+        conj, den = _divisor(prev)
+        right = [_gauss_axpy((None, None), (D * conj[0], D * conj[1]), row)
+                 for row in rows]
+        return ExactMatrix(_to_gauss([x for x, _ in right],
+                                     [y for _, y in right], den))
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
@@ -611,28 +811,8 @@ def induced_matrix(M, n):
     """
     if M.nrows != M.ncols:
         raise DimensionMismatch("induced matrix needs a square matrix")
-    k = M.nrows
-    comps = compositions(n, k)
-    linear = []
-    for j in range(k):
-        terms = {}
-        for i in range(k):
-            if M[j, i]:
-                key = tuple(int(t == i) for t in range(k))
-                terms[key] = M[j, i]
-        linear.append(MPoly(k, terms))
-    pow_cache = {}
-
-    def power(j, e):
-        if (j, e) not in pow_cache:
-            pow_cache[(j, e)] = linear[j] ** e
-        return pow_cache[(j, e)]
-
-    rows = []
-    for gamma in comps:
-        poly = MPoly.constant(k, 1)
-        for j, e in enumerate(gamma):
-            if e:
-                poly = poly * power(j, e)
-        rows.append([poly.coefficient(alpha) for alpha in comps])
-    return ExactMatrix(rows)
+    compositions(n, M.nrows)  # rejects n < 0
+    re, im, D = _to_int(M.rows())
+    rows = _induced_rows(re, im, n)
+    return ExactMatrix(_to_gauss([x for x, _ in rows], [y for _, y in rows],
+                                 D**n))

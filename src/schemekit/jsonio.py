@@ -11,9 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import CertificationFailure, FormatError
 from .exact import ExactMatrix, GaussRat, MPoly
-from .scheme import AssociationScheme
+from .scheme import AssociationScheme, certify_eigenmatrix
 
 
 def fraction_to_str(f):
@@ -99,6 +99,13 @@ def scheme_to_obj(scheme):
 
 
 def scheme_from_obj(obj, check=True):
+    """The scheme of a JSON object.
+
+    With check=True the relation table is verified and an attached "P"
+    must pass certify_eigenmatrix, else CertificationFailure is raised.
+    With check=False neither is checked; such a scheme is for
+    inspecting the table, not for computing with its P.
+    """
     if not isinstance(obj, dict):
         raise FormatError("scheme object must be a JSON object")
     for key in ("v", "d", "relation"):
@@ -116,7 +123,11 @@ def scheme_from_obj(obj, check=True):
     if relation.size and int(relation.max()) != int(obj["d"]):
         raise FormatError("relation classes do not match d=%s" % obj["d"])
     P = parse_matrix(obj["P"]) if obj.get("P") is not None else None
-    return AssociationScheme(relation, P=P, check=check)
+    scheme = AssociationScheme(relation, P=P, check=check)
+    if check and P is not None and not certify_eigenmatrix(scheme, P):
+        raise CertificationFailure("the attached P is not the eigenmatrix "
+                                   "of the scheme")
+    return scheme
 
 
 def poly_to_obj(p):

@@ -349,7 +349,7 @@ def _search_numeric(P, tolerance, max_denominator, restarts, seed):
         try:
             sol = least_squares(residuals, x0, method="lm",
                                 xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         if sol.cost > 1e-18:
             continue

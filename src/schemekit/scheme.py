@@ -20,6 +20,7 @@ from .errors import (
     ClosureFailure,
     DimensionMismatch,
     NegativeKrein,
+    SingularMatrix,
     SizeCapExceeded,
     SnapFailure,
 )
@@ -377,7 +378,7 @@ def certify_eigenmatrix(scheme, P):
     tensor = scheme.intersection_tensor()
     try:
         Q = P.inverse().scale(v)
-    except Exception:
+    except SingularMatrix:
         return False
     t = [[[GaussRat(int(tensor[i, k, r])) for r in range(d + 1)]
           for k in range(d + 1)] for i in range(d + 1)]

@@ -306,3 +306,72 @@ def test_modinv_lift_searches_when_t_omitted(capsys):
 def test_modinv_bad_diagonal(capsys):
     assert run(["modinv", "verify", "--base", "one_class:2",
                 "--T", "1,bogus"]) == 2
+
+
+# -- sizes, stray errors and attached eigenmatrices -------------------------
+
+
+def assert_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gh", "eigen", "--base", "one_class:2", "--n=-1"],
+    ["gh", "eigen", "--base", "one_class:2", "--n", "0"],
+    ["gh", "build", "--base", "one_class:2", "--n", "0"],
+    ["gh", "fusion-check", "--base", "one_class:2", "--m", "0", "--n", "2"],
+    ["modinv", "lift", "--base", "cycle:4", "--n", "-3"],
+    ["code", "enumerate", "--base", "one_class:2", "--n", "0", "-"],
+    ["gh", "eigen", "--base", "one_class:2", "--n", "two"],
+])
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    assert_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize("obj", [
+    {"v": "two", "d": 1, "relation": [[0, 1], [1, 0]]},
+    {"v": 2, "d": None, "relation": [[0, 1], [1, 0]]},
+])
+def test_stray_value_and_type_errors_exit_2(tmp_path, capsys, obj):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(obj))
+    assert_usage_error(capsys, ["scheme", "eigen", str(path)])
+
+
+def tampered_one_class(tmp_path):
+    obj = scheme_to_obj(one_class(2))
+    obj["P"][1][1] = {"re": "5", "im": "0"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "transform", "--base", "BAD", "CODE"],
+    ["scheme", "eigen", "BAD"],
+    ["gh", "eigen", "--base", "BAD", "--n", "2"],
+])
+def test_tampered_attached_P_is_rejected(tmp_path, capsys, argv):
+    bad = tampered_one_class(tmp_path)
+    code = write_code(tmp_path, ["0 0 0", "1 1 1"])
+    argv = [bad if a == "BAD" else code if a == "CODE" else a for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_verify_does_not_certify_attached_P(tmp_path, capsys):
+    # verify checks the table only; its report is unchanged by a bad P
+    assert run(["scheme", "verify", tampered_one_class(tmp_path)]) == 0
+    assert "FAILED" not in capsys.readouterr().out
+
+
+def test_certified_attached_P_is_used(tmp_path, capsys):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(scheme_to_obj(cycle_scheme(4))))
+    assert run(["scheme", "eigen", str(path), "--json"]) == 0
+    assert parse_matrix(out_json(capsys)["P"]) == eigenmatrix(cycle_scheme(4))

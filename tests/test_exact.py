@@ -3,6 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
+from schemekit.codes import (
+    Code,
+    dual_weight_enumerator_direct,
+    macwilliams_transform,
+    weight_enumerator,
+)
 from schemekit.exact import (
     ExactMatrix,
     GaussRat,
@@ -14,6 +21,7 @@ from schemekit.exact import (
     substitute_polys,
 )
 from schemekit.errors import DimensionMismatch, SingularMatrix
+from schemekit.scheme import dual_eigenmatrix, eigenmatrix
 
 
 def rand_gauss(rng, span=5):
@@ -268,3 +276,172 @@ def test_induced_matrix_frozen_binary():
         [GaussRat(1), GaussRat(-2), GaussRat(1)],
     ])
     assert got == want
+
+
+# -- integer kernels against their definitions ---------------------------
+
+
+def rand_entry(rng, kind):
+    """A random entry of one of three kinds: 'int', 'real' (fractions)
+    or 'gauss' (fractional real and imaginary parts)."""
+    if kind == "int":
+        return GaussRat(rng.randint(-4, 4))
+    if kind == "real":
+        return GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+    return GaussRat(Fraction(rng.randint(-5, 5), rng.randint(1, 6)),
+                    Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+
+
+def rand_kind_matrix(rng, nrows, ncols, kind):
+    return ExactMatrix([[rand_entry(rng, kind) for _ in range(ncols)]
+                        for _ in range(nrows)])
+
+
+KINDS = ("int", "real", "gauss")
+
+
+def matmul_reference(a, b):
+    return ExactMatrix([[sum((a[i, t] * b[t, j] for t in range(a.ncols)),
+                             GaussRat(0))
+                         for j in range(b.ncols)] for i in range(a.nrows)])
+
+
+def inverse_reference(m):
+    """Gauss-Jordan elimination on GaussRat entries, pivoting on the
+    first nonzero entry on or below the diagonal.  Returns the inverse,
+    or the first column without a pivot."""
+    k = m.nrows
+    aug = [list(m.row(i)) + [GaussRat(int(i == j)) for j in range(k)]
+           for i in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if aug[r][col]), None)
+        if pivot is None:
+            return col
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(k):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return ExactMatrix([row[k:] for row in aug])
+
+
+def singular_column(m):
+    with pytest.raises(SingularMatrix) as info:
+        m.inverse()
+    return int(str(info.value).rsplit(" ", 1)[1])
+
+
+def test_matmul_matches_definition():
+    rng = random.Random(1968)
+    for _ in range(60):
+        r, s, t = (rng.randint(1, 5) for _ in range(3))
+        a = rand_kind_matrix(rng, r, s, rng.choice(KINDS))
+        b = rand_kind_matrix(rng, s, t, rng.choice(KINDS))
+        assert a @ b == matmul_reference(a, b)
+
+
+def test_inverse_matches_definition():
+    rng = random.Random(1973)
+    done = 0
+    while done < 45:
+        k = rng.randint(1, 6)
+        m = rand_kind_matrix(rng, k, k, KINDS[done % 3])
+        want = inverse_reference(m)
+        if isinstance(want, int):
+            assert singular_column(m) == want
+            continue
+        inv = m.inverse()
+        assert inv == want
+        assert m @ inv == ExactMatrix.identity(k)
+        assert inv @ m == ExactMatrix.identity(k)
+        done += 1
+
+
+def test_inverse_needs_row_swaps():
+    # zero leading entries force a pivot search below the diagonal
+    m = ExactMatrix([[0, 1, 2], [0, 0, GaussRat(0, 1)], [3, 0, 1]])
+    assert m.inverse() == inverse_reference(m)
+    assert m @ m.inverse() == ExactMatrix.identity(3)
+
+
+def test_singular_matrix_names_the_same_column():
+    rng = random.Random(1011)
+    for trial in range(40):
+        k = rng.randint(2, 6)
+        kind = KINDS[trial % 3]
+        m = rand_kind_matrix(rng, k, k, kind)
+        # make column j a combination of the columns before it, or zero
+        j = rng.randrange(k)
+        coeffs = [rand_entry(rng, kind) for _ in range(j)]
+        rows = [list(row) for row in m.rows()]
+        for row in rows:
+            row[j] = sum((c * row[t] for t, c in enumerate(coeffs)),
+                         GaussRat(0))
+        m = ExactMatrix(rows)
+        want = inverse_reference(m)
+        assert isinstance(want, int) and want <= j
+        assert singular_column(m) == want
+
+
+def test_induced_matrix_matches_substitution():
+    """Row gamma of induced(M, n) is s^gamma under s -> M s, on
+    fractional and complex matrices."""
+    rng = random.Random(1044)
+    for k, n, kind in ((2, 0, "gauss"), (2, 3, "gauss"), (3, 2, "gauss"),
+                       (3, 3, "real"), (4, 2, "gauss"), (1, 4, "gauss"),
+                       (2, 5, "int")):
+        m = rand_kind_matrix(rng, k, k, kind)
+        got = induced_matrix(m, n)
+        comps = compositions(n, k)
+        for gamma in comps:
+            image = substitute_linear(MPoly.monomial(gamma), m)
+            assert got.row(composition_index(n, k)[gamma]) == tuple(
+                image.coefficient(alpha) for alpha in comps)
+
+
+@pytest.mark.parametrize("base", [
+    one_class(3), hamming(2, 3), group_scheme([4]), group_scheme([2, 2]),
+    cycle_scheme(4), cycle_scheme(6),
+], ids=["one_class:3", "hamming:2:3", "group:4", "group:2:2", "cycle:4",
+        "cycle:6"])
+def test_induced_P_times_induced_Q_is_v_to_the_n(base):
+    P = eigenmatrix(base)
+    Q = dual_eigenmatrix(P, base.v)
+    for n in (1, 2, 3):
+        product = induced_matrix(P, n) @ induced_matrix(Q, n)
+        assert product == ExactMatrix.identity(product.nrows).scale(
+            base.v ** n)
+
+
+def random_code_of(rng, base, n, size):
+    words = set()
+    while len(words) < size:
+        words.add(tuple(rng.randrange(base.v) for _ in range(n)))
+    return Code(sorted(words), base)
+
+
+def transform_by_substitution(W, P, v, code_size):
+    return substitute_linear(W, P.inverse()) * GaussRat(
+        Fraction(v ** W.degree(), code_size))
+
+
+@pytest.mark.parametrize("base,n", [
+    (one_class(2), 4), (one_class(3), 3), (group_scheme([4]), 2),
+    (group_scheme([2, 2]), 2), (cycle_scheme(4), 2),
+], ids=["one_class:2", "one_class:3", "group:4", "group:2:2", "cycle:4"])
+def test_transform_matches_substitution_and_direct_oracle(base, n):
+    rng = random.Random(1011 + n)
+    P = eigenmatrix(base)
+    for size in (1, 3, 7):
+        code = random_code_of(rng, base, n, size)
+        W = weight_enumerator(code)
+        got = macwilliams_transform(W, P, base.v, len(code))
+        assert got == transform_by_substitution(W, P, base.v, len(code))
+        assert got == dual_weight_enumerator_direct(code)
+        # two more letters: too many words for the direct oracle
+        code = random_code_of(rng, base, n + 2, 2 * size)
+        W = weight_enumerator(code)
+        assert macwilliams_transform(W, P, base.v, len(code)) == \
+            transform_by_substitution(W, P, base.v, len(code))
