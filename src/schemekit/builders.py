@@ -38,17 +38,12 @@ def hamming(n, q, cap=DEFAULT_CAP):
     v = q**n
     if v > cap:
         raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (q, n, cap))
-    idx = np.arange(v)
-    rel = np.zeros((v, v), dtype=np.int64)
-    rest = idx.copy()
-    for _ in range(n):
-        dig = rest % q
-        rel += dig[:, None] != dig[None, :]
-        rest //= q
+    translation = TranslationStructure((q,) * n)
+    # the class of (x, y) is the Hamming weight of y - x
+    weight = (translation.digits(np.arange(v)) != 0).sum(axis=-1)
+    rel = weight[translation.difference_table()]
     P = induced_matrix(ExactMatrix([[1, q - 1], [1, -1]]), n)
-    return AssociationScheme(rel, P=P,
-                             translation=TranslationStructure((q,) * n),
-                             check=False)
+    return AssociationScheme(rel, P=P, translation=translation, check=False)
 
 
 def group_scheme(orders, cap=DEFAULT_CAP):
@@ -62,33 +57,14 @@ def group_scheme(orders, cap=DEFAULT_CAP):
     v = translation.size
     if v > cap:
         raise SizeCapExceeded("group of order %d exceeds cap %d" % (v, cap))
-    idx = np.arange(v)
-    digits = []
-    rest = idx.copy()
-    for m in reversed(translation.orders):
-        digits.append(rest % m)
-        rest //= m
-    digits.reverse()
-    rel = np.zeros((v, v), dtype=np.int64)
-    for dig, m in zip(digits, translation.orders):
-        rel = rel * m + (dig[None, :] - dig[:, None]) % m
+    rel = translation.difference_table()
     P = None
     if all(4 % m == 0 for m in translation.orders):
-        elements = [translation.element(x) for x in range(v)]
-        rows = []
-        for a in elements:
-            rows.append([
-                _char_value(a, x, translation.orders) for x in elements
-            ])
-        P = ExactMatrix(rows)
+        elements = translation.digits(np.arange(v))
+        scale = np.array([4 // m for m in translation.orders], dtype=np.int64)
+        exponents = (elements * scale) @ elements.T % 4
+        P = ExactMatrix([[_I_POW[e] for e in row] for row in exponents.tolist()])
     return AssociationScheme(rel, P=P, translation=translation, check=False)
-
-
-def _char_value(a, x, orders):
-    e = 0
-    for aj, xj, m in zip(a, x, orders):
-        e += (4 // m) * aj * xj
-    return _I_POW[e % 4]
 
 
 def cycle_scheme(m, cap=DEFAULT_CAP):
@@ -101,10 +77,9 @@ def cycle_scheme(m, cap=DEFAULT_CAP):
         raise DimensionMismatch("cycle_scheme needs m >= 3")
     if m > cap:
         raise SizeCapExceeded("%d vertices exceeds cap %d" % (m, cap))
-    idx = np.arange(m)
-    k = (idx[None, :] - idx[:, None]) % m
-    rel = np.minimum(k, m - k)
-    scheme = AssociationScheme(rel, translation=TranslationStructure((m,)),
+    translation = TranslationStructure((m,))
+    k = translation.difference_table()
+    scheme = AssociationScheme(np.minimum(k, m - k), translation=translation,
                                check=False)
     try:
         eigenmatrix(scheme)

@@ -5,9 +5,10 @@ fusion-check, code enumerate|transform|dual|z4|gray-check, modinv
 verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
 (axiom violation, non-additive code, no scalar cube, an attached P that
 fails certification, ...), 2 usage, I/O, or format error (a size below
-1 included).  Errors print an `error:` line on stderr and nothing on
-stdout.  --json switches every command to structured output with
-rationals serialized as exact strings.
+1, or a vertex or composite class count above --cap, included).  Errors
+print an `error:` line on stderr and nothing on stdout.  --json switches
+every command to structured output with rationals serialized as exact
+strings.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from . import builders, jsonio
 from .codes import (
@@ -25,7 +27,7 @@ from .codes import (
     weight_enumerator,
     z4_enumerators,
 )
-from .errors import FormatError, MathError, SchemeKitError
+from .errors import FormatError, MathError, SchemeKitError, SizeCapExceeded
 from .exact import ExactMatrix
 from .genham import build_explicit, eigenmatrix_gh, fusion_check_trans
 from .modular import induced_modular_check, search_T, verify_modular
@@ -77,22 +79,41 @@ def _build_named(name, int_args, cap):
                       % (name, ", ".join(_BUILDER_NAMES)))
 
 
-def _load_scheme(spec, cap, check=True):
-    """Scheme from a builder spec, a JSON file path, or '-' (stdin)."""
+def _build_spec(spec, cap):
+    """The scheme of a builder spec, or None if spec is a file or '-'."""
     head = spec.split(":", 1)[0]
-    if spec != "-" and head in _BUILDER_NAMES:
-        parts = spec.split(":")
-        try:
-            int_args = [int(x) for x in parts[1:]]
-        except ValueError:
-            raise FormatError("bad builder spec %r: arguments must be "
-                              "integers" % spec) from None
-        return _build_named(head, int_args, cap)
+    if spec == "-" or head not in _BUILDER_NAMES:
+        return None
     try:
-        obj = json.loads(_read_text(spec))
+        int_args = [int(x) for x in spec.split(":")[1:]]
+    except ValueError:
+        raise FormatError("bad builder spec %r: arguments must be "
+                          "integers" % spec) from None
+    return _build_named(head, int_args, cap)
+
+
+def _read_json(spec):
+    try:
+        return json.loads(_read_text(spec))
     except json.JSONDecodeError as e:
         raise FormatError("bad JSON in %r: %s" % (spec, e)) from None
-    return jsonio.scheme_from_obj(obj, check=check)
+
+
+def _load_scheme(spec, cap):
+    """Scheme from a builder spec, a JSON file path, or '-' (stdin)."""
+    scheme = _build_spec(spec, cap)
+    if scheme is None:
+        scheme = jsonio.scheme_from_obj(_read_json(spec))
+    return scheme
+
+
+def _check_class_cap(base, n, cap):
+    """SizeCapExceeded unless the n-fold composite over base has at most
+    cap classes, C(n+d, d)."""
+    classes = comb(n + base.d, base.d)
+    if classes > cap:
+        raise SizeCapExceeded("C(%d+%d, %d) = %d composite classes exceeds "
+                              "cap %d" % (n, base.d, base.d, classes, cap))
 
 
 def _load_code(args):
@@ -176,8 +197,12 @@ def cmd_scheme_build(args):
 
 
 def cmd_scheme_verify(args):
-    s = _load_scheme(args.source, args.cap, check=False)
-    report = verify_axioms(s.relation)
+    s = _build_spec(args.source, args.cap)
+    if s is not None:
+        relation = s.relation
+    else:
+        relation, _P = jsonio.parse_scheme_obj(_read_json(args.source))
+    report = verify_axioms(relation)
     if args.json:
         checks = []
         for c in report.checks:
@@ -257,6 +282,7 @@ def cmd_gh_build(args):
 
 def cmd_gh_eigen(args):
     base = _load_scheme(args.base, args.cap)
+    _check_class_cap(base, args.n, args.cap)
     P = eigenmatrix_gh(eigenmatrix(base), args.n)
     if args.json:
         _emit({"P": jsonio.matrix_to_obj(P)})
@@ -299,6 +325,7 @@ def cmd_code_enumerate(args):
 
 def cmd_code_transform(args):
     code = _load_code(args)
+    _check_class_cap(code.base, code.n, args.cap)
     P = eigenmatrix(code.base)
     W = weight_enumerator(code)
     dual = macwilliams_transform(W, P, code.base.v, len(code))
@@ -387,7 +414,9 @@ def cmd_modinv_search(args):
 
 
 def cmd_modinv_lift(args):
-    P = eigenmatrix(_load_scheme(args.base, args.cap))
+    base = _load_scheme(args.base, args.cap)
+    _check_class_cap(base, args.n, args.cap)
+    P = eigenmatrix(base)
     if args.T is not None:
         w = verify_modular(P, _parse_diagonal(args.T))
     else:
@@ -454,8 +483,8 @@ def build_parser():
     common.add_argument("--json", action="store_true",
                         help="structured output with exact rational strings")
     common.add_argument("--cap", type=int, default=4096,
-                        help="vertex-count cap for constructions "
-                             "(default 4096)")
+                        help="cap on the vertices of a construction and "
+                             "on the classes of a composite (default 4096)")
     top = parser.add_subparsers(dest="command", required=True)
 
     scheme = top.add_parser("scheme", help="build and analyze schemes")

@@ -31,13 +31,12 @@ from .exact import (
     ExactMatrix,
     GaussRat,
     MPoly,
-    composition_index,
     compositions,
     induced_matrix,
     substitute_polys,
 )
 from .genham import h_vector
-from .scheme import dual_eigenmatrix, eigenmatrix
+from .scheme import TranslationStructure, dual_eigenmatrix, eigenmatrix
 
 
 class Code:
@@ -82,19 +81,6 @@ class Code:
             len(self.words), self.n, self.base.v)
 
 
-def inner_distribution(code):
-    """Vector a with a_r = (1/|C|) #{(x,y) in C^2 : class(x,y) = r},
-    classes of the composite scheme in canonical composition order."""
-    base, n = code.base, code.n
-    index = composition_index(n, base.d + 1)
-    counts = [0] * len(index)
-    for x in code.words:
-        for y in code.words:
-            counts[index[h_vector(x, y, base)]] += 1
-    size = len(code.words)
-    return [Fraction(c, size) for c in counts]
-
-
 def weight_enumerator(code):
     """Homogeneous degree-n polynomial in d+1 variables whose coefficient
     of s^alpha is (1/|C|) times the number of pairs with profile alpha."""
@@ -107,6 +93,15 @@ def weight_enumerator(code):
     size = len(code.words)
     return MPoly(base.d + 1,
                  {h: GaussRat(Fraction(c, size)) for h, c in counts.items()})
+
+
+def inner_distribution(code):
+    """Vector a with a_r = (1/|C|) #{(x,y) in C^2 : class(x,y) = r},
+    classes of the composite scheme in canonical composition order: the
+    coefficients of the weight enumerator."""
+    W = weight_enumerator(code)
+    return [W.coefficient(c).re
+            for c in compositions(code.n, code.base.d + 1)]
 
 
 def macwilliams_transform(enumerator, P, v, code_size):
@@ -170,8 +165,7 @@ def dual_weight_enumerator_direct(code, cap=256):
         raise SizeCapExceeded("%d^%d exceeds oracle cap %d" % (v, n, cap))
     E = exact_idempotents(base)
     comps = compositions(n, base.d + 1)
-    indices = [sum(x * v ** (n - 1 - j) for j, x in enumerate(w))
-               for w in code.words]
+    indices = TranslationStructure((v,) * n).index(code.words).tolist()
     size = len(code.words)
     scale = GaussRat(Fraction(v**n, size * size))
     terms = {}
@@ -196,24 +190,21 @@ def dual_weight_enumerator_direct(code, cap=256):
 
 
 def _flat_exponents(code):
+    """Element digits of every word, one row per word, and the product
+    group of V^n they live in."""
     tr = code.base.translation
     if tr is None:
         raise DimensionMismatch("base scheme has no translation structure")
-    out = []
-    for w in code.words:
-        row = []
-        for x in w:
-            row.extend(tr.element(x))
-        out.append(row)
-    return np.array(out, dtype=np.int64), tr
+    exps = tr.digits(code.words).reshape(len(code.words), -1)
+    return exps, TranslationStructure(tr.orders * code.n)
 
 
 def is_additive(code):
     """True iff the word set is a subgroup of the translation group.
 
     Returns (True, None) or (False, witness_pair)."""
-    exps, tr = _flat_exponents(code)
-    orders = np.array(tr.orders * code.n, dtype=np.int64)
+    exps, group = _flat_exponents(code)
+    orders = np.array(group.orders, dtype=np.int64)
     word_set = {tuple(r) for r in exps.tolist()}
     for a in exps:
         sums = (a[None, :] + exps) % orders[None, :]
@@ -233,37 +224,20 @@ def dual_code(code, cap=4096):
     ok, witness = is_additive(code)
     if not ok:
         raise NotAdditive(witness)
-    exps, tr = _flat_exponents(code)
+    exps, group = _flat_exponents(code)
     base, n = code.base, code.n
     v = base.v
-    V = v**n
-    if V > cap:
+    if group.size > cap:
         raise SizeCapExceeded("%d^%d candidate words exceeds cap %d" % (v, n, cap))
-    orders = np.array(tr.orders * n, dtype=np.int64)
-    L = lcm(*[int(m) for m in orders])
+    orders = np.array(group.orders, dtype=np.int64)
+    L = lcm(*group.orders)
     weights = L // orders
 
-    idx = np.arange(V)
-    cols = []
-    rest = idx.copy()
-    for m in reversed(orders.tolist()):
-        cols.append(rest % m)
-        rest //= m
-    cols.reverse()
-    candidates = np.stack(cols, axis=1)
-
+    candidates = group.digits(np.arange(group.size))
     pairing = (candidates * weights[None, :]) @ exps.T % L
     member = (pairing == 0).all(axis=1)
-    dual_indices = np.flatnonzero(member)
-
-    words = []
-    for i in dual_indices.tolist():
-        w = []
-        for _ in range(n):
-            i, digit = divmod(i, v)
-            w.append(digit)
-        words.append(tuple(reversed(w)))
-    return Code(words, base, n)
+    words = TranslationStructure((v,) * n).digits(np.flatnonzero(member))
+    return Code(words.tolist(), base, n)
 
 
 def translation_duality_check(code):

@@ -18,7 +18,7 @@ class DuplicateWords(FormatError):
 
 
 class SizeCapExceeded(SchemeKitError):
-    """An explicit construction would exceed the vertex cap."""
+    """A construction would exceed a size cap (vertices or classes)."""
 
 
 class DimensionMismatch(SchemeKitError, ValueError):

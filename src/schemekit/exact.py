@@ -2,7 +2,8 @@
 
 Everything in this module is exact.  Scalars are Gaussian rationals
 (complex numbers with Fraction real and imaginary parts), matrices and
-polynomials are built over them, and no operation ever rounds.
+polynomials are built over them, and no operation ever rounds.  The one
+way in from floats is snap_gauss, whose results callers re-verify.
 
 GaussRat is the type at the edge: ExactMatrix stores GaussRat entries
 and MPoly GaussRat coefficients.  The heavy kernels -- matrix product,
@@ -178,6 +179,17 @@ class GaussRat:
 
 
 I = GaussRat(0, 1)
+
+
+def snap_gauss(z, tolerance, max_denominator):
+    """The Gaussian rational nearest a complex float z with denominators
+    up to max_denominator, or None if it is farther than tolerance in
+    either part.  Callers re-verify every snapped value exactly."""
+    re = Fraction(float(z.real)).limit_denominator(max_denominator)
+    im = Fraction(float(z.imag)).limit_denominator(max_denominator)
+    if abs(float(re) - z.real) > tolerance or abs(float(im) - z.imag) > tolerance:
+        return None
+    return GaussRat(re, im)
 
 
 # -- the private integer form ----------------------------------------------

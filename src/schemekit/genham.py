@@ -11,6 +11,7 @@ both computes symbolically and cross-checks against explicit tables.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +93,11 @@ def build_explicit(base, n, cap=4096):
     # profile of a pair, encoded injectively: sum_r count_r * (n+1)^r
     if (n + 1) ** (d + 1) > 2**62:
         raise SizeCapExceeded("profile key would overflow; reduce n or d")
-    idx = np.arange(V)
-    coords = []
-    rest = idx.copy()
-    for _ in range(n):
-        coords.append(rest % v)
-        rest //= v
-    coords.reverse()
+    words = TranslationStructure((v,) * n).digits(np.arange(V))
     powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
     key = np.zeros((V, V), dtype=np.int64)
     for j in range(n):
-        cj = coords[j]
-        key += powers[base.relation[np.ix_(cj, cj)]]
+        key += powers[base.relation[np.ix_(words[:, j], words[:, j])]]
 
     comps = compositions(n, d + 1)
     comp_keys = np.array([int(sum(c[r] * powers[r] for r in range(d + 1)))
@@ -147,7 +141,9 @@ def formal_duality_check(P, v, n):
 
     identity_holds: induced(v*P^-1, n) == v^n * induced(P, n)^-1 exactly.
     self_dual: some class/idempotent reordering makes v*P^-1 equal P
-    (identity permutations are tried first, then all pairs for small d).
+    (identity permutations are tried first, then, for up to 6 rows, row
+    orders in lexicographic order, each with its first matching column
+    order).
     """
     lhs = induced_matrix(dual_eigenmatrix(P, v), n)
     rhs = induced_matrix(P, n).inverse().scale(v**n)
@@ -155,19 +151,32 @@ def formal_duality_check(P, v, n):
 
     dual = dual_eigenmatrix(P, v)
     row_perm = col_perm = None
-    self_dual = False
     if dual == P:
-        self_dual, row_perm, col_perm = True, tuple(range(P.nrows)), tuple(range(P.ncols))
+        row_perm, col_perm = tuple(range(P.nrows)), tuple(range(P.ncols))
     elif P.nrows <= 6:
-        import itertools
+        columns = list(zip(*P.rows()))
         for rp in itertools.permutations(range(P.nrows)):
-            for cp in itertools.permutations(range(P.ncols)):
-                if dual.permuted(rp, cp) == P:
-                    self_dual, row_perm, col_perm = True, rp, cp
-                    break
-            if self_dual:
+            col_perm = _match_columns(list(zip(*dual.permuted(rp).rows())),
+                                      columns)
+            if col_perm is not None:
+                row_perm = rp
                 break
-    return FormalDuality(identity_holds, self_dual, row_perm, col_perm)
+    return FormalDuality(identity_holds, row_perm is not None, row_perm, col_perm)
+
+
+def _match_columns(source, target):
+    """The lexicographically first cp with source[cp[j]] == target[j] for
+    every j, or None.  Equal columns are interchangeable, so giving each
+    j the smallest unused equal column is never a wrong choice."""
+    unused = list(range(len(source)))
+    cp = []
+    for col in target:
+        c = next((c for c in unused if source[c] == col), None)
+        if c is None:
+            return None
+        unused.remove(c)
+        cp.append(c)
+    return tuple(cp)
 
 
 @dataclass

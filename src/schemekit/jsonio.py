@@ -98,14 +98,10 @@ def scheme_to_obj(scheme):
     return obj
 
 
-def scheme_from_obj(obj, check=True):
-    """The scheme of a JSON object.
-
-    With check=True the relation table is verified and an attached "P"
-    must pass certify_eigenmatrix, else CertificationFailure is raised.
-    With check=False neither is checked; such a scheme is for
-    inspecting the table, not for computing with its P.
-    """
+def parse_scheme_obj(obj):
+    """The relation table and the attached "P" (or None) of a scheme
+    JSON object, checked for format only: the axioms are not verified
+    and P is not certified."""
     if not isinstance(obj, dict):
         raise FormatError("scheme object must be a JSON object")
     for key in ("v", "d", "relation"):
@@ -123,10 +119,22 @@ def scheme_from_obj(obj, check=True):
     if relation.size and int(relation.max()) != int(obj["d"]):
         raise FormatError("relation classes do not match d=%s" % obj["d"])
     P = parse_matrix(obj["P"]) if obj.get("P") is not None else None
-    scheme = AssociationScheme(relation, P=P, check=check)
-    if check and P is not None and not certify_eigenmatrix(scheme, P):
+    return relation, P
+
+
+def scheme_from_obj(obj):
+    """The scheme of a JSON object.
+
+    The relation table is verified, and an attached "P" is attached only
+    after it passes certify_eigenmatrix; otherwise CertificationFailure
+    is raised.
+    """
+    relation, P = parse_scheme_obj(obj)
+    scheme = AssociationScheme(relation)
+    if P is not None and not certify_eigenmatrix(scheme, P):
         raise CertificationFailure("the attached P is not the eigenmatrix "
                                    "of the scheme")
+    scheme.P = P
     return scheme
 
 

@@ -12,8 +12,6 @@ incomplete"), never a proof of absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 from scipy.optimize import least_squares
 
@@ -24,6 +22,7 @@ from .exact import (
     MPoly,
     compositions,
     induced_matrix,
+    snap_gauss,
     substitute_polys,
 )
 
@@ -148,14 +147,6 @@ def _gcd_many(lists):
     return g
 
 
-def _snap_gauss(z, tolerance, max_denominator):
-    re = Fraction(float(z.real)).limit_denominator(max_denominator)
-    im = Fraction(float(z.imag)).limit_denominator(max_denominator)
-    if abs(float(re) - z.real) > tolerance or abs(float(im) - z.imag) > tolerance:
-        return None
-    return GaussRat(re, im)
-
-
 def _exact_roots(coeffs, tolerance, max_denominator):
     """Exact Gaussian-rational roots of an ascending coefficient list.
 
@@ -173,7 +164,7 @@ def _exact_roots(coeffs, tolerance, max_denominator):
     numeric = np.roots([complex(c) for c in reversed(coeffs)])
     roots = []
     for z in numeric:
-        g = _snap_gauss(z, tolerance, max_denominator)
+        g = snap_gauss(z, tolerance, max_denominator)
         if g is None:
             continue
         value = GaussRat(0)
@@ -355,7 +346,7 @@ def _search_numeric(P, tolerance, max_denominator, restarts, seed):
             continue
         entries = []
         for r in range(d):
-            g = _snap_gauss(complex(sol.x[r], sol.x[d + r]),
+            g = snap_gauss(complex(sol.x[r], sol.x[d + r]),
                             tolerance, max_denominator)
             if g is None:
                 break

@@ -11,7 +11,6 @@ can never pass silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import ExactMatrix, GaussRat
+from .exact import ExactMatrix, GaussRat, snap_gauss
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_DENOMINATOR = 10**6
@@ -248,6 +247,35 @@ class TranslationStructure:
     def neg(self, a):
         return tuple((-x) % m for x, m in zip(a, self.orders))
 
+    def digits(self, vertices):
+        """Element tuples of an int array of vertices, on a new trailing
+        axis: the vectorised `element`."""
+        rest = np.asarray(vertices, dtype=np.int64)
+        out = np.empty(rest.shape + (len(self.orders),), dtype=np.int64)
+        for j in range(len(self.orders) - 1, -1, -1):
+            rest, out[..., j] = np.divmod(rest, self.orders[j])
+        return out
+
+    def index(self, digits):
+        """Vertices of element tuples on the trailing axis (digits taken
+        mod the orders): the vectorised `vertex`, inverse of `digits`."""
+        digits = np.asarray(digits)
+        out = np.int64(0)
+        for j, m in enumerate(self.orders):
+            out = out * m + digits[..., j] % m
+        return out
+
+    def difference_table(self):
+        """The v x v table of index(element(y) - element(x)): the
+        Kronecker fold of the m x m difference tables of the factors."""
+        table = np.zeros((1, 1), dtype=np.int64)
+        for m in self.orders:
+            k = np.arange(m)
+            cyclic = (k[None, :] - k[:, None]) % m
+            table = table[:, None, :, None] * m + cyclic[None, :, None, :]
+            table = table.reshape(table.shape[0] * m, -1)
+        return table
+
     def validate(self, relation):
         """Check every class is invariant under simultaneous translation,
         i.e. relation(x, y) depends only on the difference y - x."""
@@ -255,18 +283,7 @@ class TranslationStructure:
         v = rel.shape[0]
         if v != self.size:
             raise DimensionMismatch("group size %d != vertex count %d" % (self.size, v))
-        # difference table diff[x][y] = vertex index of element(y) - element(x)
-        idx = np.arange(v)
-        digits = []
-        rest = idx.copy()
-        for m in reversed(self.orders):
-            digits.append(rest % m)
-            rest //= m
-        digits.reverse()
-        diff = np.zeros((v, v), dtype=np.int64)
-        for dig, m in zip(digits, self.orders):
-            diff = diff * m + (dig[None, :] - dig[:, None]) % m
-        expected = rel[0][diff]
+        expected = rel[0][self.difference_table()]
         if (rel != expected).any():
             bad = _first_index(rel != expected)
             raise DimensionMismatch(
@@ -334,21 +351,6 @@ def intersection_numbers(scheme):
 # -- eigenmatrix: numeric diagonalization, snap, exact certification ----
 
 
-def _snap_fraction(x, tolerance, max_denominator):
-    f = Fraction(x).limit_denominator(max_denominator)
-    if abs(f - Fraction(x)) > Fraction(tolerance).limit_denominator(10**15):
-        return None
-    return f
-
-
-def _snap_complex(z, tolerance, max_denominator):
-    re = _snap_fraction(float(z.real), tolerance, max_denominator)
-    im = _snap_fraction(float(z.imag), tolerance, max_denominator)
-    if re is None or im is None:
-        return None
-    return GaussRat(re, im)
-
-
 def canonical_row_key(row):
     """Deterministic total-order key for a row of GaussRat entries."""
     return tuple((x.re, x.im) for x in row)
@@ -392,7 +394,7 @@ def certify_eigenmatrix(scheme, P):
     return True
 
 
-def _numeric_eigenrows(scheme, rng, tolerance):
+def _numeric_eigenrows(scheme, rng):
     """One numeric attempt: diagonalize a random combination and read the
     eigenvalue vector of every class on each eigenvector.
 
@@ -430,6 +432,14 @@ def _numeric_eigenrows(scheme, rng, tolerance):
     return rows
 
 
+def _eigen_attempts(scheme, attempts, seed):
+    """The eigenvalue rows of `attempts` seeded numeric attempts, each a
+    list of (vector, multiplicity) or None for a degenerate one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(attempts):
+        yield _numeric_eigenrows(scheme, rng)
+
+
 def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
                 max_denominator=DEFAULT_MAX_DENOMINATOR,
                 attempts=_EIG_ATTEMPTS, seed=_EIG_SEED):
@@ -445,29 +455,16 @@ def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
         return scheme.P
     if scheme.snap_failed:
         raise SnapFailure("scheme is in numeric-only mode")
-    rng = np.random.default_rng(seed)
     vals = scheme.valencies()
     valency_row = tuple(GaussRat(int(x)) for x in vals)
     last_reason = "no attempt succeeded"
-    for _ in range(attempts):
-        rows = _numeric_eigenrows(scheme, rng, tolerance)
+    for rows in _eigen_attempts(scheme, attempts, seed):
         if rows is None:
             last_reason = "degenerate random combination"
             continue
-        snapped = []
-        ok = True
-        for vec, _mult in rows:
-            srow = []
-            for z in vec:
-                g = _snap_complex(z, tolerance, max_denominator)
-                if g is None:
-                    ok = False
-                    break
-                srow.append(g)
-            if not ok:
-                break
-            snapped.append(tuple(srow))
-        if not ok:
+        snapped = [tuple(snap_gauss(z, tolerance, max_denominator) for z in vec)
+                   for vec, _mult in rows]
+        if any(g is None for row in snapped for g in row):
             last_reason = "eigenvalues did not snap to Gaussian rationals"
             continue
         if valency_row not in snapped:
@@ -492,10 +489,8 @@ def numeric_eigenmatrix(scheme, seed=_EIG_SEED, attempts=_EIG_ATTEMPTS):
 
     Valency row first, remaining rows in descending rounded-key order.
     """
-    rng = np.random.default_rng(seed)
     vals = scheme.valencies().astype(np.float64)
-    for _ in range(attempts):
-        rows = _numeric_eigenrows(scheme, rng, DEFAULT_TOLERANCE)
+    for rows in _eigen_attempts(scheme, attempts, seed):
         if rows is None:
             continue
         vecs = [r[0] for r in rows]
@@ -616,39 +611,23 @@ def orbit_fusion(scheme, n, generators, cap=4096):
         raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
     group = _perm_closure(generators, n)
 
-    # orbits of index tuples, discovered in lexicographic order
-    total = (d + 1) ** n
-    orbit_id = np.full(total, -1, dtype=np.int64)
-    weights = (d + 1) ** np.arange(n - 1, -1, -1)
-
-    def encode(t):
-        return int(sum(x * w for x, w in zip(t, weights)))
-
-    import itertools
-
+    # orbits of class tuples, discovered in lexicographic order
+    classes = TranslationStructure((d + 1,) * n)
+    perms = np.array(group)
+    orbit_id = np.full(classes.size, -1, dtype=np.int64)
     next_id = 0
-    for t in itertools.product(range(d + 1), repeat=n):
-        e = encode(t)
-        if orbit_id[e] >= 0:
-            continue
-        for g in group:
-            orbit_id[encode(tuple(t[g[i]] for i in range(n)))] = next_id
-        next_id += 1
+    for t in range(classes.size):
+        if orbit_id[t] < 0:
+            orbit_id[classes.index(classes.digits(t)[perms])] = next_id
+            next_id += 1
 
-    # relation table of the tensor power, encoded in mixed radix
-    V = v**n
-    idx = np.arange(V)
-    coords = []
-    rest = idx.copy()
-    for _ in range(n):
-        coords.append(rest % v)
-        rest //= v
-    coords.reverse()
-    code = np.zeros((V, V), dtype=np.int64)
-    for j in range(n):
-        cj = coords[j]
-        code = code * (d + 1) + scheme.relation[np.ix_(cj, cj)]
-    rel = orbit_id[code]
+    # the tensor power's class index is the big-endian class tuple; the
+    # factor carries no P, so no Kronecker power of P is built
+    factor = AssociationScheme(scheme.relation, check=False)
+    power = factor
+    for _ in range(n - 1):
+        power = tensor_product(power, factor)
+    rel = orbit_id[power.relation]
     report = verify_axioms(rel)
     if not report.ok:
         raise ClosureFailure(report)

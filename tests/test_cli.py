@@ -1,11 +1,19 @@
+import inspect
 import io
 import json
 
 import pytest
 
+from schemekit import cli
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
-from schemekit.jsonio import parse_matrix, scheme_to_obj
+from schemekit.errors import CertificationFailure
+from schemekit.jsonio import (
+    parse_matrix,
+    parse_scheme_obj,
+    scheme_from_obj,
+    scheme_to_obj,
+)
 from schemekit.scheme import eigenmatrix
 
 
@@ -375,3 +383,53 @@ def test_certified_attached_P_is_used(tmp_path, capsys):
     path.write_text(json.dumps(scheme_to_obj(cycle_scheme(4))))
     assert run(["scheme", "eigen", str(path), "--json"]) == 0
     assert parse_matrix(out_json(capsys)["P"]) == eigenmatrix(cycle_scheme(4))
+
+
+def test_no_call_returns_a_scheme_with_a_tampered_P(tmp_path):
+    obj = scheme_to_obj(one_class(2))
+    obj["P"][1][1] = {"re": "5", "im": "0"}
+    assert "check" not in inspect.signature(scheme_from_obj).parameters
+    assert "check" not in inspect.signature(cli._load_scheme).parameters
+    with pytest.raises(CertificationFailure):
+        scheme_from_obj(obj)
+    with pytest.raises(CertificationFailure):
+        cli._load_scheme(tampered_one_class(tmp_path), 4096)
+    # the format-checking half hands back a matrix, never a scheme
+    relation, P = parse_scheme_obj(obj)
+    assert (relation == one_class(2).relation).all()
+    assert P == parse_matrix(obj["P"])
+
+
+# -- the class-count cap ----------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, classes", [
+    (["gh", "eigen", "--base", "one_class:2", "--n", "4"], 5),
+    (["gh", "eigen", "--base", "group:4", "--n", "2"], 10),
+    (["modinv", "lift", "--base", "one_class:2", "--n", "4", "--T", "1,i"],
+     5),
+    (["code", "transform", "--base", "one_class:2", "CODE"], 5),
+])
+def test_class_cap_boundary(tmp_path, capsys, argv, classes):
+    code = write_code(tmp_path, ["0 0 0 0", "1 1 1 1"])
+    argv = [code if a == "CODE" else a for a in argv]
+    assert run(argv + ["--cap", str(classes)]) == 0
+    assert capsys.readouterr().out
+    assert_usage_error(capsys, argv + ["--cap", str(classes - 1)])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gh", "eigen", "--base", "group:2:2:2", "--n", "20"],
+    ["modinv", "lift", "--base", "group:2:2:2", "--n", "20"],
+    ["code", "transform", "--base", "group:2:2:2", "CODE"],
+])
+def test_class_cap_runs_before_the_work(tmp_path, monkeypatch, capsys, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the class cap was checked")
+
+    for name in ("eigenmatrix", "eigenmatrix_gh", "search_T",
+                 "weight_enumerator"):
+        monkeypatch.setattr(cli, name, fail)
+    code = write_code(tmp_path, [" ".join(["0"] * 20), " ".join(["7"] * 20)])
+    # C(27, 7) = 888,030 classes, over the default cap of 4096
+    assert_usage_error(capsys, [code if a == "CODE" else a for a in argv])

@@ -25,7 +25,8 @@ from schemekit.errors import (
     NotAdditive,
     SizeCapExceeded,
 )
-from schemekit.exact import ExactMatrix, GaussRat, MPoly
+from schemekit.exact import ExactMatrix, GaussRat, MPoly, compositions
+from schemekit.genham import h_vector
 from schemekit.scheme import eigenmatrix
 
 
@@ -131,6 +132,26 @@ def test_inner_distribution_matches_enumerator():
     # order (2,0), (1,1), (0,2); nine ordered pairs over three words
     assert a == [Fraction(3, 3), Fraction(4, 3), Fraction(2, 3)]
     assert sum(a) == len(c)
+
+
+@pytest.mark.parametrize("base", [one_class(3), hamming(2, 2),
+                                  group_scheme([2, 2]), cycle_scheme(5)],
+                         ids=["one_class", "hamming", "group", "cycle"])
+def test_inner_distribution_is_enumerator_coefficients(base):
+    rng = random.Random(base.v * 100 + base.d)
+    for n in (1, 2, 3):
+        for _ in range(3):
+            code = random_code(rng, base, n, 10)
+            comps = compositions(n, base.d + 1)
+            W = weight_enumerator(code)
+            a = inner_distribution(code)
+            assert a == [W.coefficient(c).re for c in comps]
+            # oracle: count the ordered pairs directly
+            counts = dict.fromkeys(comps, 0)
+            for x in code.words:
+                for y in code.words:
+                    counts[h_vector(x, y, base)] += 1
+            assert a == [Fraction(counts[c], len(code)) for c in comps]
 
 
 def test_enumerator_full_space():

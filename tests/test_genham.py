@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.errors import SizeCapExceeded
-from schemekit.exact import GaussRat, compositions, induced_matrix
+from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
     GHScheme,
     build_explicit,
@@ -122,6 +125,55 @@ def test_formal_duality_z4_needs_swap():
     assert fd.row_perm != (0, 1, 2, 3) or fd.col_perm != (0, 1, 2, 3)
     dual = dual_eigenmatrix(P, 4)
     assert dual.permuted(fd.row_perm, fd.col_perm) == P
+
+
+def test_formal_duality_frozen_six_classes():
+    """Output frozen from the exhaustive row-and-column search."""
+    P = eigenmatrix_gh(eigenmatrix(cycle_scheme(4)), 2).permuted(
+        row_perm=(0, 5, 4, 3, 2, 1))
+    fd = formal_duality_check(P, 16, 1)
+    assert fd.identity_holds and fd.self_dual
+    assert fd.row_perm == (0, 5, 1, 3, 2, 4)
+    assert fd.col_perm == (0, 2, 4, 3, 5, 1)
+
+
+def brute_force_self_duality(P, v):
+    """The first (row_perm, col_perm) pair in lexicographic order with
+    v P^-1 reordered equal to P, or (None, None)."""
+    dual = dual_eigenmatrix(P, v)
+    for rp in itertools.permutations(range(P.nrows)):
+        for cp in itertools.permutations(range(P.ncols)):
+            if dual.permuted(rp, cp) == P:
+                return rp, cp
+    return None, None
+
+
+@pytest.mark.parametrize("P, v", [
+    (eigenmatrix(one_class(3)), 3),
+    (eigenmatrix(cycle_scheme(4)), 4),
+    (eigenmatrix(cycle_scheme(6)), 6),
+    (eigenmatrix(group_scheme([4])), 4),
+    (eigenmatrix(group_scheme([2, 2])), 4),
+    (eigenmatrix(hamming(2, 3)), 9),
+    (eigenmatrix_gh(eigenmatrix(one_class(2)), 4), 16),
+    (eigenmatrix(one_class(3)), 4),
+    (ExactMatrix([[1, 1, 1], [1, 2, 3], [1, 4, 9]]), 6),
+], ids=["one_class3", "cycle4", "cycle6", "group4", "group22", "hamming23",
+        "binary_n4", "wrong_v", "not_self_dual"])
+def test_formal_duality_matches_brute_force(P, v):
+    rng = random.Random(P.nrows * 1000 + v)
+    perms = [(None, None)]
+    for _ in range(2):
+        rp, cp = list(range(P.nrows)), list(range(P.ncols))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        perms.append((rp, cp))
+    for rp, cp in perms:
+        Pp = P.permuted(rp, cp)
+        fd = formal_duality_check(Pp, v, 1)
+        expected = brute_force_self_duality(Pp, v)
+        assert (fd.row_perm, fd.col_perm) == expected
+        assert fd.self_dual == (expected[0] is not None)
 
 
 def test_fusion_check_trans_binary():

@@ -127,6 +127,36 @@ def test_translation_roundtrip():
     assert tr.neg((1, 1)) == (1, 3)
 
 
+@pytest.mark.parametrize("orders", [(2, 4), (4,), (2, 2, 2), (3, 5), (4, 2, 3)])
+def test_translation_digits_and_index(orders):
+    tr = TranslationStructure(orders)
+    vertices = np.arange(tr.size)
+    digits = tr.digits(vertices)
+    assert digits.shape == (tr.size, len(orders))
+    for x in range(tr.size):
+        assert tuple(digits[x].tolist()) == tr.element(x)
+        assert tr.index(digits[x]) == x
+    assert (tr.index(digits) == vertices).all()
+    # any shape gains a trailing axis, and index takes digits mod the orders
+    grid = np.stack([vertices, vertices[::-1]])
+    assert tr.digits(grid).shape == grid.shape + (len(orders),)
+    assert (tr.index(tr.digits(grid)) == grid).all()
+    shifted = digits + 3 * np.array(orders)
+    assert (tr.index(shifted) == vertices).all()
+    assert tr.vertex(tuple(shifted[-1].tolist())) == tr.size - 1
+
+
+@pytest.mark.parametrize("orders", [(2,), (4,), (2, 4), (4, 2), (2, 2, 2), (3, 4)])
+def test_difference_table(orders):
+    tr = TranslationStructure(orders)
+    table = tr.difference_table()
+    assert (table == group_scheme(list(orders)).relation).all()
+    for x in range(tr.size):
+        for y in range(tr.size):
+            assert table[x, y] == tr.vertex(tr.sub(tr.element(y),
+                                                   tr.element(x)))
+
+
 def test_translation_validate():
     tr = TranslationStructure((4,))
     tr.validate(group_scheme([4]).relation)
