@@ -4,13 +4,16 @@ A scheme is stored as a v x v relation table with values 0..d, where
 class 0 is the diagonal.  Axiom checking and intersection numbers are
 integer-exact (numpy matmuls of 0/1 indicator matrices).  Eigenmatrices
 are found numerically, snapped to Gaussian rationals, and then certified
-by an exact identity on the intersection-number tensor, so a wrong snap
-can never pass silently.
+exactly: every row must be a character of the Bose-Mesner algebra,
+P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked on integer numerators
+against the intersection-number tensor, so a wrong snap can never pass
+silently.  Krein parameters come from the same integer form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,11 +22,10 @@ from .errors import (
     ClosureFailure,
     DimensionMismatch,
     NegativeKrein,
-    SingularMatrix,
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import ExactMatrix, GaussRat, snap_gauss
+from .exact import ExactMatrix, GaussRat, _to_gauss, _to_int, snap_gauss
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_DENOMINATOR = 10**6
@@ -363,35 +365,52 @@ def sort_rows_canonically(M):
     return ExactMatrix(rows)
 
 
+def _numerators(M):
+    """The Gaussian-integer numerators (a, b) of an ExactMatrix as
+    object arrays of Python ints, with M = (a + b i) / D, and D."""
+    re, im, D = _to_int(M.rows())
+    a = np.array(re, dtype=object)
+    b = np.zeros_like(a) if im is None else np.array(im, dtype=object)
+    return a, b, D
+
+
+def _row_products(a, b):
+    """(re, im) of x_i x_k for every row x = a + b i, as rows of length
+    k^2 indexed by (i, k)."""
+    n, k = a.shape
+    re = a[:, :, None] * a[:, None, :] - b[:, :, None] * b[:, None, :]
+    im = a[:, :, None] * b[:, None, :] + b[:, :, None] * a[:, None, :]
+    return re.reshape(n, k * k), im.reshape(n, k * k)
+
+
 def certify_eigenmatrix(scheme, P):
     """Exact certificate that P is the eigenmatrix of the scheme.
 
-    Uses the regular representation: with B_i[r][k] = p[i][k][r] (the
-    intersection matrices) and Q = v * P^-1, P is certified iff
-    B_i Q[:,j] = P[j][i] * Q[:,j] for all i, j, together with row 0 of P
-    listing the valencies.  All arithmetic is exact.
+    Every row of P must be a character of the Bose-Mesner algebra:
+    P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r] for all i, k, and
+    P[j,0] = 1.  With row 0 listing the valencies and the rows pairwise
+    distinct, this is a complete certificate: distinct characters are
+    linearly independent, so P is invertible and no inverse is formed.
+    The identity is checked on the Gaussian-integer numerators x of P
+    over their common denominator D, as x_i x_k = D (T x)_(i,k) with T
+    the intersection tensor reshaped to ((d+1)^2, d+1); one integer
+    matmul gives the right-hand sides of every row.
     """
-    d, v = scheme.d, scheme.v
-    if P.nrows != d + 1 or P.ncols != d + 1:
+    k = scheme.d + 1
+    if P.nrows != k or P.ncols != k:
         return False
-    vals = scheme.valencies()
-    if any(P[0, i] != GaussRat(int(vals[i])) for i in range(d + 1)):
+    a, b, D = _numerators(P)
+    if (a[0] != D * scheme.valencies().astype(object)).any() or b[0].any():
         return False
-    tensor = scheme.intersection_tensor()
-    try:
-        Q = P.inverse().scale(v)
-    except SingularMatrix:
+    # a table that is not a scheme raises here, before any row check
+    tensor = scheme.intersection_tensor().reshape(k * k, k)
+    if (a[:, 0] != D).any() or b[:, 0].any():
         return False
-    t = [[[GaussRat(int(tensor[i, k, r])) for r in range(d + 1)]
-          for k in range(d + 1)] for i in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            pij = P[j, i]
-            for r in range(d + 1):
-                lhs = sum((t[i][k][r] * Q[k, j] for k in range(d + 1)), GaussRat(0))
-                if lhs != pij * Q[r, j]:
-                    return False
-    return True
+    if len({(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())}) != k:
+        return False
+    rhs = np.concatenate([a, b]) @ tensor.T.astype(object) * D
+    lhs_re, lhs_im = _row_products(a, b)
+    return bool((lhs_re == rhs[:k]).all() and (lhs_im == rhs[k:]).all())
 
 
 def _numeric_eigenrows(scheme, rng):
@@ -514,25 +533,25 @@ def krein_parameters(scheme):
     """The Krein tensor q[i][j][r] from the Schur product of idempotents.
 
     q_ij(r) = (1/v) sum_k P[r,k] Q[k,i] Q[k,j].  Every entry must be a
-    non-negative real; NegativeKrein is raised otherwise.
+    non-negative real; NegativeKrein is raised at the first other one in
+    (i, j, r) order.  On the integer numerators of P and Q, all entries
+    are one matmul of P with the row products of Q, over v D_P D_Q^2.
     """
     P = eigenmatrix(scheme)
-    v, d = scheme.v, scheme.d
-    Q = dual_eigenmatrix(P, v)
-    q = np.empty((d + 1, d + 1, d + 1), dtype=object)
-    vg = GaussRat(v)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            for r in range(d + 1):
-                s = sum(
-                    (P[r, k] * Q[k, i] * Q[k, j] for k in range(d + 1)),
-                    GaussRat(0),
-                )
-                s = s / vg
-                if s.im != 0 or s.re < 0:
-                    raise NegativeKrein((i, j, r), s)
-                q[i, j, r] = s
-    return q
+    v, k = scheme.v, scheme.d + 1
+    pa, pb, dp = _numerators(P)
+    qa, qb, dq = _numerators(dual_eigenmatrix(P, v))
+    # s[r, (i, j)] = sum_m P[r,m] Q[m,i] Q[m,j], real part in rows :k
+    s = np.block([[pa, -pb], [pb, pa]]) @ np.concatenate(_row_products(qa, qb))
+    re = s[:k].T.reshape(k, k, k)
+    im = s[k:].T.reshape(k, k, k)
+    den = v * dp * dq * dq
+    for t in np.ndindex(k, k, k):
+        if im[t] or re[t] < 0:
+            raise NegativeKrein(t, GaussRat(Fraction(re[t], den),
+                                            Fraction(im[t], den)))
+    q = _to_gauss(re.reshape(k * k, k).tolist(), None, den)
+    return np.array(q, dtype=object).reshape(k, k, k)
 
 
 # -- constructions on schemes ----------------------------------------

@@ -191,6 +191,18 @@ def test_transform_matches_direct_oracle_z4():
         assert lhs == dual_weight_enumerator_direct(c)
 
 
+@pytest.mark.parametrize("base", [hamming(2, 2), cycle_scheme(4)],
+                         ids=["hamming", "cycle"])
+def test_transform_matches_direct_oracle(base):
+    rng = random.Random(base.v * 17 + base.d)
+    P = eigenmatrix(base)
+    for n in (1, 2):
+        for _ in range(4):
+            c = random_code(rng, base, n, 6)
+            lhs = macwilliams_transform(weight_enumerator(c), P, base.v, len(c))
+            assert lhs == dual_weight_enumerator_direct(c)
+
+
 def test_transform_rejects_inhomogeneous():
     p = MPoly(2, {(1, 0): GaussRat(1), (2, 0): GaussRat(1)})
     with pytest.raises(DimensionMismatch):
@@ -266,7 +278,8 @@ def test_dual_code_cap():
 
 def test_dual_size_product():
     rng = random.Random(3345)
-    for base in (BINARY, Z4, group_scheme([2, 2])):
+    for base in (BINARY, Z4, group_scheme([2, 2]), one_class(3), hamming(2, 2),
+                 cycle_scheme(4), group_scheme([2, 4])):
         for _ in range(6):
             c = random_additive_code(rng, base, 2)
             d = dual_code(c)

@@ -10,9 +10,11 @@ from schemekit.errors import (
     ClosureFailure,
     DimensionMismatch,
     NegativeKrein,
+    SingularMatrix,
     SnapFailure,
 )
 from schemekit.exact import ExactMatrix, GaussRat
+from schemekit.genham import build_explicit
 from schemekit.scheme import (
     AssociationScheme,
     TranslationStructure,
@@ -195,6 +197,164 @@ def test_certify_rejects_tampered():
     assert not certify_eigenmatrix(s, ExactMatrix(rows))
 
 
+def _certify_by_inverse(scheme, P):
+    """Oracle: the regular-representation certificate.  With
+    B_i[r][k] = p[i][k][r] and Q = v P^-1, P is the eigenmatrix iff row 0
+    lists the valencies, P is invertible and B_i Q[:,j] = P[j][i] Q[:,j]
+    for all i, j."""
+    d, v = scheme.d, scheme.v
+    if P.nrows != d + 1 or P.ncols != d + 1:
+        return False
+    vals = scheme.valencies()
+    if any(P[0, i] != GaussRat(int(vals[i])) for i in range(d + 1)):
+        return False
+    tensor = scheme.intersection_tensor()
+    try:
+        Q = P.inverse().scale(v)
+    except SingularMatrix:
+        return False
+    for i in range(d + 1):
+        for j in range(d + 1):
+            for r in range(d + 1):
+                lhs = sum((int(tensor[i, k, r]) * Q[k, j] for k in range(d + 1)),
+                          GaussRat(0))
+                if lhs != P[j, i] * Q[r, j]:
+                    return False
+    return True
+
+
+def _agree(scheme, P):
+    verdict = certify_eigenmatrix(scheme, P)
+    assert verdict == _certify_by_inverse(scheme, P)
+    return verdict
+
+
+def _rows(P):
+    return [list(row) for row in P.rows()]
+
+
+BENCH_BASES = {
+    "one_class:2": lambda: one_class(2), "one_class:3": lambda: one_class(3),
+    "one_class:5": lambda: one_class(5), "cycle:4": lambda: cycle_scheme(4),
+    "cycle:6": lambda: cycle_scheme(6), "group:4": lambda: group_scheme([4]),
+    "group:2:2": lambda: group_scheme([2, 2]),
+    "hamming:2:2": lambda: hamming(2, 2),
+}
+
+
+def test_certify_agrees_with_inverse_oracle_on_builders():
+    for s in (one_class(2), one_class(5), cycle_scheme(3), cycle_scheme(4),
+              cycle_scheme(6), group_scheme([4]), group_scheme([2, 2]),
+              group_scheme([2, 4]), hamming(2, 2), hamming(3, 2), hamming(2, 3)):
+        assert _agree(s, s.P)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_BASES))
+def test_certify_agrees_with_inverse_oracle_on_composites(name):
+    base = BENCH_BASES[name]()
+    for n in (1, 2):
+        s = build_explicit(base, n)
+        assert _agree(s, eigenmatrix(s))
+
+
+def test_certify_agrees_with_inverse_oracle_on_fusions():
+    cases = [fusion(group_scheme([4]), [[0], [1, 3], [2]]),
+             fusion(hamming(3, 2), [[0], [1, 2], [3]]),
+             orbit_fusion(one_class(2), 3, [(1, 0, 2), (1, 2, 0)]),
+             orbit_fusion(one_class(3), 2, []),
+             orbit_fusion(group_scheme([4]), 2, [(1, 0)])]
+    for s in cases:
+        assert _agree(s, eigenmatrix(s))
+
+
+def test_certify_accepts_permuted_rows():
+    rng = random.Random(4410)
+    for s in (build_explicit(group_scheme([4]), 2), hamming(3, 2)):
+        rows = _rows(eigenmatrix(s))
+        for _ in range(2):
+            rest = rows[1:]
+            rng.shuffle(rest)
+            assert _agree(s, ExactMatrix([rows[0]] + rest))
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_certify_agrees_on_seeded_tamperings(part):
+    rng = random.Random(7719 if part == "re" else 7720)
+    schemes = [build_explicit(group_scheme([4]), 2), group_scheme([2, 4]),
+               build_explicit(cycle_scheme(4), 2), hamming(3, 2)]
+    rejected = 0
+    for s in schemes:
+        rows = _rows(eigenmatrix(s))
+        k = len(rows)
+        for _ in range(10):
+            tampered = [list(r) for r in rows]
+            j, i = rng.randrange(k), rng.randrange(k)
+            delta = rng.choice([1, -1, 2, GaussRat(1, 2)])
+            if part == "im":
+                delta = GaussRat(0, 1) * delta
+            tampered[j][i] = tampered[j][i] + delta
+            rejected += not _agree(s, ExactMatrix(tampered))
+    assert rejected == 40
+
+
+def test_certify_agrees_on_malformed_rows():
+    s = build_explicit(group_scheme([4]), 2)
+    rows = _rows(eigenmatrix(s))
+    k = len(rows)
+    zero = [GaussRat(0)] * k
+    cases = {
+        "duplicated row": rows[:-1] + [rows[1]],
+        "zero row": rows[:-1] + [zero],
+        "P[j,0] != 1": rows[:-1] + [[GaussRat(2) * x for x in rows[-1]]],
+        "wrong row 0": [[GaussRat(1)] * k] + rows[1:],
+        "swapped row 0": [rows[1], rows[0]] + rows[2:],
+        "complex row 0": [[rows[0][0] + GaussRat(0, 1)] + rows[0][1:]] + rows[1:],
+    }
+    for name, bad in cases.items():
+        assert not _agree(s, ExactMatrix(bad)), name
+    assert not _agree(s, ExactMatrix([r[:-1] for r in rows[:-1]]))
+    assert not _agree(s, ExactMatrix(rows[:-1]))
+
+
+def test_certify_checks_the_imaginary_part():
+    """For real characters c1 != c2, x = (4 c2 - c1)/3 + 2i (c1 - c2)/3
+    satisfies the real part of the character identity but not the
+    imaginary part, so dropping the imaginary check would accept it."""
+    for s in (one_class(2), hamming(3, 2)):
+        rows = _rows(eigenmatrix(s))
+        c1, c2 = rows[-1], rows[-2]
+        rows[-1] = [(4 * y - x) / 3 + GaussRat(0, 2) * (x - y) / 3
+                    for x, y in zip(c1, c2)]
+        assert not _agree(s, ExactMatrix(rows))
+
+
+def test_certify_does_not_invert(monkeypatch):
+    s = build_explicit(group_scheme([4]), 2)
+    assert s.d + 1 == 10
+    P = eigenmatrix(s)
+
+    def refuse(self):
+        raise AssertionError("certification must not invert P")
+
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+    assert certify_eigenmatrix(s, P)
+    rows = _rows(P)
+    rows[3][2] = rows[3][2] + 1
+    assert not certify_eigenmatrix(s, ExactMatrix(rows))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_cycle_snap_outcomes(m):
+    s = AssociationScheme(cycle_scheme(m).relation.copy())
+    if m in (3, 4, 6):
+        assert certify_eigenmatrix(s, eigenmatrix(s))
+        return
+    with pytest.raises(SnapFailure,
+                       match="certification failed after snapping$"):
+        eigenmatrix(s)
+    assert s.snap_failed
+
+
 def test_dual_eigenmatrix_pq():
     for s in (one_class(3), cycle_scheme(4), group_scheme([4])):
         P = eigenmatrix(s)
@@ -240,6 +400,56 @@ def test_krein_nonnegative_small():
                 for r in range(k):
                     assert q[i, j, r].im == 0
                     assert q[i, j, r].re >= 0
+
+
+def _krein_by_sums(P, v):
+    """Oracle: q_ij(r) = (1/v) sum_k P[r,k] Q[k,i] Q[k,j] in GaussRat,
+    scanned in (i, j, r) order; returns the tensor or the first entry
+    that is not a non-negative real as (indices, value)."""
+    Q = dual_eigenmatrix(P, v)
+    k = P.nrows
+    q = np.empty((k, k, k), dtype=object)
+    for i, j, r in itertools.product(range(k), repeat=3):
+        s = sum((P[r, m] * Q[m, i] * Q[m, j] for m in range(k)), GaussRat(0)) / v
+        if s.im != 0 or s.re < 0:
+            return (i, j, r), s
+        q[i, j, r] = s
+    return q
+
+
+def test_krein_agrees_with_sums_oracle():
+    for s in (hamming(3, 2), group_scheme([2, 4]),
+              build_explicit(cycle_scheme(4), 2),
+              build_explicit(group_scheme([4]), 2)):
+        want = _krein_by_sums(eigenmatrix(s), s.v)
+        assert (krein_parameters(s) == want).all()
+
+
+def test_krein_first_witness_agrees_with_sums_oracle():
+    """A scheme carrying a wrong P: NegativeKrein names the oracle's
+    first witness with the same value, real and complex ones alike."""
+    rng = random.Random(3306)
+    base = build_explicit(group_scheme([4]), 2)
+    rows = _rows(eigenmatrix(base))
+    k = len(rows)
+    kinds = set()
+    for _ in range(12):
+        tampered = [list(r) for r in rows]
+        j, i = rng.randrange(1, k), rng.randrange(k)
+        tampered[j][i] = tampered[j][i] + rng.choice(
+            [1, -1, GaussRat(0, 1), GaussRat(1, -2) / 3])
+        P = ExactMatrix(tampered)
+        try:
+            want = _krein_by_sums(P, base.v)
+        except SingularMatrix:
+            continue
+        s = AssociationScheme(base.relation, P=P, check=False)
+        with pytest.raises(NegativeKrein) as info:
+            krein_parameters(s)
+        assert (info.value.indices, info.value.value) == want
+        assert str(info.value.value) == str(want[1])
+        kinds.add(want[1].im != 0)
+    assert kinds == {False, True}
 
 
 def test_krein_group_convolution():
