@@ -1,7 +1,9 @@
 """Codes in composite schemes: enumerators, transforms, and duals.
 
 A code is a set of words over the vertex set of a base scheme.  Its
-weight enumerator collects pair profiles as a homogeneous polynomial;
+weight enumerator collects pair profiles as a homogeneous polynomial,
+counted block-wise from the vectorised profile keys of
+`genham._profile_keys`;
 the transform sends it to the dual enumerator, the exact substitution
 t -> P^-1 t scaled by v^n/|C|, computed as the enumerator's coefficient
 vector times the induced matrix of Q = v P^-1.  For additive codes over
@@ -35,8 +37,12 @@ from .exact import (
     induced_matrix,
     substitute_polys,
 )
-from .genham import h_vector
+from .genham import _key_profile, _profile_keys
 from .scheme import TranslationStructure, dual_eigenmatrix, eigenmatrix
+
+# Pair arrays are built a block of rows at a time with about this many
+# entries per block, so memory stays bounded for large codes.
+_BLOCK = 2**20
 
 
 class Code:
@@ -83,16 +89,32 @@ class Code:
 
 def weight_enumerator(code):
     """Homogeneous degree-n polynomial in d+1 variables whose coefficient
-    of s^alpha is (1/|C|) times the number of pairs with profile alpha."""
+    of s^alpha is (1/|C|) times the number of pairs with profile alpha.
+
+    The |C|^2 ordered pairs are profiled by the vectorised key kernel of
+    `genham` a block of rows at a time (about 2^20 pairs per block, so
+    memory stays O(block) for large codes) and the keys are counted with
+    `np.unique`."""
     base, n = code.base, code.n
+    words = np.array(code.words, dtype=np.int64)
+    size = len(words)
     counts = {}
-    for x in code.words:
-        for y in code.words:
-            h = h_vector(x, y, base)
-            counts[h] = counts.get(h, 0) + 1
-    size = len(code.words)
+    for rows in _row_blocks(size, size):
+        keys, freq = np.unique(
+            _profile_keys(words[rows], words, base.relation, base.d),
+            return_counts=True)
+        for k, c in zip(keys.tolist(), freq.tolist()):
+            counts[k] = counts.get(k, 0) + c
     return MPoly(base.d + 1,
-                 {h: GaussRat(Fraction(c, size)) for h, c in counts.items()})
+                 {_key_profile(k, n, base.d): GaussRat(Fraction(c, size))
+                  for k, c in counts.items()})
+
+
+def _row_blocks(rows, width):
+    """Slices of `rows` rows, each block of rows times `width` holding
+    about _BLOCK entries (at least one row)."""
+    step = max(1, _BLOCK // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def inner_distribution(code):
@@ -202,15 +224,18 @@ def _flat_exponents(code):
 def is_additive(code):
     """True iff the word set is a subgroup of the translation group.
 
-    Returns (True, None) or (False, witness_pair)."""
+    Returns (True, None) or (False, (a, b)) for the first pair, scanning
+    a then b in word order, whose sum a + b is not a word.  The sums are
+    formed a block of rows at a time and looked up as group indices."""
     exps, group = _flat_exponents(code)
-    orders = np.array(group.orders, dtype=np.int64)
-    word_set = {tuple(r) for r in exps.tolist()}
-    for a in exps:
-        sums = (a[None, :] + exps) % orders[None, :]
-        for b, s in zip(exps.tolist(), sums.tolist()):
-            if tuple(s) not in word_set:
-                return False, (tuple(a.tolist()), tuple(b))
+    members = group.index(exps)
+    for rows in _row_blocks(len(exps), exps.size):
+        sums = group.index(exps[rows, None, :] + exps[None, :, :])
+        missing = np.isin(sums, members, invert=True)
+        if missing.any():
+            a, b = np.unravel_index(np.argmax(missing), missing.shape)
+            a += rows.start
+            return False, (tuple(exps[a].tolist()), tuple(exps[b].tolist()))
     return True, None
 
 

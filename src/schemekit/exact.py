@@ -152,10 +152,6 @@ class GaussRat:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def sort_key(self):
-        """Total order key (re, im); complex numbers have no natural order."""
-        return (self.re, self.im)
-
     # -- display -------------------------------------------------------
 
     def __str__(self):
@@ -551,9 +547,6 @@ class ExactMatrix:
         if any(self._e[i][i] != c for i in range(self.nrows)):
             return None
         return c
-
-    def to_lists(self):
-        return [list(row) for row in self._e]
 
     def __str__(self):
         return "\n".join(

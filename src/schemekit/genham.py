@@ -33,13 +33,43 @@ from .scheme import (
 
 def h_vector(v, w, base):
     """Profile of a word pair: entry r counts coordinates with
-    base relation r."""
+    base relation r.
+
+    This is the scalar definition: `GHScheme.class_of` reads one pair
+    with it and the tests use it as the oracle for `_profile_keys`,
+    which profiles whole arrays of pairs."""
     if len(v) != len(w):
         raise DimensionMismatch("words have different lengths")
     counts = [0] * (base.d + 1)
     for x, y in zip(v, w):
         counts[base.relation[x, y]] += 1
     return tuple(counts)
+
+
+def _profile_keys(xs, ys, relation, d):
+    """Profile keys of every pair of rows of xs and ys (word arrays of
+    equal length n over a base with classes 0..d).
+
+    Entry (a, b) is sum_j (n+1)^relation[xs[a, j], ys[b, j]], the profile
+    h(xs[a], ys[b]) read as digits in base n+1, so the key is injective.
+    Keys are int64 while (n+1)^(d+1) <= 2^62 and Python ints (dtype
+    object) beyond, so they never wrap.
+    """
+    n = xs.shape[1]
+    if (n + 1) ** (d + 1) <= 2**62:
+        powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
+    else:
+        powers = np.array([(n + 1) ** r for r in range(d + 1)], dtype=object)
+    coord_key = powers[relation]
+    key = np.zeros((len(xs), len(ys)), dtype=powers.dtype)
+    for j in range(n):
+        key += coord_key[np.ix_(xs[:, j], ys[:, j])]
+    return key
+
+
+def _key_profile(key, n, d):
+    """The profile tuple encoded by a `_profile_keys` key."""
+    return tuple(key // (n + 1) ** r % (n + 1) for r in range(d + 1))
 
 
 class GHScheme:
@@ -90,17 +120,13 @@ def build_explicit(base, n, cap=4096):
     if V > cap:
         raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
 
-    # profile of a pair, encoded injectively: sum_r count_r * (n+1)^r
     if (n + 1) ** (d + 1) > 2**62:
         raise SizeCapExceeded("profile key would overflow; reduce n or d")
     words = TranslationStructure((v,) * n).digits(np.arange(V))
-    powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
-    key = np.zeros((V, V), dtype=np.int64)
-    for j in range(n):
-        key += powers[base.relation[np.ix_(words[:, j], words[:, j])]]
+    key = _profile_keys(words, words, base.relation, d)
 
     comps = compositions(n, d + 1)
-    comp_keys = np.array([int(sum(c[r] * powers[r] for r in range(d + 1)))
+    comp_keys = np.array([sum(c_r * (n + 1) ** r for r, c_r in enumerate(c))
                           for c in comps], dtype=np.int64)
     order = np.argsort(comp_keys)
     sorted_keys = comp_keys[order]

@@ -171,6 +171,10 @@ def _product_tensor(rel, d):
     Returns (tensor, None) on success or (None, witness) where witness is
     (x, y, i, j) for the first pair where the count is not constant on
     its class.
+
+    The indicator products are float32 from v >= 2048 vertices and
+    float64 below; every product entry is a count of at most v, so
+    float32 is exact while v < 2^24.
     """
     v = rel.shape[0]
     dtype = np.float32 if v >= 2048 else np.float64
@@ -260,9 +264,14 @@ class TranslationStructure:
 
     def index(self, digits):
         """Vertices of element tuples on the trailing axis (digits taken
-        mod the orders): the vectorised `vertex`, inverse of `digits`."""
+        mod the orders): the vectorised `vertex`, inverse of `digits`.
+
+        Vertices are int64 while the group has at most 2^63 elements and
+        Python ints (dtype object) beyond, so they never wrap."""
         digits = np.asarray(digits)
-        out = np.int64(0)
+        if self.size > 2**63:
+            digits = digits.astype(object)
+        out = 0
         for j, m in enumerate(self.orders):
             out = out * m + digits[..., j] % m
         return out

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from schemekit import codes
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     GRAY_BITS,
@@ -26,7 +28,7 @@ from schemekit.errors import (
     SizeCapExceeded,
 )
 from schemekit.exact import ExactMatrix, GaussRat, MPoly, compositions
-from schemekit.genham import h_vector
+from schemekit.genham import build_explicit, h_vector
 from schemekit.scheme import eigenmatrix
 
 
@@ -134,9 +136,23 @@ def test_inner_distribution_matches_enumerator():
     assert sum(a) == len(c)
 
 
+def pair_count_enumerator(code):
+    """The weight enumerator by the scalar definition: h_vector on every
+    ordered pair, counted in a dict."""
+    counts = {}
+    for x in code.words:
+        for y in code.words:
+            h = h_vector(x, y, code.base)
+            counts[h] = counts.get(h, 0) + 1
+    return MPoly(code.base.d + 1,
+                 {h: GaussRat(Fraction(c, len(code))) for h, c in counts.items()})
+
+
 @pytest.mark.parametrize("base", [one_class(3), hamming(2, 2),
-                                  group_scheme([2, 2]), cycle_scheme(5)],
-                         ids=["one_class", "hamming", "group", "cycle"])
+                                  group_scheme([2, 2]), cycle_scheme(5),
+                                  build_explicit(cycle_scheme(4), 2)],
+                         ids=["one_class", "hamming", "group", "cycle",
+                              "composite"])
 def test_inner_distribution_is_enumerator_coefficients(base):
     rng = random.Random(base.v * 100 + base.d)
     for n in (1, 2, 3):
@@ -144,6 +160,7 @@ def test_inner_distribution_is_enumerator_coefficients(base):
             code = random_code(rng, base, n, 10)
             comps = compositions(n, base.d + 1)
             W = weight_enumerator(code)
+            assert W == pair_count_enumerator(code)
             a = inner_distribution(code)
             assert a == [W.coefficient(c).re for c in comps]
             # oracle: count the ordered pairs directly
@@ -152,6 +169,45 @@ def test_inner_distribution_is_enumerator_coefficients(base):
                 for y in code.words:
                     counts[h_vector(x, y, base)] += 1
             assert a == [Fraction(counts[c], len(code)) for c in comps]
+
+
+def _random_words(seed, v, n, size):
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < size:
+        words.add(tuple(rng.randrange(v) for _ in range(n)))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("base, n, size", [
+    (one_class(2), 5, 1),
+    (group_scheme([4]), 3, 1),
+    (group_scheme([12]), 70, 5),
+    (group_scheme([12]), 35, 6),
+], ids=["binary_one_word", "group4_one_word", "z12_n70", "z12_n35"])
+def test_weight_enumerator_matches_pair_count(base, n, size):
+    """One-word codes, and codes over Z12 (d = 11) whose profile keys are
+    Python ints: n = 35 is the first length with (n+1)^(d+1) > 2^62, and
+    at n = 70 an int64 key would wrap and merge distinct profiles."""
+    code = Code(_random_words(base.v * 1000 + n, base.v, n, size), base)
+    assert weight_enumerator(code) == pair_count_enumerator(code)
+
+
+def test_weight_enumerator_over_several_row_blocks():
+    """A binary code whose pairs span several row blocks, the last one
+    short, against a bincount of Hamming distances."""
+    n, size = 12, 1500
+    code = mk(_random_words(4242, 2, n, size))
+    blocks = codes._row_blocks(size, size)
+    step = blocks[0].stop
+    assert len(blocks) > 2 and size % step != 0
+    bits = np.array(code.words) @ (1 << np.arange(n)[::-1])
+    popcount = np.array([bin(x).count("1") for x in range(2**n)])
+    hist = np.bincount(popcount[bits[:, None] ^ bits[None, :]].ravel(),
+                       minlength=n + 1)
+    want = MPoly(2, {(n - w, w): GaussRat(Fraction(int(c), size))
+                     for w, c in enumerate(hist) if c})
+    assert weight_enumerator(code) == want
 
 
 def test_enumerator_full_space():
@@ -245,6 +301,79 @@ def test_is_additive_witness():
     ok, witness = is_additive(c)
     assert not ok
     assert witness is not None
+
+
+def is_additive_loop(code):
+    """Oracle: scan pairs (a, b) in word order for a sum outside the code."""
+    exps, group = codes._flat_exponents(code)
+    orders = np.array(group.orders, dtype=np.int64)
+    word_set = {tuple(r) for r in exps.tolist()}
+    for a in exps:
+        sums = (a[None, :] + exps) % orders[None, :]
+        for b, s in zip(exps.tolist(), sums.tolist()):
+            if tuple(s) not in word_set:
+                return False, (tuple(a.tolist()), tuple(b))
+    return True, None
+
+
+def _additive_variants(rng, base, n):
+    """A random additive code, the same words shuffled, one word dropped
+    and one word added (each placed at a random position)."""
+    code = random_additive_code(rng, base, n)
+    words = list(code.words)
+    rng.shuffle(words)
+    out = [code, Code(words, base, n)]
+    if len(words) > 1:
+        out.append(Code(words[1:], base, n))
+    extra = tuple(rng.randrange(base.v) for _ in range(n))
+    if extra not in words:
+        words.insert(rng.randrange(len(words) + 1), extra)
+        out.append(Code(words, base, n))
+    return out
+
+
+@pytest.mark.parametrize("block", [None, 7, 1],
+                         ids=["default_block", "block7", "block1"])
+def test_is_additive_matches_loop(block, monkeypatch):
+    """Verdicts and first witnesses equal the pair loop's, also when the
+    sums are formed over many short row blocks."""
+    if block is not None:
+        monkeypatch.setattr(codes, "_BLOCK", block)
+    rng = random.Random(7707)
+    verdicts = set()
+    for base in (BINARY, Z4, group_scheme([2, 2]), one_class(3), hamming(2, 2),
+                 cycle_scheme(4), group_scheme([2, 4])):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                for code in _additive_variants(rng, base, n):
+                    got = is_additive(code)
+                    assert got == is_additive_loop(code)
+                    verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("base, n", [(BINARY, 64), (BINARY, 70), (Z4, 32),
+                                     (group_scheme([2, 4]), 40)],
+                         ids=["binary64", "binary70", "z4_32", "z2z4_40"])
+def test_is_additive_matches_loop_long_words(base, n):
+    """Past 2^63 group elements the sums are still looked up exactly:
+    {0, e1, e2} is not additive (e1 + e2 is missing); over Z2 adding
+    e1 + e2 closes it."""
+    zero = (0,) * n
+    e1 = (1,) + zero[1:]
+    e2 = (0, 1) + zero[2:]
+    code = Code([zero, e1, e2], base, n)
+    assert is_additive(code) == is_additive_loop(code)
+    assert is_additive(code)[0] is False
+    with pytest.raises(NotAdditive):
+        dual_code(code)
+    e12 = (1, 1) + zero[2:]
+    closed = Code([zero, e1, e2, e12], base, n)
+    if base is BINARY:
+        assert is_additive(closed) == is_additive_loop(closed) == (True, None)
+    rng = random.Random(n)
+    for code in _additive_variants(rng, base, n):
+        assert is_additive(code) == is_additive_loop(code)
 
 
 def test_dual_code_z4_two_torsion():

@@ -9,6 +9,8 @@ from schemekit.errors import SizeCapExceeded
 from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
     GHScheme,
+    _key_profile,
+    _profile_keys,
     build_explicit,
     dual_eigenmatrix_gh,
     eigenmatrix_gh,
@@ -17,6 +19,8 @@ from schemekit.genham import (
     h_vector,
 )
 from schemekit.scheme import (
+    AssociationScheme,
+    TranslationStructure,
     certify_eigenmatrix,
     dual_eigenmatrix,
     eigenmatrix,
@@ -31,6 +35,56 @@ def test_h_vector():
     assert h_vector((0, 0), (0, 0), base) == (2, 0)
     z4 = group_scheme([4])
     assert h_vector((0, 1, 2), (1, 1, 0), z4) == (1, 1, 1, 0)
+
+
+@pytest.mark.parametrize("base, n", [
+    (one_class(2), 3),
+    (group_scheme([4]), 5),
+    (hamming(2, 2), 3),
+    (cycle_scheme(5), 4),
+    (build_explicit(cycle_scheme(4), 2), 2),
+    (group_scheme([12]), 34),
+    (group_scheme([12]), 35),
+    (group_scheme([12]), 70),
+], ids=["binary", "group4", "hamming22", "cycle5", "composite", "z12_n34",
+        "z12_n35", "z12_n70"])
+def test_profile_keys_decode_to_h_vector(base, n):
+    """Every key of the vectorised kernel decodes to the scalar profile;
+    from (n+1)^(d+1) > 2^62 on (Z12 at n = 35 and 70, d = 11) the keys
+    are Python ints, where int64 keys would wrap."""
+    rng = np.random.default_rng(base.v * 1000 + n)
+    xs = rng.integers(base.v, size=(5, n))
+    ys = rng.integers(base.v, size=(7, n))
+    keys = _profile_keys(xs, ys, base.relation, base.d)
+    assert keys.shape == (5, 7)
+    fits = (n + 1) ** (base.d + 1) <= 2**62
+    assert keys.dtype == (np.int64 if fits else object)
+    for a in range(5):
+        for b in range(7):
+            assert _key_profile(keys[a, b], n, base.d) == \
+                h_vector(xs[a].tolist(), ys[b].tolist(), base)
+
+
+@pytest.mark.parametrize("base, n", [
+    (one_class(3), 2), (group_scheme([4]), 2), (hamming(2, 2), 2),
+    (cycle_scheme(5), 2), (one_class(2), 4),
+], ids=["one_class3", "group4", "hamming22", "cycle5", "binary_n4"])
+def test_build_explicit_classes_are_profiles(base, n):
+    g = build_explicit(base, n)
+    gh = GHScheme(base, n)
+    words = list(itertools.product(range(base.v), repeat=n))
+    for x, wx in enumerate(words):
+        for y, wy in enumerate(words):
+            assert g.relation[x, y] == gh.class_of(wx, wy)
+
+
+def test_build_explicit_overflow_guard():
+    # cycle distances 0..62: 2^63 > 2^62 already at n = 1
+    m = 125
+    k = TranslationStructure((m,)).difference_table()
+    base = AssociationScheme(np.minimum(k, m - k), check=False)
+    with pytest.raises(SizeCapExceeded, match="overflow"):
+        build_explicit(base, 1)
 
 
 def test_build_explicit_h22():

@@ -148,6 +148,21 @@ def test_translation_digits_and_index(orders):
     assert tr.vertex(tuple(shifted[-1].tolist())) == tr.size - 1
 
 
+@pytest.mark.parametrize("orders", [(2,) * 63, (2,) * 64, (2,) * 70, (4,) * 32,
+                                    (3, 5) * 30])
+def test_translation_index_is_exact_for_large_groups(orders):
+    """Past 2^63 elements the index is held as Python ints, not wrapped."""
+    tr = TranslationStructure(orders)
+    rng = np.random.default_rng(len(orders))
+    digits = rng.integers(0, 5, size=(20, len(orders))) % np.array(orders)
+    digits[0] = 0
+    digits[1] = np.array(orders) - 1
+    got = tr.index(digits).tolist()
+    assert got == [tr.vertex(tuple(row)) for row in digits.tolist()]
+    assert got[1] == tr.size - 1
+    assert len(set(got)) == len({tuple(row) for row in digits.tolist()})
+
+
 @pytest.mark.parametrize("orders", [(2,), (4,), (2, 4), (4, 2), (2, 2, 2), (3, 4)])
 def test_difference_table(orders):
     tr = TranslationStructure(orders)
