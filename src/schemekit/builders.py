@@ -60,9 +60,7 @@ def group_scheme(orders, cap=DEFAULT_CAP):
     rel = translation.difference_table()
     P = None
     if all(4 % m == 0 for m in translation.orders):
-        elements = translation.digits(np.arange(v))
-        scale = np.array([4 // m for m in translation.orders], dtype=np.int64)
-        exponents = (elements * scale) @ elements.T % 4
+        exponents = translation.character_exponents()
         P = ExactMatrix([[_I_POW[e] for e in row] for row in exponents.tolist()])
     return AssociationScheme(rel, P=P, translation=translation, check=False)
 

@@ -239,11 +239,39 @@ def is_additive(code):
     return True, None
 
 
+def _generators(exps, group):
+    """Rows of exps (the digits of an additive code) that generate it,
+    picked greedily in word order: a word is taken when it lies outside
+    the span of those taken before it.  The span grows by the cosets
+    span + t g, t = 1, 2, ..., until t g falls back into it."""
+    orders = np.array(group.orders, dtype=np.int64)
+    in_span = np.zeros(group.size, dtype=bool)
+    in_span[0] = True
+    span = np.zeros((1, exps.shape[1]), dtype=np.int64)
+    taken = []
+    for word, index in zip(exps, group.index(exps).tolist()):
+        if len(span) == len(exps):
+            break
+        if in_span[index]:
+            continue
+        taken.append(word)
+        cosets = [span]
+        step = word
+        while not in_span[group.index(step)]:
+            cosets.append((span + step) % orders)
+            step = (step + word) % orders
+        span = np.concatenate(cosets)
+        in_span[group.index(span)] = True
+    return np.array(taken, dtype=np.int64).reshape(-1, exps.shape[1])
+
+
 def dual_code(code, cap=4096):
     """The annihilator dual of an additive code.
 
     Membership is decided by exact character pairing: a is dual to x iff
     sum_j a_j x_j L/m_j = 0 (mod L) where L = lcm of the cyclic orders.
+    The pairing is bilinear, so the candidates are paired with a
+    generating set of the code only (`_generators`), not every word.
     Raises NotAdditive (with a witness pair) if the code is not additive.
     """
     ok, witness = is_additive(code)
@@ -259,7 +287,7 @@ def dual_code(code, cap=4096):
     weights = L // orders
 
     candidates = group.digits(np.arange(group.size))
-    pairing = (candidates * weights[None, :]) @ exps.T % L
+    pairing = (candidates * weights[None, :]) @ _generators(exps, group).T % L
     member = (pairing == 0).all(axis=1)
     words = TranslationStructure((v,) * n).digits(np.flatnonzero(member))
     return Code(words.tolist(), base, n)

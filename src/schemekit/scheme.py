@@ -1,12 +1,20 @@
 """Association schemes: verification, eigenmatrices, and algebra.
 
 A scheme is stored as a v x v relation table with values 0..d, where
-class 0 is the diagonal.  Axiom checking and intersection numbers are
-integer-exact (numpy matmuls of 0/1 indicator matrices).  Eigenmatrices
-are found numerically, snapped to Gaussian rationals, and then certified
-exactly: every row must be a character of the Bose-Mesner algebra,
+class 0 is the diagonal.  When the scheme carries a translation
+structure and its table is translation-invariant, rel[x, y] = c[y - x]
+for the class vector c, and the axioms and the intersection numbers are
+counted over the group from c: p[i][j][k] = #{z : c(z) = i,
+c(w - z) = j} for any w in class k, required equal over each class.
+Any other table, or one that fails a check on that path, is verified by
+the dense route: integer-exact numpy matmuls of 0/1 indicator matrices,
+which also names the witness of a failure.  Eigenmatrices of
+translation schemes over groups of exponent dividing 4 are read off the
+character table; all others are found numerically and snapped to
+Gaussian rationals.  Either way they are then certified exactly: every
+row must be a character of the Bose-Mesner algebra,
 P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked on integer numerators
-against the intersection-number tensor, so a wrong snap can never pass
+against the intersection-number tensor, so a wrong P can never pass
 silently.  Krein parameters come from the same integer form.
 """
 
@@ -96,6 +104,8 @@ def verify_axioms(relation):
     Returns an AxiomReport with a pass/fail entry per axiom and a witness
     pair for the first violation found.  When the product axiom is
     checked, the report also carries the intersection-number tensor.
+    This is the dense route, for any table: it knows nothing of a
+    translation structure, and the products are matmuls of indicators.
     """
     rel = _as_relation(relation)
     v = rel.shape[0]
@@ -174,7 +184,10 @@ def _product_tensor(rel, d):
 
     The indicator products are float32 from v >= 2048 vertices and
     float64 below; every product entry is a count of at most v, so
-    float32 is exact while v < 2^24.
+    float32 is exact while v < 2^24.  These are (d+1)^2 dense v x v
+    matmuls: schemes with a valid translation structure are counted over
+    the group instead (`_translation_tensor`), and this route serves the
+    rest, `verify_axioms`, and the tests as the oracle.
     """
     v = rel.shape[0]
     dtype = np.float32 if v >= 2048 else np.float64
@@ -207,6 +220,82 @@ def _product_tensor(rel, d):
                 return None, (bad[0], bad[1], i, j)
             tensor[i, j] = expected
     return tensor, None
+
+
+# Row blocks of the group counts hold about this many entries, so no
+# array of v^2 (d+1) entries is built.
+_BLOCK = 2**20
+
+
+def _row_blocks(rows, width):
+    """Slices of `rows` rows, each block of rows times `width` holding
+    about _BLOCK entries (at least one row)."""
+    step = max(1, _BLOCK // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
+def _class_vector(rel, translation):
+    """The class vector c, c[z] = rel[0, z], and the difference table of
+    `translation`, when rel[x, y] = c[y - x] for all x, y; else None."""
+    if translation is None or translation.size != rel.shape[0]:
+        return None
+    diff = translation.difference_table()
+    c = rel[0]
+    if (c[diff] != rel).any():
+        return None
+    return c, diff
+
+
+def _translation_tensor(rel, d, translation):
+    """The intersection tensor of a translation scheme, counted over the
+    group, or None when the table is not translation-invariant under
+    `translation` or fails an axiom (the dense route then names the
+    witness).
+
+    On the class vector c the axioms read: c(z) = 0 iff z = 0; every
+    class occurs in c; z -> -z maps each class into one class; and for
+    every w the histogram H_w[i, j] = #{z : c(z) = i, c(w - z) = j} is
+    the same over each class k, giving p[i][j][k].  The histograms are
+    `np.bincount`s over row blocks of w, with w - z = -diff[w, z].
+    """
+    found = _class_vector(rel, translation)
+    if found is None:
+        return None
+    c, diff = found
+    v, k = rel.shape[0], d + 1
+    sizes = np.bincount(c, minlength=k)
+    if c[0] != 0 or sizes[0] != 1 or not sizes.all():
+        return None
+    neg_c = c[diff[:, 0]]  # neg_c[z] = c(-z)
+    first = np.unique(c, return_index=True)[1]  # a representative per class
+    if (neg_c != neg_c[first][c]).any():
+        return None
+
+    def histograms(ws):
+        keys = (np.arange(len(ws))[:, None] * k + c) * k + neg_c[diff[ws]]
+        return np.bincount(keys.ravel(), minlength=len(ws) * k * k).reshape(-1, k, k)
+
+    expected = histograms(first)
+    for rows in _row_blocks(v, max(v, k * k)):
+        if (histograms(np.arange(v)[rows]) != expected[c[rows]]).any():
+            return None
+    tensor = np.ascontiguousarray(expected.transpose(1, 2, 0))
+    if (tensor != np.swapaxes(tensor, 0, 1)).any():
+        return None
+    return tensor
+
+
+def _verified_tensor(rel, translation, error=AxiomViolation):
+    """The intersection tensor of a table that must be a scheme: counted
+    over the group when it can be, else by `verify_axioms`, whose report
+    is raised as `error` if an axiom fails."""
+    tensor = _translation_tensor(rel, int(rel.max()), translation)
+    if tensor is None:
+        report = verify_axioms(rel)
+        if not report.ok:
+            raise error(report)
+        tensor = report.tensor
+    return tensor
 
 
 class TranslationStructure:
@@ -287,6 +376,21 @@ class TranslationStructure:
             table = table.reshape(table.shape[0] * m, -1)
         return table
 
+    def character_exponents(self):
+        """The v x v table of <a, z> mod 4, the exponent of i in the
+        character a at z, for a group whose orders all divide 4: the
+        Kronecker fold of the m x m tables (4/m) a z mod 4."""
+        if any(4 % m for m in self.orders):
+            raise DimensionMismatch("group orders %r do not all divide 4"
+                                    % (self.orders,))
+        table = np.zeros((1, 1), dtype=np.int64)
+        for m in self.orders:
+            k = np.arange(m)
+            factor = (4 // m) * k[:, None] * k[None, :] % 4
+            table = (table[:, None, :, None] + factor[None, :, None, :]) % 4
+            table = table.reshape(table.shape[0] * m, -1)
+        return table
+
     def validate(self, relation):
         """Check every class is invariant under simultaneous translation,
         i.e. relation(x, y) depends only on the difference y - x."""
@@ -319,10 +423,7 @@ class AssociationScheme:
         self.d = int(rel.max())
         self._tensor = None
         if check:
-            report = verify_axioms(rel)
-            if not report.ok:
-                raise AxiomViolation(report)
-            self._tensor = report.tensor
+            self._tensor = _verified_tensor(rel, translation)
         rel.setflags(write=False)
         self.relation = rel
         self.P = P
@@ -344,9 +445,11 @@ class AssociationScheme:
 
     def intersection_tensor(self):
         if self._tensor is None:
-            tensor, witness = _product_tensor(self.relation, self.d)
-            if witness is not None:
-                raise AxiomViolation(verify_axioms(self.relation))
+            tensor = _translation_tensor(self.relation, self.d, self.translation)
+            if tensor is None:
+                tensor, witness = _product_tensor(self.relation, self.d)
+                if witness is not None:
+                    raise AxiomViolation(verify_axioms(self.relation))
             self._tensor = tensor
         return self._tensor
 
@@ -468,6 +571,42 @@ def _eigen_attempts(scheme, attempts, seed):
         yield _numeric_eigenrows(scheme, rng)
 
 
+def _character_eigenmatrix(scheme):
+    """P read off the character table of a translation scheme whose
+    group orders all divide 4, or None when that does not apply.
+
+    The row of character a is (sum_{c(z) = k} i^<a, z>)_k; equal rows
+    merge into one idempotent.  The valency row (a = 0) comes first and
+    the rest are sorted as `eigenmatrix` sorts them.  None is returned
+    when the translation is absent or does not validate, or an order
+    does not divide 4; a number of distinct rows other than d+1 fails
+    the certificate."""
+    tr = scheme.translation
+    if tr is None or any(4 % m for m in tr.orders):
+        return None
+    found = _class_vector(scheme.relation, tr)
+    if found is None:
+        return None
+    c = found[0]
+    v, k = scheme.v, scheme.d + 1
+    exponents = tr.character_exponents()
+    rows = []
+    for block in _row_blocks(v, max(v, 4 * k)):
+        n = exponents[block].shape[0]
+        keys = (np.arange(n)[:, None] * 4 + exponents[block]) * k + c
+        # counts[a, e, r] = #{z in class r : <a, z> = e mod 4}
+        counts = np.bincount(keys.ravel(), minlength=n * 4 * k).reshape(n, 4, k)
+        rows.append(np.concatenate([counts[:, 0] - counts[:, 2],
+                                    counts[:, 1] - counts[:, 3]], axis=1))
+    distinct = np.unique(np.concatenate(rows), axis=0)
+    rows = [tuple(GaussRat(re, im) for re, im in zip(row[:k], row[k:]))
+            for row in distinct.tolist()]
+    valency_row = tuple(GaussRat(int(x)) for x in scheme.valencies())
+    rest = sorted((r for r in rows if r != valency_row),
+                  key=canonical_row_key, reverse=True)
+    return ExactMatrix([valency_row] + rest)
+
+
 def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
                 max_denominator=DEFAULT_MAX_DENOMINATOR,
                 attempts=_EIG_ATTEMPTS, seed=_EIG_SEED):
@@ -475,14 +614,21 @@ def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
 
     Row 0 corresponds to the all-ones idempotent (so it lists the
     valencies); the remaining rows are sorted by descending canonical key
-    so the output is deterministic.  The numeric eigenvalues are snapped
-    to Gaussian rationals and certified exactly; SnapFailure is raised if
-    certification is impossible, leaving the scheme numeric-only.
+    so the output is deterministic.  A translation scheme over a group of
+    exponent dividing 4 takes its rows from the character table; any
+    other scheme, or one whose character rows fail, takes the numeric
+    route: eigenvalues are snapped to Gaussian rationals.  Either P is
+    certified exactly; SnapFailure is raised if the numeric route cannot
+    certify one, leaving the scheme numeric-only.
     """
     if scheme.P is not None:
         return scheme.P
     if scheme.snap_failed:
         raise SnapFailure("scheme is in numeric-only mode")
+    P = _character_eigenmatrix(scheme)
+    if P is not None and certify_eigenmatrix(scheme, P):
+        scheme.P = P
+        return P
     vals = scheme.valencies()
     valency_row = tuple(GaussRat(int(x)) for x in vals)
     last_reason = "no attempt succeeded"
@@ -585,11 +731,8 @@ def fusion(scheme, blocks):
         for i in b:
             block_of[i] = new
     merged = block_of[scheme.relation]
-    report = verify_axioms(merged)
-    if not report.ok:
-        raise ClosureFailure(report)
     out = AssociationScheme(merged, translation=scheme.translation, check=False)
-    out._tensor = report.tensor
+    out._tensor = _verified_tensor(out.relation, out.translation, ClosureFailure)
     return out
 
 
@@ -632,7 +775,9 @@ def orbit_fusion(scheme, n, generators, cap=4096):
     Classes of the power are index tuples in {0..d}^n; the given group
     (permutations of the n positions, 0-based) acts by permuting tuple
     entries, and orbits become the fused classes, ordered by their
-    lexicographically smallest member.  The result is verified.
+    lexicographically smallest member.  The result is verified.  Over a
+    base with a translation structure the result carries the product
+    structure of V^n.
     """
     v, d = scheme.v, scheme.d
     if v**n > cap:
@@ -656,9 +801,9 @@ def orbit_fusion(scheme, n, generators, cap=4096):
     for _ in range(n - 1):
         power = tensor_product(power, factor)
     rel = orbit_id[power.relation]
-    report = verify_axioms(rel)
-    if not report.ok:
-        raise ClosureFailure(report)
-    out = AssociationScheme(rel, check=False)
-    out._tensor = report.tensor
+    translation = None
+    if scheme.translation is not None:
+        translation = TranslationStructure(scheme.translation.orders * n)
+    out = AssociationScheme(rel, translation=translation, check=False)
+    out._tensor = _verified_tensor(out.relation, translation, ClosureFailure)
     return out

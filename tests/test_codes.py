@@ -29,7 +29,7 @@ from schemekit.errors import (
 )
 from schemekit.exact import ExactMatrix, GaussRat, MPoly, compositions
 from schemekit.genham import build_explicit, h_vector
-from schemekit.scheme import eigenmatrix
+from schemekit.scheme import TranslationStructure, eigenmatrix
 
 
 BINARY = one_class(2)
@@ -403,6 +403,44 @@ def test_dual_code_cap():
     c = mk([(0,) * 6, (1,) * 6])
     with pytest.raises(SizeCapExceeded):
         dual_code(c, cap=32)
+
+
+def dual_code_full_pairing(code):
+    """Oracle: pair every candidate word with every word of the code."""
+    exps, group = codes._flat_exponents(code)
+    orders = np.array(group.orders, dtype=np.int64)
+    L = int(np.lcm.reduce(orders))
+    candidates = group.digits(np.arange(group.size))
+    pairing = (candidates * (L // orders)) @ exps.T % L
+    member = np.flatnonzero((pairing == 0).all(axis=1))
+    words = TranslationStructure((code.base.v,) * code.n).digits(member)
+    return [tuple(w) for w in words.tolist()]
+
+
+def test_dual_code_matches_full_pairing():
+    """The additive codes of test_is_additive_matches_loop, shuffled too:
+    pairing with the greedy generators gives the same dual, word order
+    included, and the generators span the code."""
+    rng = random.Random(7707)
+    checked = 0
+    for base in (BINARY, Z4, group_scheme([2, 2]), one_class(3), hamming(2, 2),
+                 cycle_scheme(4), group_scheme([2, 4])):
+        for n in (1, 2, 3):
+            for _ in range(3):
+                for code in _additive_variants(rng, base, n):
+                    if not is_additive(code)[0]:
+                        continue
+                    assert list(dual_code(code).words) == dual_code_full_pairing(code)
+                    exps, group = codes._flat_exponents(code)
+                    gens = codes._generators(exps, group)
+                    assert len(gens) <= max(1, len(code).bit_length())
+                    span = {tuple([0] * exps.shape[1])}
+                    for g in gens.tolist():
+                        span |= {tuple(group.add(s, t * np.array(g)))
+                                 for s in span for t in range(1, 5)}
+                    assert span == {tuple(w) for w in exps.tolist()}
+                    checked += 1
+    assert checked > 100
 
 
 def test_dual_size_product():

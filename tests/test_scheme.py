@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ from schemekit.errors import (
     SingularMatrix,
     SnapFailure,
 )
-from schemekit.exact import ExactMatrix, GaussRat
-from schemekit.genham import build_explicit
+from schemekit import scheme as scheme_module
+from schemekit.exact import ExactMatrix, GaussRat, compositions
+from schemekit.genham import build_explicit, eigenmatrix_gh
 from schemekit.scheme import (
     AssociationScheme,
     TranslationStructure,
@@ -29,6 +31,11 @@ from schemekit.scheme import (
     sort_rows_canonically,
     tensor_product,
     verify_axioms,
+)
+from schemekit.scheme import (
+    _character_eigenmatrix,
+    _product_tensor,
+    _translation_tensor,
 )
 
 
@@ -550,3 +557,228 @@ def test_random_fusions_verified():
         except ClosureFailure:
             continue
         assert verify_axioms(f.relation).ok
+
+
+# -- translation schemes counted over the group ----------------------------
+
+# every group order divides 4: the character table is Gaussian integral
+EXPONENT_4 = ("one_class:2", "cycle:4", "group:4", "group:2:2", "hamming:2:2")
+
+
+def _translation_cases(name):
+    """Composites of a bench base at n = 1..3, a fusion and an orbit
+    fusion of them, all carrying a translation structure."""
+    base = BENCH_BASES[name]()
+    cases = [base] + [build_explicit(base, n) for n in (1, 2, 3)]
+    k = base.d + 1
+    # classes by Hamming distance: a fusion of every composite
+    by_distance = [[c for c, comp in enumerate(compositions(2, k))
+                    if comp[0] == 2 - t] for t in range(3)]
+    cases.append(fusion(cases[2], by_distance))
+    cases.append(orbit_fusion(base, 2, [(1, 0)]))
+    return cases
+
+
+def _group_tensor(s):
+    tensor = _translation_tensor(s.relation, s.d, s.translation)
+    assert tensor is not None
+    return tensor
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_BASES))
+def test_group_tensor_matches_dense(name):
+    for s in _translation_cases(name):
+        assert s.translation is not None
+        dense, witness = _product_tensor(s.relation, s.d)
+        assert witness is None
+        assert (_group_tensor(s) == dense).all()
+        assert (s.intersection_tensor() == dense).all()
+
+
+@pytest.mark.parametrize("block", [1, 100])
+def test_group_routes_over_several_row_blocks(block, monkeypatch):
+    """With blocks of one or a few rows the tensor, the character P and
+    the failures found in late rows are the same."""
+    cases = [build_explicit(group_scheme([4]), 2), build_explicit(cycle_scheme(4), 2),
+             build_explicit(one_class(3), 2), hamming(3, 2)]
+    want = [(_product_tensor(s.relation, s.d)[0], _character_eigenmatrix(s))
+            for s in cases]
+    tampered = list(_tampered_class_vectors())
+    verdicts = [_translation_tensor(rel, int(rel.max()), tr) is None
+                for rel, tr in tampered]
+    monkeypatch.setattr(scheme_module, "_BLOCK", block)
+    for s, (tensor, P) in zip(cases, want):
+        assert (_group_tensor(s) == tensor).all()
+        assert _character_eigenmatrix(s) == P
+    assert verdicts == [_translation_tensor(rel, int(rel.max()), tr) is None
+                        for rel, tr in tampered]
+    assert verdicts == [not verify_axioms(rel).ok for rel, tr in tampered]
+
+
+def test_group_tensor_matches_dense_on_builders():
+    schemes = [group_scheme(list(o)) for o in ((2,), (3,), (4,), (2, 2), (2, 4),
+                                              (3, 4), (5,), (2, 3, 2))]
+    schemes += [cycle_scheme(m) for m in range(3, 13)]
+    schemes += [hamming(2, 3), hamming(3, 2), one_class(7)]
+    for s in schemes:
+        dense, witness = _product_tensor(s.relation, s.d)
+        assert witness is None
+        assert (_group_tensor(s) == dense).all()
+
+
+def _tampered_class_vectors():
+    """Translation-invariant tables that are not schemes: the class
+    vector of a composite with a few entries moved to other classes."""
+    rng = random.Random(5512)
+    for base, n in ((group_scheme([4]), 2), (one_class(2), 3),
+                    (cycle_scheme(4), 2), (group_scheme([2, 2]), 2),
+                    (one_class(3), 2)):
+        s = build_explicit(base, n)
+        diff = s.translation.difference_table()
+        for _ in range(8):
+            c = s.relation[0].copy()
+            for _ in range(rng.randint(1, 3)):
+                c[rng.randrange(s.v)] = rng.randrange(s.d + 1)
+            yield c[diff], s.translation
+
+
+def _subgroup_class_zero():
+    """Translation-invariant tables whose class 0 is a subgroup or misses
+    0: the classes are unions of its cosets, so the products can be
+    constant while axiom 1 fails."""
+    for orders, c in (((4,), [0, 1, 0, 1]), ((2, 2), [0, 0, 1, 1]),
+                      ((2, 4), [0, 1, 2, 1, 0, 1, 2, 1]), ((4,), [1, 0, 2, 0]),
+                      ((2,), [1, 0]), ((2, 2), [1, 0, 2, 3])):
+        tr = TranslationStructure(orders)
+        yield np.array(c)[tr.difference_table()], tr
+
+
+def test_group_failures_match_dense():
+    """Where the group path finds a failure, the report, witness and
+    exception are the dense route's, byte for byte."""
+    failed_axioms = set()
+    for rel, tr in itertools.chain(_tampered_class_vectors(), _subgroup_class_zero()):
+        want = verify_axioms(rel)
+        if want.ok:
+            assert (AssociationScheme(rel, translation=tr).intersection_tensor()
+                    == want.tensor).all()
+            continue
+        assert _translation_tensor(rel, int(rel.max()), tr) is None
+        with pytest.raises(AxiomViolation) as info:
+            AssociationScheme(rel, translation=tr)
+        got = info.value.report
+        assert str(got) == str(want)
+        assert [c.witness for c in got.checks] == [c.witness for c in want.checks]
+        failed_axioms.add(want.first_failure().axiom)
+    assert failed_axioms == {1, 2, 3, 4}
+
+
+def test_group_fusion_failures_match_dense():
+    cases = [(group_scheme([4]), [[0], [1], [2, 3]]),
+             (group_scheme([2, 4]), [[0], [1, 2], [3, 4, 5, 6, 7]]),
+             (build_explicit(cycle_scheme(4), 2), [[0], [1, 3], [2, 4, 5]])]
+    for s, blocks in cases:
+        block_of = {i: min(b) for b in blocks for i in b}
+        order = sorted(set(block_of.values()))
+        merged = np.vectorize(lambda i: order.index(block_of[i]))(s.relation)
+        want = verify_axioms(merged)
+        assert not want.ok
+        with pytest.raises(ClosureFailure) as info:
+            fusion(s, blocks)
+        assert str(info.value.report) == str(want)
+        assert str(info.value) == str(ClosureFailure(want))
+
+
+def test_wrong_translation_falls_back():
+    """A translation that does not fit the table gives the dense route's
+    result: the same tensor, the numeric P, the same failure report."""
+    z4 = group_scheme([4]).relation
+    for tr in (TranslationStructure((2, 2)), TranslationStructure((8,))):
+        assert _translation_tensor(z4, 3, tr) is None
+        s = AssociationScheme(z4, translation=tr)
+        assert (s.intersection_tensor() == _product_tensor(z4, 3)[0]).all()
+        assert _character_eigenmatrix(s) is None
+        assert eigenmatrix(s) == eigenmatrix(AssociationScheme(z4))
+    path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    with pytest.raises(AxiomViolation) as info:
+        AssociationScheme(path, translation=TranslationStructure((3,)))
+    assert str(info.value.report) == str(verify_axioms(path))
+
+
+def _eigen_outcome(s):
+    try:
+        return eigenmatrix(s)
+    except (AxiomViolation, SnapFailure) as e:
+        return type(e).__name__, str(e)
+
+
+def test_character_route_on_non_schemes_matches_numeric():
+    """Unchecked translation-invariant tables that are not schemes: the
+    character route certifies nothing, so eigenmatrix ends as the
+    numeric route does."""
+    kinds = set()
+    for rel, tr in itertools.chain(_tampered_class_vectors(), _subgroup_class_zero()):
+        if verify_axioms(rel).ok or any(4 % m for m in tr.orders):
+            continue
+        want = _eigen_outcome(AssociationScheme(rel, check=False))
+        assert _eigen_outcome(AssociationScheme(rel, translation=tr, check=False)) == want
+        kinds.add(want[0])
+    assert kinds == {"AxiomViolation", "SnapFailure"}
+
+
+@pytest.mark.parametrize("name", EXPONENT_4)
+def test_character_eigenmatrix_matches_numeric(name):
+    for s in _translation_cases(name):
+        P = _character_eigenmatrix(s)
+        assert P is not None
+        numeric = eigenmatrix(AssociationScheme(s.relation, check=False))
+        assert P == numeric
+        if s.P is None:
+            assert eigenmatrix(s) == numeric
+
+
+def test_character_eigenmatrix_needs_exponent_4():
+    for s in (one_class(3), cycle_scheme(6), group_scheme([3, 4]),
+              build_explicit(one_class(3), 2)):
+        assert _character_eigenmatrix(s) is None
+
+
+def test_orbit_fusion_translation():
+    cases = [(one_class(3), 4, [(1, 2, 3, 0)]),
+             (cycle_scheme(4), 3, [(1, 2, 0), (1, 0, 2)]),
+             (group_scheme([2, 2]), 2, [(1, 0)]), (group_scheme([4]), 2, [(1, 0)])]
+    for base, n, gens in cases:
+        s = orbit_fusion(base, n, gens)
+        assert s.translation.orders == base.translation.orders * n
+        s.translation.validate(s.relation)
+    bare = AssociationScheme(one_class(2).relation)
+    assert orbit_fusion(bare, 2, [(1, 0)]).translation is None
+
+
+def _hamming_tensor(n):
+    """p[i][j][k] of the binary Hamming scheme: for y of weight k, the
+    words z of weight i with d(y, z) = j have a = (i + k - j)/2 ones on
+    the support of y and i - a off it."""
+    p = np.zeros((n + 1,) * 3, dtype=np.int64)
+    for i, j, k in itertools.product(range(n + 1), repeat=3):
+        if (i + k - j) % 2 == 0:
+            a = (i + k - j) // 2
+            if 0 <= a <= k and 0 <= i - a <= n - k:
+                p[i, j, k] = comb(k, a) * comb(n - k, i - a)
+    return p
+
+
+def test_group_route_needs_no_dense_products(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the group route must not take this path")
+
+    monkeypatch.setattr(scheme_module, "_product_tensor", refuse)
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    s = build_explicit(one_class(2), 10)
+    assert s.v == 1024
+    assert (s.intersection_tensor() == _hamming_tensor(10)).all()
+    z4 = group_scheme([4])
+    composite = build_explicit(z4, 3)
+    P = eigenmatrix(composite)
+    assert certify_eigenmatrix(composite, P)
+    assert set(P.rows()) == set(eigenmatrix_gh(z4.P, 3).rows())
