@@ -38,11 +38,12 @@ from .exact import (
     substitute_polys,
 )
 from .genham import _key_profile, _profile_keys
-from .scheme import TranslationStructure, dual_eigenmatrix, eigenmatrix
-
-# Pair arrays are built a block of rows at a time with about this many
-# entries per block, so memory stays bounded for large codes.
-_BLOCK = 2**20
+from .scheme import (
+    TranslationStructure,
+    _row_blocks,
+    dual_eigenmatrix,
+    eigenmatrix,
+)
 
 
 class Code:
@@ -108,13 +109,6 @@ def weight_enumerator(code):
     return MPoly(base.d + 1,
                  {_key_profile(k, n, base.d): GaussRat(Fraction(c, size))
                   for k, c in counts.items()})
-
-
-def _row_blocks(rows, width):
-    """Slices of `rows` rows, each block of rows times `width` holding
-    about _BLOCK entries (at least one row)."""
-    step = max(1, _BLOCK // width)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def inner_distribution(code):

@@ -177,13 +177,20 @@ class GaussRat:
 I = GaussRat(0, 1)
 
 
-def snap_gauss(z, tolerance, max_denominator):
+_SNAP_MAX_DENOMINATOR = 10**6
+_SNAP_TOLERANCE = 1e-9
+
+
+def snap_gauss(z):
     """The Gaussian rational nearest a complex float z with denominators
-    up to max_denominator, or None if it is farther than tolerance in
-    either part.  Callers re-verify every snapped value exactly."""
-    re = Fraction(float(z.real)).limit_denominator(max_denominator)
-    im = Fraction(float(z.imag)).limit_denominator(max_denominator)
-    if abs(float(re) - z.real) > tolerance or abs(float(im) - z.imag) > tolerance:
+    up to _SNAP_MAX_DENOMINATOR, or None if it is farther than
+    _SNAP_TOLERANCE in either part: the one snap rule, for eigenvalues
+    and modular witnesses alike.  Callers re-verify every snapped value
+    exactly."""
+    re = Fraction(float(z.real)).limit_denominator(_SNAP_MAX_DENOMINATOR)
+    im = Fraction(float(z.imag)).limit_denominator(_SNAP_MAX_DENOMINATOR)
+    if (abs(float(re) - z.real) > _SNAP_TOLERANCE
+            or abs(float(im) - z.imag) > _SNAP_TOLERANCE):
         return None
     return GaussRat(re, im)
 

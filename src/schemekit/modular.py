@@ -147,7 +147,7 @@ def _gcd_many(lists):
     return g
 
 
-def _exact_roots(coeffs, tolerance, max_denominator):
+def _exact_roots(coeffs):
     """Exact Gaussian-rational roots of an ascending coefficient list.
 
     Numeric roots are snapped and then checked exactly against the
@@ -164,7 +164,7 @@ def _exact_roots(coeffs, tolerance, max_denominator):
     numeric = np.roots([complex(c) for c in reversed(coeffs)])
     roots = []
     for z in numeric:
-        g = snap_gauss(z, tolerance, max_denominator)
+        g = snap_gauss(z)
         if g is None:
             continue
         value = GaussRat(0)
@@ -243,19 +243,19 @@ def _verify_candidates(P, diagonals):
     return None
 
 
-def _search_2x2_exact(P, tolerance, max_denominator):
+def _search_2x2_exact(P):
     cons = _constraints(_symbolic_cube(P))
     if not cons:
         return _verify_candidates(P, [(GaussRat(1),)])
     g = _gcd_many([_coeff_list(p) for p in cons])
-    roots = _exact_roots(g, tolerance, max_denominator)
+    roots = _exact_roots(g)
     return _verify_candidates(P, [(t,) for t in roots])
 
 
 _HEURISTIC_VALUES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
 
 
-def _y_candidates_at(cons, x0, tolerance, max_denominator):
+def _y_candidates_at(cons, x0):
     """Exact y-solutions of the constraint set specialized at x = x0.
 
     None if x0 is plainly inconsistent (a constraint becomes a nonzero
@@ -275,10 +275,10 @@ def _y_candidates_at(cons, x0, tolerance, max_denominator):
     hy = _gcd_many(gens_y)
     if len(hy) == 1:
         return None
-    return _exact_roots(hy, tolerance, max_denominator)
+    return _exact_roots(hy)
 
 
-def _search_3x3_exact(P, tolerance, max_denominator, restarts, seed):
+def _search_3x3_exact(P, restarts):
     cons = _constraints(_symbolic_cube(P))
     if not cons:
         return _verify_candidates(P, [(GaussRat(1), GaussRat(1))])
@@ -296,7 +296,7 @@ def _search_3x3_exact(P, tolerance, max_denominator, restarts, seed):
                 gens_x.append(r)
     hx = _gcd_many(gens_x)
     if hx:
-        x_candidates = _exact_roots(hx, tolerance, max_denominator)
+        x_candidates = _exact_roots(hx)
         degenerate = False
     else:
         # every resultant vanished: the solution set has a positive-
@@ -305,26 +305,26 @@ def _search_3x3_exact(P, tolerance, max_denominator, restarts, seed):
         x_candidates = list(_HEURISTIC_VALUES)
         degenerate = True
     for x0 in x_candidates:
-        y_candidates = _y_candidates_at(cons, x0, tolerance, max_denominator)
+        y_candidates = _y_candidates_at(cons, x0)
         if not y_candidates:
             continue
         witness = _verify_candidates(P, [(x0, y0) for y0 in y_candidates])
         if witness is not None:
             return witness
     if degenerate:
-        return _search_numeric(P, tolerance, max_denominator, restarts, seed)
+        return _search_numeric(P, restarts)
     return None
 
 
 # -- numeric search with exact confirmation -----------------------------
 
 
-def _search_numeric(P, tolerance, max_denominator, restarts, seed):
+def _search_numeric(P, restarts):
     k = P.nrows
     d = k - 1
     Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
     off = [(i, j) for i in range(k) for j in range(k) if i != j]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEARCH_SEED)
 
     def residuals(x):
         t = np.concatenate([[1.0 + 0j], x[:d] + 1j * x[d:]])
@@ -346,8 +346,7 @@ def _search_numeric(P, tolerance, max_denominator, restarts, seed):
             continue
         entries = []
         for r in range(d):
-            g = snap_gauss(complex(sol.x[r], sol.x[d + r]),
-                            tolerance, max_denominator)
+            g = snap_gauss(complex(sol.x[r], sol.x[d + r]))
             if g is None:
                 break
             entries.append(g)
@@ -359,8 +358,7 @@ def _search_numeric(P, tolerance, max_denominator, restarts, seed):
     return None
 
 
-def search_T(P, tolerance=1e-9, max_denominator=10**6,
-             restarts=_SEARCH_RESTARTS, seed=_SEARCH_SEED):
+def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
     Returns a ModularWitness (always verified exactly) or None when the
@@ -372,11 +370,10 @@ def search_T(P, tolerance=1e-9, max_denominator=10**6,
     if P.nrows == 1:
         return _verify_candidates(P, [()])
     if P.nrows == 2:
-        return _search_2x2_exact(P, tolerance, max_denominator)
+        return _search_2x2_exact(P)
     if P.nrows == 3:
-        return _search_3x3_exact(P, tolerance, max_denominator,
-                                 restarts, seed)
-    return _search_numeric(P, tolerance, max_denominator, restarts, seed)
+        return _search_3x3_exact(P, restarts)
+    return _search_numeric(P, restarts)
 
 
 # -- lift to the composite scheme ---------------------------------------

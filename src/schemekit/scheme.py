@@ -2,26 +2,28 @@
 
 A scheme is stored as a v x v relation table with values 0..d, where
 class 0 is the diagonal.  When the scheme carries a translation
-structure and its table is translation-invariant, rel[x, y] = c[y - x]
-for the class vector c, and the axioms and the intersection numbers are
-counted over the group from c: p[i][j][k] = #{z : c(z) = i,
-c(w - z) = j} for any w in class k, required equal over each class.
+structure, whether its table fits it -- rel[x, y] = c[y - x] for the
+class vector c = rel[0] -- is decided once per scheme, on first use.
+A table that fits is checked and counted over the group from c:
+p[i][j][k] = #{z : c(z) = i, c(w - z) = j} for any w in class k,
+required equal over each class, with c(w - z) read off rel[z, w].
 Any other table, or one that fails a check on that path, is verified by
 the dense route: integer-exact numpy matmuls of 0/1 indicator matrices,
 which also names the witness of a failure.  Eigenmatrices of
 translation schemes over groups of exponent dividing 4 are read off the
-character table; all others are found numerically and snapped to
-Gaussian rationals.  Either way they are then certified exactly: every
-row must be a character of the Bose-Mesner algebra,
-P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked on integer numerators
-against the intersection-number tensor, so a wrong P can never pass
-silently.  Krein parameters come from the same integer form.
+character table, counted by the same row-histogram kernel; all others
+are found numerically and snapped to Gaussian rationals.  Either way
+they are then certified exactly: every row must be a character of the
+Bose-Mesner algebra, P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked
+on integer numerators against the intersection-number tensor, so a
+wrong P can never pass silently.  Krein parameters come from the same integer form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +37,6 @@ from .errors import (
 )
 from .exact import ExactMatrix, GaussRat, _to_gauss, _to_int, snap_gauss
 
-DEFAULT_TOLERANCE = 1e-9
-DEFAULT_MAX_DENOMINATOR = 10**6
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
 
@@ -222,8 +222,8 @@ def _product_tensor(rel, d):
     return tensor, None
 
 
-# Row blocks of the group counts hold about this many entries, so no
-# array of v^2 (d+1) entries is built.
+# Row blocks of the group counts and of the pair arrays of codes hold
+# about this many entries, so no array of v^2 (d+1) entries is built.
 _BLOCK = 2**20
 
 
@@ -234,66 +234,66 @@ def _row_blocks(rows, width):
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
-def _class_vector(rel, translation):
-    """The class vector c, c[z] = rel[0, z], and the difference table of
-    `translation`, when rel[x, y] = c[y - x] for all x, y; else None."""
-    if translation is None or translation.size != rel.shape[0]:
-        return None
-    diff = translation.difference_table()
-    c = rel[0]
-    if (c[diff] != rel).any():
-        return None
-    return c, diff
+def _invariance_break(rel, translation):
+    """The first (x, y), in row-major order, with rel[x, y] != rel[0, y - x]
+    under `translation` (of size v), or None when the table is
+    translation-invariant: rel[x, y] = c[y - x] for c = rel[0]."""
+    return _first_index(rel[0][translation.difference_table()] != rel)
 
 
-def _translation_tensor(rel, d, translation):
-    """The intersection tensor of a translation scheme, counted over the
-    group, or None when the table is not translation-invariant under
-    `translation` or fails an axiom (the dense route then names the
-    witness).
+def _row_histograms(table, rows, c, k, m):
+    """counts[r, e, i] = #{z : table[r, z] = e, c[z] = i} over the rows
+    `rows` of `table`, whose values lie below m and those of c below k:
+    one `np.bincount` of the keys (r m + e) k + i.  The keys are read in
+    memory order, so a transposed `table` costs no copy."""
+    block = table[rows]
+    n = block.shape[0]
+    keys = (np.arange(n)[:, None] * m + block) * k + c
+    return np.bincount(keys.ravel("K"), minlength=n * m * k).reshape(n, m, k)
 
-    On the class vector c the axioms read: c(z) = 0 iff z = 0; every
-    class occurs in c; z -> -z maps each class into one class; and for
-    every w the histogram H_w[i, j] = #{z : c(z) = i, c(w - z) = j} is
-    the same over each class k, giving p[i][j][k].  The histograms are
-    `np.bincount`s over row blocks of w, with w - z = -diff[w, z].
+
+def _translation_tensor(rel, c):
+    """The intersection tensor of a translation-invariant table with class
+    vector c (rel[x, y] = c[y - x]), counted over the group, or None when
+    an axiom fails (the dense route then names the witness).
+
+    On c the axioms read: c(z) = 0 iff z = 0; every class occurs in c;
+    z -> -z maps each class into one class; and for every w the
+    histogram H_w[i, j] = #{z : c(z) = i, c(w - z) = j} is the same over
+    each class k, giving p[i][j][k].  No difference table is needed:
+    c(-z) = rel[z, 0] and c(w - z) = rel[z, w], so H_w is the histogram
+    of column w of the table against c, counted over row blocks of w.
     """
-    found = _class_vector(rel, translation)
-    if found is None:
-        return None
-    c, diff = found
-    v, k = rel.shape[0], d + 1
+    v, k = rel.shape[0], int(c.max()) + 1
     sizes = np.bincount(c, minlength=k)
     if c[0] != 0 or sizes[0] != 1 or not sizes.all():
         return None
-    neg_c = c[diff[:, 0]]  # neg_c[z] = c(-z)
+    neg_c = rel[:, 0]  # neg_c[z] = c(-z)
     first = np.unique(c, return_index=True)[1]  # a representative per class
     if (neg_c != neg_c[first][c]).any():
         return None
-
-    def histograms(ws):
-        keys = (np.arange(len(ws))[:, None] * k + c) * k + neg_c[diff[ws]]
-        return np.bincount(keys.ravel(), minlength=len(ws) * k * k).reshape(-1, k, k)
-
-    expected = histograms(first)
+    columns = rel.T
+    # expected[k, j, i] = H_w[i, j] for the representative w of class k
+    expected = _row_histograms(columns, first, c, k, k)
     for rows in _row_blocks(v, max(v, k * k)):
-        if (histograms(np.arange(v)[rows]) != expected[c[rows]]).any():
+        if (_row_histograms(columns, rows, c, k, k) != expected[c[rows]]).any():
             return None
-    tensor = np.ascontiguousarray(expected.transpose(1, 2, 0))
+    tensor = np.ascontiguousarray(expected.transpose(2, 1, 0))
     if (tensor != np.swapaxes(tensor, 0, 1)).any():
         return None
     return tensor
 
 
-def _verified_tensor(rel, translation, error=AxiomViolation):
+def _verified_tensor(rel, c):
     """The intersection tensor of a table that must be a scheme: counted
-    over the group when it can be, else by `verify_axioms`, whose report
-    is raised as `error` if an axiom fails."""
-    tensor = _translation_tensor(rel, int(rel.max()), translation)
+    over the group from its class vector c when there is one, else (or
+    when an axiom fails there) by `verify_axioms`, whose report is raised
+    as AxiomViolation if an axiom fails."""
+    tensor = None if c is None else _translation_tensor(rel, c)
     if tensor is None:
         report = verify_axioms(rel)
         if not report.ok:
-            raise error(report)
+            raise AxiomViolation(report)
         tensor = report.tensor
     return tensor
 
@@ -393,14 +393,14 @@ class TranslationStructure:
 
     def validate(self, relation):
         """Check every class is invariant under simultaneous translation,
-        i.e. relation(x, y) depends only on the difference y - x."""
+        i.e. relation(x, y) depends only on the difference y - x, by the
+        check that decides whether a scheme is counted over the group."""
         rel = _as_relation(relation)
         v = rel.shape[0]
         if v != self.size:
             raise DimensionMismatch("group size %d != vertex count %d" % (self.size, v))
-        expected = rel[0][self.difference_table()]
-        if (rel != expected).any():
-            bad = _first_index(rel != expected)
+        bad = _invariance_break(rel, self)
+        if bad is not None:
             raise DimensionMismatch(
                 "classes are not translation-invariant at %r" % (bad,)
             )
@@ -414,21 +414,23 @@ class AssociationScheme:
     the diagonal.  The exact eigenmatrix P (rows = idempotents, columns =
     classes) may be attached by a builder or computed and certified on
     demand; schemes whose eigenvalues are not Gaussian rationals stay in
-    numeric-only mode and refuse exact transforms.
+    numeric-only mode and refuse exact transforms.  With check=True the
+    axioms are verified on construction (AxiomViolation if one fails);
+    with check=False on first use of the intersection tensor.
     """
 
     def __init__(self, relation, P=None, translation=None, check=True):
         rel = _as_relation(relation)
+        rel.setflags(write=False)
         self.v = rel.shape[0]
         self.d = int(rel.max())
-        self._tensor = None
-        if check:
-            self._tensor = _verified_tensor(rel, translation)
-        rel.setflags(write=False)
         self.relation = rel
         self.P = P
         self.translation = translation
         self.snap_failed = False
+        self._tensor = None
+        if check:
+            self.intersection_tensor()
 
     # -- basic data ----------------------------------------------------
 
@@ -443,14 +445,20 @@ class AssociationScheme:
     def is_symmetric(self):
         return bool((self.relation == self.relation.T).all())
 
+    @cached_property
+    def _classes(self):
+        """The class vector c with relation[x, y] = c[y - x], or None when
+        the scheme carries no translation or its table does not fit it."""
+        tr = self.translation
+        if (tr is None or tr.size != self.v
+                or _invariance_break(self.relation, tr) is not None):
+            return None
+        return self.relation[0]
+
     def intersection_tensor(self):
+        """p[i][j][k], verified; AxiomViolation if the table is no scheme."""
         if self._tensor is None:
-            tensor = _translation_tensor(self.relation, self.d, self.translation)
-            if tensor is None:
-                tensor, witness = _product_tensor(self.relation, self.d)
-                if witness is not None:
-                    raise AxiomViolation(verify_axioms(self.relation))
-            self._tensor = tensor
+            self._tensor = _verified_tensor(self.relation, self._classes)
         return self._tensor
 
     def __repr__(self):
@@ -563,11 +571,11 @@ def _numeric_eigenrows(scheme, rng):
     return rows
 
 
-def _eigen_attempts(scheme, attempts, seed):
-    """The eigenvalue rows of `attempts` seeded numeric attempts, each a
-    list of (vector, multiplicity) or None for a degenerate one."""
-    rng = np.random.default_rng(seed)
-    for _ in range(attempts):
+def _eigen_attempts(scheme):
+    """The eigenvalue rows of the seeded numeric attempts, each a list of
+    (vector, multiplicity) or None for a degenerate one."""
+    rng = np.random.default_rng(_EIG_SEED)
+    for _ in range(_EIG_ATTEMPTS):
         yield _numeric_eigenrows(scheme, rng)
 
 
@@ -578,24 +586,18 @@ def _character_eigenmatrix(scheme):
     The row of character a is (sum_{c(z) = k} i^<a, z>)_k; equal rows
     merge into one idempotent.  The valency row (a = 0) comes first and
     the rest are sorted as `eigenmatrix` sorts them.  None is returned
-    when the translation is absent or does not validate, or an order
-    does not divide 4; a number of distinct rows other than d+1 fails
-    the certificate."""
-    tr = scheme.translation
-    if tr is None or any(4 % m for m in tr.orders):
+    when the table has no class vector (no translation, or one it does
+    not fit) or an order does not divide 4; a number of distinct rows
+    other than d+1 fails the certificate."""
+    c = scheme._classes
+    if c is None or any(4 % m for m in scheme.translation.orders):
         return None
-    found = _class_vector(scheme.relation, tr)
-    if found is None:
-        return None
-    c = found[0]
     v, k = scheme.v, scheme.d + 1
-    exponents = tr.character_exponents()
+    exponents = scheme.translation.character_exponents()
     rows = []
     for block in _row_blocks(v, max(v, 4 * k)):
-        n = exponents[block].shape[0]
-        keys = (np.arange(n)[:, None] * 4 + exponents[block]) * k + c
         # counts[a, e, r] = #{z in class r : <a, z> = e mod 4}
-        counts = np.bincount(keys.ravel(), minlength=n * 4 * k).reshape(n, 4, k)
+        counts = _row_histograms(exponents, block, c, k, 4)
         rows.append(np.concatenate([counts[:, 0] - counts[:, 2],
                                     counts[:, 1] - counts[:, 3]], axis=1))
     distinct = np.unique(np.concatenate(rows), axis=0)
@@ -607,9 +609,7 @@ def _character_eigenmatrix(scheme):
     return ExactMatrix([valency_row] + rest)
 
 
-def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
-                max_denominator=DEFAULT_MAX_DENOMINATOR,
-                attempts=_EIG_ATTEMPTS, seed=_EIG_SEED):
+def eigenmatrix(scheme):
     """The exact eigenmatrix P, rows = idempotents, columns = classes.
 
     Row 0 corresponds to the all-ones idempotent (so it lists the
@@ -632,12 +632,11 @@ def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
     vals = scheme.valencies()
     valency_row = tuple(GaussRat(int(x)) for x in vals)
     last_reason = "no attempt succeeded"
-    for rows in _eigen_attempts(scheme, attempts, seed):
+    for rows in _eigen_attempts(scheme):
         if rows is None:
             last_reason = "degenerate random combination"
             continue
-        snapped = [tuple(snap_gauss(z, tolerance, max_denominator) for z in vec)
-                   for vec, _mult in rows]
+        snapped = [tuple(snap_gauss(z) for z in vec) for vec, _mult in rows]
         if any(g is None for row in snapped for g in row):
             last_reason = "eigenvalues did not snap to Gaussian rationals"
             continue
@@ -658,13 +657,13 @@ def eigenmatrix(scheme, tolerance=DEFAULT_TOLERANCE,
     raise SnapFailure("could not certify an exact eigenmatrix: " + last_reason)
 
 
-def numeric_eigenmatrix(scheme, seed=_EIG_SEED, attempts=_EIG_ATTEMPTS):
+def numeric_eigenmatrix(scheme):
     """Numeric (complex float) eigenmatrix for numeric-only schemes.
 
     Valency row first, remaining rows in descending rounded-key order.
     """
     vals = scheme.valencies().astype(np.float64)
-    for rows in _eigen_attempts(scheme, attempts, seed):
+    for rows in _eigen_attempts(scheme):
         if rows is None:
             continue
         vecs = [r[0] for r in rows]
@@ -730,10 +729,11 @@ def fusion(scheme, blocks):
     for new, b in enumerate(blocks):
         for i in b:
             block_of[i] = new
-    merged = block_of[scheme.relation]
-    out = AssociationScheme(merged, translation=scheme.translation, check=False)
-    out._tensor = _verified_tensor(out.relation, out.translation, ClosureFailure)
-    return out
+    try:
+        return AssociationScheme(block_of[scheme.relation],
+                                 translation=scheme.translation)
+    except AxiomViolation as e:
+        raise ClosureFailure(e.report) from None
 
 
 def tensor_product(a, b):
@@ -804,6 +804,7 @@ def orbit_fusion(scheme, n, generators, cap=4096):
     translation = None
     if scheme.translation is not None:
         translation = TranslationStructure(scheme.translation.orders * n)
-    out = AssociationScheme(rel, translation=translation, check=False)
-    out._tensor = _verified_tensor(out.relation, translation, ClosureFailure)
-    return out
+    try:
+        return AssociationScheme(rel, translation=translation)
+    except AxiomViolation as e:
+        raise ClosureFailure(e.report) from None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schemekit import codes
+from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     GRAY_BITS,
@@ -198,7 +199,7 @@ def test_weight_enumerator_over_several_row_blocks():
     short, against a bincount of Hamming distances."""
     n, size = 12, 1500
     code = mk(_random_words(4242, 2, n, size))
-    blocks = codes._row_blocks(size, size)
+    blocks = scheme_module._row_blocks(size, size)
     step = blocks[0].stop
     assert len(blocks) > 2 and size % step != 0
     bits = np.array(code.words) @ (1 << np.arange(n)[::-1])
@@ -338,7 +339,7 @@ def test_is_additive_matches_loop(block, monkeypatch):
     """Verdicts and first witnesses equal the pair loop's, also when the
     sums are formed over many short row blocks."""
     if block is not None:
-        monkeypatch.setattr(codes, "_BLOCK", block)
+        monkeypatch.setattr(scheme_module, "_BLOCK", block)
     rng = random.Random(7707)
     verdicts = set()
     for base in (BINARY, Z4, group_scheme([2, 2]), one_class(3), hamming(2, 2),

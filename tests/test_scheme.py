@@ -579,8 +579,15 @@ def _translation_cases(name):
     return cases
 
 
+def _group_count(rel, tr):
+    """The group count of a table under `tr`, or None when the table does
+    not fit `tr` or fails an axiom there."""
+    c = AssociationScheme(rel, translation=tr, check=False)._classes
+    return None if c is None else _translation_tensor(rel, c)
+
+
 def _group_tensor(s):
-    tensor = _translation_tensor(s.relation, s.d, s.translation)
+    tensor = _group_count(s.relation, s.translation)
     assert tensor is not None
     return tensor
 
@@ -604,14 +611,12 @@ def test_group_routes_over_several_row_blocks(block, monkeypatch):
     want = [(_product_tensor(s.relation, s.d)[0], _character_eigenmatrix(s))
             for s in cases]
     tampered = list(_tampered_class_vectors())
-    verdicts = [_translation_tensor(rel, int(rel.max()), tr) is None
-                for rel, tr in tampered]
+    verdicts = [_group_count(rel, tr) is None for rel, tr in tampered]
     monkeypatch.setattr(scheme_module, "_BLOCK", block)
     for s, (tensor, P) in zip(cases, want):
         assert (_group_tensor(s) == tensor).all()
         assert _character_eigenmatrix(s) == P
-    assert verdicts == [_translation_tensor(rel, int(rel.max()), tr) is None
-                        for rel, tr in tampered]
+    assert verdicts == [_group_count(rel, tr) is None for rel, tr in tampered]
     assert verdicts == [not verify_axioms(rel).ok for rel, tr in tampered]
 
 
@@ -663,7 +668,7 @@ def test_group_failures_match_dense():
             assert (AssociationScheme(rel, translation=tr).intersection_tensor()
                     == want.tensor).all()
             continue
-        assert _translation_tensor(rel, int(rel.max()), tr) is None
+        assert _group_count(rel, tr) is None
         with pytest.raises(AxiomViolation) as info:
             AssociationScheme(rel, translation=tr)
         got = info.value.report
@@ -694,7 +699,7 @@ def test_wrong_translation_falls_back():
     result: the same tensor, the numeric P, the same failure report."""
     z4 = group_scheme([4]).relation
     for tr in (TranslationStructure((2, 2)), TranslationStructure((8,))):
-        assert _translation_tensor(z4, 3, tr) is None
+        assert _group_count(z4, tr) is None
         s = AssociationScheme(z4, translation=tr)
         assert (s.intersection_tensor() == _product_tensor(z4, 3)[0]).all()
         assert _character_eigenmatrix(s) is None
@@ -724,6 +729,46 @@ def test_character_route_on_non_schemes_matches_numeric():
         assert _eigen_outcome(AssociationScheme(rel, translation=tr, check=False)) == want
         kinds.add(want[0])
     assert kinds == {"AxiomViolation", "SnapFailure"}
+
+
+def test_unchecked_non_scheme_has_no_tensor():
+    """A table that fails axiom 1 has no intersection tensor, also when it
+    was built unchecked and its products are constant: with or without
+    the translation, the tensor and so the certificate raise the report
+    of `verify_axioms`."""
+    for rel, tr in _subgroup_class_zero():
+        want = verify_axioms(rel)
+        assert want.first_failure().axiom == 1
+        for translation in (None, tr):
+            s = AssociationScheme(rel, translation=translation, check=False)
+            with pytest.raises(AxiomViolation) as info:
+                s.intersection_tensor()
+            got = info.value.report
+            assert str(got) == str(want)
+            assert [c.witness for c in got.checks] == [c.witness for c in want.checks]
+    tr = TranslationStructure((4,))
+    rel = np.array([1, 0, 2, 0])[tr.difference_table()]
+    with pytest.raises(AxiomViolation) as info:
+        eigenmatrix(AssociationScheme(rel, translation=tr, check=False))
+    assert str(info.value.report) == str(verify_axioms(rel))
+
+
+def test_class_vector_is_decided_once(monkeypatch):
+    """On the way from build_explicit to the eigenmatrix the difference
+    table is built once: the construction check decides the class vector
+    and the character table reads it from the scheme."""
+    base = group_scheme([4])
+    calls = []
+    table = TranslationStructure.difference_table
+
+    def counted(self):
+        calls.append(self.orders)
+        return table(self)
+
+    monkeypatch.setattr(TranslationStructure, "difference_table", counted)
+    P = eigenmatrix(build_explicit(base, 3))
+    assert calls == [(4, 4, 4)]
+    assert P.nrows == comb(3 + 3, 3)
 
 
 @pytest.mark.parametrize("name", EXPONENT_4)
