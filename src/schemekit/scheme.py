@@ -9,14 +9,15 @@ p[i][j][k] = #{z : c(z) = i, c(w - z) = j} for any w in class k,
 required equal over each class, with c(w - z) read off rel[z, w].
 Any other table, or one that fails a check on that path, is verified by
 the dense route: integer-exact numpy matmuls of 0/1 indicator matrices,
-which also names the witness of a failure.  Eigenmatrices of
-translation schemes over groups of exponent dividing 4 are read off the
-character table, counted by the same row-histogram kernel; all others
-are found numerically and snapped to Gaussian rationals.  Either way
-they are then certified exactly: every row must be a character of the
-Bose-Mesner algebra, P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked
-on integer numerators against the intersection-number tensor, so a
-wrong P can never pass silently.  Krein parameters come from the same integer form.
+which also names the witness of a failure.  The intersection tensor
+alone fixes the eigenmatrix: every row x of P satisfies L_i x = x_i x
+for the (d+1) x (d+1) matrices L_i[k, r] = p[i][k][r], the regular
+representation of the Bose-Mesner algebra.  Its rows are found
+numerically from a random combination of the L_i, snapped to Gaussian
+rationals and then certified exactly: every row must be a character,
+P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked in int64 on Gaussian
+integers bounded by the valencies, so a wrong P can never pass
+silently.  Krein parameters come from the integer form of P and Q.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .errors import (
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import ExactMatrix, GaussRat, _to_gauss, _to_int, snap_gauss
+from .exact import (_SNAP_TOLERANCE, ExactMatrix, GaussRat, _to_gauss, _to_int,
+                    snap_gauss)
 
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
@@ -241,15 +243,16 @@ def _invariance_break(rel, translation):
     return _first_index(rel[0][translation.difference_table()] != rel)
 
 
-def _row_histograms(table, rows, c, k, m):
-    """counts[r, e, i] = #{z : table[r, z] = e, c[z] = i} over the rows
-    `rows` of `table`, whose values lie below m and those of c below k:
-    one `np.bincount` of the keys (r m + e) k + i.  The keys are read in
-    memory order, so a transposed `table` costs no copy."""
+def _row_histograms(table, rows, c, k):
+    """counts[r, j, i] = #{z : table[r, z] = j, c[z] = i} over the rows
+    `rows` of `table`, whose values, like those of c, lie below k: one
+    `np.bincount` of the keys (r k + j) k + i, the kernel of the group
+    count in `_translation_tensor`.  The keys are read in memory order,
+    so a transposed `table` costs no copy."""
     block = table[rows]
     n = block.shape[0]
-    keys = (np.arange(n)[:, None] * m + block) * k + c
-    return np.bincount(keys.ravel("K"), minlength=n * m * k).reshape(n, m, k)
+    keys = (np.arange(n)[:, None] * k + block) * k + c
+    return np.bincount(keys.ravel("K"), minlength=n * k * k).reshape(n, k, k)
 
 
 def _translation_tensor(rel, c):
@@ -274,9 +277,9 @@ def _translation_tensor(rel, c):
         return None
     columns = rel.T
     # expected[k, j, i] = H_w[i, j] for the representative w of class k
-    expected = _row_histograms(columns, first, c, k, k)
+    expected = _row_histograms(columns, first, c, k)
     for rows in _row_blocks(v, max(v, k * k)):
-        if (_row_histograms(columns, rows, c, k, k) != expected[c[rows]]).any():
+        if (_row_histograms(columns, rows, c, k) != expected[c[rows]]).any():
             return None
     tensor = np.ascontiguousarray(expected.transpose(2, 1, 0))
     if (tensor != np.swapaxes(tensor, 0, 1)).any():
@@ -379,7 +382,8 @@ class TranslationStructure:
     def character_exponents(self):
         """The v x v table of <a, z> mod 4, the exponent of i in the
         character a at z, for a group whose orders all divide 4: the
-        Kronecker fold of the m x m tables (4/m) a z mod 4."""
+        Kronecker fold of the m x m tables (4/m) a z mod 4.  `group_scheme`
+        attaches its character table from it."""
         if any(4 % m for m in self.orders):
             raise DimensionMismatch("group orders %r do not all divide 4"
                                     % (self.orders,))
@@ -511,102 +515,82 @@ def certify_eigenmatrix(scheme, P):
     P[j,0] = 1.  With row 0 listing the valencies and the rows pairwise
     distinct, this is a complete certificate: distinct characters are
     linearly independent, so P is invertible and no inverse is formed.
-    The identity is checked on the Gaussian-integer numerators x of P
-    over their common denominator D, as x_i x_k = D (T x)_(i,k) with T
-    the intersection tensor reshaped to ((d+1)^2, d+1); one integer
-    matmul gives the right-hand sides of every row.
+    A character value P[j,i] is an eigenvalue of the integer matrix
+    L_i[k, r] = p[i][k][r], so an algebraic integer, and at most the
+    valency k_i in modulus: P is refused unless every entry is a
+    Gaussian integer a + b i with |a|, |b| <= k_i.  Both sides of the
+    identity are then at most 2 k_i k_k <= 2 v^2 in each part, since
+    sum_r p[i][k][r] k_r = k_i k_k, and one int64 matmul with the
+    intersection tensor reshaped to ((d+1)^2, d+1) gives the right-hand
+    sides of every row.
     """
     k = scheme.d + 1
     if P.nrows != k or P.ncols != k:
         return False
-    a, b, D = _numerators(P)
-    if (a[0] != D * scheme.valencies().astype(object)).any() or b[0].any():
+    vals = scheme.valencies().tolist()
+    rows = P.rows()
+    if list(rows[0]) != [GaussRat(x) for x in vals]:
         return False
     # a table that is not a scheme raises here, before any row check
     tensor = scheme.intersection_tensor().reshape(k * k, k)
-    if (a[:, 0] != D).any() or b[:, 0].any():
+    if any(f.denominator != 1 or not -bound <= f.numerator <= bound
+           for row in rows for x, bound in zip(row, vals)
+           for f in (x.re, x.im)):
         return False
-    if len({(tuple(x), tuple(y)) for x, y in zip(a.tolist(), b.tolist())}) != k:
+    a = np.array([[x.re.numerator for x in row] for row in rows], dtype=np.int64)
+    b = np.array([[x.im.numerator for x in row] for row in rows], dtype=np.int64)
+    if (a[:, 0] != 1).any() or b[:, 0].any():
         return False
-    rhs = np.concatenate([a, b]) @ tensor.T.astype(object) * D
+    if len(np.unique(np.concatenate([a, b], axis=1), axis=0)) != k:
+        return False
+    rhs = np.concatenate([a, b]) @ tensor.T
     lhs_re, lhs_im = _row_products(a, b)
     return bool((lhs_re == rhs[:k]).all() and (lhs_im == rhs[k:]).all())
 
 
 def _numeric_eigenrows(scheme, rng):
-    """One numeric attempt: diagonalize a random combination and read the
-    eigenvalue vector of every class on each eigenvector.
+    """One numeric attempt: diagonalize a random combination of the
+    matrices L_i[k, r] = p[i][k][r] and read a character x off each
+    eigenvector, scaled to x_0 = 1, as L_i x = x_i x.
 
-    Returns a list of d+1 (vector, multiplicity) numeric rows, or None if
-    this combination was degenerate.
+    Returns the d+1 rows x, or None if this combination was degenerate:
+    an eigenvector with x_0 near 0, or one that is not an eigenvector of
+    every L_i.
     """
-    rel = scheme.relation
-    d, v = scheme.d, scheme.v
-    coeffs = rng.integers(1, 1_000_000, size=d + 1)
-    M = np.zeros((v, v), dtype=np.float64)
-    for i in range(d + 1):
-        M += float(coeffs[i]) * (rel == i)
-    w, V = np.linalg.eig(M)
-    norms = (V.conj() * V).sum(axis=0).real
-    pvals = np.empty((d + 1, v), dtype=np.complex128)
-    for i in range(d + 1):
-        Ai = (rel == i).astype(np.float64)
-        AiV = Ai @ V
-        pvals[i] = (V.conj() * AiV).sum(axis=0) / norms
-        resid = np.abs(AiV - V * pvals[i][None, :]).max()
-        if resid > 1e-6 * max(1.0, float(np.abs(pvals[i]).max())) * np.sqrt(v):
-            return None
-    # cluster columns by their eigenvalue vectors
-    rows = []
-    for col in range(v):
-        vec = pvals[:, col]
-        for entry in rows:
-            if np.abs(entry[0] - vec).max() < 1e-6:
-                entry[1] += 1
-                break
-        else:
-            rows.append([vec, 1])
-    if len(rows) != d + 1 or sum(m for _, m in rows) != v:
+    L = scheme.intersection_tensor().astype(np.float64)
+    coeffs = rng.integers(1, 1_000_000, size=scheme.d + 1)
+    _, V = np.linalg.eig(np.tensordot(coeffs, L, axes=1))
+    if (np.abs(V[0]) < 1e-9).any():
         return None
-    return rows
+    X = V / V[0]
+    # resid[i, k, j] = (L_i x)_k - x_i x_k for the character x in column
+    # j; a NaN fails the bound below as well
+    resid = np.abs(L @ X - X[:, None, :] * X[None, :, :]).max()
+    if not resid <= 1e-6 * max(1.0, float(np.abs(X).max())) ** 2:
+        return None
+    return X.T
 
 
 def _eigen_attempts(scheme):
-    """The eigenvalue rows of the seeded numeric attempts, each a list of
-    (vector, multiplicity) or None for a degenerate one."""
+    """The eigenvalue rows of the seeded numeric attempts: d+1 rows for
+    each, or None for a degenerate one."""
     rng = np.random.default_rng(_EIG_SEED)
     for _ in range(_EIG_ATTEMPTS):
         yield _numeric_eigenrows(scheme, rng)
 
 
-def _character_eigenmatrix(scheme):
-    """P read off the character table of a translation scheme whose
-    group orders all divide 4, or None when that does not apply.
-
-    The row of character a is (sum_{c(z) = k} i^<a, z>)_k; equal rows
-    merge into one idempotent.  The valency row (a = 0) comes first and
-    the rest are sorted as `eigenmatrix` sorts them.  None is returned
-    when the table has no class vector (no translation, or one it does
-    not fit) or an order does not divide 4; a number of distinct rows
-    other than d+1 fails the certificate."""
-    c = scheme._classes
-    if c is None or any(4 % m for m in scheme.translation.orders):
-        return None
-    v, k = scheme.v, scheme.d + 1
-    exponents = scheme.translation.character_exponents()
-    rows = []
-    for block in _row_blocks(v, max(v, 4 * k)):
-        # counts[a, e, r] = #{z in class r : <a, z> = e mod 4}
-        counts = _row_histograms(exponents, block, c, k, 4)
-        rows.append(np.concatenate([counts[:, 0] - counts[:, 2],
-                                    counts[:, 1] - counts[:, 3]], axis=1))
-    distinct = np.unique(np.concatenate(rows), axis=0)
-    rows = [tuple(GaussRat(re, im) for re, im in zip(row[:k], row[k:]))
-            for row in distinct.tolist()]
-    valency_row = tuple(GaussRat(int(x)) for x in scheme.valencies())
-    rest = sorted((r for r in rows if r != valency_row),
-                  key=canonical_row_key, reverse=True)
-    return ExactMatrix([valency_row] + rest)
+def _snap_rows(rows):
+    """The rows snapped entrywise by `snap_gauss`.  When every entry is
+    within the snap tolerance of a Gaussian integer they are read off
+    `np.rint` at once: no other fraction with a denominator allowed by
+    the snap lies that close to an integer, so the result is the same."""
+    X = np.asarray(rows)
+    re, im = np.rint(X.real), np.rint(X.imag)
+    if max(np.abs(X.real - re).max(), np.abs(X.imag - im).max()) <= _SNAP_TOLERANCE:
+        return [tuple(map(GaussRat, r, i))
+                for r, i in zip(re.astype(np.int64).tolist(),
+                                im.astype(np.int64).tolist())]
+    return [tuple(snap_gauss(z) for z in row) for row in rows]
 
 
 def eigenmatrix(scheme):
@@ -614,29 +598,23 @@ def eigenmatrix(scheme):
 
     Row 0 corresponds to the all-ones idempotent (so it lists the
     valencies); the remaining rows are sorted by descending canonical key
-    so the output is deterministic.  A translation scheme over a group of
-    exponent dividing 4 takes its rows from the character table; any
-    other scheme, or one whose character rows fail, takes the numeric
-    route: eigenvalues are snapped to Gaussian rationals.  Either P is
-    certified exactly; SnapFailure is raised if the numeric route cannot
-    certify one, leaving the scheme numeric-only.
+    so the output is deterministic.  Unless a builder attached P, its
+    rows are found numerically from the intersection tensor alone (a
+    table that is not a scheme raises AxiomViolation there), snapped to
+    Gaussian rationals and certified exactly; SnapFailure is raised if
+    no attempt certifies, leaving the scheme numeric-only.
     """
     if scheme.P is not None:
         return scheme.P
     if scheme.snap_failed:
         raise SnapFailure("scheme is in numeric-only mode")
-    P = _character_eigenmatrix(scheme)
-    if P is not None and certify_eigenmatrix(scheme, P):
-        scheme.P = P
-        return P
-    vals = scheme.valencies()
-    valency_row = tuple(GaussRat(int(x)) for x in vals)
+    valency_row = tuple(GaussRat(int(x)) for x in scheme.valencies())
     last_reason = "no attempt succeeded"
     for rows in _eigen_attempts(scheme):
         if rows is None:
             last_reason = "degenerate random combination"
             continue
-        snapped = [tuple(snap_gauss(z) for z in vec) for vec, _mult in rows]
+        snapped = _snap_rows(rows)
         if any(g is None for row in snapped for g in row):
             last_reason = "eigenvalues did not snap to Gaussian rationals"
             continue
@@ -666,15 +644,14 @@ def numeric_eigenmatrix(scheme):
     for rows in _eigen_attempts(scheme):
         if rows is None:
             continue
-        vecs = [r[0] for r in rows]
-        is_val = [np.abs(vec - vals).max() < 1e-6 for vec in vecs]
+        is_val = [np.abs(vec - vals).max() < 1e-6 for vec in rows]
         if sum(is_val) != 1:
             continue
-        head = [vec for vec, f in zip(vecs, is_val) if f]
-        tail = [vec for vec, f in zip(vecs, is_val) if not f]
+        head = [vec for vec, f in zip(rows, is_val) if f]
+        tail = [vec for vec, f in zip(rows, is_val) if not f]
         tail.sort(key=lambda vec: tuple((round(z.real, 6), round(z.imag, 6))
                                         for z in vec), reverse=True)
-        return np.array(head + tail)
+        return np.array(head + tail, dtype=np.complex128)
     raise SnapFailure("numeric diagonalization kept hitting degeneracies")
 
 

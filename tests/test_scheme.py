@@ -32,11 +32,7 @@ from schemekit.scheme import (
     tensor_product,
     verify_axioms,
 )
-from schemekit.scheme import (
-    _character_eigenmatrix,
-    _product_tensor,
-    _translation_tensor,
-)
+from schemekit.scheme import _product_tensor, _translation_tensor
 
 
 def gauss_rows(M):
@@ -253,6 +249,30 @@ def _agree(scheme, P):
 
 def _rows(P):
     return [list(row) for row in P.rows()]
+
+
+def test_certify_refuses_fractions_and_entries_above_the_valency():
+    s = build_explicit(group_scheme([4]), 2)
+    rows = _rows(eigenmatrix(s))
+    vals = s.valencies()
+    j, i = 3, 2
+    for entry in (rows[j][i] + GaussRat(1) / 2, GaussRat(int(vals[i]) + 1),
+                  GaussRat(0, -int(vals[i]) - 1)):
+        tampered = [list(r) for r in rows]
+        tampered[j][i] = entry
+        assert not _agree(s, ExactMatrix(tampered))
+
+
+def test_certify_refuses_fractions_before_the_identity(monkeypatch):
+    s = build_explicit(group_scheme([4]), 2)
+    rows = _rows(eigenmatrix(s))
+    rows[3][2] = rows[3][2] + GaussRat(0, 1) / 2
+
+    def refuse(a, b):
+        raise AssertionError("a non-integer P must be refused before the identity")
+
+    monkeypatch.setattr(scheme_module, "_row_products", refuse)
+    assert not certify_eigenmatrix(s, ExactMatrix(rows))
 
 
 BENCH_BASES = {
@@ -561,10 +581,6 @@ def test_random_fusions_verified():
 
 # -- translation schemes counted over the group ----------------------------
 
-# every group order divides 4: the character table is Gaussian integral
-EXPONENT_4 = ("one_class:2", "cycle:4", "group:4", "group:2:2", "hamming:2:2")
-
-
 def _translation_cases(name):
     """Composites of a bench base at n = 1..3, a fusion and an orbit
     fusion of them, all carrying a translation structure."""
@@ -604,18 +620,16 @@ def test_group_tensor_matches_dense(name):
 
 @pytest.mark.parametrize("block", [1, 100])
 def test_group_routes_over_several_row_blocks(block, monkeypatch):
-    """With blocks of one or a few rows the tensor, the character P and
-    the failures found in late rows are the same."""
+    """With blocks of one or a few rows the tensor and the failures found
+    in late rows are the same."""
     cases = [build_explicit(group_scheme([4]), 2), build_explicit(cycle_scheme(4), 2),
              build_explicit(one_class(3), 2), hamming(3, 2)]
-    want = [(_product_tensor(s.relation, s.d)[0], _character_eigenmatrix(s))
-            for s in cases]
+    want = [_product_tensor(s.relation, s.d)[0] for s in cases]
     tampered = list(_tampered_class_vectors())
     verdicts = [_group_count(rel, tr) is None for rel, tr in tampered]
     monkeypatch.setattr(scheme_module, "_BLOCK", block)
-    for s, (tensor, P) in zip(cases, want):
+    for s, tensor in zip(cases, want):
         assert (_group_tensor(s) == tensor).all()
-        assert _character_eigenmatrix(s) == P
     assert verdicts == [_group_count(rel, tr) is None for rel, tr in tampered]
     assert verdicts == [not verify_axioms(rel).ok for rel, tr in tampered]
 
@@ -702,7 +716,6 @@ def test_wrong_translation_falls_back():
         assert _group_count(z4, tr) is None
         s = AssociationScheme(z4, translation=tr)
         assert (s.intersection_tensor() == _product_tensor(z4, 3)[0]).all()
-        assert _character_eigenmatrix(s) is None
         assert eigenmatrix(s) == eigenmatrix(AssociationScheme(z4))
     path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     with pytest.raises(AxiomViolation) as info:
@@ -718,17 +731,26 @@ def _eigen_outcome(s):
 
 
 def test_character_route_on_non_schemes_matches_numeric():
-    """Unchecked translation-invariant tables that are not schemes: the
-    character route certifies nothing, so eigenmatrix ends as the
-    numeric route does."""
-    kinds = set()
+    """Unchecked translation-invariant tables that are not schemes: with
+    or without the translation, eigenmatrix and numeric_eigenmatrix
+    raise the report of `verify_axioms` at the intersection tensor, and
+    the scheme is not put into numeric-only mode."""
+    failed_axioms = set()
     for rel, tr in itertools.chain(_tampered_class_vectors(), _subgroup_class_zero()):
-        if verify_axioms(rel).ok or any(4 % m for m in tr.orders):
+        want = verify_axioms(rel)
+        if want.ok:
             continue
-        want = _eigen_outcome(AssociationScheme(rel, check=False))
-        assert _eigen_outcome(AssociationScheme(rel, translation=tr, check=False)) == want
-        kinds.add(want[0])
-    assert kinds == {"AxiomViolation", "SnapFailure"}
+        failed_axioms.add(want.first_failure().axiom)
+        for translation in (None, tr):
+            for route in (eigenmatrix, numeric_eigenmatrix):
+                s = AssociationScheme(rel, translation=translation, check=False)
+                with pytest.raises(AxiomViolation) as info:
+                    route(s)
+                got = info.value.report
+                assert str(got) == str(want)
+                assert [c.witness for c in got.checks] == [c.witness for c in want.checks]
+                assert not s.snap_failed
+    assert failed_axioms == {1, 2, 3, 4}
 
 
 def test_unchecked_non_scheme_has_no_tensor():
@@ -756,7 +778,7 @@ def test_unchecked_non_scheme_has_no_tensor():
 def test_class_vector_is_decided_once(monkeypatch):
     """On the way from build_explicit to the eigenmatrix the difference
     table is built once: the construction check decides the class vector
-    and the character table reads it from the scheme."""
+    and the eigenmatrix reads only the intersection tensor."""
     base = group_scheme([4])
     calls = []
     table = TranslationStructure.difference_table
@@ -771,21 +793,104 @@ def test_class_vector_is_decided_once(monkeypatch):
     assert P.nrows == comb(3 + 3, 3)
 
 
-@pytest.mark.parametrize("name", EXPONENT_4)
-def test_character_eigenmatrix_matches_numeric(name):
-    for s in _translation_cases(name):
-        P = _character_eigenmatrix(s)
-        assert P is not None
-        numeric = eigenmatrix(AssociationScheme(s.relation, check=False))
-        assert P == numeric
-        if s.P is None:
-            assert eigenmatrix(s) == numeric
+def _dense_eigenrows(scheme, rng):
+    """Oracle: the v x v attempt.  Diagonalize a random combination of the
+    adjacency matrices, read the eigenvalue vector of every class on each
+    eigenvector and return the distinct vectors, or None if this
+    combination was degenerate."""
+    rel = scheme.relation
+    d, v = scheme.d, scheme.v
+    coeffs = rng.integers(1, 1_000_000, size=d + 1)
+    M = np.zeros((v, v), dtype=np.float64)
+    for i in range(d + 1):
+        M += float(coeffs[i]) * (rel == i)
+    w, V = np.linalg.eig(M)
+    norms = (V.conj() * V).sum(axis=0).real
+    pvals = np.empty((d + 1, v), dtype=np.complex128)
+    for i in range(d + 1):
+        Ai = (rel == i).astype(np.float64)
+        AiV = Ai @ V
+        pvals[i] = (V.conj() * AiV).sum(axis=0) / norms
+        resid = np.abs(AiV - V * pvals[i][None, :]).max()
+        if resid > 1e-6 * max(1.0, float(np.abs(pvals[i]).max())) * np.sqrt(v):
+            return None
+    # cluster columns by their eigenvalue vectors
+    rows = []
+    for col in range(v):
+        vec = pvals[:, col]
+        for entry in rows:
+            if np.abs(entry[0] - vec).max() < 1e-6:
+                entry[1] += 1
+                break
+        else:
+            rows.append([vec, 1])
+    if len(rows) != d + 1 or sum(m for _, m in rows) != v:
+        return None
+    return [vec for vec, _mult in rows]
 
 
-def test_character_eigenmatrix_needs_exponent_4():
-    for s in (one_class(3), cycle_scheme(6), group_scheme([3, 4]),
-              build_explicit(one_class(3), 2)):
-        assert _character_eigenmatrix(s) is None
+def _agrees_with_dense(monkeypatch, rel, translation):
+    """eigenmatrix of the unchecked table ends as with the dense oracle in
+    place of `_numeric_eigenrows`: the same P, or the same SnapFailure
+    text and numeric eigenmatrix.  Returns the outcome."""
+    def fresh():
+        return AssociationScheme(rel, translation=translation, check=False)
+
+    got = _eigen_outcome(fresh())
+    numeric = numeric_eigenmatrix(fresh()) if isinstance(got, tuple) else None
+    with monkeypatch.context() as m:
+        m.setattr(scheme_module, "_numeric_eigenrows", _dense_eigenrows)
+        assert _eigen_outcome(fresh()) == got
+        if numeric is not None:
+            want = numeric_eigenmatrix(fresh())
+            assert numeric.dtype == want.dtype == np.complex128
+            assert np.allclose(numeric, want, rtol=0, atol=1e-9)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_BASES))
+def test_eigenmatrix_matches_dense_oracle(name, monkeypatch):
+    """Composites n = 1..3, with and without the translation."""
+    for n in (1, 2, 3):
+        s = build_explicit(BENCH_BASES[name](), n)
+        for translation in (s.translation, None):
+            got = _agrees_with_dense(monkeypatch, s.relation, translation)
+            assert isinstance(got, ExactMatrix)
+
+
+def test_eigenmatrix_matches_dense_oracle_on_builders(monkeypatch):
+    """Cycles 3..12 and group schemes without their attached P."""
+    schemes = [cycle_scheme(m) for m in range(3, 13)]
+    schemes += [group_scheme([m]) for m in range(2, 9)]
+    schemes += [group_scheme([2, 4]), group_scheme([3, 3])]
+    kinds = set()
+    for s in schemes:
+        got = _agrees_with_dense(monkeypatch, s.relation, s.translation)
+        kinds.add(got[0] if isinstance(got, tuple) else "P")
+    assert kinds == {"P", "SnapFailure"}
+
+
+def test_eigenmatrix_matches_dense_oracle_on_fusions(monkeypatch):
+    rng = random.Random(3307)
+    fused = []
+    for base, n in ((one_class(2), 3), (cycle_scheme(4), 2), (group_scheme([4]), 2),
+                    (one_class(3), 2), (cycle_scheme(6), 2)):
+        s = build_explicit(base, n)
+        labels = list(range(1, s.d + 1))
+        for _ in range(8):
+            rng.shuffle(labels)
+            cut = rng.randint(1, len(labels) - 1)
+            try:
+                fused.append(fusion(s, [[0], labels[:cut], labels[cut:]]))
+            except ClosureFailure:
+                continue
+    assert len(fused) >= 10
+    fused += [orbit_fusion(base, n, gens) for base, n, gens in (
+        (one_class(3), 4, [(1, 2, 3, 0)]), (cycle_scheme(4), 3, [(1, 2, 0), (1, 0, 2)]),
+        (group_scheme([2, 2]), 2, [(1, 0)]), (group_scheme([4]), 2, [(1, 0)]),
+        (one_class(2), 3, [(1, 0, 2), (1, 2, 0)]), (cycle_scheme(5), 2, [(1, 0)]))]
+    for s in fused:
+        _agrees_with_dense(monkeypatch, s.relation, s.translation)
 
 
 def test_orbit_fusion_translation():
@@ -813,17 +918,38 @@ def _hamming_tensor(n):
     return p
 
 
+def _allow_eig_up_to(monkeypatch, size):
+    """Make np.linalg.eig refuse any matrix with more than `size` rows."""
+    eig = np.linalg.eig
+
+    def bounded(a):
+        assert a.shape[0] <= size, "an eigensolve of %d rows" % a.shape[0]
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", bounded)
+
+
 def test_group_route_needs_no_dense_products(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the group route must not take this path")
 
     monkeypatch.setattr(scheme_module, "_product_tensor", refuse)
-    monkeypatch.setattr(np.linalg, "eig", refuse)
     s = build_explicit(one_class(2), 10)
     assert s.v == 1024
     assert (s.intersection_tensor() == _hamming_tensor(10)).all()
     z4 = group_scheme([4])
     composite = build_explicit(z4, 3)
+    _allow_eig_up_to(monkeypatch, composite.d + 1)
     P = eigenmatrix(composite)
     assert certify_eigenmatrix(composite, P)
     assert set(P.rows()) == set(eigenmatrix_gh(z4.P, 3).rows())
+
+
+def test_eigenmatrix_needs_no_vxv_eigensolve(monkeypatch):
+    base = one_class(3)
+    s = build_explicit(base, 7)
+    assert (s.v, s.d + 1) == (2187, 8)
+    _allow_eig_up_to(monkeypatch, s.d + 1)
+    P = eigenmatrix(s)
+    assert certify_eigenmatrix(s, P)
+    assert set(P.rows()) == set(eigenmatrix_gh(base.P, 7).rows())
