@@ -603,7 +603,7 @@ def build_parser():
     p = msub.add_parser("search", parents=[common],
                         help="search for a diagonal T (exactly verified)")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--restarts", type=int, default=200,
+    p.add_argument("--restarts", type=_positive_int, default=200,
                    help="numeric restart budget for larger sizes")
     p.set_defaults(func=cmd_modinv_search)
 

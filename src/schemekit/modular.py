@@ -3,7 +3,8 @@
 verify_modular is purely exact.  search_T solves sizes up to 3x3 by
 exact elimination (resultants/gcds of the constraint polynomials over
 the Gaussian rationals, roots re-verified exactly); larger sizes use a
-numeric random-restart search whose every success is snapped to
+numeric random-restart search, a Levenberg-Marquardt solve with the
+analytic Jacobian of the cube, whose every success is snapped to
 Gaussian rationals and re-verified exactly, so an inexact witness can
 never be returned.  A None result is a budget statement ("search
 incomplete"), never a proof of absence.
@@ -12,14 +13,18 @@ incomplete"), never a proof of absence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, lcm
+
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DimensionMismatch, NotScalar
 from .exact import (
     ExactMatrix,
     GaussRat,
     MPoly,
+    _divisor,
+    _gmul,
     compositions,
     induced_matrix,
     snap_gauss,
@@ -28,6 +33,7 @@ from .exact import (
 
 _SEARCH_SEED = 47117
 _SEARCH_RESTARTS = 200
+_LM_ITERATIONS = 100
 
 
 @dataclass
@@ -192,18 +198,93 @@ def _drop_second_var(p):
     return MPoly(1, {(e[0],): c for e, c in p.terms.items()})
 
 
-def _det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    total = MPoly.zero(1)
-    for j, entry in enumerate(M[0]):
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in M[1:]]
-        term = entry * _det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+def _gauss_det(A):
+    """Determinant of a square matrix of Gaussian integers (pairs of
+    ints) by fraction-free Bareiss elimination: each step's division by
+    the previous pivot is exact."""
+    A = [list(row) for row in A]
+    n = len(A)
+    negate = False
+    previous = (1, 0)
+    for k in range(n - 1):
+        if A[k][k] == (0, 0):
+            swap = next((i for i in range(k + 1, n) if A[i][k] != (0, 0)),
+                        None)
+            if swap is None:
+                return (0, 0)
+            A[k], A[swap] = A[swap], A[k]
+            negate = not negate
+        conj, norm = _divisor(previous)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a = _gmul(A[k][k], A[i][j])
+                b = _gmul(A[i][k], A[k][j])
+                x = _gmul((a[0] - b[0], a[1] - b[1]), conj)
+                A[i][j] = (x[0] // norm, x[1] // norm)
+        previous = A[k][k]
+    re, im = A[n - 1][n - 1]
+    return (-re, -im) if negate else (re, im)
+
+
+def _poly_det(S):
+    """Determinant of a square matrix of ascending coefficient lists over
+    the Gaussian rationals, trailing zeros dropped.
+
+    The coefficients are scaled to Gaussian integers over one
+    denominator D; the determinant p, of degree at most N (the sum of
+    the row degrees), is taken at x = 0..N and rebuilt from its forward
+    differences, p(x) = sum_k (Delta^k p)(0) C(x, k).
+    """
+    n = len(S)
+    D = lcm(*{f.denominator for row in S for entry in row for c in entry
+              for f in (c.re, c.im)})
+    S = [[[(int(c.re * D), int(c.im * D)) for c in entry] for entry in row]
+         for row in S]
+    N = sum(max(len(entry) for entry in row) - 1 for row in S)
+
+    def at(entry, x):
+        re = im = 0
+        for a, b in reversed(entry):
+            re, im = re * x + a, im * x + b
+        return re, im
+
+    values = [_gauss_det([[at(e, x) for e in row] for row in S])
+              for x in range(N + 1)]
+    # sum_k (Delta^k p)(0) (N!/k!) x(x-1)..(x-k+1), then divide by N!
+    re, im = [0] * (N + 1), [0] * (N + 1)
+    falling = [1]
+    scale = factorial(N)
+    for k in range(N + 1):
+        a, b = values[0]
+        for i, f in enumerate(falling):
+            re[i] += a * scale * f
+            im[i] += b * scale * f
+        values = [(u[0] - v[0], u[1] - v[1])
+                  for u, v in zip(values[1:], values)]
+        falling = [u - k * w for u, w in zip([0] + falling, falling + [0])]
+        scale //= k + 1
+    den = factorial(N) * D ** n
+    coeffs = [GaussRat(Fraction(a, den), Fraction(b, den))
+              for a, b in zip(re, im)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _sylvester_matrix(f, g):
+    """Sylvester matrix in y of bivariate f, g, entries as ascending
+    coefficient lists in x; None if either has y-degree 0."""
+    fc = [_coeff_list(c) for c in _y_coefficients(f)]
+    gc = [_coeff_list(c) for c in _y_coefficients(g)]
+    m, n = len(fc) - 1, len(gc) - 1
+    if m < 1 or n < 1:
+        return None
+    rows = []
+    for i in range(n):
+        rows.append([[]] * i + fc[::-1] + [[]] * (n - 1 - i))
+    for i in range(m):
+        rows.append([[]] * i + gc[::-1] + [[]] * (m - 1 - i))
+    return rows
 
 
 def _resultant_y(f, g):
@@ -212,22 +293,8 @@ def _resultant_y(f, g):
     Vanishes at every x that extends to a common zero of f and g, so its
     roots are a sound candidate superset for elimination.
     """
-    fc = _y_coefficients(f)
-    gc = _y_coefficients(g)
-    m, n = len(fc) - 1, len(gc) - 1
-    if m < 1 or n < 1:
-        return []
-    size = m + n
-    zero = MPoly.zero(1)
-    rows = []
-    f_desc = list(reversed(fc))
-    g_desc = list(reversed(gc))
-    for i in range(n):
-        rows.append([zero] * i + f_desc + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + g_desc + [zero] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return _coeff_list(_det(rows))
+    S = _sylvester_matrix(f, g)
+    return [] if S is None else _poly_det(S)
 
 
 # -- exact search, sizes 2 and 3 ----------------------------------------
@@ -319,34 +386,94 @@ def _search_3x3_exact(P, restarts):
 # -- numeric search with exact confirmation -----------------------------
 
 
+def least_squares(residual, x0):
+    """Levenberg-Marquardt minimisation of cost = |r(x)|^2 / 2.
+
+    residual(x) returns the real residual vector r and its Jacobian J.
+    The damping follows Nielsen's gain-ratio rule; the solve stops at
+    cost 1e-30, at a vanishing gradient or step, when an accepted step
+    no longer lowers the cost, or after _LM_ITERATIONS trial steps.
+    Returns (x, cost).
+    """
+    x = np.asarray(x0, dtype=float)
+    eye = np.eye(x.size)
+    r, J = residual(x)
+    cost = 0.5 * (r @ r)
+    A, g = J.T @ J, J.T @ r
+    damping, growth = 1e-3 * np.max(np.diag(A)), 2.0
+    for _ in range(_LM_ITERATIONS):
+        if cost <= 1e-30 or np.max(np.abs(g)) <= 1e-15:
+            break
+        step = np.linalg.solve(A + damping * eye, -g)
+        if step @ step <= 1e-30 * (1.0 + x @ x):
+            break
+        r_new, J_new = residual(x + step)
+        cost_new = 0.5 * (r_new @ r_new)
+        gain = (cost - cost_new) / (0.5 * step @ (damping * step - g))
+        if gain > 0:
+            stalled = cost - cost_new <= 1e-15 * cost
+            x, r, J, cost = x + step, r_new, J_new, cost_new
+            A, g = J.T @ J, J.T @ r
+            damping *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
+            growth = 2.0
+            if stalled:
+                break
+        else:
+            damping *= growth
+            growth *= 2
+    return x, cost
+
+
+def _cube_residual(Pn):
+    """Residual and Jacobian of (P diag(1, t))^3 = c I in x = (Re t, Im t).
+
+    The residual is the off-diagonal entries of the cube K and the
+    differences K[i, i] - K[0, 0], in real then imaginary parts.  K is
+    holomorphic in t: with M = P diag(1, t) and dM = P[:, j] e_j^T,
+    dK/dt_j = dM M^2 + M dM M + M^2 dM, and its derivative in Im t_j is
+    i dK/dt_j.
+    """
+    k = Pn.shape[0]
+    d = k - 1
+    basis = np.eye(k * k)
+    # vec(K) @ defect: the entries that vanish exactly when K is scalar
+    defect = np.concatenate(
+        [basis[:, ~np.eye(k, dtype=bool).ravel()],
+         basis[:, (k + 1) * np.arange(1, k)] - basis[:, :1]], axis=1)
+    cols = Pn[:, 1:].T[:, :, None]        # P[:, j] for j = 1..d
+    units = np.eye(k)[1:, None, :]        # e_j^T for j = 1..d
+
+    def residual(x):
+        M = Pn * np.concatenate([[1.0], x[:d] + 1j * x[d:]])
+        M2 = M @ M
+        dK = (cols * M2[1:, None, :] + (M @ cols) * M[1:, None, :]
+              + (M2 @ cols) * units)
+        r = (M2 @ M).reshape(k * k) @ defect
+        D = (dK.reshape(d, k * k) @ defect).T
+        J = np.concatenate([D, 1j * D], axis=1)
+        return (np.concatenate([r.real, r.imag]),
+                np.concatenate([J.real, J.imag]))
+
+    return residual
+
+
 def _search_numeric(P, restarts):
     k = P.nrows
     d = k - 1
     Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
-    off = [(i, j) for i in range(k) for j in range(k) if i != j]
+    residual = _cube_residual(Pn)
     rng = np.random.default_rng(_SEARCH_SEED)
-
-    def residuals(x):
-        t = np.concatenate([[1.0 + 0j], x[:d] + 1j * x[d:]])
-        K = Pn * t[None, :]
-        K = K @ K @ K
-        res = [K[i, j] for (i, j) in off]
-        res += [K[i, i] - K[0, 0] for i in range(1, k)]
-        arr = np.array(res)
-        return np.concatenate([arr.real, arr.imag])
-
     for _ in range(restarts):
         x0 = rng.normal(0.0, 1.0, size=2 * d)
         try:
-            sol = least_squares(residuals, x0, method="lm",
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        except (ValueError, np.linalg.LinAlgError):
+            x, cost = least_squares(residual, x0)
+        except np.linalg.LinAlgError:
             continue
-        if sol.cost > 1e-18:
+        if cost > 1e-18:
             continue
         entries = []
         for r in range(d):
-            g = snap_gauss(complex(sol.x[r], sol.x[d + r]))
+            g = snap_gauss(complex(x[r], x[d + r]))
             if g is None:
                 break
             entries.append(g)
@@ -361,9 +488,12 @@ def _search_numeric(P, restarts):
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
-    Returns a ModularWitness (always verified exactly) or None when the
-    search budget is exhausted; None means "search incomplete", not a
-    proof that no witness exists.
+    Up to three classes the search is exact elimination; beyond (and as
+    the fallback of a degenerate 3x3 system) it is `restarts` seeded
+    Levenberg-Marquardt solves (`least_squares`) whose converged points
+    are snapped to Gaussian rationals.  Returns a ModularWitness (always
+    verified exactly) or None when the search budget is exhausted; None
+    means "search incomplete", not a proof that no witness exists.
     """
     if P.nrows != P.ncols:
         raise DimensionMismatch("P must be square")

@@ -13,8 +13,8 @@ which also names the witness of a failure.  The intersection tensor
 alone fixes the eigenmatrix: every row x of P satisfies L_i x = x_i x
 for the (d+1) x (d+1) matrices L_i[k, r] = p[i][k][r], the regular
 representation of the Bose-Mesner algebra.  Its rows are found
-numerically from a random combination of the L_i, snapped to Gaussian
-rationals and then certified exactly: every row must be a character,
+numerically from a random combination of the L_i, rounded to Gaussian
+integers and then certified exactly: every row must be a character,
 P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked in int64 on Gaussian
 integers bounded by the valencies, so a wrong P can never pass
 silently.  Krein parameters come from the integer form of P and Q.
@@ -36,8 +36,7 @@ from .errors import (
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import (_SNAP_TOLERANCE, ExactMatrix, GaussRat, _to_gauss, _to_int,
-                    snap_gauss)
+from .exact import _SNAP_TOLERANCE, ExactMatrix, GaussRat, _to_gauss, _to_int
 
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
@@ -580,17 +579,16 @@ def _eigen_attempts(scheme):
 
 
 def _snap_rows(rows):
-    """The rows snapped entrywise by `snap_gauss`.  When every entry is
-    within the snap tolerance of a Gaussian integer they are read off
-    `np.rint` at once: no other fraction with a denominator allowed by
-    the snap lies that close to an integer, so the result is the same."""
+    """The rows rounded to Gaussian integers, or None unless every entry
+    is within the snap tolerance of one: a character value that is not a
+    Gaussian integer never certifies (`certify_eigenmatrix`)."""
     X = np.asarray(rows)
     re, im = np.rint(X.real), np.rint(X.imag)
-    if max(np.abs(X.real - re).max(), np.abs(X.imag - im).max()) <= _SNAP_TOLERANCE:
-        return [tuple(map(GaussRat, r, i))
-                for r, i in zip(re.astype(np.int64).tolist(),
-                                im.astype(np.int64).tolist())]
-    return [tuple(snap_gauss(z) for z in row) for row in rows]
+    if max(np.abs(X.real - re).max(), np.abs(X.imag - im).max()) > _SNAP_TOLERANCE:
+        return None
+    return [tuple(map(GaussRat, r, i))
+            for r, i in zip(re.astype(np.int64).tolist(),
+                            im.astype(np.int64).tolist())]
 
 
 def eigenmatrix(scheme):
@@ -600,8 +598,8 @@ def eigenmatrix(scheme):
     valencies); the remaining rows are sorted by descending canonical key
     so the output is deterministic.  Unless a builder attached P, its
     rows are found numerically from the intersection tensor alone (a
-    table that is not a scheme raises AxiomViolation there), snapped to
-    Gaussian rationals and certified exactly; SnapFailure is raised if
+    table that is not a scheme raises AxiomViolation there), rounded to
+    Gaussian integers and certified exactly; SnapFailure is raised if
     no attempt certifies, leaving the scheme numeric-only.
     """
     if scheme.P is not None:
@@ -615,8 +613,8 @@ def eigenmatrix(scheme):
             last_reason = "degenerate random combination"
             continue
         snapped = _snap_rows(rows)
-        if any(g is None for row in snapped for g in row):
-            last_reason = "eigenvalues did not snap to Gaussian rationals"
+        if snapped is None:
+            last_reason = "eigenvalues are not Gaussian integers"
             continue
         if valency_row not in snapped:
             last_reason = "no valency row found"

@@ -339,6 +339,13 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     assert_usage_error(capsys, argv)
 
 
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_restarts_below_one_are_usage_errors(capsys, restarts):
+    # a budget of no restarts is not a search; it must not report one
+    assert_usage_error(capsys, ["modinv", "search", "--base", "group:4",
+                                "--restarts=" + restarts])
+
+
 @pytest.mark.parametrize("obj", [
     {"v": "two", "d": 1, "relation": [[0, 1], [1, 0]]},
     {"v": 2, "d": None, "relation": [[0, 1], [1, 0]]},

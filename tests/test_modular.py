@@ -1,10 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import schemekit
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.errors import DimensionMismatch, NotScalar
-from schemekit.exact import ExactMatrix, GaussRat, induced_matrix
+from schemekit.exact import ExactMatrix, GaussRat, MPoly, induced_matrix
 from schemekit.genham import eigenmatrix_gh
 from schemekit.modular import (
+    _coeff_list,
+    _constraints,
+    _cube_residual,
+    _poly_det,
+    _sylvester_matrix,
+    _symbolic_cube,
     induced_modular_check,
     search_T,
     verify_modular,
@@ -112,6 +125,100 @@ def test_search_none_for_ternary():
 
 def test_search_none_for_z4():
     assert search_T(eigenmatrix(group_scheme([4]))) is None
+
+
+def test_search_numeric_group22_witness():
+    # four classes: the Levenberg-Marquardt restarts, snapped and verified
+    w = search_T(eigenmatrix(group_scheme([2, 2])))
+    assert w is not None
+    assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
+    assert w.c == GaussRat(0, -8)
+
+
+def test_search_none_for_cycle6():
+    # its witnesses lie in Q(zeta_12), so none snaps to a Gaussian rational
+    assert search_T(eigenmatrix(cycle_scheme(6))) is None
+
+
+def test_cube_jacobian_matches_central_differences():
+    P = eigenmatrix(group_scheme([4]))
+    k = P.nrows
+    Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
+    residual = _cube_residual(Pn)
+    x = np.random.default_rng(2024).normal(0.0, 1.0, size=2 * (k - 1))
+    _, J = residual(x)
+    h = 1e-6
+    fd = np.column_stack([(residual(x + h * e)[0] - residual(x - h * e)[0])
+                          / (2 * h) for e in np.eye(x.size)])
+    assert J.shape == fd.shape
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(schemekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, schemekit.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == 0
+
+
+# -- Sylvester determinants -----------------------------------------------
+
+
+def _laplace_det(M):
+    """Recursive Laplace expansion along the first row, over MPoly."""
+    if len(M) == 1:
+        return M[0][0]
+    total = MPoly.zero(1)
+    for j, entry in enumerate(M[0]):
+        if not entry:
+            continue
+        term = entry * _laplace_det([row[:j] + row[j + 1:] for row in M[1:]])
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
+def _oracle_det(S):
+    """det S for a matrix of ascending coefficient lists, by Laplace."""
+    return _coeff_list(_laplace_det(
+        [[MPoly(1, {(e,): c for e, c in enumerate(entry) if c})
+          for entry in row] for row in S]))
+
+
+def test_poly_det_swaps_rows_at_a_zero_pivot():
+    # the (0, 0) entry x vanishes at x = 0, where elimination swaps rows
+    one, x = [GaussRat(1)], [GaussRat(0), GaussRat(1)]
+    S = [[x, one, []], [one, [], x], [[], x, one]]
+    minus_one_minus_x3 = [GaussRat(c) for c in (-1, 0, 0, -1)]
+    assert _poly_det(S) == _oracle_det(S) == minus_one_minus_x3
+
+
+P_SKEW = ExactMatrix([[GaussRat(1), GaussRat(2), GaussRat(0, 1)],
+                      [GaussRat(1, 1), GaussRat(-1), GaussRat("1/2")],
+                      [GaussRat(1), GaussRat(0, "-2/3"), GaussRat(3)]])
+
+
+@pytest.mark.parametrize("P, vanish", [
+    (P_CYCLE4, True),
+    (eigenmatrix(hamming(2, 2)), True),
+    (eigenmatrix(hamming(2, 3)), False),
+    (P_SKEW, False),
+], ids=["cycle:4", "hamming:2:2", "hamming:2:3", "gaussian-rational"])
+def test_sylvester_determinant_matches_laplace(P, vanish):
+    # on cycle:4 and hamming:2:2 the witnesses form a curve, so every
+    # resultant vanishes; the other two give nonzero ones
+    cons = [p for p in _constraints(_symbolic_cube(P))
+            if max(e[1] for e in p.terms) > 0]
+    dets = []
+    for a in range(len(cons)):
+        for b in range(a + 1, len(cons)):
+            S = _sylvester_matrix(cons[a], cons[b])
+            if S is None:
+                continue
+            dets.append(_poly_det(S))
+            assert dets[-1] == _oracle_det(S)
+    assert dets
+    assert all(not d for d in dets) == vanish
 
 
 def test_search_result_always_verifies():

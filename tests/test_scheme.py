@@ -392,7 +392,7 @@ def test_cycle_snap_outcomes(m):
         assert certify_eigenmatrix(s, eigenmatrix(s))
         return
     with pytest.raises(SnapFailure,
-                       match="certification failed after snapping$"):
+                       match="eigenvalues are not Gaussian integers$"):
         eigenmatrix(s)
     assert s.snap_failed
 
