@@ -796,7 +796,9 @@ def substitute_polys(p, images):
 
 
 def substitute_linear(p, M):
-    """Linear change of variables: s_i is replaced by sum_j M[i,j] t_j."""
+    """Linear change of variables: s_i is replaced by sum_j M[i,j] t_j.
+    The polynomial oracle for `codes.macwilliams_transform`; no package
+    code calls it."""
     if M.nrows != p.nvars:
         raise DimensionMismatch(
             "matrix has %d rows but polynomial has %d variables"

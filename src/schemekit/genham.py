@@ -4,9 +4,11 @@ For a base scheme A with classes 0..d and words v, w in V^n, the profile
 h(v, w) counts how many coordinates fall in each base class.  Words with
 profile summing to n, grouped by profile, form an association scheme on
 V^n; its classes are indexed by compositions of n into d+1 parts in
-canonical order.  The eigenmatrix of the composite scheme is the induced
-action of the base eigenmatrix on degree-n monomials, which this module
-both computes symbolically and cross-checks against explicit tables.
+canonical order: the symmetric-group fusion of the n-th tensor power of
+A (Delsarte 1973), which is how the explicit table is built.  The
+eigenmatrix of the composite scheme is the induced action of the base
+eigenmatrix on degree-n monomials, which this module both computes
+symbolically and cross-checks against explicit tables.
 """
 
 from __future__ import annotations
@@ -17,18 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, SizeCapExceeded
-from .exact import (
-    ExactMatrix,
-    composition_index,
-    compositions,
-    induced_matrix,
-)
-from .scheme import (
-    AssociationScheme,
-    TranslationStructure,
-    dual_eigenmatrix,
-    eigenmatrix,
-)
+from .exact import composition_index, compositions, induced_matrix
+from .scheme import _labelled_power, dual_eigenmatrix, eigenmatrix
 
 
 def h_vector(v, w, base):
@@ -36,8 +28,8 @@ def h_vector(v, w, base):
     base relation r.
 
     This is the scalar definition: `GHScheme.class_of` reads one pair
-    with it and the tests use it as the oracle for `_profile_keys`,
-    which profiles whole arrays of pairs."""
+    with it, and the tests use it as the oracle for `build_explicit` and
+    for `_profile_keys`, which profiles whole arrays of pairs."""
     if len(v) != len(w):
         raise DimensionMismatch("words have different lengths")
     counts = [0] * (base.d + 1)
@@ -109,33 +101,19 @@ class GHScheme:
 def build_explicit(base, n, cap=4096):
     """The composite scheme as an explicit relation table on V^n.
 
-    Vertices are words read in mixed radix (big-endian).  The table is
-    verified, which asserts that the composite construction really is an
-    association scheme.
+    Vertices are words read in mixed radix (big-endian).  The class of a
+    word pair is its profile, the histogram of its class tuple in the n-th
+    tensor power of the base, so the table is that power with each class
+    tuple relabelled by its composition index; no word pair is profiled.
+    The table is verified, which asserts that the composite construction
+    really is an association scheme.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    v, d = base.v, base.d
-    V = v**n
-    if V > cap:
-        raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
+    def profiles(tuples):
+        index = composition_index(n, base.d + 1)
+        counts = (tuples[:, :, None] == np.arange(base.d + 1)).sum(axis=1)
+        return np.array([index[tuple(h)] for h in counts.tolist()])
 
-    if (n + 1) ** (d + 1) > 2**62:
-        raise SizeCapExceeded("profile key would overflow; reduce n or d")
-    words = TranslationStructure((v,) * n).digits(np.arange(V))
-    key = _profile_keys(words, words, base.relation, d)
-
-    comps = compositions(n, d + 1)
-    comp_keys = np.array([sum(c_r * (n + 1) ** r for r, c_r in enumerate(c))
-                          for c in comps], dtype=np.int64)
-    order = np.argsort(comp_keys)
-    sorted_keys = comp_keys[order]
-    rel = order[np.searchsorted(sorted_keys, key)]
-
-    translation = None
-    if base.translation is not None:
-        translation = TranslationStructure(base.translation.orders * n)
-    return AssociationScheme(rel, translation=translation, check=True)
+    return _labelled_power(base, n, cap, profiles)
 
 
 def eigenmatrix_gh(P, n):
@@ -171,11 +149,11 @@ def formal_duality_check(P, v, n):
     orders in lexicographic order, each with its first matching column
     order).
     """
-    lhs = induced_matrix(dual_eigenmatrix(P, v), n)
+    dual = dual_eigenmatrix(P, v)
+    lhs = induced_matrix(dual, n)
     rhs = induced_matrix(P, n).inverse().scale(v**n)
     identity_holds = lhs == rhs
 
-    dual = dual_eigenmatrix(P, v)
     row_perm = col_perm = None
     if dual == P:
         row_perm, col_perm = tuple(range(P.nrows)), tuple(range(P.ncols))

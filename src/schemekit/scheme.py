@@ -235,6 +235,18 @@ def _row_blocks(rows, width):
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+def _fold(tables):
+    """The Kronecker fold of square tables T_j, the one producer of product
+    tables: entry (x, y), with x and y in the mixed radix of the table
+    sizes, is the tuple (T_j[x_j, y_j])_j read in radix max(T_j) + 1
+    (both big-endian)."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for t in tables:
+        out = out[:, None, :, None] * (int(t.max()) + 1) + t[None, :, None, :]
+        out = out.reshape(len(out) * len(t), -1)
+    return out
+
+
 def _invariance_break(rel, translation):
     """The first (x, y), in row-major order, with rel[x, y] != rel[0, y - x]
     under `translation` (of size v), or None when the table is
@@ -370,29 +382,18 @@ class TranslationStructure:
     def difference_table(self):
         """The v x v table of index(element(y) - element(x)): the
         Kronecker fold of the m x m difference tables of the factors."""
-        table = np.zeros((1, 1), dtype=np.int64)
-        for m in self.orders:
-            k = np.arange(m)
-            cyclic = (k[None, :] - k[:, None]) % m
-            table = table[:, None, :, None] * m + cyclic[None, :, None, :]
-            table = table.reshape(table.shape[0] * m, -1)
-        return table
+        return _fold([(np.arange(m) - np.arange(m)[:, None]) % m for m in self.orders])
 
     def character_exponents(self):
         """The v x v table of <a, z> mod 4, the exponent of i in the
         character a at z, for a group whose orders all divide 4: the
-        Kronecker fold of the m x m tables (4/m) a z mod 4.  `group_scheme`
-        attaches its character table from it."""
+        bilinear form sum_j (4/m_j) a_j z_j on element digits.
+        `group_scheme` attaches its character table from it."""
         if any(4 % m for m in self.orders):
             raise DimensionMismatch("group orders %r do not all divide 4"
                                     % (self.orders,))
-        table = np.zeros((1, 1), dtype=np.int64)
-        for m in self.orders:
-            k = np.arange(m)
-            factor = (4 // m) * k[:, None] * k[None, :] % 4
-            table = (table[:, None, :, None] + factor[None, :, None, :]) % 4
-            table = table.reshape(table.shape[0] * m, -1)
-        return table
+        digits = self.digits(np.arange(self.size))
+        return (digits * (4 // np.array(self.orders))) @ digits.T % 4
 
     def validate(self, relation):
         """Check every class is invariant under simultaneous translation,
@@ -714,8 +715,7 @@ def fusion(scheme, blocks):
 def tensor_product(a, b):
     """Direct product scheme on pairs; class (i, j) gets index
     i*(d_b+1)+j, so (0,0) -> 0."""
-    rel = (a.relation[:, None, :, None] * (b.d + 1) + b.relation[None, :, None, :])
-    rel = rel.reshape(a.v * b.v, a.v * b.v)
+    rel = _fold([a.relation, b.relation])
     P = a.P.kron(b.P) if (a.P is not None and b.P is not None) else None
     translation = None
     if a.translation is not None and b.translation is not None:
@@ -744,6 +744,26 @@ def _perm_closure(generators, n):
     return sorted(group)
 
 
+def _labelled_power(scheme, n, cap, labels):
+    """The n-th tensor power of `scheme`, verified, with class tuple t
+    relabelled labels(tuples)[t]: `tuples` holds all of {0..d}^n as rows,
+    big-endian.  Over a translation base it carries the structure of V^n.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    v, d = scheme.v, scheme.d
+    if v**n > cap:
+        raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
+    if (d + 1) ** n > cap:  # only a table that is no scheme has d + 1 > v
+        raise SizeCapExceeded("%d^%d class tuples exceeds cap %d" % (d + 1, n, cap))
+    tuples = TranslationStructure((d + 1,) * n).digits(np.arange((d + 1) ** n))
+    rel = labels(tuples)[_fold([scheme.relation] * n)]
+    translation = None
+    if scheme.translation is not None:
+        translation = TranslationStructure(scheme.translation.orders * n)
+    return AssociationScheme(rel, translation=translation)
+
+
 def orbit_fusion(scheme, n, generators, cap=4096):
     """Subscheme of the n-fold tensor power fixed by a permutation group.
 
@@ -754,32 +774,19 @@ def orbit_fusion(scheme, n, generators, cap=4096):
     base with a translation structure the result carries the product
     structure of V^n.
     """
-    v, d = scheme.v, scheme.d
-    if v**n > cap:
-        raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
-    group = _perm_closure(generators, n)
+    def orbit_ids(tuples):
+        # orbits of class tuples, discovered in lexicographic order
+        classes = TranslationStructure((scheme.d + 1,) * n)
+        perms = np.array(_perm_closure(generators, n))
+        orbit_id = np.full(len(tuples), -1, dtype=np.int64)
+        next_id = 0
+        for t in range(len(tuples)):
+            if orbit_id[t] < 0:
+                orbit_id[classes.index(tuples[t][perms])] = next_id
+                next_id += 1
+        return orbit_id
 
-    # orbits of class tuples, discovered in lexicographic order
-    classes = TranslationStructure((d + 1,) * n)
-    perms = np.array(group)
-    orbit_id = np.full(classes.size, -1, dtype=np.int64)
-    next_id = 0
-    for t in range(classes.size):
-        if orbit_id[t] < 0:
-            orbit_id[classes.index(classes.digits(t)[perms])] = next_id
-            next_id += 1
-
-    # the tensor power's class index is the big-endian class tuple; the
-    # factor carries no P, so no Kronecker power of P is built
-    factor = AssociationScheme(scheme.relation, check=False)
-    power = factor
-    for _ in range(n - 1):
-        power = tensor_product(power, factor)
-    rel = orbit_id[power.relation]
-    translation = None
-    if scheme.translation is not None:
-        translation = TranslationStructure(scheme.translation.orders * n)
     try:
-        return AssociationScheme(rel, translation=translation)
+        return _labelled_power(scheme, n, cap, orbit_ids)
     except AxiomViolation as e:
         raise ClosureFailure(e.report) from None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
+from schemekit import genham
 from schemekit.errors import SizeCapExceeded
 from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
@@ -65,10 +66,19 @@ def test_profile_keys_decode_to_h_vector(base, n):
                 h_vector(xs[a].tolist(), ys[b].tolist(), base)
 
 
+def _untranslated_cycle5():
+    """The 5-cycle scheme on shuffled vertices, with no translation
+    structure, so its table is checked by the dense route."""
+    perm = [3, 0, 4, 1, 2]
+    return AssociationScheme(cycle_scheme(5).relation[perm][:, perm])
+
+
 @pytest.mark.parametrize("base, n", [
     (one_class(3), 2), (group_scheme([4]), 2), (hamming(2, 2), 2),
-    (cycle_scheme(5), 2), (one_class(2), 4),
-], ids=["one_class3", "group4", "hamming22", "cycle5", "binary_n4"])
+    (cycle_scheme(5), 2), (one_class(2), 4), (_untranslated_cycle5(), 2),
+    (build_explicit(cycle_scheme(4), 2), 2),
+], ids=["one_class3", "group4", "hamming22", "cycle5", "binary_n4",
+        "untranslated_cycle5", "composite_cycle4"])
 def test_build_explicit_classes_are_profiles(base, n):
     g = build_explicit(base, n)
     gh = GHScheme(base, n)
@@ -78,13 +88,36 @@ def test_build_explicit_classes_are_profiles(base, n):
             assert g.relation[x, y] == gh.class_of(wx, wy)
 
 
-def test_build_explicit_overflow_guard():
-    # cycle distances 0..62: 2^63 > 2^62 already at n = 1
+def test_build_explicit_wide_base_at_n1():
+    """A base with 63 classes (the distances 0..62 of the 125-cycle, with
+    no translation structure) is its own composite at n = 1, and the
+    vertex cap still holds."""
     m = 125
     k = TranslationStructure((m,)).difference_table()
     base = AssociationScheme(np.minimum(k, m - k), check=False)
-    with pytest.raises(SizeCapExceeded, match="overflow"):
-        build_explicit(base, 1)
+    assert base.d == 62
+    assert (build_explicit(base, 1).relation == base.relation).all()
+    with pytest.raises(SizeCapExceeded):
+        build_explicit(base, 2)  # 125^2 > 4096
+
+
+def test_build_explicit_caps_class_tuples():
+    """An unchecked table with more class labels than vertices is no
+    scheme; its (d+1)^n class tuples are refused before any is built."""
+    base = AssociationScheme([[0, 9999], [9999, 0]], check=False)
+    with pytest.raises(SizeCapExceeded, match="class tuples"):
+        build_explicit(base, 2)
+
+
+def test_build_explicit_forms_no_profile_keys(monkeypatch):
+    """The composite table is the relabelled tensor power: no word pair
+    is profiled by the key kernel."""
+    def refuse(*args):
+        raise AssertionError("_profile_keys called")
+
+    monkeypatch.setattr(genham, "_profile_keys", refuse)
+    g = build_explicit(one_class(2), 3)
+    assert g.relation[0].tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
 
 def test_build_explicit_h22():

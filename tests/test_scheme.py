@@ -533,6 +533,12 @@ def test_tensor_product_classes():
     assert verify_axioms(t.relation).ok
     # class of ((x1,x2),(y1,y2)) is i*(d_b+1)+j from the factor classes
     assert t.relation[0, 3] == 3  # differs in both coordinates
+    b = cycle_scheme(4)
+    t = tensor_product(a, b)
+    for (x1, x2), (y1, y2) in itertools.product(
+            itertools.product(range(a.v), range(b.v)), repeat=2):
+        assert t.relation[x1 * b.v + x2, y1 * b.v + y2] == \
+            a.relation[x1, y1] * (b.d + 1) + b.relation[x2, y2]
 
 
 def test_orbit_fusion_matches_composite():
@@ -548,6 +554,12 @@ def test_orbit_fusion_matches_composite():
         sym = orbit_fusion(base, n, sn_generators[n])
         explicit = build_explicit(base, n)
         assert (sym.relation == explicit.relation).all()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_orbit_fusion_needs_positive_n(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        orbit_fusion(one_class(2), n, [])
 
 
 def test_orbit_fusion_trivial_group():
