@@ -30,7 +30,12 @@ from .codes import (
 from .errors import FormatError, MathError, SchemeKitError, SizeCapExceeded
 from .exact import ExactMatrix
 from .genham import build_explicit, eigenmatrix_gh, fusion_check_trans
-from .modular import induced_modular_check, search_T, verify_modular
+from .modular import (
+    _SEARCH_RESTARTS,
+    induced_modular_check,
+    search_T,
+    verify_modular,
+)
 from .scheme import (
     dual_eigenmatrix,
     eigenmatrix,
@@ -603,7 +608,7 @@ def build_parser():
     p = msub.add_parser("search", parents=[common],
                         help="search for a diagonal T (exactly verified)")
     p.add_argument("--base", required=True, help=_BASE_HELP)
-    p.add_argument("--restarts", type=_positive_int, default=200,
+    p.add_argument("--restarts", type=_positive_int, default=_SEARCH_RESTARTS,
                    help="numeric restart budget for larger sizes")
     p.set_defaults(func=cmd_modinv_search)
 

@@ -3,10 +3,11 @@
 verify_modular is purely exact.  search_T solves sizes up to 3x3 by
 exact elimination (resultants/gcds of the constraint polynomials over
 the Gaussian rationals, roots re-verified exactly); larger sizes use a
-numeric random-restart search, a Levenberg-Marquardt solve with the
-analytic Jacobian of the cube, whose every success is snapped to
-Gaussian rationals and re-verified exactly, so an inexact witness can
-never be returned.  A None result is a budget statement ("search
+numeric random-restart search: Levenberg-Marquardt solves with the
+analytic Jacobian of the cube, stepped together in blocks of restarts,
+whose every success is snapped to Gaussian rationals and re-verified
+exactly (each distinct snapped candidate once), so an inexact witness
+can never be returned.  A None result is a budget statement ("search
 incomplete"), never a proof of absence.
 """
 
@@ -387,101 +388,145 @@ def _search_3x3_exact(P, restarts):
 
 
 def least_squares(residual, x0):
-    """Levenberg-Marquardt minimisation of cost = |r(x)|^2 / 2.
+    """Levenberg-Marquardt minimisation of cost = |r(x)|^2 / 2, for a
+    batch of starting points stepped together.
 
-    residual(x) returns the real residual vector r and its Jacobian J.
-    The damping follows Nielsen's gain-ratio rule; the solve stops at
-    cost 1e-30, at a vanishing gradient or step, when an accepted step
-    no longer lowers the cost, or after _LM_ITERATIONS trial steps.
-    Returns (x, cost).
+    x0 holds one starting point per row.  residual(x) returns, for each
+    row of x, the cost and the normal equations A = J^T J and g = J^T r
+    of the real residual r and its Jacobian J.  Every row keeps its own
+    damping, which follows Nielsen's gain-ratio rule, and stops on its
+    own: at cost 1e-30, at a vanishing gradient or step, when an
+    accepted step no longer lowers the cost, or after _LM_ITERATIONS
+    trial steps.  A row whose damped system is singular is dropped with
+    cost inf.  Returns (x, cost), one row of x and one cost per row.
     """
-    x = np.asarray(x0, dtype=float)
-    eye = np.eye(x.size)
-    r, J = residual(x)
-    cost = 0.5 * (r @ r)
-    A, g = J.T @ J, J.T @ r
-    damping, growth = 1e-3 * np.max(np.diag(A)), 2.0
+    x = np.array(x0, dtype=float)
+    cost, A, g = residual(x)
+    eye = np.eye(x.shape[1])
+    damping = 1e-3 * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
+    growth = np.full(len(x), 2.0)
+    live = np.arange(len(x))
     for _ in range(_LM_ITERATIONS):
-        if cost <= 1e-30 or np.max(np.abs(g)) <= 1e-15:
+        live = live[(cost[live] > 1e-30)
+                    & (np.max(np.abs(g[live]), axis=1) > 1e-15)]
+        if not live.size:
             break
-        step = np.linalg.solve(A + damping * eye, -g)
-        if step @ step <= 1e-30 * (1.0 + x @ x):
-            break
-        r_new, J_new = residual(x + step)
-        cost_new = 0.5 * (r_new @ r_new)
-        gain = (cost - cost_new) / (0.5 * step @ (damping * step - g))
-        if gain > 0:
-            stalled = cost - cost_new <= 1e-15 * cost
-            x, r, J, cost = x + step, r_new, J_new, cost_new
-            A, g = J.T @ J, J.T @ r
-            damping *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
-            growth = 2.0
-            if stalled:
-                break
-        else:
-            damping *= growth
-            growth *= 2
+        step, solved = _solve_each(A[live] + damping[live, None, None] * eye,
+                                   -g[live])
+        cost[live[~solved]] = np.inf
+        live = live[solved]
+        x_live = x[live]
+        moving = (np.einsum("ij,ij->i", step, step)
+                  > 1e-30 * (1.0 + np.einsum("ij,ij->i", x_live, x_live)))
+        live, step, x_live = live[moving], step[moving], x_live[moving]
+        cost_new, A_new, g_new = residual(x_live + step)
+        predicted = 0.5 * np.einsum(
+            "ij,ij->i", step, damping[live, None] * step - g[live])
+        gain = (cost[live] - cost_new) / predicted
+        better = gain > 0
+        up, down = live[better], live[~better]
+        stalled = cost[up] - cost_new[better] <= 1e-15 * cost[up]
+        x[up] = x_live[better] + step[better]
+        cost[up], A[up], g[up] = cost_new[better], A_new[better], g_new[better]
+        damping[up] *= np.maximum(1 / 3, 1 - (2 * gain[better] - 1) ** 3)
+        growth[up] = 2.0
+        damping[down] *= growth[down]
+        growth[down] *= 2
+        live = np.setdiff1d(live, up[stalled])
     return x, cost
 
 
-def _cube_residual(Pn):
-    """Residual and Jacobian of (P diag(1, t))^3 = c I in x = (Re t, Im t).
+def _solve_each(M, b):
+    """Solve the stacked systems M[i] y = b[i].  Returns the solutions
+    of the nonsingular systems and the mask of those systems."""
+    try:
+        return np.linalg.solve(M, b[..., None])[..., 0], np.ones(len(b), bool)
+    except np.linalg.LinAlgError:
+        solved = np.ones(len(b), bool)
+        y = np.empty_like(b)
+        for i in range(len(b)):
+            try:
+                y[i] = np.linalg.solve(M[i], b[i])
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return y[solved], solved
 
-    The residual is the off-diagonal entries of the cube K and the
+
+def _cube_residual(Pn):
+    """Cost and normal equations of (P diag(1, t))^3 = c I in
+    x = (Re t, Im t), for each row of x.
+
+    The residual r is the off-diagonal entries of the cube K and the
     differences K[i, i] - K[0, 0], in real then imaginary parts.  K is
     holomorphic in t: with M = P diag(1, t) and dM = P[:, j] e_j^T,
     dK/dt_j = dM M^2 + M dM M + M^2 dM, and its derivative in Im t_j is
-    i dK/dt_j.
+    i dK/dt_j.  So with D the complex derivative of the entries in t,
+    the real Jacobian is J = [[Re D, -Im D], [Im D, Re D]], and with
+    H = D^H D, J^T J = [[Re H, -Im H], [Im H, Re H]] and
+    J^T r = (Re D^H r, Im D^H r); J itself is never formed.
     """
     k = Pn.shape[0]
     d = k - 1
-    basis = np.eye(k * k)
-    # vec(K) @ defect: the entries that vanish exactly when K is scalar
-    defect = np.concatenate(
-        [basis[:, ~np.eye(k, dtype=bool).ravel()],
-         basis[:, (k + 1) * np.arange(1, k)] - basis[:, :1]], axis=1)
+    off = np.flatnonzero(~np.eye(k, dtype=bool))
+    diagonal = (k + 1) * np.arange(1, k)
     cols = Pn[:, 1:].T[:, :, None]        # P[:, j] for j = 1..d
     units = np.eye(k)[1:, None, :]        # e_j^T for j = 1..d
 
+    def defect(K):
+        """The entries of vec(K) (last axis) that vanish exactly when K
+        is scalar."""
+        return np.concatenate([K[..., off], K[..., diagonal] - K[..., :1]],
+                              axis=-1)
+
     def residual(x):
-        M = Pn * np.concatenate([[1.0], x[:d] + 1j * x[d:]])
+        n = len(x)
+        t = np.concatenate([np.ones((n, 1)), x[:, :d] + 1j * x[:, d:]],
+                           axis=1)
+        M = Pn * t[:, None, :]
         M2 = M @ M
-        dK = (cols * M2[1:, None, :] + (M @ cols) * M[1:, None, :]
-              + (M2 @ cols) * units)
-        r = (M2 @ M).reshape(k * k) @ defect
-        D = (dK.reshape(d, k * k) @ defect).T
-        J = np.concatenate([D, 1j * D], axis=1)
-        return (np.concatenate([r.real, r.imag]),
-                np.concatenate([J.real, J.imag]))
+        dK = (cols * M2[:, 1:, None, :]
+              + (M[:, None] @ cols) * M[:, 1:, None, :]
+              + (M2[:, None] @ cols) * units)
+        r = defect((M2 @ M).reshape(n, k * k))
+        Dt = defect(dK.reshape(n, d, k * k))       # row j: dr/dt_j
+        H = Dt.conj() @ Dt.transpose(0, 2, 1)
+        Dr = np.einsum("njm,nm->nj", Dt.conj(), r)
+        A = np.block([[H.real, -H.imag], [H.imag, H.real]])
+        g = np.concatenate([Dr.real, Dr.imag], axis=1)
+        cost = 0.5 * np.einsum("nm,nm->n", r.real, r.real) \
+            + 0.5 * np.einsum("nm,nm->n", r.imag, r.imag)
+        return cost, A, g
 
     return residual
 
 
 def _search_numeric(P, restarts):
+    """The lowest-index restart whose snapped point verifies exactly.
+
+    Restarts run in blocks of at most _SEARCH_RESTARTS, drawn in order
+    from one seeded stream (so a block gives the points that as many
+    single draws would), and each distinct snapped candidate is verified
+    once: a repeat of one that failed cannot succeed.
+    """
     k = P.nrows
     d = k - 1
     Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
     residual = _cube_residual(Pn)
     rng = np.random.default_rng(_SEARCH_SEED)
-    for _ in range(restarts):
-        x0 = rng.normal(0.0, 1.0, size=2 * d)
-        try:
-            x, cost = least_squares(residual, x0)
-        except np.linalg.LinAlgError:
-            continue
-        if cost > 1e-18:
-            continue
-        entries = []
-        for r in range(d):
-            g = snap_gauss(complex(x[r], x[d + r]))
-            if g is None:
-                break
-            entries.append(g)
-        if len(entries) < d:
-            continue
-        witness = _verify_candidates(P, [tuple(entries)])
-        if witness is not None:
-            return witness
+    tried = set()
+    for start in range(0, restarts, _SEARCH_RESTARTS):
+        size = min(_SEARCH_RESTARTS, restarts - start)
+        x, cost = least_squares(residual,
+                                rng.normal(0.0, 1.0, size=(size, 2 * d)))
+        for point in x[cost <= 1e-18]:
+            entries = tuple(snap_gauss(complex(re, im))
+                            for re, im in zip(point[:d], point[d:]))
+            if any(g is None for g in entries) or entries in tried:
+                continue
+            tried.add(entries)
+            witness = _verify_candidates(P, [entries])
+            if witness is not None:
+                return witness
     return None
 
 
@@ -490,10 +535,14 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
 
     Up to three classes the search is exact elimination; beyond (and as
     the fallback of a degenerate 3x3 system) it is `restarts` seeded
-    Levenberg-Marquardt solves (`least_squares`) whose converged points
-    are snapped to Gaussian rationals.  Returns a ModularWitness (always
-    verified exactly) or None when the search budget is exhausted; None
-    means "search incomplete", not a proof that no witness exists.
+    Levenberg-Marquardt solves, run by `least_squares` in blocks of at
+    most _SEARCH_RESTARTS, whose converged points are snapped to
+    Gaussian rationals; each distinct snapped candidate is verified
+    once, and the witness returned is that of the lowest-index restart
+    that verifies.  restarts <= 0 searches nothing.  Returns a
+    ModularWitness (always verified exactly) or None when the search
+    budget is exhausted; None means "search incomplete", not a proof
+    that no witness exists.
     """
     if P.nrows != P.ncols:
         raise DimensionMismatch("P must be square")

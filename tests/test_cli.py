@@ -292,7 +292,8 @@ def test_modinv_search_incomplete(capsys):
     assert run(["modinv", "search", "--base", "one_class:3", "--json"]) == 1
     obj = out_json(capsys)
     assert obj["found"] is False
-    assert "incomplete" in obj["detail"]
+    assert obj["detail"] == \
+        "search incomplete: no witness within 200 restarts"
 
 
 def test_modinv_lift(capsys):

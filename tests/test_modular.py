@@ -11,7 +11,11 @@ from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.errors import DimensionMismatch, NotScalar
 from schemekit.exact import ExactMatrix, GaussRat, MPoly, induced_matrix
 from schemekit.genham import eigenmatrix_gh
+from schemekit import modular
 from schemekit.modular import (
+    _LM_ITERATIONS,
+    _SEARCH_RESTARTS,
+    _SEARCH_SEED,
     _coeff_list,
     _constraints,
     _cube_residual,
@@ -19,6 +23,7 @@ from schemekit.modular import (
     _sylvester_matrix,
     _symbolic_cube,
     induced_modular_check,
+    least_squares,
     search_T,
     verify_modular,
 )
@@ -140,18 +145,169 @@ def test_search_none_for_cycle6():
     assert search_T(eigenmatrix(cycle_scheme(6))) is None
 
 
-def test_cube_jacobian_matches_central_differences():
+def test_search_nonpositive_restarts_search_nothing(monkeypatch):
+    def no_solve(residual, x0):
+        raise AssertionError("least_squares called")
+
+    monkeypatch.setattr(modular, "least_squares", no_solve)
     P = eigenmatrix(group_scheme([4]))
+    assert search_T(P, restarts=0) is None
+    assert search_T(P, restarts=-3) is None
+
+
+@pytest.mark.parametrize("restarts, found", [(2, False), (3, True),
+                                             (401, True)])
+def test_search_returns_lowest_index_witness(restarts, found):
+    # restart 2 is the first whose snapped point verifies; 401 restarts
+    # span three blocks and still return that restart's witness
+    w = search_T(eigenmatrix(group_scheme([2, 2])), restarts=restarts)
+    if not found:
+        assert w is None
+    else:
+        assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
+        assert w.c == GaussRat(0, -8)
+
+
+def test_search_runs_restarts_in_bounded_blocks(monkeypatch):
+    sizes = []
+
+    def recording(residual, x0):
+        sizes.append(len(x0))
+        return least_squares(residual, x0)
+
+    monkeypatch.setattr(modular, "least_squares", recording)
+    assert search_T(eigenmatrix(group_scheme([4])), restarts=450) is None
+    assert sizes == [_SEARCH_RESTARTS, _SEARCH_RESTARTS, 50]
+
+
+def test_search_verifies_each_candidate_once(monkeypatch):
+    seen = []
+
+    def recording(P, T):
+        seen.append(tuple(T[i, i] for i in range(T.nrows)))
+        return verify_modular(P, T)
+
+    monkeypatch.setattr(modular, "verify_modular", recording)
+    assert search_T(eigenmatrix(group_scheme([4]))) is None
+    assert len(seen) == len(set(seen))
+    assert len(seen) <= _SEARCH_RESTARTS // 4
+
+
+def test_least_squares_drops_only_singular_rows():
+    # r(x) = x - 1, except that a row starting at x[0] = 5 sees a zero
+    # Jacobian, so its damped system is singular at the first step
+    def residual(x):
+        r = x - 1.0
+        A = np.broadcast_to(np.eye(x.shape[1]), (len(x),) + (x.shape[1],) * 2)
+        A = np.where((x[:, 0] == 5.0)[:, None, None], 0.0, A)
+        g = np.where((x[:, :1] == 5.0), 1.0, r)
+        return 0.5 * np.sum(r * r, axis=1), A, g
+
+    x, cost = least_squares(residual, [[0.0, 2.0], [5.0, 0.0], [3.0, -1.0]])
+    assert cost[1] == np.inf
+    assert np.all(cost[[0, 2]] <= 1e-30)
+    assert np.allclose(x[[0, 2]], 1.0)
+
+
+# -- the single-restart Levenberg-Marquardt the batched one replaced --------
+
+
+def _oracle_cube_residual(Pn):
+    """Real residual r and Jacobian J of (P diag(1, t))^3 = c I at one
+    point x = (Re t, Im t)."""
+    k = Pn.shape[0]
+    d = k - 1
+    basis = np.eye(k * k)
+    defect = np.concatenate(
+        [basis[:, ~np.eye(k, dtype=bool).ravel()],
+         basis[:, (k + 1) * np.arange(1, k)] - basis[:, :1]], axis=1)
+    cols = Pn[:, 1:].T[:, :, None]
+    units = np.eye(k)[1:, None, :]
+
+    def residual(x):
+        M = Pn * np.concatenate([[1.0], x[:d] + 1j * x[d:]])
+        M2 = M @ M
+        dK = (cols * M2[1:, None, :] + (M @ cols) * M[1:, None, :]
+              + (M2 @ cols) * units)
+        r = (M2 @ M).reshape(k * k) @ defect
+        D = (dK.reshape(d, k * k) @ defect).T
+        J = np.concatenate([D, 1j * D], axis=1)
+        return (np.concatenate([r.real, r.imag]),
+                np.concatenate([J.real, J.imag]))
+
+    return residual
+
+
+def _oracle_least_squares(residual, x0):
+    """One restart: the batched solver's rules, step by step."""
+    x = np.asarray(x0, dtype=float)
+    eye = np.eye(x.size)
+    r, J = residual(x)
+    cost = 0.5 * (r @ r)
+    A, g = J.T @ J, J.T @ r
+    damping, growth = 1e-3 * np.max(np.diag(A)), 2.0
+    for _ in range(_LM_ITERATIONS):
+        if cost <= 1e-30 or np.max(np.abs(g)) <= 1e-15:
+            break
+        step = np.linalg.solve(A + damping * eye, -g)
+        if step @ step <= 1e-30 * (1.0 + x @ x):
+            break
+        r_new, J_new = residual(x + step)
+        cost_new = 0.5 * (r_new @ r_new)
+        gain = (cost - cost_new) / (0.5 * step @ (damping * step - g))
+        if gain > 0:
+            stalled = cost - cost_new <= 1e-15 * cost
+            x, r, J, cost = x + step, r_new, J_new, cost_new
+            A, g = J.T @ J, J.T @ r
+            damping *= max(1 / 3, 1 - (2 * gain - 1) ** 3)
+            growth = 2.0
+            if stalled:
+                break
+        else:
+            damping *= growth
+            growth *= 2
+    return x, cost
+
+
+def _numeric_p(P):
     k = P.nrows
-    Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
-    residual = _cube_residual(Pn)
-    x = np.random.default_rng(2024).normal(0.0, 1.0, size=2 * (k - 1))
-    _, J = residual(x)
+    return np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
+
+
+def test_cube_jacobian_matches_central_differences():
+    Pn = _numeric_p(eigenmatrix(group_scheme([4])))
+    oracle = _oracle_cube_residual(Pn)
+    points = np.random.default_rng(2024).normal(0.0, 1.0, size=(3, 6))
+    cost, A, g = _cube_residual(Pn)(points)
     h = 1e-6
-    fd = np.column_stack([(residual(x + h * e)[0] - residual(x - h * e)[0])
-                          / (2 * h) for e in np.eye(x.size)])
-    assert J.shape == fd.shape
-    assert np.abs(J - fd).max() <= 1e-6 * np.abs(J).max()
+    for x, cost_x, A_x, g_x in zip(points, cost, A, g):
+        r, _ = oracle(x)
+        J = np.column_stack([(oracle(x + h * e)[0] - oracle(x - h * e)[0])
+                             / (2 * h) for e in np.eye(x.size)])
+        assert np.isclose(cost_x, 0.5 * (r @ r), rtol=1e-12)
+        assert np.abs(A_x - J.T @ J).max() <= 1e-6 * np.abs(A_x).max()
+        assert np.abs(g_x - J.T @ r).max() <= 1e-6 * np.abs(g_x).max()
+
+
+@pytest.mark.parametrize("P", [
+    eigenmatrix(group_scheme([4])),
+    eigenmatrix(group_scheme([2, 2])),
+    eigenmatrix(cycle_scheme(6)),
+], ids=["group:4", "group:2:2", "cycle:6"])
+def test_batched_least_squares_matches_single_restarts(P):
+    # the same restarts the search draws; the batch sums in another
+    # order, so points agree to rounding, not bit for bit
+    Pn = _numeric_p(P)
+    d = P.nrows - 1
+    x0 = np.random.default_rng(_SEARCH_SEED).normal(
+        0.0, 1.0, size=(_SEARCH_RESTARTS, 2 * d))
+    x, cost = least_squares(_cube_residual(Pn), x0)
+    oracle = _oracle_cube_residual(Pn)
+    for i, row in enumerate(x0):
+        x_i, cost_i = _oracle_least_squares(oracle, row)
+        assert (cost[i] <= 1e-18) == (cost_i <= 1e-18), i
+        if cost_i <= 1e-18:
+            assert np.abs(x[i] - x_i).max() <= 1e-7, i
 
 
 def test_cli_import_leaves_scipy_out():
