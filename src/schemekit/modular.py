@@ -1,25 +1,25 @@
 """Modular-invariance witnesses: diagonal T with (PT)^3 = c I.
 
-verify_modular is purely exact.  search_T solves sizes up to 3x3 by
-exact elimination (resultants/gcds of the constraint polynomials over
-the Gaussian rationals, roots re-verified exactly); larger sizes use a
-numeric random-restart search: Levenberg-Marquardt solves with the
-analytic Jacobian of the cube, stepped together in blocks of restarts,
-whose every success is snapped to Gaussian rationals and re-verified
-exactly (each distinct snapped candidate once), so an inexact witness
-can never be returned.  A None result is a budget statement ("search
-incomplete"), never a proof of absence.
+verify_modular is purely exact.  search_T refuses a singular P at once.
+Up to 3x3 it eliminates exactly over the Gaussian rationals on the
+first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger sizes, and 3x3
+quadrics with a positive-dimensional component, use seeded batched
+Levenberg-Marquardt restarts on the cube, whose converged points are
+snapped to Gaussian rationals.  Every candidate is re-verified exactly,
+so an inexact witness can never be returned.  A None is a proof of
+absence only from a zero-dimensional quadric system (see search_T).
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotScalar
+from .errors import DimensionMismatch, NotScalar, SingularMatrix
 from .exact import (
     ExactMatrix,
     GaussRat,
@@ -29,7 +29,6 @@ from .exact import (
     compositions,
     induced_matrix,
     snap_gauss,
-    substitute_polys,
 )
 
 _SEARCH_SEED = 47117
@@ -74,33 +73,46 @@ def verify_modular(P, T):
     return ModularWitness(T, c)
 
 
-# -- symbolic constraints -----------------------------------------------
+# -- polynomial systems --------------------------------------------------
 
 
-def _symbolic_cube(P):
-    """(P diag(1, t_1, .., t_d))^3 with polynomial entries in t_1..t_d."""
+def _cube_constraints(P):
+    """The off-diagonal entries and diagonal differences of the cube
+    K = (P diag(1, t_1, .., t_d))^3, as MPolys in t_1..t_d, zeros
+    dropped: K = c I exactly where they all vanish."""
     k = P.nrows
     d = k - 1
-    diag = [MPoly.constant(d, 1)]
-    diag += [MPoly.variable(j, d) for j in range(d)]
-    M = [[diag[j] * P[i, j] for j in range(k)] for i in range(k)]
-
-    def matmul(A, B):
-        return [
-            [sum((A[i][r] * B[r][j] for r in range(k)), MPoly.zero(d))
-             for j in range(k)]
-            for i in range(k)
-        ]
-
-    return matmul(matmul(M, M), M)
-
-
-def _constraints(K):
-    """Off-diagonal entries and diagonal differences, zeros dropped."""
-    k = len(K)
+    t = [MPoly.constant(d, 1)] + [MPoly.variable(j, d) for j in range(d)]
+    M = K = [[t[j] * P[i, j] for j in range(k)] for i in range(k)]
+    for _ in range(2):
+        K = [[sum((K[i][r] * M[r][j] for r in range(k)), MPoly.zero(d))
+              for j in range(k)] for i in range(k)]
     cons = [K[i][j] for i in range(k) for j in range(k) if i != j]
     cons += [K[0][0] - K[i][i] for i in range(1, k)]
     return [p for p in cons if p]
+
+
+def _quadrics(P, b):
+    """The first-row quadrics of (P diag(1, t_1, .., t_d))^3 = c I, as
+    MPolys in t_1..t_d, given b, row 0 of P^-1.
+
+    With c != 0, M = PT has M^2 = c M^-1, so PTP = c T^-1 P^-1 T^-1,
+    whose row 0 reads a_j(t) t_j = c b_j for a_j(t) = sum_r P[0, r]
+    P[r, j] t_r (t_0 = 1).  Cross-multiplying each entry j against one
+    entry m with b_m != 0 (m = 0 unless b_0 = 0) eliminates c:
+    b_m a_j(t) t_j - b_j a_m(t) t_m = 0 for the d indices j != m.  Every
+    witness is a zero of these; a zero need not be a witness.
+    """
+    k = P.nrows
+    d = k - 1
+
+    def a_t(j):
+        return MPoly(d, {tuple(int(i + 1 == r) + int(i + 1 == j)
+                               for i in range(d)): P[0, r] * P[r, j]
+                         for r in range(k)})
+
+    m = next(j for j in range(k) if b[j])
+    return [a_t(j) * b[m] - a_t(m) * b[j] for j in range(k) if j != m]
 
 
 # -- univariate polynomial utilities over GaussRat ----------------------
@@ -157,13 +169,18 @@ def _gcd_many(lists):
 def _exact_roots(coeffs):
     """Exact Gaussian-rational roots of an ascending coefficient list.
 
-    Numeric roots are snapped and then checked exactly against the
-    polynomial, so only true roots are returned.  Ordered by (im, re)
-    descending for deterministic search output.
+    The squarefree part p / gcd(p, p') is solved numerically, so a
+    multiple root comes back as accurately as a simple one; its roots
+    are snapped and then checked exactly against it, so only true roots
+    are returned.  Ordered by (im, re) descending for deterministic
+    search output.
     """
     coeffs = list(coeffs)
     while coeffs and not coeffs[-1]:
         coeffs.pop()
+    if len(coeffs) > 2:
+        derivative = [c * i for i, c in enumerate(coeffs)][1:]
+        coeffs = _poly_divmod(coeffs, _poly_gcd(coeffs, derivative))[0]
     if len(coeffs) <= 1:
         return []
     if len(coeffs) == 2:
@@ -188,15 +205,11 @@ def _exact_roots(coeffs):
 
 def _y_coefficients(p):
     """Bivariate MPoly as ascending y-coefficients, each univariate in x."""
-    deg = max(e[1] for e in p.terms)
+    deg = max((e[1] for e in p.terms), default=0)
     coeffs = [MPoly.zero(1) for _ in range(deg + 1)]
     for (ex, ey), c in p.terms.items():
         coeffs[ey] = coeffs[ey] + MPoly.monomial((ex,), c)
     return coeffs
-
-
-def _drop_second_var(p):
-    return MPoly(1, {(e[0],): c for e, c in p.terms.items()})
 
 
 def _gauss_det(A):
@@ -288,16 +301,6 @@ def _sylvester_matrix(f, g):
     return rows
 
 
-def _resultant_y(f, g):
-    """Res_y(f, g) for bivariate f, g: ascending coefficient list in x.
-
-    Vanishes at every x that extends to a common zero of f and g, so its
-    roots are a sound candidate superset for elimination.
-    """
-    S = _sylvester_matrix(f, g)
-    return [] if S is None else _poly_det(S)
-
-
 # -- exact search, sizes 2 and 3 ----------------------------------------
 
 
@@ -311,77 +314,60 @@ def _verify_candidates(P, diagonals):
     return None
 
 
-def _search_2x2_exact(P):
-    cons = _constraints(_symbolic_cube(P))
-    if not cons:
-        return _verify_candidates(P, [(GaussRat(1),)])
-    g = _gcd_many([_coeff_list(p) for p in cons])
-    roots = _exact_roots(g)
-    return _verify_candidates(P, [(t,) for t in roots])
-
-
 _HEURISTIC_VALUES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
 
 
-def _y_candidates_at(cons, x0):
-    """Exact y-solutions of the constraint set specialized at x = x0.
+def _last_coordinate(polys, prefix):
+    """Exact roots in t_d of polys with t_1..t_{d-1} set to prefix: the
+    roots of their gcd there, or None if every one vanishes there,
+    leaving t_d free."""
+    gens = []
+    for p in polys:
+        coeffs = defaultdict(GaussRat)
+        for e, c in p.terms.items():
+            coeffs[e[-1]] += prod((x0**ex for x0, ex in zip(prefix, e)),
+                                  start=c)
+        gens.append([coeffs[i] for i in range(max(coeffs, default=-1) + 1)])
+    g = _gcd_many(gens)
+    return _exact_roots(g) if g else None
 
-    None if x0 is plainly inconsistent (a constraint becomes a nonzero
-    constant, or the common y-gcd is constant); heuristic values if the
-    specialized system leaves y unconstrained.
+
+def _search_exact(P, b, restarts):
+    """Sizes 2 and 3 by elimination on the first-row quadrics.
+
+    With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
+    quadric free of y = t_2.  If that eliminant vanishes identically the
+    quadrics have a positive-dimensional component: the heuristic values
+    stand in for x, then the numeric search.  At each x (once for d = 1)
+    the last coordinate is a root of the quadrics' gcd; where they leave
+    it free, of the cube constraints'; where those do too, a heuristic
+    value.
     """
-    images = [MPoly.constant(1, x0), MPoly.variable(0, 1)]
-    gens_y = []
-    for p in cons:
-        coeffs = _coeff_list(substitute_polys(p, images))
-        if len(coeffs) == 1:
-            return None
-        if coeffs:
-            gens_y.append(coeffs)
-    if not gens_y:
-        return list(_HEURISTIC_VALUES)
-    hy = _gcd_many(gens_y)
-    if len(hy) == 1:
-        return None
-    return _exact_roots(hy)
-
-
-def _search_3x3_exact(P, restarts):
-    cons = _constraints(_symbolic_cube(P))
-    if not cons:
-        return _verify_candidates(P, [(GaussRat(1), GaussRat(1))])
-    x_only, with_y = [], []
-    for p in cons:
-        if max(e[1] for e in p.terms) == 0:
-            x_only.append(p)
-        else:
-            with_y.append(p)
-    gens_x = [_coeff_list(_drop_second_var(p)) for p in x_only]
-    for a in range(len(with_y)):
-        for b in range(a + 1, len(with_y)):
-            r = _resultant_y(with_y[a], with_y[b])
-            if any(r):
-                gens_x.append(r)
-    hx = _gcd_many(gens_x)
-    if hx:
-        x_candidates = _exact_roots(hx)
-        degenerate = False
-    else:
-        # every resultant vanished: the solution set has a positive-
-        # dimensional component, so any x may extend.  Try nice values
-        # exactly before resorting to the numeric search.
-        x_candidates = list(_HEURISTIC_VALUES)
-        degenerate = True
-    for x0 in x_candidates:
-        y_candidates = _y_candidates_at(cons, x0)
-        if not y_candidates:
-            continue
-        witness = _verify_candidates(P, [(x0, y0) for y0 in y_candidates])
+    quadrics = _quadrics(P, b)
+    cube = None
+    prefixes, degenerate = [()], False
+    if len(quadrics) == 2:
+        with_y = [q for q in quadrics if any(e[1] for e in q.terms)]
+        gens_x = [_coeff_list(_y_coefficients(q)[0])
+                  for q in quadrics if q not in with_y]
+        if len(with_y) == 2:
+            gens_x.append(_poly_det(_sylvester_matrix(*with_y)))
+        hx = _gcd_many(gens_x)
+        degenerate = not hx
+        prefixes = [(x0,) for x0 in
+                    (_exact_roots(hx) if hx else _HEURISTIC_VALUES)]
+    for prefix in prefixes:
+        last = _last_coordinate(quadrics, prefix)
+        if last is None:
+            if cube is None:
+                cube = _cube_constraints(P)
+            last = _last_coordinate(cube, prefix)
+        witness = _verify_candidates(
+            P, [prefix + (t,) for t in
+                (_HEURISTIC_VALUES if last is None else last)])
         if witness is not None:
             return witness
-    if degenerate:
-        return _search_numeric(P, restarts)
-    return None
+    return _search_numeric(P, restarts) if degenerate else None
 
 
 # -- numeric search with exact confirmation -----------------------------
@@ -470,7 +456,7 @@ def _cube_residual(Pn):
     off = np.flatnonzero(~np.eye(k, dtype=bool))
     diagonal = (k + 1) * np.arange(1, k)
     cols = Pn[:, 1:].T[:, :, None]        # P[:, j] for j = 1..d
-    units = np.eye(k)[1:, None, :]        # e_j^T for j = 1..d
+    j = np.arange(d)
 
     def defect(K):
         """The entries of vec(K) (last axis) that vanish exactly when K
@@ -485,8 +471,9 @@ def _cube_residual(Pn):
         M = Pn * t[:, None, :]
         M2 = M @ M
         dK = (cols * M2[:, 1:, None, :]
-              + (M[:, None] @ cols) * M[:, 1:, None, :]
-              + (M2[:, None] @ cols) * units)
+              + (M[:, None] @ cols) * M[:, 1:, None, :])
+        # M^2 dM is M^2 P[:, j] in column j alone
+        dK[:, j, :, j + 1] += (M2[:, None] @ cols)[..., 0].transpose(1, 0, 2)
         r = defect((M2 @ M).reshape(n, k * k))
         Dt = defect(dK.reshape(n, d, k * k))       # row j: dr/dt_j
         H = Dt.conj() @ Dt.transpose(0, 2, 1)
@@ -533,25 +520,28 @@ def _search_numeric(P, restarts):
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
-    Up to three classes the search is exact elimination; beyond (and as
-    the fallback of a degenerate 3x3 system) it is `restarts` seeded
-    Levenberg-Marquardt solves, run by `least_squares` in blocks of at
-    most _SEARCH_RESTARTS, whose converged points are snapped to
+    A singular P is not searched.  Up to three classes the search is
+    `_search_exact`; beyond, and where that falls back, it is `restarts`
+    seeded Levenberg-Marquardt solves, run by `least_squares` in blocks
+    of at most _SEARCH_RESTARTS, whose converged points are snapped to
     Gaussian rationals; each distinct snapped candidate is verified
     once, and the witness returned is that of the lowest-index restart
     that verifies.  restarts <= 0 searches nothing.  Returns a
-    ModularWitness (always verified exactly) or None when the search
-    budget is exhausted; None means "search incomplete", not a proof
-    that no witness exists.
+    ModularWitness (always verified exactly) or None.  None is a proof
+    that no Gaussian-rational witness exists when the quadrics are
+    zero-dimensional and fix every coordinate, up to the root snap
+    (denominators up to 10^6); otherwise it means "search incomplete".
     """
     if P.nrows != P.ncols:
         raise DimensionMismatch("P must be square")
+    try:
+        b = P.inverse().row(0)
+    except SingularMatrix:
+        return None  # det (PT)^3 = c^k != 0 needs det P != 0
     if P.nrows == 1:
         return _verify_candidates(P, [()])
-    if P.nrows == 2:
-        return _search_2x2_exact(P)
-    if P.nrows == 3:
-        return _search_3x3_exact(P, restarts)
+    if P.nrows <= 3:
+        return _search_exact(P, b, restarts)
     return _search_numeric(P, restarts)
 
 

@@ -748,6 +748,8 @@ def _labelled_power(scheme, n, cap, labels):
     """The n-th tensor power of `scheme`, verified, with class tuple t
     relabelled labels(tuples)[t]: `tuples` holds all of {0..d}^n as rows,
     big-endian.  Over a translation base it carries the structure of V^n.
+    SizeCapExceeded past cap vertices or class tuples, or past cap^2
+    intersection numbers: no larger than a v x v table at the cap.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -757,7 +759,12 @@ def _labelled_power(scheme, n, cap, labels):
     if (d + 1) ** n > cap:  # only a table that is no scheme has d + 1 > v
         raise SizeCapExceeded("%d^%d class tuples exceeds cap %d" % (d + 1, n, cap))
     tuples = TranslationStructure((d + 1,) * n).digits(np.arange((d + 1) ** n))
-    rel = labels(tuples)[_fold([scheme.relation] * n)]
+    label = labels(tuples)
+    classes = int(label.max()) + 1
+    if classes**3 > cap**2:
+        raise SizeCapExceeded("%d classes: %d^3 intersection numbers exceed "
+                              "cap^2 = %d" % (classes, classes, cap**2))
+    rel = label[_fold([scheme.relation] * n)]
     translation = None
     if scheme.translation is not None:
         translation = TranslationStructure(scheme.translation.orders * n)

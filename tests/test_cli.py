@@ -197,6 +197,14 @@ def test_gh_build_cap(capsys):
     assert run(["gh", "build", "--base", "one_class:2", "--n", "13"]) == 2
 
 
+def test_gh_build_caps_the_intersection_tensor(capsys):
+    # 8 classes: 8^3 = 512 intersection numbers against cap^2
+    argv = ["gh", "build", "--base", "group:2:2:2", "--n", "1"]
+    assert run(argv + ["--cap", "23"]) == 0
+    capsys.readouterr()
+    assert_usage_error(capsys, argv + ["--cap", "22"])
+
+
 # -- code -----------------------------------------------------------------
 
 

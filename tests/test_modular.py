@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -9,19 +10,30 @@ import pytest
 import schemekit
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.errors import DimensionMismatch, NotScalar
-from schemekit.exact import ExactMatrix, GaussRat, MPoly, induced_matrix
+from schemekit.exact import (
+    ExactMatrix,
+    GaussRat,
+    MPoly,
+    induced_matrix,
+    substitute_polys,
+)
 from schemekit.genham import eigenmatrix_gh
 from schemekit import modular
 from schemekit.modular import (
+    _HEURISTIC_VALUES,
     _LM_ITERATIONS,
     _SEARCH_RESTARTS,
     _SEARCH_SEED,
     _coeff_list,
-    _constraints,
+    _cube_constraints,
     _cube_residual,
+    _exact_roots,
+    _gcd_many,
     _poly_det,
+    _quadrics,
+    _search_numeric,
     _sylvester_matrix,
-    _symbolic_cube,
+    _verify_candidates,
     induced_modular_check,
     least_squares,
     search_T,
@@ -143,6 +155,43 @@ def test_search_numeric_group22_witness():
 def test_search_none_for_cycle6():
     # its witnesses lie in Q(zeta_12), so none snaps to a Gaussian rational
     assert search_T(eigenmatrix(cycle_scheme(6))) is None
+
+
+def test_search_one_class4_double_root():
+    # the cube's gcd has t = -1 as a double root, which np.roots alone
+    # leaves about 1e-8 off, outside the snap
+    w = search_T(eigenmatrix(one_class(4)))
+    assert w.T == diag(1, -1)
+    assert w.c == GaussRat(-8)
+
+
+@pytest.mark.parametrize("P", [
+    ExactMatrix([[GaussRat(x) for x in row]
+                 for row in ((1, 1, 1), (1, 1, 1), (1, -1, 0))]),
+    ExactMatrix([[GaussRat(x) for x in row]
+                 for row in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1),
+                             (2, 0, 2, 0))]),
+], ids=["3x3", "4x4"])
+def test_search_singular_p_searches_nothing(monkeypatch, P):
+    # det (PT)^3 = c^k is nonzero for every witness, so det P must be
+    def refuse(*args):
+        raise AssertionError("searched a singular P")
+
+    for name in ("least_squares", "verify_modular", "_quadrics"):
+        monkeypatch.setattr(modular, name, refuse)
+    assert search_T(P) is None
+
+
+def test_search_cycle4_takes_one_resultant(monkeypatch):
+    calls = []
+
+    def counting(S):
+        calls.append(S)
+        return _poly_det(S)
+
+    monkeypatch.setattr(modular, "_poly_det", counting)
+    assert search_T(P_CYCLE4).T == diag(1, 1, -1)
+    assert len(calls) <= 1
 
 
 def test_search_nonpositive_restarts_search_nothing(monkeypatch):
@@ -361,20 +410,146 @@ P_SKEW = ExactMatrix([[GaussRat(1), GaussRat(2), GaussRat(0, 1)],
     (P_SKEW, False),
 ], ids=["cycle:4", "hamming:2:2", "hamming:2:3", "gaussian-rational"])
 def test_sylvester_determinant_matches_laplace(P, vanish):
-    # on cycle:4 and hamming:2:2 the witnesses form a curve, so every
-    # resultant vanishes; the other two give nonzero ones
-    cons = [p for p in _constraints(_symbolic_cube(P))
-            if max(e[1] for e in p.terms) > 0]
-    dets = []
-    for a in range(len(cons)):
-        for b in range(a + 1, len(cons)):
-            S = _sylvester_matrix(cons[a], cons[b])
-            if S is None:
-                continue
-            dets.append(_poly_det(S))
-            assert dets[-1] == _oracle_det(S)
-    assert dets
-    assert all(not d for d in dets) == vanish
+    # on cycle:4 and hamming:2:2 the witnesses form a curve, so the
+    # quadrics' resultant vanishes; the other two give nonzero ones
+    S = _sylvester_matrix(*_quadrics(P, P.inverse().row(0)))
+    assert S is not None
+    det = _poly_det(S)
+    assert det == _oracle_det(S)
+    assert (not det) == vanish
+
+
+# -- the first-row quadrics ---------------------------------------------------
+
+
+def test_exact_roots_of_a_double_root():
+    x = MPoly.variable(0, 1)
+    p = (x - I_UNIT) ** 2 * (x + 1)
+    assert _exact_roots(_coeff_list(p)) == [I_UNIT, GaussRat(-1)]
+
+
+def _value(p, point):
+    total = GaussRat(0)
+    for exps, c in p.terms.items():
+        for t, e in zip(point, exps):
+            c = c * t**e
+        total = total + c
+    return total
+
+
+def _with_witness(M, S, T):
+    """S M S^-1 T^-1, which has the witness T when M^3 is scalar."""
+    return S @ M @ S.inverse() @ T.inverse()
+
+
+CYCLE3 = ExactMatrix([[GaussRat(int(j == (i + 1) % 3)) for j in range(3)]
+                      for i in range(3)])
+ORDER3 = ExactMatrix([[GaussRat(0), GaussRat(1)],
+                      [GaussRat(-1), GaussRat(-1)]])
+# row 0 of P^-1 = T CYCLE3^-1 starts with 0, so the quadrics pivot on b_1
+P_B0_ZERO = _with_witness(CYCLE3, ExactMatrix.identity(3), diag(1, I_UNIT, -1))
+
+
+@pytest.mark.parametrize("P, T", [
+    (P_BINARY, diag(1, I_UNIT)),
+    (eigenmatrix(one_class(4)), diag(1, -1)),
+    (P_CYCLE4, diag(1, 1, -1)),
+    (P_CYCLE4, diag(1, 2, -1)),
+    (P_CYCLE4, diag(1, I_UNIT, -1)),
+    (eigenmatrix(hamming(2, 4)), diag(1, -1, 1)),
+    (P_B0_ZERO, diag(1, I_UNIT, -1)),
+    (eigenmatrix(group_scheme([2, 2])), diag(1, -I_UNIT, -I_UNIT, -1)),
+    (eigenmatrix(hamming(3, 2)), diag(1, I_UNIT, -1, -I_UNIT)),
+    (eigenmatrix(hamming(4, 2)), diag(1, I_UNIT, -1, -I_UNIT, 1)),
+], ids=["one_class:2", "one_class:4", "cycle:4", "cycle:4-t2", "cycle:4-ti",
+        "hamming:2:4", "b0-zero", "group:2:2", "hamming:3:2", "hamming:4:2"])
+def test_quadrics_vanish_at_witnesses(P, T):
+    verify_modular(P, T)
+    quadrics = _quadrics(P, P.inverse().row(0))
+    assert len(quadrics) == P.nrows - 1
+    point = [T[j, j] for j in range(1, T.nrows)]
+    assert all(not _value(q, point) for q in quadrics)
+
+
+# -- the cube route the quadric route replaced --------------------------------
+
+
+def _oracle_y_candidates(cons, x0):
+    """Exact y-solutions of the cube constraints at x = x0: None if one
+    becomes a nonzero constant or their y-gcd is constant, the heuristic
+    values if all vanish."""
+    images = [MPoly.constant(1, x0), MPoly.variable(0, 1)]
+    gens_y = []
+    for p in cons:
+        coeffs = _coeff_list(substitute_polys(p, images))
+        if len(coeffs) == 1:
+            return None
+        if coeffs:
+            gens_y.append(coeffs)
+    if not gens_y:
+        return list(_HEURISTIC_VALUES)
+    hy = _gcd_many(gens_y)
+    return None if len(hy) == 1 else _exact_roots(hy)
+
+
+def _oracle_cube_search(P):
+    """search_T for sizes 2 and 3 from the constraints of the symbolic
+    cube: their gcd for 2x2; for 3x3 the gcd of every pairwise resultant
+    in y (the heuristic values, then the numeric search, if all vanish),
+    then the y-candidates at each x."""
+    d = P.nrows - 1
+    cons = _cube_constraints(P)
+    if not cons:
+        return _verify_candidates(P, [(GaussRat(1),) * d])
+    if d == 1:
+        roots = _exact_roots(_gcd_many([_coeff_list(p) for p in cons]))
+        return _verify_candidates(P, [(t,) for t in roots])
+    with_y = [p for p in cons if any(e[1] for e in p.terms)]
+    gens_x = [_coeff_list(p) for p in cons if p not in with_y]
+    gens_x += [_poly_det(_sylvester_matrix(f, g))
+               for f, g in itertools.combinations(with_y, 2)]
+    hx = _gcd_many(gens_x)
+    for x0 in (_exact_roots(hx) if hx else _HEURISTIC_VALUES):
+        ys = _oracle_y_candidates(cons, x0)
+        witness = ys and _verify_candidates(P, [(x0, y0) for y0 in ys])
+        if witness:
+            return witness
+    return None if hx else _search_numeric(P, _SEARCH_RESTARTS)
+
+
+def _gauss_matrix(rows):
+    return ExactMatrix([[x if isinstance(x, GaussRat) else GaussRat(x)
+                         for x in row] for row in rows])
+
+
+@pytest.mark.parametrize("P", [
+    eigenmatrix(one_class(2)),
+    eigenmatrix(one_class(3)),
+    eigenmatrix(one_class(4)),
+    eigenmatrix(one_class(5)),
+    P_CYCLE4,
+    eigenmatrix(hamming(2, 2)),
+    eigenmatrix(hamming(2, 3)),
+    eigenmatrix(hamming(2, 4)),
+    P_SKEW,
+    P_B0_ZERO,
+    _gauss_matrix([[1, 0], [3, 2]]),
+    _gauss_matrix([[2, 0], [0, 1]]),
+    _gauss_matrix([[1, 1, 0], [1, -1, 0], [0, 0, 2]]),
+    _with_witness(ORDER3, _gauss_matrix([[1, 2], [I_UNIT, 1]]),
+                  diag(1, GaussRat(1, 1))),
+    _with_witness(CYCLE3.scale(GaussRat(2)),
+                  _gauss_matrix([[1, 1, 0], [0, 1, I_UNIT], [2, 0, 1]]),
+                  diag(1, -1, GaussRat(0, 2))),
+], ids=["one_class:2", "one_class:3", "one_class:4", "one_class:5", "cycle:4",
+        "hamming:2:2", "hamming:2:3", "hamming:2:4", "gaussian-rational",
+        "b0-zero", "lower-triangular", "diagonal", "block-diagonal",
+        "conjugated-2x2", "conjugated-3x3"])
+def test_quadric_route_matches_cube_route(P):
+    w, oracle = search_T(P), _oracle_cube_search(P)
+    assert (w is None) == (oracle is None)
+    if w is not None:
+        assert w.T == oracle.T and w.c == oracle.c
 
 
 def test_search_result_always_verifies():

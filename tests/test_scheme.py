@@ -12,6 +12,7 @@ from schemekit.errors import (
     DimensionMismatch,
     NegativeKrein,
     SingularMatrix,
+    SizeCapExceeded,
     SnapFailure,
 )
 from schemekit import scheme as scheme_module
@@ -560,6 +561,18 @@ def test_orbit_fusion_matches_composite():
 def test_orbit_fusion_needs_positive_n(n):
     with pytest.raises(ValueError, match="need n >= 1"):
         orbit_fusion(one_class(2), n, [])
+
+
+def test_orbit_fusion_caps_the_intersection_tensor(monkeypatch):
+    """Swapping two of ten binary positions leaves 768 classes on 1,024
+    vertices: 768^3 intersection numbers exceed cap^2, so the fusion is
+    refused before any table of the power is built."""
+    def refuse(*args):
+        raise AssertionError("table built past the class cap")
+
+    monkeypatch.setattr(scheme_module, "_fold", refuse)
+    with pytest.raises(SizeCapExceeded, match="768 classes"):
+        orbit_fusion(one_class(2), 10, [(1, 0, 2, 3, 4, 5, 6, 7, 8, 9)])
 
 
 def test_orbit_fusion_trivial_group():
