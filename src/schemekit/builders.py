@@ -11,9 +11,12 @@ import numpy as np
 
 from .errors import DimensionMismatch, SizeCapExceeded, SnapFailure
 from .exact import ExactMatrix, GaussRat, induced_matrix
-from .scheme import AssociationScheme, TranslationStructure, eigenmatrix
-
-DEFAULT_CAP = 4096
+from .scheme import (
+    DEFAULT_CAP,
+    AssociationScheme,
+    TranslationStructure,
+    eigenmatrix,
+)
 
 # powers of i, for character tables over groups of exponent dividing 4
 _I_POW = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))

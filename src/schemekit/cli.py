@@ -4,11 +4,14 @@ Subcommands: scheme build|verify|eigen|krein|fuse, gh build|eigen|
 fusion-check, code enumerate|transform|dual|z4|gray-check, modinv
 verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
 (axiom violation, non-additive code, no scalar cube, an attached P that
-fails certification, ...), 2 usage, I/O, or format error (a size below
-1, or a vertex or composite class count above --cap, included).  Errors
-print an `error:` line on stderr and nothing on stdout.  --json switches
-every command to structured output with rationals serialized as exact
-strings.
+fails certification, no witness to lift, ...), 2 usage, I/O, or format
+error (a size below 1, or a size above --cap, included).  --cap bounds
+the vertices of a construction and of a JSON table (checked before the
+table is verified), the classes of a composite, and the classes k of a
+scheme whose P is formed or inverted, by k^3 <= cap^2 (the rule of
+`scheme._check_tensor_cap`).  Errors print an `error:` line on stderr
+and nothing on stdout.  --json switches every command to structured
+output with rationals serialized as exact strings.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .modular import (
     verify_modular,
 )
 from .scheme import (
+    DEFAULT_CAP,
+    _check_tensor_cap,
     dual_eigenmatrix,
     eigenmatrix,
     fusion,
@@ -104,11 +109,29 @@ def _read_json(spec):
         raise FormatError("bad JSON in %r: %s" % (spec, e)) from None
 
 
+def _read_table(spec, cap):
+    """The relation table and attached P (or None) of a scheme JSON file
+    or '-', refused past cap vertices before anything is verified."""
+    relation, P = jsonio.parse_scheme_obj(_read_json(spec))
+    if len(relation) > cap:
+        raise SizeCapExceeded("%d vertices exceeds cap %d"
+                              % (len(relation), cap))
+    return relation, P
+
+
 def _load_scheme(spec, cap):
     """Scheme from a builder spec, a JSON file path, or '-' (stdin)."""
     scheme = _build_spec(spec, cap)
     if scheme is None:
-        scheme = jsonio.scheme_from_obj(_read_json(spec))
+        scheme = jsonio._certified_scheme(*_read_table(spec, cap))
+    return scheme
+
+
+def _load_base(spec, cap):
+    """`_load_scheme` for a command that forms or inverts P: refused
+    past the class-count rule of `_check_tensor_cap`."""
+    scheme = _load_scheme(spec, cap)
+    _check_tensor_cap(scheme.d + 1, cap)
     return scheme
 
 
@@ -171,7 +194,10 @@ def _print_matrix(label, M):
         print("  " + line)
 
 
-def _scheme_human(s):
+def _print_scheme(s, as_json):
+    if as_json:
+        _emit(jsonio.scheme_to_obj(s))
+        return
     lines = [
         "v = %d" % s.v,
         "d = %d" % s.d,
@@ -193,11 +219,7 @@ def _poly_obj_or_str(p, as_json, names=None):
 
 
 def cmd_scheme_build(args):
-    s = _build_named(args.name, args.args, args.cap)
-    if args.json:
-        _emit(jsonio.scheme_to_obj(s))
-    else:
-        _scheme_human(s)
+    _print_scheme(_build_named(args.name, args.args, args.cap), args.json)
     return 0
 
 
@@ -206,7 +228,7 @@ def cmd_scheme_verify(args):
     if s is not None:
         relation = s.relation
     else:
-        relation, _P = jsonio.parse_scheme_obj(_read_json(args.source))
+        relation, _P = _read_table(args.source, args.cap)
     report = verify_axioms(relation)
     if args.json:
         checks = []
@@ -223,7 +245,7 @@ def cmd_scheme_verify(args):
 
 
 def cmd_scheme_eigen(args):
-    s = _load_scheme(args.source, args.cap)
+    s = _load_base(args.source, args.cap)
     if args.numeric:
         P = numeric_eigenmatrix(s)
         if args.json:
@@ -234,20 +256,19 @@ def cmd_scheme_eigen(args):
                 print("  ".join("%.6g%+.6gi" % (z.real, z.imag) for z in row))
         return 0
     P = eigenmatrix(s)
-    out = {"P": jsonio.matrix_to_obj(P)}
+    out = {"P": P}
     if args.dual:
-        out["Q"] = jsonio.matrix_to_obj(dual_eigenmatrix(P, s.v))
+        out["Q"] = dual_eigenmatrix(P, s.v)
     if args.json:
-        _emit(out)
+        _emit({k: jsonio.matrix_to_obj(M) for k, M in out.items()})
     else:
-        _print_matrix("P", P)
-        if args.dual:
-            _print_matrix("Q", dual_eigenmatrix(P, s.v))
+        for label, M in out.items():
+            _print_matrix(label, M)
     return 0
 
 
 def cmd_scheme_krein(args):
-    s = _load_scheme(args.source, args.cap)
+    s = _load_base(args.source, args.cap)
     q = krein_parameters(s)
     k = s.d + 1
     table = [[[jsonio.fraction_to_str(q[i, j, r].re) for r in range(k)]
@@ -264,11 +285,7 @@ def cmd_scheme_krein(args):
 
 def cmd_scheme_fuse(args):
     s = _load_scheme(args.source, args.cap)
-    out = fusion(s, _parse_blocks(args.blocks))
-    if args.json:
-        _emit(jsonio.scheme_to_obj(out))
-    else:
-        _scheme_human(out)
+    _print_scheme(fusion(s, _parse_blocks(args.blocks)), args.json)
     return 0
 
 
@@ -277,16 +294,12 @@ def cmd_scheme_fuse(args):
 
 def cmd_gh_build(args):
     base = _load_scheme(args.base, args.cap)
-    s = build_explicit(base, args.n, cap=args.cap)
-    if args.json:
-        _emit(jsonio.scheme_to_obj(s))
-    else:
-        _scheme_human(s)
+    _print_scheme(build_explicit(base, args.n, cap=args.cap), args.json)
     return 0
 
 
 def cmd_gh_eigen(args):
-    base = _load_scheme(args.base, args.cap)
+    base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
     P = eigenmatrix_gh(eigenmatrix(base), args.n)
     if args.json:
@@ -331,6 +344,7 @@ def cmd_code_enumerate(args):
 def cmd_code_transform(args):
     code = _load_code(args)
     _check_class_cap(code.base, code.n, args.cap)
+    _check_tensor_cap(code.base.d + 1, args.cap)
     P = eigenmatrix(code.base)
     W = weight_enumerator(code)
     dual = macwilliams_transform(W, P, code.base.v, len(code))
@@ -395,14 +409,14 @@ def _witness_human(w):
 
 
 def cmd_modinv_verify(args):
-    P = eigenmatrix(_load_scheme(args.base, args.cap))
+    P = eigenmatrix(_load_base(args.base, args.cap))
     w = verify_modular(P, _parse_diagonal(args.T))
     _emit(_witness_obj(w)) if args.json else print(_witness_human(w))
     return 0
 
 
 def cmd_modinv_search(args):
-    P = eigenmatrix(_load_scheme(args.base, args.cap))
+    P = eigenmatrix(_load_base(args.base, args.cap))
     w = search_T(P, restarts=args.restarts)
     if w is None:
         if args.json:
@@ -419,7 +433,7 @@ def cmd_modinv_search(args):
 
 
 def cmd_modinv_lift(args):
-    base = _load_scheme(args.base, args.cap)
+    base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
     P = eigenmatrix(base)
     if args.T is not None:
@@ -427,9 +441,7 @@ def cmd_modinv_lift(args):
     else:
         w = search_T(P)
         if w is None:
-            print("search incomplete: no witness found to lift",
-                  file=sys.stderr)
-            return 1
+            raise MathError("search incomplete: no witness found to lift")
     rep = induced_modular_check(P, w.T, w.c, args.n)
     ok = rep.holds and rep.matches_expected and rep.t_hat_consistent
     if args.json:
@@ -487,9 +499,15 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="structured output with exact rational strings")
-    common.add_argument("--cap", type=int, default=4096,
-                        help="cap on the vertices of a construction and "
-                             "on the classes of a composite (default 4096)")
+    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                        help="cap on the vertices of a construction or a "
+                             "JSON table and on the classes of a "
+                             "composite; a scheme whose P is formed may "
+                             "have k classes with k^3 <= cap^2 (default "
+                             "%(default)s, which admits 256 classes: "
+                             "about a minute of exact work)")
+    based = argparse.ArgumentParser(add_help=False, parents=[common])
+    based.add_argument("--base", required=True, help=_BASE_HELP)
     top = parser.add_subparsers(dest="command", required=True)
 
     scheme = top.add_parser("scheme", help="build and analyze schemes")
@@ -532,23 +550,20 @@ def build_parser():
     gh = top.add_parser("gh", help="composite (Hamming-type) schemes H(n, A)")
     gsub = gh.add_subparsers(dest="subcommand", required=True)
 
-    p = gsub.add_parser("build", parents=[common],
+    p = gsub.add_parser("build", parents=[based],
                         help="explicit H(n, base) on the word set")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", required=True, type=_positive_int,
                    help="number of factors")
     p.set_defaults(func=cmd_gh_build)
 
-    p = gsub.add_parser("eigen", parents=[common],
+    p = gsub.add_parser("eigen", parents=[based],
                         help="eigenmatrix of H(n, base) from the base P")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", required=True, type=_positive_int,
                    help="number of factors")
     p.set_defaults(func=cmd_gh_eigen)
 
-    p = gsub.add_parser("fusion-check", parents=[common],
+    p = gsub.add_parser("fusion-check", parents=[based],
                         help="H(m*n, base) coarsens H(m, H(n, base))")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--m", required=True, type=_positive_int,
                    help="outer factor count")
     p.add_argument("--n", required=True, type=_positive_int,
@@ -558,26 +573,23 @@ def build_parser():
     code = top.add_parser("code", help="codes and weight enumerators")
     csub = code.add_subparsers(dest="subcommand", required=True)
 
-    p = csub.add_parser("enumerate", parents=[common],
+    p = csub.add_parser("enumerate", parents=[based],
                         help="weight enumerator of a code file")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", type=_positive_int,
                    help="expected word length (cross-check)")
     p.add_argument("file", help="code file (one word per line) or -")
     p.set_defaults(func=cmd_code_enumerate)
 
-    p = csub.add_parser("transform", parents=[common],
+    p = csub.add_parser("transform", parents=[based],
                         help="transformed (dual) weight enumerator")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", type=_positive_int,
                    help="expected word length (cross-check)")
     p.add_argument("file", help="code file or -")
     p.set_defaults(func=cmd_code_transform)
 
-    p = csub.add_parser("dual", parents=[common],
+    p = csub.add_parser("dual", parents=[based],
                         help="dual of an additive code over a translation "
                              "scheme")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", type=_positive_int,
                    help="expected word length (cross-check)")
     p.add_argument("file", help="code file or -")
@@ -598,23 +610,20 @@ def build_parser():
                             help="modular invariance (PT)^3 = cI")
     msub = modinv.add_subparsers(dest="subcommand", required=True)
 
-    p = msub.add_parser("verify", parents=[common],
+    p = msub.add_parser("verify", parents=[based],
                         help="verify a given diagonal T exactly")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--T", required=True,
                    help="diagonal entries, e.g. \"1,i\" or \"1,1/2-3/4i\"")
     p.set_defaults(func=cmd_modinv_verify)
 
-    p = msub.add_parser("search", parents=[common],
+    p = msub.add_parser("search", parents=[based],
                         help="search for a diagonal T (exactly verified)")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--restarts", type=_positive_int, default=_SEARCH_RESTARTS,
                    help="numeric restart budget for larger sizes")
     p.set_defaults(func=cmd_modinv_search)
 
-    p = msub.add_parser("lift", parents=[common],
+    p = msub.add_parser("lift", parents=[based],
                         help="check the witness lifts to H(n, base)")
-    p.add_argument("--base", required=True, help=_BASE_HELP)
     p.add_argument("--n", required=True, type=_positive_int,
                    help="lift degree")
     p.add_argument("--T", help="diagonal entries; searched if omitted")

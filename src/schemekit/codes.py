@@ -39,6 +39,7 @@ from .exact import (
 )
 from .genham import _key_profile, _profile_keys
 from .scheme import (
+    DEFAULT_CAP,
     TranslationStructure,
     _row_blocks,
     dual_eigenmatrix,
@@ -259,7 +260,7 @@ def _generators(exps, group):
     return np.array(taken, dtype=np.int64).reshape(-1, exps.shape[1])
 
 
-def dual_code(code, cap=4096):
+def dual_code(code, cap=DEFAULT_CAP):
     """The annihilator dual of an additive code.
 
     Membership is decided by exact character pairing: a is dual to x iff

@@ -11,13 +11,15 @@ inverse and induced matrices -- run on one private integer form
 instead: a matrix becomes its Gaussian-integer numerators, held as a
 real and an imaginary integer matrix, over one common denominator D,
 the lcm of the entry denominators.  A kernel converts to that form
-once, works on Python ints only, and converts back once.
+once, works on Python ints only, and converts back once.  One
+fraction-free elimination kernel, `_bareiss`, serves both the inverse
+and the point determinants of `modular._poly_det`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import repeat
 from math import lcm
 from operator import add, itemgetter, mul, sub
@@ -34,6 +36,31 @@ def _frac(x):
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("exact arithmetic only: cannot convert %r" % (x,))
+
+
+def _coerced(op):
+    """The GaussRat operator op with its operand put through
+    GaussRat.coerce, answering NotImplemented where that raises."""
+    @wraps(op)
+    def method(self, other):
+        try:
+            other = GaussRat.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
+def _power(x, n, one):
+    """x**n by square-and-multiply for an int n >= 0; x**0 is one."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * x
+        x = x * x
+        n >>= 1
+    return result
 
 
 class GaussRat:
@@ -61,34 +88,22 @@ class GaussRat:
 
     # -- arithmetic ----------------------------------------------------
 
+    @_coerced
     def __add__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
+    @_coerced
     def __rsub__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         return GaussRat(other.re - self.re, other.im - self.im)
 
+    @_coerced
     def __mul__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -96,11 +111,8 @@ class GaussRat:
 
     __rmul__ = __mul__
 
+    @_coerced
     def __truediv__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussRat")
@@ -120,14 +132,7 @@ class GaussRat:
             return NotImplemented
         if n < 0:
             return GaussRat(1) / self ** (-n)
-        result = GaussRat(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, GaussRat(1))
 
     def conjugate(self):
         return GaussRat(self.re, -self.im)
@@ -140,11 +145,8 @@ class GaussRat:
     def __bool__(self):
         return bool(self.re or self.im)
 
+    @_coerced
     def __eq__(self, other):
-        try:
-            other = GaussRat.coerce(other)
-        except TypeError:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -172,9 +174,6 @@ class GaussRat:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-
-I = GaussRat(0, 1)
 
 
 _SNAP_MAX_DENOMINATOR = 10**6
@@ -274,6 +273,56 @@ def _divisor(c):
     if c[1]:
         return (c[0], -c[1]), c[0] ** 2 + c[1] ** 2
     return (1, 0), c[0]
+
+
+def _bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) over the
+    Gaussian integers on the first k columns of k rows, each a Gaussian
+    vector (re, im) of ints whose im may be None.
+
+    The pivot of each column is its first nonzero entry on or below the
+    diagonal; the entries seen there are those of plain Gauss-Jordan
+    elimination up to nonzero factors.  Returns (rows, pivot, odd): the
+    rows with those k columns dropped, the last pivot and whether an odd
+    number of row swaps was made, so that the determinant of the leading
+    k x k block is the pivot, negated if odd.  Raises SingularMatrix
+    naming the first column without a pivot.
+    """
+    rows = list(rows)
+    k = len(rows)
+
+    def head(row):
+        return (row[0][0], 0 if row[1] is None else row[1][0])
+
+    def tail(row):
+        return (row[0][1:], None if row[1] is None else row[1][1:])
+
+    prev, odd = (1, 0), False
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if any(head(rows[r]))), None)
+        if pivot is None:
+            raise SingularMatrix("matrix is singular at column %d" % col)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            odd = not odd
+        p = head(rows[col])
+        pivot_row = tail(rows[col])
+        # (p * row - f * pivot row) / prev is exact; a non-real prev
+        # divides through its norm
+        conj, norm = _divisor(prev)
+        a = _gmul(p, conj)
+        for r in range(k):
+            if r == col:
+                rows[r] = pivot_row
+                continue
+            f = head(rows[r])
+            xr, xi = _gauss_axpy((None, None), a, tail(rows[r]))
+            xr, xi = _gauss_axpy((xr, xi), _gmul((-f[0], -f[1]), conj),
+                                 pivot_row)
+            rows[r] = ([x // norm for x in xr],
+                       None if xi is None else [x // norm for x in xi])
+        prev = p
+    return rows, prev, odd
 
 
 def _int_matmul(A, Bt):
@@ -470,54 +519,20 @@ class ExactMatrix:
 
     def inverse(self):
         """Exact inverse by fraction-free Gauss-Jordan elimination
-        (Bareiss) on the Gaussian-integer numerators.
-
-        The pivot of each column is its first nonzero entry on or below
-        the diagonal; the entries seen there are those of plain
-        Gauss-Jordan elimination up to nonzero factors.  Raises
+        (`_bareiss`) on the Gaussian-integer numerators.  Raises
         SingularMatrix naming the first column without a pivot.
         """
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices are invertible")
         k = self.nrows
         re, im, D = _to_int(self._e)
-        # rows of [A | I], A = D * self; step col drops column col of A
+        # rows of [A | I], A = D * self
         rows = [(re[i] + [int(i == j) for j in range(k)],
                  None if im is None else im[i] + [0] * k) for i in range(k)]
-
-        def head(row):
-            return (row[0][0], 0 if row[1] is None else row[1][0])
-
-        def tail(row):
-            return (row[0][1:], None if row[1] is None else row[1][1:])
-
-        prev = (1, 0)
-        for col in range(k):
-            pivot = next((r for r in range(col, k) if any(head(rows[r]))),
-                         None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular at column %d" % col)
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            p = head(rows[col])
-            pivot_row = tail(rows[col])
-            # (p * row - f * pivot row) / prev is exact; a non-real prev
-            # divides through its norm
-            conj, norm = _divisor(prev)
-            a = _gmul(p, conj)
-            for r in range(k):
-                if r == col:
-                    rows[r] = pivot_row
-                    continue
-                f = head(rows[r])
-                xr, xi = _gauss_axpy((None, None), a, tail(rows[r]))
-                xr, xi = _gauss_axpy((xr, xi), _gmul((-f[0], -f[1]), conj),
-                                     pivot_row)
-                rows[r] = ([x // norm for x in xr],
-                           None if xi is None else [x // norm for x in xi])
-            prev = p
-        # A is now det * I, det the last pivot, and the rows hold
-        # det * A^-1 = det / D times the inverse
-        conj, den = _divisor(prev)
+        rows, pivot, _ = _bareiss(rows)
+        # A is now pivot * I, pivot the last pivot, and the rows hold
+        # pivot * A^-1 = pivot / D times the inverse
+        conj, den = _divisor(pivot)
         right = [_gauss_axpy((None, None), (D * conj[0], D * conj[1]), row)
                  for row in rows]
         return ExactMatrix(_to_gauss([x for x, _ in right],
@@ -592,8 +607,8 @@ class MPoly:
     """Sparse multivariate polynomial over GaussRat.
 
     Terms are stored as a dict mapping exponent tuples (fixed length
-    nvars) to nonzero coefficients.  Zero coefficients are dropped
-    eagerly so equality is structural.
+    nvars) to nonzero coefficients.  The constructor is the one
+    normaliser: it drops zero coefficients, so equality is structural.
     """
 
     __slots__ = ("nvars", "terms")
@@ -608,9 +623,7 @@ class MPoly:
                 raise DimensionMismatch("bad exponent tuple %r" % (exps,))
             coeff = GaussRat.coerce(coeff)
             if coeff:
-                clean[exps] = clean.get(exps, GaussRat(0)) + coeff
-                if not clean[exps]:
-                    del clean[exps]
+                clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
@@ -647,11 +660,7 @@ class MPoly:
         self._check(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, GaussRat(0)) + c
-            if s:
-                terms[exps] = s
-            else:
-                terms.pop(exps, None)
+            terms[exps] = terms[exps] + c if exps in terms else c
         return MPoly(self.nvars, terms)
 
     __radd__ = __add__
@@ -674,11 +683,8 @@ class MPoly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(key, GaussRat(0)) + ca * cb
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
+                c = ca * cb
+                terms[key] = terms[key] + c if key in terms else c
         return MPoly(self.nvars, terms)
 
     __rmul__ = __mul__
@@ -686,14 +692,7 @@ class MPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative ints")
-        result = MPoly.constant(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, MPoly.constant(self.nvars, 1))
 
     def __eq__(self, other):
         if not isinstance(other, MPoly):

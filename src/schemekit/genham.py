@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded
+from .errors import DimensionMismatch
 from .exact import composition_index, compositions, induced_matrix
-from .scheme import _labelled_power, dual_eigenmatrix, eigenmatrix
+from .scheme import DEFAULT_CAP, _labelled_power, dual_eigenmatrix, eigenmatrix
 
 
 def h_vector(v, w, base):
@@ -98,7 +98,7 @@ class GHScheme:
             self.base.v, self.base.d, self.n)
 
 
-def build_explicit(base, n, cap=4096):
+def build_explicit(base, n, cap=DEFAULT_CAP):
     """The composite scheme as an explicit relation table on V^n.
 
     Vertices are words read in mixed radix (big-endian).  The class of a
@@ -143,16 +143,15 @@ class FormalDuality:
 def formal_duality_check(P, v, n):
     """Check the composite duality identity and detect self-duality.
 
-    identity_holds: induced(v*P^-1, n) == v^n * induced(P, n)^-1 exactly.
+    identity_holds: induced(P, n) induced(v*P^-1, n) == v^n I exactly.
     self_dual: some class/idempotent reordering makes v*P^-1 equal P
     (identity permutations are tried first, then, for up to 6 rows, row
     orders in lexicographic order, each with its first matching column
     order).
     """
     dual = dual_eigenmatrix(P, v)
-    lhs = induced_matrix(dual, n)
-    rhs = induced_matrix(P, n).inverse().scale(v**n)
-    identity_holds = lhs == rhs
+    product = induced_matrix(P, n) @ induced_matrix(dual, n)
+    identity_holds = product.scalar_value() == v**n
 
     row_perm = col_perm = None
     if dual == P:
@@ -191,7 +190,7 @@ class TransFusion:
     detail: str = ""
 
 
-def fusion_check_trans(base, m, n, cap=4096):
+def fusion_check_trans(base, m, n, cap=DEFAULT_CAP):
     """Check that the m-fold composite over the n-fold composite coarsens
     to the (m*n)-fold composite over the base.
 
@@ -200,9 +199,6 @@ def fusion_check_trans(base, m, n, cap=4096):
     union of classes of the fine scheme.  The returned report carries the
     fine -> coarse class mapping and which coarse classes split.
     """
-    if base.v ** (m * n) > cap:
-        raise SizeCapExceeded("%d^%d vertices exceeds cap %d"
-                              % (base.v, m * n, cap))
     coarse = build_explicit(base, m * n, cap=cap)
     inner = build_explicit(base, n, cap=cap)
     fine = build_explicit(inner, m, cap=cap)

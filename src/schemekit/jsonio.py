@@ -17,10 +17,7 @@ from .scheme import AssociationScheme, certify_eigenmatrix
 
 
 def fraction_to_str(f):
-    f = Fraction(f)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    return str(Fraction(f))
 
 
 def parse_fraction(s):
@@ -123,13 +120,16 @@ def parse_scheme_obj(obj):
 
 
 def scheme_from_obj(obj):
-    """The scheme of a JSON object.
+    """The scheme of a JSON object, by `_certified_scheme`."""
+    return _certified_scheme(*parse_scheme_obj(obj))
 
-    The relation table is verified, and an attached "P" is attached only
-    after it passes certify_eigenmatrix; otherwise CertificationFailure
-    is raised.
+
+def _certified_scheme(relation, P):
+    """The scheme of a relation table with an attached P or None.
+
+    The table is verified, and P is attached only after it passes
+    certify_eigenmatrix; otherwise CertificationFailure is raised.
     """
-    relation, P = parse_scheme_obj(obj)
     scheme = AssociationScheme(relation)
     if P is not None and not certify_eigenmatrix(scheme, P):
         raise CertificationFailure("the attached P is not the eigenmatrix "

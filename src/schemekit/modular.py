@@ -8,6 +8,9 @@ Levenberg-Marquardt restarts on the cube, whose converged points are
 snapped to Gaussian rationals.  Every candidate is re-verified exactly,
 so an inexact witness can never be returned.  A None is a proof of
 absence only from a zero-dimensional quadric system (see search_T).
+The one resultant is a determinant of polynomials, taken at integer
+points by the elimination kernel of `ExactMatrix.inverse`
+(`exact._bareiss`) and interpolated.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .exact import (
     ExactMatrix,
     GaussRat,
     MPoly,
-    _divisor,
-    _gmul,
+    _bareiss,
     compositions,
     induced_matrix,
     snap_gauss,
@@ -124,13 +126,16 @@ def _coeff_list(p):
     return [p.coefficient((k,)) for k in range(deg + 1)]
 
 
+def _trim(coeffs):
+    """A coefficient list as a new list, trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
 def _poly_divmod(a, b):
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
-    b = list(b)
-    while b and not b[-1]:
-        b.pop()
+    a, b = _trim(a), _trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     q = [GaussRat(0)] * max(0, len(a) - len(b) + 1)
@@ -141,8 +146,7 @@ def _poly_divmod(a, b):
         q[shift] = f
         for i, bc in enumerate(b):
             r[shift + i] = r[shift + i] - f * bc
-        while r and not r[-1]:
-            r.pop()
+        r = _trim(r)
     return q, r
 
 
@@ -150,9 +154,7 @@ def _poly_gcd(a, b):
     while any(b):
         _, r = _poly_divmod(a, b)
         a, b = b, r
-    a = list(a)
-    while a and not a[-1]:
-        a.pop()
+    a = _trim(a)
     if a:
         lead = a[-1]
         a = [x / lead for x in a]
@@ -175,9 +177,7 @@ def _exact_roots(coeffs):
     are returned.  Ordered by (im, re) descending for deterministic
     search output.
     """
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+    coeffs = _trim(coeffs)
     if len(coeffs) > 2:
         derivative = [c * i for i, c in enumerate(coeffs)][1:]
         coeffs = _poly_divmod(coeffs, _poly_gcd(coeffs, derivative))[0]
@@ -212,42 +212,14 @@ def _y_coefficients(p):
     return coeffs
 
 
-def _gauss_det(A):
-    """Determinant of a square matrix of Gaussian integers (pairs of
-    ints) by fraction-free Bareiss elimination: each step's division by
-    the previous pivot is exact."""
-    A = [list(row) for row in A]
-    n = len(A)
-    negate = False
-    previous = (1, 0)
-    for k in range(n - 1):
-        if A[k][k] == (0, 0):
-            swap = next((i for i in range(k + 1, n) if A[i][k] != (0, 0)),
-                        None)
-            if swap is None:
-                return (0, 0)
-            A[k], A[swap] = A[swap], A[k]
-            negate = not negate
-        conj, norm = _divisor(previous)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a = _gmul(A[k][k], A[i][j])
-                b = _gmul(A[i][k], A[k][j])
-                x = _gmul((a[0] - b[0], a[1] - b[1]), conj)
-                A[i][j] = (x[0] // norm, x[1] // norm)
-        previous = A[k][k]
-    re, im = A[n - 1][n - 1]
-    return (-re, -im) if negate else (re, im)
-
-
 def _poly_det(S):
     """Determinant of a square matrix of ascending coefficient lists over
     the Gaussian rationals, trailing zeros dropped.
 
     The coefficients are scaled to Gaussian integers over one
     denominator D; the determinant p, of degree at most N (the sum of
-    the row degrees), is taken at x = 0..N and rebuilt from its forward
-    differences, p(x) = sum_k (Delta^k p)(0) C(x, k).
+    the row degrees), is taken at x = 0..N by `_bareiss` and rebuilt
+    from its forward differences, p(x) = sum_k (Delta^k p)(0) C(x, k).
     """
     n = len(S)
     D = lcm(*{f.denominator for row in S for entry in row for c in entry
@@ -262,8 +234,15 @@ def _poly_det(S):
             re, im = re * x + a, im * x + b
         return re, im
 
-    values = [_gauss_det([[at(e, x) for e in row] for row in S])
-              for x in range(N + 1)]
+    def det_at(x):
+        rows = [tuple(zip(*(at(e, x) for e in row))) for row in S]
+        try:
+            _, (a, b), odd = _bareiss(rows)
+        except SingularMatrix:
+            return 0, 0
+        return (-a, -b) if odd else (a, b)
+
+    values = [det_at(x) for x in range(N + 1)]
     # sum_k (Delta^k p)(0) (N!/k!) x(x-1)..(x-k+1), then divide by N!
     re, im = [0] * (N + 1), [0] * (N + 1)
     falling = [1]
@@ -278,11 +257,8 @@ def _poly_det(S):
         falling = [u - k * w for u, w in zip([0] + falling, falling + [0])]
         scale //= k + 1
     den = factorial(N) * D ** n
-    coeffs = [GaussRat(Fraction(a, den), Fraction(b, den))
-              for a, b in zip(re, im)]
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+    return _trim([GaussRat(Fraction(a, den), Fraction(b, den))
+                  for a, b in zip(re, im)])
 
 
 def _sylvester_matrix(f, g):

@@ -41,6 +41,9 @@ from .exact import _SNAP_TOLERANCE, ExactMatrix, GaussRat, _to_gauss, _to_int
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
 
+# the size cap of every construction and of the CLI's --cap
+DEFAULT_CAP = 4096
+
 
 @dataclass
 class AxiomCheck:
@@ -185,19 +188,18 @@ def _product_tensor(rel, d):
 
     The indicator products are float32 from v >= 2048 vertices and
     float64 below; every product entry is a count of at most v, so
-    float32 is exact while v < 2^24.  These are (d+1)^2 dense v x v
-    matmuls: schemes with a valid translation structure are counted over
-    the group instead (`_translation_tensor`), and this route serves the
-    rest, `verify_axioms`, and the tests as the oracle.
+    float32 is exact while v < 2^24.  Each indicator is rebuilt where it
+    is used, at v^2 against the v^3 of a matmul, so no d+1 of them are
+    held at once.  These are (d+1)^2 dense v x v matmuls: schemes with a
+    valid translation structure are counted over the group instead
+    (`_translation_tensor`), and this route serves the rest,
+    `verify_axioms`, and the tests as the oracle.
     """
     v = rel.shape[0]
     dtype = np.float32 if v >= 2048 else np.float64
-    indicators = None
-    if (d + 1) * v * v * np.dtype(dtype).itemsize <= 512 * 2**20:
-        indicators = [(rel == i).astype(dtype) for i in range(d + 1)]
 
     def ind(i):
-        return indicators[i] if indicators is not None else (rel == i).astype(dtype)
+        return (rel == i).astype(dtype)
 
     # first occurrence of each class, to read off the expected constant
     first = {}
@@ -744,6 +746,15 @@ def _perm_closure(generators, n):
     return sorted(group)
 
 
+def _check_tensor_cap(classes, cap):
+    """SizeCapExceeded past cap^2 intersection numbers, classes^3: no
+    larger than a v x v table at the cap.  The one class-count policy
+    for work on a scheme's intersection tensor or its P."""
+    if classes**3 > cap**2:
+        raise SizeCapExceeded("%d classes: %d^3 intersection numbers exceed "
+                              "cap^2 = %d" % (classes, classes, cap**2))
+
+
 def _labelled_power(scheme, n, cap, labels):
     """The n-th tensor power of `scheme`, verified, with class tuple t
     relabelled labels(tuples)[t]: `tuples` holds all of {0..d}^n as rows,
@@ -760,10 +771,7 @@ def _labelled_power(scheme, n, cap, labels):
         raise SizeCapExceeded("%d^%d class tuples exceeds cap %d" % (d + 1, n, cap))
     tuples = TranslationStructure((d + 1,) * n).digits(np.arange((d + 1) ** n))
     label = labels(tuples)
-    classes = int(label.max()) + 1
-    if classes**3 > cap**2:
-        raise SizeCapExceeded("%d classes: %d^3 intersection numbers exceed "
-                              "cap^2 = %d" % (classes, classes, cap**2))
+    _check_tensor_cap(int(label.max()) + 1, cap)
     rel = label[_fold([scheme.relation] * n)]
     translation = None
     if scheme.translation is not None:
@@ -771,7 +779,7 @@ def _labelled_power(scheme, n, cap, labels):
     return AssociationScheme(rel, translation=translation)
 
 
-def orbit_fusion(scheme, n, generators, cap=4096):
+def orbit_fusion(scheme, n, generators, cap=DEFAULT_CAP):
     """Subscheme of the n-fold tensor power fixed by a permutation group.
 
     Classes of the power are index tuples in {0..d}^n; the given group

@@ -449,3 +449,123 @@ def test_class_cap_runs_before_the_work(tmp_path, monkeypatch, capsys, argv):
     code = write_code(tmp_path, [" ".join(["0"] * 20), " ".join(["7"] * 20)])
     # C(27, 7) = 888,030 classes, over the default cap of 4096
     assert_usage_error(capsys, [code if a == "CODE" else a for a in argv])
+
+
+# -- pinned text output -----------------------------------------------------
+
+C4_P = "P:\n  1  2  1\n  1  0  -1\n  1  -2  1\n"
+C4_SCHEME = ("v = 4\nd = 2\nvalencies = [1, 2, 1]\nsymmetric = True\n"
+             "translation orders = (4,)\n")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["scheme", "build", "cycle", "4"], 0, C4_SCHEME + C4_P),
+    (["scheme", "eigen", "cycle:4"], 0, C4_P),
+    (["scheme", "eigen", "cycle:4", "--dual"], 0,
+     C4_P + C4_P.replace("P:", "Q:")),
+    (["scheme", "eigen", "cycle:5", "--numeric"], 0,
+     "1+0i  2+0i  2+0i\n"
+     "1+0i  0.618034+0i  -1.61803+0i\n"
+     "1+0i  -1.61803+0i  0.618034+0i\n"),
+    (["scheme", "krein", "cycle:4"], 0,
+     "q[0][j][r]:\n  1  0  0\n  0  1  0\n  0  0  1\n"
+     "q[1][j][r]:\n  0  1  0\n  2  0  2\n  0  1  0\n"
+     "q[2][j][r]:\n  0  0  1\n  0  1  0\n  1  0  0\n"),
+    (["scheme", "fuse", "group:4", "--blocks", "0;1,3;2"], 0, C4_SCHEME),
+    (["gh", "build", "--base", "one_class:2", "--n", "2"], 0,
+     C4_SCHEME.replace("(4,)", "(2, 2)")),
+    (["gh", "fusion-check", "--base", "one_class:2", "--m", "2", "--n", "2"],
+     0, "fusion holds\n  coarse class 2 splits into fine classes [2, 3]\n"),
+    (["code", "dual", "--base", "one_class:2", "EVEN"], 0, "0 0 0\n1 1 1\n"),
+    (["code", "gray-check", "REP4"], 0, "Gray/Lee identity holds\n"),
+    (["modinv", "search", "--base", "one_class:3"], 1,
+     "search incomplete: no witness within 200 restarts\n"),
+])
+def test_text_output(tmp_path, capsys, argv, code, expected):
+    files = {"EVEN": ["0 0 0", "0 1 1", "1 0 1", "1 1 0"],
+             "REP4": ["0 0", "1 1", "2 2", "3 3"]}
+    argv = [write_code(tmp_path, files[a]) if a in files else a for a in argv]
+    assert run(argv) == code
+    assert capsys.readouterr().out == expected
+
+
+def test_code_z4_json(tmp_path, capsys):
+    def poly(nvars, *exponents):
+        return {"nvars": nvars,
+                "terms": [{"exponents": list(e),
+                           "coeff": {"re": "1", "im": "0"}}
+                          for e in exponents]}
+
+    assert run(["code", "z4", write_code(tmp_path, ["0", "2"]),
+                "--json"]) == 0
+    assert out_json(capsys) == {
+        "complete": poly(4, (1, 0, 0, 0), (0, 0, 1, 0)),
+        "symmetrized": poly(3, (1, 0, 0), (0, 0, 1)),
+        "lee": poly(2, (2, 0), (0, 2)),
+    }
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_modinv_lift_without_a_witness_is_an_error(capsys, mode):
+    # one_class:3 has no Gaussian-rational witness (see search_incomplete)
+    assert run(["modinv", "lift", "--base", "one_class:3", "--n", "2"]
+               + mode) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: search incomplete: no witness found to lift\n"
+
+
+# -- caps at the trust boundary ---------------------------------------------
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["scheme", "verify", "C4"],
+    ["code", "enumerate", "--base", "C4", "CODE"],
+])
+def test_json_table_vertex_cap_boundary(tmp_path, monkeypatch, capsys,
+                                        argv, mode):
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(scheme_to_obj(cycle_scheme(4))))
+    code = write_code(tmp_path, ["0 1", "2 3"])
+    argv = [str(path) if a == "C4" else code if a == "CODE" else a
+            for a in argv] + mode
+    assert run(argv + ["--cap", "4"]) == 0
+    assert capsys.readouterr().out
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the table was verified before the cap")
+
+    monkeypatch.setattr(cli, "verify_axioms", fail)
+    monkeypatch.setattr("schemekit.jsonio.AssociationScheme", fail)
+    assert_usage_error(capsys, argv + ["--cap", "3"])
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["scheme", "eigen", "cycle:4"],
+    ["scheme", "eigen", "cycle:4", "--dual"],
+    ["scheme", "eigen", "cycle:5", "--numeric"],
+    ["scheme", "krein", "cycle:4"],
+    ["gh", "eigen", "--base", "cycle:4", "--n", "1"],
+    ["code", "transform", "--base", "cycle:4", "CODE"],
+    ["modinv", "verify", "--base", "cycle:4", "--T", "1,1,-1"],
+    ["modinv", "search", "--base", "cycle:4"],
+    ["modinv", "lift", "--base", "cycle:4", "--n", "1"],
+])
+def test_tensor_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
+    # 3 classes: 3^3 = 27 <= 6^2 runs, 27 > 5^2 is refused before P is
+    # formed
+    argv = [write_code(tmp_path, ["0", "2"]) if a == "CODE" else a
+            for a in argv] + mode
+    assert run(argv + ["--cap", "6"]) == 0
+    assert capsys.readouterr().out
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the class cap was checked")
+
+    for name in ("eigenmatrix", "numeric_eigenmatrix", "krein_parameters",
+                 "search_T", "weight_enumerator"):
+        monkeypatch.setattr(cli, name, fail)
+    assert_usage_error(capsys, argv + ["--cap", "5"])
