@@ -5,7 +5,8 @@ h(v, w) counts how many coordinates fall in each base class.  Words with
 profile summing to n, grouped by profile, form an association scheme on
 V^n; its classes are indexed by compositions of n into d+1 parts in
 canonical order: the symmetric-group fusion of the n-th tensor power of
-A (Delsarte 1973), which is how the explicit table is built.  The
+A (Delsarte 1973).  The explicit table is built as that fusion, by the
+orbits of class tuples under one transposition and the n-cycle.  The
 eigenmatrix of the composite scheme is the induced action of the base
 eigenmatrix on degree-n monomials, which this module both computes
 symbolically and cross-checks against explicit tables.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .exact import composition_index, compositions, induced_matrix
-from .scheme import DEFAULT_CAP, _labelled_power, dual_eigenmatrix, eigenmatrix
+from .scheme import DEFAULT_CAP, _orbit_power, dual_eigenmatrix, eigenmatrix
 
 
 def h_vector(v, w, base):
@@ -103,17 +104,16 @@ def build_explicit(base, n, cap=DEFAULT_CAP):
 
     Vertices are words read in mixed radix (big-endian).  The class of a
     word pair is its profile, the histogram of its class tuple in the n-th
-    tensor power of the base, so the table is that power with each class
-    tuple relabelled by its composition index; no word pair is profiled.
-    The table is verified, which asserts that the composite construction
-    really is an association scheme.
+    tensor power of the base, so the table is the orbit fusion of that
+    power by the symmetric group, generated by the n-cycle and one
+    transposition; orbits follow their least class tuple, which is the
+    canonical composition order, and no word pair is profiled.  The table
+    is verified, which asserts that the composite construction really is
+    an association scheme.
     """
-    def profiles(tuples):
-        index = composition_index(n, base.d + 1)
-        counts = (tuples[:, :, None] == np.arange(base.d + 1)).sum(axis=1)
-        return np.array([index[tuple(h)] for h in counts.tolist()])
-
-    return _labelled_power(base, n, cap, profiles)
+    positions = list(range(n))
+    generators = [positions[1:] + positions[:1], positions[1::-1] + positions[2:]]
+    return _orbit_power(base, n, generators, cap)
 
 
 def eigenmatrix_gh(P, n):

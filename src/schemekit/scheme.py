@@ -8,16 +8,20 @@ A table that fits is checked and counted over the group from c:
 p[i][j][k] = #{z : c(z) = i, c(w - z) = j} for any w in class k,
 required equal over each class, with c(w - z) read off rel[z, w].
 Any other table, or one that fails a check on that path, is verified by
-the dense route: integer-exact numpy matmuls of 0/1 indicator matrices,
-which also names the witness of a failure.  The intersection tensor
-alone fixes the eigenmatrix: every row x of P satisfies L_i x = x_i x
-for the (d+1) x (d+1) matrices L_i[k, r] = p[i][k][r], the regular
-representation of the Bose-Mesner algebra.  Its rows are found
-numerically from a random combination of the L_i, rounded to Gaussian
-integers and then certified exactly: every row must be a character,
-P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked in int64 on Gaussian
-integers bounded by the valencies, so a wrong P can never pass
-silently.  Krein parameters come from the integer form of P and Q.
+the dense route: integer-exact float32 matmuls of 0/1 indicator
+matrices, which also names the witness of a failure.  The intersection
+tensor alone fixes the eigenmatrix: every row x of P satisfies
+L_i x = x_i x for the (d+1) x (d+1) matrices L_i[k, r] = p[i][k][r],
+the regular representation of the Bose-Mesner algebra.  Its rows are
+found numerically from a random combination of the L_i, rounded to
+Gaussian integers (another combination is tried after a degenerate
+attempt or a miss below 1e-6) and then certified exactly: every row
+must be a character, P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked
+in int64 on Gaussian integers bounded by the valencies, so a wrong P
+can never pass silently.  Krein parameters come from the integer form
+of P and Q.  Fusions of a tensor power by a permutation group, the
+composite scheme among them, follow orbits of class tuples under the
+group's generators.
 """
 
 from __future__ import annotations
@@ -186,20 +190,18 @@ def _product_tensor(rel, d):
     (x, y, i, j) for the first pair where the count is not constant on
     its class.
 
-    The indicator products are float32 from v >= 2048 vertices and
-    float64 below; every product entry is a count of at most v, so
-    float32 is exact while v < 2^24.  Each indicator is rebuilt where it
+    The indicator products are float32 at every size: each partial sum
+    of a product entry is an integer count of at most v, so float32 is
+    exact while v < 2^24, and it halves the memory traffic of float64.
+    Each indicator is rebuilt where it
     is used, at v^2 against the v^3 of a matmul, so no d+1 of them are
     held at once.  These are (d+1)^2 dense v x v matmuls: schemes with a
     valid translation structure are counted over the group instead
     (`_translation_tensor`), and this route serves the rest,
     `verify_axioms`, and the tests as the oracle.
     """
-    v = rel.shape[0]
-    dtype = np.float32 if v >= 2048 else np.float64
-
     def ind(i):
-        return (rel == i).astype(dtype)
+        return (rel == i).astype(np.float32)
 
     # first occurrence of each class, to read off the expected constant
     first = {}
@@ -573,25 +575,28 @@ def _numeric_eigenrows(scheme, rng):
     return X.T
 
 
-def _eigen_attempts(scheme):
-    """The eigenvalue rows of the seeded numeric attempts: d+1 rows for
-    each, or None for a degenerate one."""
+def _characters(scheme):
+    """The seeded numeric attempts, each as (rows, reason): rows is None,
+    with the reason, for an attempt that was degenerate or has no unique
+    row within 1e-6 of the valencies; else the (d+1) x (d+1) complex
+    rows, that row first and the rest by descending key, the real and
+    imaginary parts of each entry rounded to 6 places."""
+    vals = scheme.valencies()
     rng = np.random.default_rng(_EIG_SEED)
     for _ in range(_EIG_ATTEMPTS):
-        yield _numeric_eigenrows(scheme, rng)
-
-
-def _snap_rows(rows):
-    """The rows rounded to Gaussian integers, or None unless every entry
-    is within the snap tolerance of one: a character value that is not a
-    Gaussian integer never certifies (`certify_eigenmatrix`)."""
-    X = np.asarray(rows)
-    re, im = np.rint(X.real), np.rint(X.imag)
-    if max(np.abs(X.real - re).max(), np.abs(X.imag - im).max()) > _SNAP_TOLERANCE:
-        return None
-    return [tuple(map(GaussRat, r, i))
-            for r, i in zip(re.astype(np.int64).tolist(),
-                            im.astype(np.int64).tolist())]
+        rows = _numeric_eigenrows(scheme, rng)
+        if rows is None:
+            yield None, "degenerate random combination"
+            continue
+        rows = np.asarray(rows)
+        is_val = np.abs(rows - vals).max(axis=1) < 1e-6
+        if is_val.sum() != 1:
+            yield None, ("valency row is not unique" if is_val.any()
+                         else "no valency row found")
+            continue
+        rest = rows[~is_val]
+        key = np.round(np.stack([rest.real, rest.imag], axis=2), 6).reshape(len(rest), -1)
+        yield np.concatenate([rows[is_val], rest[np.lexsort(-key.T[::-1])]]), None
 
 
 def eigenmatrix(scheme):
@@ -603,31 +608,29 @@ def eigenmatrix(scheme):
     rows are found numerically from the intersection tensor alone (a
     table that is not a scheme raises AxiomViolation there), rounded to
     Gaussian integers and certified exactly; SnapFailure is raised if
-    no attempt certifies, leaving the scheme numeric-only.
+    no attempt certifies, leaving the scheme numeric-only.  Attempts stop
+    at one that misses a Gaussian integer by more than 1e-6: no reseeding
+    brings an irrational eigenvalue that close.
     """
     if scheme.P is not None:
         return scheme.P
     if scheme.snap_failed:
         raise SnapFailure("scheme is in numeric-only mode")
-    valency_row = tuple(GaussRat(int(x)) for x in scheme.valencies())
     last_reason = "no attempt succeeded"
-    for rows in _eigen_attempts(scheme):
+    for rows, reason in _characters(scheme):
         if rows is None:
-            last_reason = "degenerate random combination"
+            last_reason = reason
             continue
-        snapped = _snap_rows(rows)
-        if snapped is None:
+        re, im = np.rint(rows.real), np.rint(rows.imag)
+        miss = max(np.abs(rows.real - re).max(), np.abs(rows.imag - im).max())
+        if miss > _SNAP_TOLERANCE:
             last_reason = "eigenvalues are not Gaussian integers"
+            if miss > 1e-6:
+                break
             continue
-        if valency_row not in snapped:
-            last_reason = "no valency row found"
-            continue
-        rest = [r for r in snapped if r != valency_row]
-        if len(rest) != len(snapped) - 1:
-            last_reason = "valency row is not unique"
-            continue
-        rest.sort(key=canonical_row_key, reverse=True)
-        P = ExactMatrix([valency_row] + rest)
+        P = ExactMatrix([tuple(map(GaussRat, r, i))
+                         for r, i in zip(re.astype(np.int64).tolist(),
+                                         im.astype(np.int64).tolist())])
         if certify_eigenmatrix(scheme, P):
             scheme.P = P
             return P
@@ -641,18 +644,9 @@ def numeric_eigenmatrix(scheme):
 
     Valency row first, remaining rows in descending rounded-key order.
     """
-    vals = scheme.valencies().astype(np.float64)
-    for rows in _eigen_attempts(scheme):
-        if rows is None:
-            continue
-        is_val = [np.abs(vec - vals).max() < 1e-6 for vec in rows]
-        if sum(is_val) != 1:
-            continue
-        head = [vec for vec, f in zip(rows, is_val) if f]
-        tail = [vec for vec, f in zip(rows, is_val) if not f]
-        tail.sort(key=lambda vec: tuple((round(z.real, 6), round(z.imag, 6))
-                                        for z in vec), reverse=True)
-        return np.array(head + tail, dtype=np.complex128)
+    for rows, _ in _characters(scheme):
+        if rows is not None:
+            return rows.astype(np.complex128)
     raise SnapFailure("numeric diagonalization kept hitting degeneracies")
 
 
@@ -725,27 +719,6 @@ def tensor_product(a, b):
     return AssociationScheme(rel, P=P, translation=translation, check=False)
 
 
-def _perm_closure(generators, n):
-    gens = [tuple(int(x) for x in g) for g in generators]
-    for g in gens:
-        if sorted(g) != list(range(n)):
-            raise DimensionMismatch("generator %r is not a permutation of 0..%d"
-                                    % (g, n - 1))
-    identity = tuple(range(n))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[g[i]] for i in range(n))
-                if q not in group:
-                    group.add(q)
-                    new.append(q)
-        frontier = new
-    return sorted(group)
-
-
 def _check_tensor_cap(classes, cap):
     """SizeCapExceeded past cap^2 intersection numbers, classes^3: no
     larger than a v x v table at the cap.  The one class-count policy
@@ -755,10 +728,17 @@ def _check_tensor_cap(classes, cap):
                               "cap^2 = %d" % (classes, classes, cap**2))
 
 
-def _labelled_power(scheme, n, cap, labels):
-    """The n-th tensor power of `scheme`, verified, with class tuple t
-    relabelled labels(tuples)[t]: `tuples` holds all of {0..d}^n as rows,
-    big-endian.  Over a translation base it carries the structure of V^n.
+def _orbit_power(scheme, n, generators, cap):
+    """The fusion of the n-th tensor power of `scheme` by the orbits of
+    the permutation group that `generators` (permutations of the n
+    positions, 0-based) generate on its class tuples, verified.
+
+    Each generator moves the (d+1)^n class tuples, numbered big-endian as
+    `_fold` numbers them, by one index permutation m; relaxing
+    least = min(least, least[m]) both ways over every m until nothing
+    changes leaves each tuple's orbit at its least member, and orbits are
+    numbered in the order of those.  No group element is listed.  Over a
+    translation base the result carries the structure of V^n.
     SizeCapExceeded past cap vertices or class tuples, or past cap^2
     intersection numbers: no larger than a v x v table at the cap.
     """
@@ -769,10 +749,23 @@ def _labelled_power(scheme, n, cap, labels):
         raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
     if (d + 1) ** n > cap:  # only a table that is no scheme has d + 1 > v
         raise SizeCapExceeded("%d^%d class tuples exceeds cap %d" % (d + 1, n, cap))
-    tuples = TranslationStructure((d + 1,) * n).digits(np.arange((d + 1) ** n))
-    label = labels(tuples)
-    _check_tensor_cap(int(label.max()) + 1, cap)
-    rel = label[_fold([scheme.relation] * n)]
+    tuples = np.arange((d + 1) ** n)
+    moves = []
+    for g in generators:
+        g = tuple(int(x) for x in g)
+        if sorted(g) != list(range(n)):
+            raise DimensionMismatch("generator %r is not a permutation of 0..%d"
+                                    % (g, n - 1))
+        moves.append(tuples.reshape((d + 1,) * n).transpose(g).ravel())
+    least, before = tuples, None
+    while not np.array_equal(least, before):
+        before = least
+        for m in moves:
+            least = np.minimum(least, least[m])  # a new array: `before` stays
+            least[m] = np.minimum(least[m], least)
+    roots = least == tuples
+    _check_tensor_cap(int(roots.sum()), cap)
+    rel = (np.cumsum(roots) - 1)[least][_fold([scheme.relation] * n)]
     translation = None
     if scheme.translation is not None:
         translation = TranslationStructure(scheme.translation.orders * n)
@@ -782,26 +775,14 @@ def _labelled_power(scheme, n, cap, labels):
 def orbit_fusion(scheme, n, generators, cap=DEFAULT_CAP):
     """Subscheme of the n-fold tensor power fixed by a permutation group.
 
-    Classes of the power are index tuples in {0..d}^n; the given group
-    (permutations of the n positions, 0-based) acts by permuting tuple
-    entries, and orbits become the fused classes, ordered by their
-    lexicographically smallest member.  The result is verified.  Over a
-    base with a translation structure the result carries the product
-    structure of V^n.
+    Classes of the power are index tuples in {0..d}^n; the group that the
+    given generators (permutations of the n positions, 0-based) generate
+    acts by permuting tuple entries, and orbits become the fused classes,
+    ordered by their lexicographically smallest member.  The result is
+    verified (ClosureFailure if it is no scheme).  Over a base with a
+    translation structure the result carries the product structure of V^n.
     """
-    def orbit_ids(tuples):
-        # orbits of class tuples, discovered in lexicographic order
-        classes = TranslationStructure((scheme.d + 1,) * n)
-        perms = np.array(_perm_closure(generators, n))
-        orbit_id = np.full(len(tuples), -1, dtype=np.int64)
-        next_id = 0
-        for t in range(len(tuples)):
-            if orbit_id[t] < 0:
-                orbit_id[classes.index(tuples[t][perms])] = next_id
-                next_id += 1
-        return orbit_id
-
     try:
-        return _labelled_power(scheme, n, cap, orbit_ids)
+        return _orbit_power(scheme, n, generators, cap)
     except AxiomViolation as e:
         raise ClosureFailure(e.report) from None

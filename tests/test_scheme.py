@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import numpy as np
@@ -398,6 +399,37 @@ def test_cycle_snap_outcomes(m):
     assert s.snap_failed
 
 
+@pytest.mark.parametrize("miss, attempts", [(5e-9, 2), (1e-3, 1)])
+def test_eigenmatrix_retries_only_a_near_miss(miss, attempts, monkeypatch):
+    """The first attempt's non-valency rows are moved off the Gaussian
+    integers: a miss within 1e-6 is retried and the next attempt
+    certifies, while a larger miss, which no reseeding mends, ends the
+    search at once in SnapFailure and numeric-only mode."""
+    rel = build_explicit(cycle_scheme(4), 2).relation
+    want = eigenmatrix(AssociationScheme(rel))
+    exact_rows = scheme_module._numeric_eigenrows
+    calls = []
+
+    def shifted(scheme, rng):
+        rows = np.array(exact_rows(scheme, rng))
+        if not calls:
+            is_val = np.abs(rows - scheme.valencies()).max(axis=1) < 1e-6
+            rows[~is_val, -1] += miss
+        calls.append(miss)
+        return rows
+
+    monkeypatch.setattr(scheme_module, "_numeric_eigenrows", shifted)
+    s = AssociationScheme(rel)
+    if attempts == 2:
+        assert eigenmatrix(s) == want
+    else:
+        with pytest.raises(SnapFailure,
+                           match="eigenvalues are not Gaussian integers$"):
+            eigenmatrix(s)
+        assert s.snap_failed
+    assert len(calls) == attempts
+
+
 def test_dual_eigenmatrix_pq():
     for s in (one_class(3), cycle_scheme(4), group_scheme([4])):
         P = eigenmatrix(s)
@@ -542,10 +574,19 @@ def test_tensor_product_classes():
             a.relation[x1, y1] * (b.d + 1) + b.relation[x2, y2]
 
 
+def _symmetric_generators(n):
+    """The transposition of positions 0 and 1 and the n-cycle, which
+    generate S_n (none for n = 1)."""
+    if n == 1:
+        return []
+    return [(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)]
+
+
 def test_orbit_fusion_matches_composite():
     """Full symmetric-group orbits of the tensor power give exactly the
-    composite construction, class for class."""
-    from schemekit.genham import build_explicit
+    composite construction, class for class, on five bases for n <= 3
+    and on the binary base at n = 10, where S_10 has 3,628,800 elements
+    and the orbits are found without listing one."""
     base = one_class(2)
     sn_generators = {
         2: [(1, 0)],
@@ -555,6 +596,71 @@ def test_orbit_fusion_matches_composite():
         sym = orbit_fusion(base, n, sn_generators[n])
         explicit = build_explicit(base, n)
         assert (sym.relation == explicit.relation).all()
+    for name in ("cycle:4", "hamming:2:2", "group:4", "group:2:2"):
+        base = BENCH_BASES[name]()
+        for n in (1, 2, 3):
+            sym = orbit_fusion(base, n, _symmetric_generators(n))
+            assert (sym.relation == build_explicit(base, n).relation).all()
+    sym = orbit_fusion(one_class(2), 10, _symmetric_generators(10))
+    assert (sym.relation == build_explicit(one_class(2), 10).relation).all()
+    weights = np.array([bin(y).count("1") for y in range(2**10)])
+    assert (sym.relation[0] == weights).all()
+
+
+def _orbit_oracle(base, n, generators):
+    """The orbit fusion by its definition: class tuples joined by a search
+    under the generators, numbered in lexicographic order of their least
+    member, and each word pair given the orbit of its class tuple."""
+    label = {}
+    for t in itertools.product(range(base.d + 1), repeat=n):
+        if t in label:
+            continue
+        orbit = len(set(label.values()))
+        label[t], frontier = orbit, [t]
+        while frontier:
+            u = frontier.pop()
+            for g in generators:
+                w = tuple(u[i] for i in g)
+                if w not in label:
+                    label[w] = orbit
+                    frontier.append(w)
+    words = list(itertools.product(range(base.v), repeat=n))
+    return np.array([[label[tuple(base.relation[a, b] for a, b in zip(x, y))]
+                      for y in words] for x in words])
+
+
+@pytest.mark.parametrize("name, n, generators", [
+    ("one_class:2", 4, [(1, 2, 3, 0)]),
+    ("one_class:2", 4, [(3, 2, 1, 0)]),
+    ("one_class:2", 4, [(1, 0, 2, 3), (0, 1, 3, 2)]),
+    ("one_class:3", 3, [(1, 2, 0)]),
+    ("cycle:4", 3, [(0, 2, 1)]),
+    ("group:2:2", 2, [(1, 0)]),
+], ids=["cyclic", "reversal", "two_swaps", "one_class3_cyclic",
+        "cycle4_swap", "group22_swap"])
+def test_orbit_fusion_matches_orbit_oracle(name, n, generators):
+    """Groups other than S_n: the orbits and their numbering are those of
+    a plain search over the class tuples."""
+    base = BENCH_BASES[name]()
+    fused = orbit_fusion(base, n, generators)
+    assert (fused.relation == _orbit_oracle(base, n, generators)).all()
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1), (1, 0), (1, 0, 2, 3), (0, 1, 3),
+                                 (0, 1, -1)],
+                         ids=["repeated", "short", "long", "out_of_range",
+                              "negative"])
+def test_orbit_fusion_checks_generators(bad, monkeypatch):
+    """A generator that is no permutation of the positions is named in a
+    DimensionMismatch, also after a valid one, before any table of the
+    power is built."""
+    def refuse(*args):
+        raise AssertionError("table built before the generator check")
+
+    monkeypatch.setattr(scheme_module, "_fold", refuse)
+    message = "generator %r is not a permutation of 0..2" % (bad,)
+    with pytest.raises(DimensionMismatch, match=re.escape(message)):
+        orbit_fusion(one_class(2), 3, [(1, 0, 2), bad])
 
 
 @pytest.mark.parametrize("n", [0, -1])
