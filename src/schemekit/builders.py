@@ -10,17 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, SizeCapExceeded, SnapFailure
-from .exact import ExactMatrix, GaussRat, induced_matrix
+from .exact import ExactMatrix, induced_matrix
 from .scheme import (
     DEFAULT_CAP,
     AssociationScheme,
     TranslationStructure,
     eigenmatrix,
 )
-
-# powers of i, for character tables over groups of exponent dividing 4
-_I_POW = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
-
 
 def one_class(q):
     """The one-class scheme on q >= 2 points: equal / different."""
@@ -63,8 +59,12 @@ def group_scheme(orders, cap=DEFAULT_CAP):
     rel = translation.difference_table()
     P = None
     if all(4 % m == 0 for m in translation.orders):
+        # i^e = re[e] + im[e] i for the exponents e of the characters
         exponents = translation.character_exponents()
-        P = ExactMatrix([[_I_POW[e] for e in row] for row in exponents.tolist()])
+        im = np.array([0, 1, 0, -1])[exponents]
+        P = ExactMatrix.from_numerators(
+            np.array([1, 0, -1, 0])[exponents].tolist(),
+            im.tolist() if im.any() else None, 1)
     return AssociationScheme(rel, P=P, translation=translation, check=False)
 
 

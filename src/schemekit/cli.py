@@ -7,11 +7,12 @@ verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
 fails certification, no witness to lift, ...), 2 usage, I/O, or format
 error (a size below 1, or a size above --cap, included).  --cap bounds
 the vertices of a construction and of a JSON table (checked before the
-table is verified), the classes of a composite, and the classes k of a
-scheme whose P is formed or inverted, by k^3 <= cap^2 (the rule of
-`scheme._check_tensor_cap`).  Errors print an `error:` line on stderr
-and nothing on stdout.  --json switches every command to structured
-output with rationals serialized as exact strings.
+table is verified), the words of a code file, the classes of a
+composite, and the classes k of a scheme whose P is formed or inverted,
+by k^3 <= cap^2 (the rule of `scheme._check_tensor_cap`).  Errors
+print an `error:` line on stderr and nothing on stdout.  --json switches
+every command to structured output with rationals serialized as exact
+strings.
 """
 
 from __future__ import annotations
@@ -144,10 +145,18 @@ def _check_class_cap(base, n, cap):
                               "cap %d" % (n, base.d, base.d, classes, cap))
 
 
-def _load_code(args):
-    base = _load_scheme(args.base, args.cap)
+def _read_code(args, base):
+    """The code in args.file over base, refused past --cap words before
+    any pair is profiled: the enumerator is |C|^2 work."""
     words = jsonio.parse_code_file(_read_text(args.file))
-    code = Code(words, base)
+    if len(words) > args.cap:
+        raise SizeCapExceeded("%d code words exceeds cap %d"
+                              % (len(words), args.cap))
+    return Code(words, base)
+
+
+def _load_code(args):
+    code = _read_code(args, _load_scheme(args.base, args.cap))
     if getattr(args, "n", None) is not None and code.n != args.n:
         raise FormatError("codewords have length %d, but --n says %d"
                           % (code.n, args.n))
@@ -366,9 +375,7 @@ def cmd_code_dual(args):
 
 
 def _load_z4_code(args):
-    base = builders.group_scheme([4], cap=args.cap)
-    words = jsonio.parse_code_file(_read_text(args.file))
-    return Code(words, base)
+    return _read_code(args, builders.group_scheme([4], cap=args.cap))
 
 
 def cmd_code_z4(args):
@@ -501,11 +508,11 @@ def build_parser():
                         help="structured output with exact rational strings")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="cap on the vertices of a construction or a "
-                             "JSON table and on the classes of a "
-                             "composite; a scheme whose P is formed may "
-                             "have k classes with k^3 <= cap^2 (default "
-                             "%(default)s, which admits 256 classes: "
-                             "about a minute of exact work)")
+                             "JSON table, the words of a code file and "
+                             "the classes of a composite; a scheme whose "
+                             "P is formed may have k classes with k^3 <= "
+                             "cap^2 (default %(default)s, which admits 256 "
+                             "classes: about a minute of exact work)")
     based = argparse.ArgumentParser(add_help=False, parents=[common])
     based.add_argument("--base", required=True, help=_BASE_HELP)
     top = parser.add_subparsers(dest="command", required=True)

@@ -2,9 +2,8 @@
 
 A code is a set of words over the vertex set of a base scheme.  Its
 weight enumerator collects pair profiles as a homogeneous polynomial,
-counted block-wise from the vectorised profile keys of
-`genham._profile_keys`;
-the transform sends it to the dual enumerator, the exact substitution
+counted block-wise from vectorised profile keys (`_profile_keys`); the
+transform sends it to the dual enumerator, the exact substitution
 t -> P^-1 t scaled by v^n/|C|, computed as the enumerator's coefficient
 vector times the induced matrix of Q = v P^-1.  For additive codes over
 a translation scheme the dual code is computed by character-pairing
@@ -37,7 +36,6 @@ from .exact import (
     induced_matrix,
     substitute_polys,
 )
-from .genham import _key_profile, _profile_keys
 from .scheme import (
     DEFAULT_CAP,
     TranslationStructure,
@@ -89,14 +87,40 @@ class Code:
             len(self.words), self.n, self.base.v)
 
 
+def _profile_keys(xs, ys, relation, d):
+    """Profile keys of every pair of rows of xs and ys (word arrays of
+    equal length n over a base with classes 0..d).
+
+    Entry (a, b) is sum_j (n+1)^relation[xs[a, j], ys[b, j]], the profile
+    h(xs[a], ys[b]) read as digits in base n+1, so the key is injective.
+    Keys are int64 while (n+1)^(d+1) <= 2^62 and Python ints (dtype
+    object) beyond, so they never wrap.
+    """
+    n = xs.shape[1]
+    if (n + 1) ** (d + 1) <= 2**62:
+        powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
+    else:
+        powers = np.array([(n + 1) ** r for r in range(d + 1)], dtype=object)
+    coord_key = powers[relation]
+    key = np.zeros((len(xs), len(ys)), dtype=powers.dtype)
+    for j in range(n):
+        key += coord_key[np.ix_(xs[:, j], ys[:, j])]
+    return key
+
+
+def _key_profile(key, n, d):
+    """The profile tuple encoded by a `_profile_keys` key."""
+    return tuple(key // (n + 1) ** r % (n + 1) for r in range(d + 1))
+
+
 def weight_enumerator(code):
     """Homogeneous degree-n polynomial in d+1 variables whose coefficient
     of s^alpha is (1/|C|) times the number of pairs with profile alpha.
 
-    The |C|^2 ordered pairs are profiled by the vectorised key kernel of
-    `genham` a block of rows at a time (about 2^20 pairs per block, so
-    memory stays O(block) for large codes) and the keys are counted with
-    `np.unique`."""
+    The |C|^2 ordered pairs are profiled by the vectorised key kernel
+    `_profile_keys` a block of rows at a time (about 2^20 pairs per
+    block, so memory stays O(block) for large codes) and the keys are
+    counted with `np.unique`."""
     base, n = code.base, code.n
     words = np.array(code.words, dtype=np.int64)
     size = len(words)
@@ -137,10 +161,9 @@ def macwilliams_transform(enumerator, P, v, code_size):
             % (P.nrows, enumerator.nvars))
     n = enumerator.degree()
     comps = compositions(n, enumerator.nvars)
-    size = GaussRat(code_size)
-    scaled = {gamma: c / size for gamma, c in enumerator.terms.items()}
-    a = ExactMatrix([[scaled.get(gamma, GaussRat(0)) for gamma in comps]])
-    out = a @ induced_matrix(dual_eigenmatrix(P, v), n)
+    a = ExactMatrix([[enumerator.coefficient(gamma) for gamma in comps]])
+    out = (a.scale(Fraction(1, code_size))
+           @ induced_matrix(dual_eigenmatrix(P, v), n))
     return MPoly(enumerator.nvars, dict(zip(comps, out.row(0))))
 
 

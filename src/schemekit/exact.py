@@ -5,23 +5,23 @@ Everything in this module is exact.  Scalars are Gaussian rationals
 polynomials are built over them, and no operation ever rounds.  The one
 way in from floats is snap_gauss, whose results callers re-verify.
 
-GaussRat is the type at the edge: ExactMatrix stores GaussRat entries
-and MPoly GaussRat coefficients.  The heavy kernels -- matrix product,
-inverse and induced matrices -- run on one private integer form
-instead: a matrix becomes its Gaussian-integer numerators, held as a
-real and an imaginary integer matrix, over one common denominator D,
-the lcm of the entry denominators.  A kernel converts to that form
-once, works on Python ints only, and converts back once.  One
-fraction-free elimination kernel, `_bareiss`, serves both the inverse
-and the point determinants of `modular._poly_det`.
+GaussRat is the scalar type: MPoly coefficients are GaussRat, and so
+is every entry an ExactMatrix hands out.  An ExactMatrix itself is
+stored in one form only, its Gaussian-integer numerators -- a real and
+an imaginary integer matrix -- over one denominator D, kept reduced; its
+GaussRat entries are made when a caller first reads them.  The kernels
+-- matrix product, Kronecker product, inverse and induced matrices --
+work on the numerators with Python ints only.  One fraction-free
+elimination kernel, `_bareiss`, serves both the inverse and the point
+determinants of `modular._poly_det`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import repeat
-from math import lcm
+from itertools import chain, repeat
+from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -194,45 +194,12 @@ def snap_gauss(z):
     return GaussRat(re, im)
 
 
-# -- the private integer form ----------------------------------------------
+# -- Gaussian-integer kernels -----------------------------------------------
 #
-# A matrix is (re, im, D): lists of integer rows, entry (i, j) standing
-# for (re[i][j] + im[i][j] i) / D.  A vector is a pair (re, im) of
-# integer sequences and a scalar a pair (a, b) of ints for a + b i.  An
-# imaginary part that is zero throughout may be None, so real matrices
-# never pay for one.
-
-
-def _to_int(rows):
-    """The integer form (re, im, D) of rows of GaussRat entries, with D
-    the lcm of the entry denominators."""
-    D = lcm(*{f.denominator for row in rows for x in row
-              for f in (x.re, x.im)})
-    re = [[x.re.numerator * (D // x.re.denominator) for x in row]
-          for row in rows]
-    im = None
-    if any(x.im for row in rows for x in row):
-        im = [[x.im.numerator * (D // x.im.denominator) for x in row]
-              for row in rows]
-    return re, im, D
-
-
-def _to_gauss(re, im, D):
-    """Rows of GaussRat entries (re + im i) / D for a nonzero int D.
-
-    im is None or a list of rows, each of which may be None."""
-    made = {}
-
-    def entry(a, b):
-        g = made.get((a, b))
-        if g is None:
-            g = made[a, b] = GaussRat(Fraction(a, D), Fraction(b, D))
-        return g
-
-    if im is None:
-        im = [None] * len(re)
-    return tuple(tuple(map(entry, r, repeat(0) if i is None else i))
-                 for r, i in zip(re, im))
+# A matrix is a pair of lists of integer rows (ExactMatrix.numerators), a
+# vector a pair (re, im) of integer sequences and a scalar a pair (a, b)
+# of ints for a + b i.  An imaginary part that is zero throughout may be
+# None, so real matrices never pay for one.
 
 
 def _gmul(p, q):
@@ -325,9 +292,13 @@ def _bareiss(rows):
     return rows, prev, odd
 
 
-def _int_matmul(A, Bt):
-    """Product of integer matrices, the right factor given by columns."""
-    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
+def _int_matmul(A, B):
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
+
+
+def _int_kron(A, B):
+    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def _minus(gamma, j):
@@ -399,32 +370,75 @@ def _induced_rows(re, im, n):
 
 
 class ExactMatrix:
-    """A dense matrix of GaussRat entries.  Immutable.
+    """A dense matrix of Gaussian rationals.  Immutable.
+
+    Stored only as its reduced Gaussian-integer numerators over one
+    denominator, read by `numerators` and built by `from_numerators`, so
+    equality and hashing are structural; GaussRat entries are made on
+    the first read of an entry or a row, and kept.
 
     Supports @ for matrix product, + and -, .scale() for scalars,
     exact inversion (singularity raised, never approximated), Kronecker
     product, and conjugate transpose.
     """
 
-    __slots__ = ("nrows", "ncols", "_e")
+    __slots__ = ("nrows", "ncols", "_re", "_im", "_D", "_e")
 
     def __init__(self, entries):
         rows = tuple(tuple(GaussRat.coerce(x) for x in row) for row in entries)
-        if not rows or not rows[0]:
+        D = lcm(*{f.denominator for row in rows for x in row
+                  for f in (x.re, x.im)})
+        self._store([[x.re.numerator * (D // x.re.denominator) for x in row]
+                     for row in rows],
+                    [[x.im.numerator * (D // x.im.denominator) for x in row]
+                     for row in rows], D, rows)
+
+    @classmethod
+    def from_numerators(cls, re, im, D):
+        """The matrix (re + im i) / D for rows re of Python ints, im None
+        or rows each of which may be None (zero), and a nonzero int D.
+        Rows that are lists are kept, not copied."""
+        self = cls.__new__(cls)
+        self._store(re, im, D, None)
+        return self
+
+    def _store(self, re, im, D, entries):
+        """Set the reduced form of (re + im i) / D and the GaussRat rows
+        `entries`, or None to make them on first read."""
+        re = [r if type(r) is list else list(r) for r in re]
+        if not re or not re[0]:
             raise DimensionMismatch("empty matrix")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
+        if any(len(r) != len(re[0]) for r in re):
             raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "_e", rows)
+        if im is not None:
+            im = [[0] * len(r) if i is None else i if type(i) is list
+                  else list(i) for r, i in zip(re, im)]
+            if not any(map(any, im)):
+                im = None
+        g = 1 if D == 1 else gcd(D, *chain.from_iterable(re + (im or [])))
+        g = -g if D < 0 else g
+        if g != 1:
+            re = [[x // g for x in row] for row in re]
+            if im is not None:
+                im = [[x // g for x in row] for row in im]
+        for name, value in (("nrows", len(re)), ("ncols", len(re[0])),
+                            ("_re", re), ("_im", im), ("_D", D // g),
+                            ("_e", entries)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
+    def numerators(self):
+        """(re, im, D) with entry (i, j) = (re[i][j] + im[i][j] i) / D:
+        the stored lists of integer rows (im None for a real matrix, and
+        not to be modified) and the smallest positive D."""
+        return self._re, self._im, self._D
+
     @classmethod
     def identity(cls, k):
-        return cls([[1 if i == j else 0 for j in range(k)] for i in range(k)])
+        return cls.from_numerators(
+            [[int(i == j) for j in range(k)] for i in range(k)], None, 1)
 
     @classmethod
     def diagonal(cls, entries):
@@ -436,49 +450,55 @@ class ExactMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self._e[i][j]
+        return self.rows()[i][j]
 
     def row(self, i):
-        return self._e[i]
+        return self.rows()[i]
 
     def rows(self):
+        """The entries as rows of GaussRat, made on the first call, each
+        distinct value once."""
+        if self._e is None:
+            D = self._D
+            entry = lru_cache(maxsize=None)(
+                lambda a, b: GaussRat(Fraction(a, D), Fraction(b, D)))
+            object.__setattr__(self, "_e", tuple(
+                tuple(map(entry, r, i))
+                for r, i in zip(self._re, self._im or repeat(repeat(0)))))
         return self._e
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._e == other._e
+        return self.numerators() == other.numerators()
 
     def __hash__(self):
-        return hash(self._e)
+        re, im, D = self.numerators()
+        return hash((tuple(map(tuple, re)), im and tuple(map(tuple, im)), D))
 
     def __add__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._e, other._e)
-            ]
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch(
                 "shape mismatch: %dx%d vs %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
+        (ar, ai, da), (br, bi, db) = self.numerators(), other.numerators()
+        D = lcm(da, db)
+        sa, sb = D // da, D // db
+        zero = [[0] * self.ncols] * self.nrows
+
+        def part(x, y):
+            return [[p * sa + q * sb for p, q in zip(rx, ry)]
+                    for rx, ry in zip(x or zero, y or zero)]
+
+        im = None if ai is None and bi is None else part(ai, bi)
+        return ExactMatrix.from_numerators(part(ar, br), im, D)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
 
     def __matmul__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -488,31 +508,34 @@ class ExactMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        # (ar + ai i)(br + bi i) = ar br - ai bi + (ar bi + ai br) i
-        ar, ai, da = _to_int(self._e)
-        br, bi, db = _to_int(other._e)
-        brt = list(zip(*br))
-        bit = None if bi is None else list(zip(*bi))
-        re = _int_matmul(ar, brt)
-        im = None if bit is None else _int_matmul(ar, bit)
+        return self._product(_int_matmul, other)
+
+    def _product(self, op, other):
+        """self times other under a bilinear product op of integer
+        matrices: (ar + ai i)(br + bi i) = op(ar, br) - op(ai, bi)
+        + (op(ar, bi) + op(ai, br)) i."""
+        (ar, ai, da), (br, bi, db) = self.numerators(), other.numerators()
+        re = op(ar, br)
+        im = None if bi is None else op(ar, bi)
         if ai is not None:
-            ai_br = _int_matmul(ai, brt)
+            ai_br = op(ai, br)
             im = ai_br if im is None else [list(map(add, x, y))
                                            for x, y in zip(im, ai_br)]
-            if bit is not None:
-                re = [list(map(sub, x, y))
-                      for x, y in zip(re, _int_matmul(ai, bit))]
-        return ExactMatrix(_to_gauss(re, im, da * db))
+            if bi is not None:
+                re = [list(map(sub, x, y)) for x, y in zip(re, op(ai, bi))]
+        return ExactMatrix.from_numerators(re, im, da * db)
 
     def scale(self, s):
-        s = GaussRat.coerce(s)
-        return ExactMatrix([[s * x for x in row] for row in self._e])
+        return ExactMatrix([[s]]).kron(self)
 
     def transpose(self):
-        return ExactMatrix(list(zip(*self._e)))
+        re, im, D = self.numerators()
+        return ExactMatrix.from_numerators(zip(*re), im and zip(*im), D)
 
     def conjugate(self):
-        return ExactMatrix([[x.conjugate() for x in row] for row in self._e])
+        re, im, D = self.numerators()
+        return ExactMatrix.from_numerators(
+            re, im and [[-x for x in row] for row in im], D)
 
     def conjugate_transpose(self):
         return self.transpose().conjugate()
@@ -525,54 +548,47 @@ class ExactMatrix:
         if self.nrows != self.ncols:
             raise DimensionMismatch("only square matrices are invertible")
         k = self.nrows
-        re, im, D = _to_int(self._e)
+        re, im, D = self.numerators()
         # rows of [A | I], A = D * self
         rows = [(re[i] + [int(i == j) for j in range(k)],
                  None if im is None else im[i] + [0] * k) for i in range(k)]
         rows, pivot, _ = _bareiss(rows)
         # A is now pivot * I, pivot the last pivot, and the rows hold
         # pivot * A^-1 = pivot / D times the inverse
-        conj, den = _divisor(pivot)
-        right = [_gauss_axpy((None, None), (D * conj[0], D * conj[1]), row)
-                 for row in rows]
-        return ExactMatrix(_to_gauss([x for x, _ in right],
-                                     [y for _, y in right], den))
+        right = ExactMatrix.from_numerators([x for x, _ in rows],
+                                            [y for _, y in rows], 1)
+        return right.scale(GaussRat(D) / GaussRat(*pivot))
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
-        out = []
-        for ra in self._e:
-            for rb in other._e:
-                out.append([a * b for a in ra for b in rb])
-        return ExactMatrix(out)
+        return self._product(_int_kron, other)
 
     def permuted(self, row_perm=None, col_perm=None):
         """Rows and columns reordered: entry (i,j) of the result is
         self[row_perm[i], col_perm[j]]."""
         rp = row_perm if row_perm is not None else range(self.nrows)
         cp = col_perm if col_perm is not None else range(self.ncols)
-        return ExactMatrix([[self._e[i][j] for j in cp] for i in rp])
+        re, im, D = self.numerators()
+        return ExactMatrix.from_numerators(
+            [[re[i][j] for j in cp] for i in rp],
+            im and [[im[i][j] for j in cp] for i in rp], D)
 
     def is_diagonal(self):
-        return all(
-            not self._e[i][j]
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-            if i != j
-        )
+        re, im, _ = self.numerators()
+        return not any(x for part in (re, im or ())
+                       for i, row in enumerate(part)
+                       for j, x in enumerate(row) if i != j)
 
     def scalar_value(self):
         """The scalar c if this matrix equals c*I, else None."""
-        if self.nrows != self.ncols or not self.is_diagonal():
+        if self.nrows != self.ncols:
             return None
-        c = self._e[0][0]
-        if any(self._e[i][i] != c for i in range(self.nrows)):
-            return None
-        return c
+        c = self[0, 0]
+        return c if self == ExactMatrix.identity(self.nrows).scale(c) else None
 
     def __str__(self):
         return "\n".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self._e
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self.rows()
         )
 
     def __repr__(self):
@@ -825,7 +841,7 @@ def induced_matrix(M, n):
     if M.nrows != M.ncols:
         raise DimensionMismatch("induced matrix needs a square matrix")
     compositions(n, M.nrows)  # rejects n < 0
-    re, im, D = _to_int(M.rows())
+    re, im, D = M.numerators()
     rows = _induced_rows(re, im, n)
-    return ExactMatrix(_to_gauss([x for x, _ in rows], [y for _, y in rows],
-                                 D**n))
+    return ExactMatrix.from_numerators([x for x, _ in rows],
+                                       [y for _, y in rows], D**n)

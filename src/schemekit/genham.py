@@ -30,39 +30,13 @@ def h_vector(v, w, base):
 
     This is the scalar definition: `GHScheme.class_of` reads one pair
     with it, and the tests use it as the oracle for `build_explicit` and
-    for `_profile_keys`, which profiles whole arrays of pairs."""
+    for `codes._profile_keys`, which profiles whole arrays of pairs."""
     if len(v) != len(w):
         raise DimensionMismatch("words have different lengths")
     counts = [0] * (base.d + 1)
     for x, y in zip(v, w):
         counts[base.relation[x, y]] += 1
     return tuple(counts)
-
-
-def _profile_keys(xs, ys, relation, d):
-    """Profile keys of every pair of rows of xs and ys (word arrays of
-    equal length n over a base with classes 0..d).
-
-    Entry (a, b) is sum_j (n+1)^relation[xs[a, j], ys[b, j]], the profile
-    h(xs[a], ys[b]) read as digits in base n+1, so the key is injective.
-    Keys are int64 while (n+1)^(d+1) <= 2^62 and Python ints (dtype
-    object) beyond, so they never wrap.
-    """
-    n = xs.shape[1]
-    if (n + 1) ** (d + 1) <= 2**62:
-        powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
-    else:
-        powers = np.array([(n + 1) ** r for r in range(d + 1)], dtype=object)
-    coord_key = powers[relation]
-    key = np.zeros((len(xs), len(ys)), dtype=powers.dtype)
-    for j in range(n):
-        key += coord_key[np.ix_(xs[:, j], ys[:, j])]
-    return key
-
-
-def _key_profile(key, n, d):
-    """The profile tuple encoded by a `_profile_keys` key."""
-    return tuple(key // (n + 1) ** r % (n + 1) for r in range(d + 1))
 
 
 class GHScheme:

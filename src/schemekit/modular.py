@@ -473,7 +473,10 @@ def _search_numeric(P, restarts):
     """
     k = P.nrows
     d = k - 1
-    Pn = np.array([[complex(P[i, j]) for j in range(k)] for i in range(k)])
+    re, im, D = P.numerators()
+    # a / D rounds correctly, as complex() of a GaussRat entry does
+    Pn = np.array([[complex(a / D, b / D) for a, b in zip(r, i)]
+                   for r, i in zip(re, im or [[0] * k] * k)])
     residual = _cube_residual(Pn)
     rng = np.random.default_rng(_SEARCH_SEED)
     tried = set()

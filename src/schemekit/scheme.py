@@ -15,19 +15,18 @@ L_i x = x_i x for the (d+1) x (d+1) matrices L_i[k, r] = p[i][k][r],
 the regular representation of the Bose-Mesner algebra.  Its rows are
 found numerically from a random combination of the L_i, rounded to
 Gaussian integers (another combination is tried after a degenerate
-attempt or a miss below 1e-6) and then certified exactly: every row
-must be a character, P[j,i] P[j,k] = sum_r p[i][k][r] P[j,r], checked
-in int64 on Gaussian integers bounded by the valencies, so a wrong P
-can never pass silently.  Krein parameters come from the integer form
-of P and Q.  Fusions of a tensor power by a permutation group, the
-composite scheme among them, follow orbits of class tuples under the
-group's generators.
+attempt or a miss below 1e-6), attached as integer rows and certified
+exactly: every row must be a character, P[j,i] P[j,k] = sum_r
+p[i][k][r] P[j,r], checked in int64 on the numerators of P, bounded by
+the valencies, so a wrong P can never pass silently.  Krein parameters
+come from the numerators of P and Q.  Fusions of a tensor power by a
+permutation group, the composite scheme among them, follow orbits of
+class tuples under the group's generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +39,7 @@ from .errors import (
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import _SNAP_TOLERANCE, ExactMatrix, GaussRat, _to_gauss, _to_int
+from .exact import _SNAP_TOLERANCE, ExactMatrix
 
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
@@ -493,15 +492,6 @@ def sort_rows_canonically(M):
     return ExactMatrix(rows)
 
 
-def _numerators(M):
-    """The Gaussian-integer numerators (a, b) of an ExactMatrix as
-    object arrays of Python ints, with M = (a + b i) / D, and D."""
-    re, im, D = _to_int(M.rows())
-    a = np.array(re, dtype=object)
-    b = np.zeros_like(a) if im is None else np.array(im, dtype=object)
-    return a, b, D
-
-
 def _row_products(a, b):
     """(re, im) of x_i x_k for every row x = a + b i, as rows of length
     k^2 indexed by (i, k)."""
@@ -521,9 +511,10 @@ def certify_eigenmatrix(scheme, P):
     linearly independent, so P is invertible and no inverse is formed.
     A character value P[j,i] is an eigenvalue of the integer matrix
     L_i[k, r] = p[i][k][r], so an algebraic integer, and at most the
-    valency k_i in modulus: P is refused unless every entry is a
-    Gaussian integer a + b i with |a|, |b| <= k_i.  Both sides of the
-    identity are then at most 2 k_i k_k <= 2 v^2 in each part, since
+    valency k_i in modulus: P is refused unless its stored form
+    (`ExactMatrix.numerators`) has denominator 1 and numerators a + b i
+    with |a|, |b| <= k_i, read with no GaussRat formed.  Both sides of
+    the identity are then at most 2 k_i k_k <= 2 v^2 in each part, since
     sum_r p[i][k][r] k_r = k_i k_k, and one int64 matmul with the
     intersection tensor reshaped to ((d+1)^2, d+1) gives the right-hand
     sides of every row.
@@ -532,17 +523,16 @@ def certify_eigenmatrix(scheme, P):
     if P.nrows != k or P.ncols != k:
         return False
     vals = scheme.valencies().tolist()
-    rows = P.rows()
-    if list(rows[0]) != [GaussRat(x) for x in vals]:
+    re, im, D = P.numerators()
+    if re[0] != [x * D for x in vals] or (im is not None and any(im[0])):
         return False
     # a table that is not a scheme raises here, before any row check
     tensor = scheme.intersection_tensor().reshape(k * k, k)
-    if any(f.denominator != 1 or not -bound <= f.numerator <= bound
-           for row in rows for x, bound in zip(row, vals)
-           for f in (x.re, x.im)):
+    if D != 1 or any(not -bound <= x <= bound for part in (re, im or ())
+                     for row in part for x, bound in zip(row, vals)):
         return False
-    a = np.array([[x.re.numerator for x in row] for row in rows], dtype=np.int64)
-    b = np.array([[x.im.numerator for x in row] for row in rows], dtype=np.int64)
+    a = np.array(re, dtype=np.int64)
+    b = np.zeros_like(a) if im is None else np.array(im, dtype=np.int64)
     if (a[:, 0] != 1).any() or b[:, 0].any():
         return False
     if len(np.unique(np.concatenate([a, b], axis=1), axis=0)) != k:
@@ -628,9 +618,8 @@ def eigenmatrix(scheme):
             if miss > 1e-6:
                 break
             continue
-        P = ExactMatrix([tuple(map(GaussRat, r, i))
-                         for r, i in zip(re.astype(np.int64).tolist(),
-                                         im.astype(np.int64).tolist())])
+        P = ExactMatrix.from_numerators(re.astype(np.int64).tolist(),
+                                        im.astype(np.int64).tolist(), 1)
         if certify_eigenmatrix(scheme, P):
             scheme.P = P
             return P
@@ -660,24 +649,27 @@ def krein_parameters(scheme):
 
     q_ij(r) = (1/v) sum_k P[r,k] Q[k,i] Q[k,j].  Every entry must be a
     non-negative real; NegativeKrein is raised at the first other one in
-    (i, j, r) order.  On the integer numerators of P and Q, all entries
-    are one matmul of P with the row products of Q, over v D_P D_Q^2.
+    (i, j, r) order.  On the stored numerators of P and Q
+    (`ExactMatrix.numerators`), all entries are one matmul of P with the
+    row products of Q, over v D_P D_Q^2.
     """
     P = eigenmatrix(scheme)
     v, k = scheme.v, scheme.d + 1
-    pa, pb, dp = _numerators(P)
-    qa, qb, dq = _numerators(dual_eigenmatrix(P, v))
+    (pr, pi, dp), (qr, qi, dq) = (P.numerators(),
+                                  dual_eigenmatrix(P, v).numerators())
+    pa, pb, qa, qb = (np.zeros((k, k), dtype=object) if x is None
+                      else np.array(x, dtype=object) for x in (pr, pi, qr, qi))
     # s[r, (i, j)] = sum_m P[r,m] Q[m,i] Q[m,j], real part in rows :k
     s = np.block([[pa, -pb], [pb, pa]]) @ np.concatenate(_row_products(qa, qb))
-    re = s[:k].T.reshape(k, k, k)
-    im = s[k:].T.reshape(k, k, k)
-    den = v * dp * dq * dq
-    for t in np.ndindex(k, k, k):
-        if im[t] or re[t] < 0:
-            raise NegativeKrein(t, GaussRat(Fraction(re[t], den),
-                                            Fraction(im[t], den)))
-    q = _to_gauss(re.reshape(k * k, k).tolist(), None, den)
-    return np.array(q, dtype=object).reshape(k, k, k)
+    re, im = (part.T.reshape(k, k, k) for part in (s[:k], s[k:]))
+    q = ExactMatrix.from_numerators(re.reshape(k * k, k).tolist(),
+                                    im.reshape(k * k, k).tolist(),
+                                    v * dp * dq * dq)
+    q = np.array(q.rows(), dtype=object).reshape(k, k, k)
+    bad = np.argwhere((im != 0) | (re < 0))
+    if len(bad):
+        raise NegativeKrein(tuple(map(int, bad[0])), q[tuple(bad[0])])
+    return q
 
 
 # -- constructions on schemes ----------------------------------------

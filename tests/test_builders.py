@@ -127,6 +127,20 @@ def test_group_scheme_mixed_orders():
     s.translation.validate(s.relation)
 
 
+@pytest.mark.parametrize("orders", [(4,), (2, 2), (2, 4), (4, 4)])
+def test_group_scheme_P_is_the_character_table(orders):
+    """The attached P, built from the exponent table as integer rows,
+    is entry by entry the character value i^<a, z>, and stores no
+    imaginary part when every order is at most 2."""
+    s = group_scheme(list(orders))
+    i_pow = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
+    table = [[i_pow[e] for e in row]
+             for row in s.translation.character_exponents().tolist()]
+    assert s.P == ExactMatrix(table)
+    assert [list(row) for row in s.P.rows()] == table
+    assert (s.P.numerators()[1] is None) == (max(orders) <= 2)
+
+
 def test_cycle_scheme_relation():
     s = cycle_scheme(6)
     assert s.relation[0, 1] == 1

@@ -569,3 +569,35 @@ def test_tensor_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
                  "search_T", "weight_enumerator"):
         monkeypatch.setattr(cli, name, fail)
     assert_usage_error(capsys, argv + ["--cap", "5"])
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("argv", [
+    ["code", "enumerate", "--base", "one_class:2", "BIN"],
+    ["code", "transform", "--base", "one_class:2", "BIN"],
+    ["code", "dual", "--base", "one_class:2", "BIN"],
+    ["code", "z4", "Z4"],
+    ["code", "gray-check", "Z4"],
+])
+def test_code_word_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
+    # 8 words: |C| = cap runs, |C| = cap + 1 is refused before the code
+    # is built or any pair is profiled
+    files = {"BIN": ["%d %d %d" % (x >> 2, x >> 1 & 1, x & 1)
+                     for x in range(8)],
+             "Z4": ["%d %d" % (a, (a + 2 * b) % 4)
+                    for a in range(4) for b in range(2)]}
+    argv = [write_code(tmp_path, files[a]) if a in files else a
+            for a in argv] + mode
+    assert run(argv + ["--cap", "8"]) == 0
+    assert capsys.readouterr().out
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the word cap was checked")
+
+    for name in ("Code", "weight_enumerator", "dual_code", "z4_enumerators",
+                 "gray_lee_check"):
+        monkeypatch.setattr(cli, name, fail)
+    assert run(argv + ["--cap", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 8 code words exceeds cap 7\n"

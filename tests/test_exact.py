@@ -1,8 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+import schemekit
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     Code,
@@ -383,6 +387,97 @@ def test_singular_matrix_names_the_same_column():
         want = inverse_reference(m)
         assert isinstance(want, int) and want <= j
         assert singular_column(m) == want
+
+
+def assert_canonical(m):
+    """The stored form is reduced: D > 0 shares no factor with every
+    numerator, and a real matrix stores no imaginary part."""
+    re, im, D = m.numerators()
+    assert D > 0
+    assert gcd(D, *(x for part in (re, im or []) for row in part
+                    for x in row)) == 1
+    assert (im is None) == all(x.is_real() for row in m.rows() for x in row)
+
+
+def test_matrix_form_is_canonical():
+    half = [ExactMatrix([[Fraction(1, 2)]]), ExactMatrix([[GaussRat(2) / 4]]),
+            ExactMatrix.from_numerators([[3]], None, 6),
+            ExactMatrix.from_numerators(((-5,),), [[0]], -10)]
+    assert all(m == half[0] for m in half)
+    assert len({hash(m) for m in half}) == 1
+    assert all(m.numerators() == ([[1]], None, 2) for m in half)
+    zero = ExactMatrix.from_numerators([[0, 0], [0, 0]], [None, [0, 0]], 12)
+    assert zero.numerators() == ([[0, 0], [0, 0]], None, 1)
+    assert ExactMatrix([[0, GaussRat(0)], [Fraction(0), 0]]) == zero
+    assert ExactMatrix([[GaussRat(Fraction(1, 3), 1)]]).numerators() == \
+        ([[1]], [[3]], 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_matrix_round_trips(kind):
+    rng = random.Random(1984)
+    for _ in range(20):
+        m = rand_kind_matrix(rng, rng.randint(1, 4), rng.randint(1, 4), kind)
+        assert_canonical(m)
+        assert ExactMatrix(m.rows()) == m
+        assert ExactMatrix.from_numerators(*m.numerators()) == m
+        assert hash(ExactMatrix(m.rows())) == hash(m)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_matrix_ops_match_entrywise_definitions(kind):
+    rng = random.Random(1991)
+    for _ in range(20):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = (rand_kind_matrix(rng, r, c, kind) for _ in range(2))
+        s = rand_entry(rng, kind)
+        rp, cp = rng.sample(range(r), r), rng.sample(range(c), c)
+        want = {
+            "add": (a + b, [[x + y for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a.rows(), b.rows())]),
+            "sub": (a - b, [[x - y for x, y in zip(ra, rb)]
+                            for ra, rb in zip(a.rows(), b.rows())]),
+            "scale": (a.scale(s), [[s * x for x in row] for row in a.rows()]),
+            "kron": (a.kron(b), [[a[i, j] * b[p, q] for j in range(c)
+                                  for q in range(c)]
+                                 for i in range(r) for p in range(r)]),
+            "conjugate_transpose": (a.conjugate_transpose(),
+                                    [[a[i, j].conjugate() for i in range(r)]
+                                     for j in range(c)]),
+            "permuted": (a.permuted(rp, cp), [[a[i, j] for j in cp]
+                                              for i in rp]),
+        }
+        for name, (got, entries) in want.items():
+            assert got == ExactMatrix(entries), name
+            assert [list(row) for row in got.rows()] == entries, name
+            assert_canonical(got)
+        # square matrices: a general one, a diagonal one and s I
+        diag = ExactMatrix.diagonal([rand_entry(rng, kind) for _ in range(r)])
+        for m in (rand_kind_matrix(rng, r, r, kind), diag,
+                  ExactMatrix.identity(r).scale(s)):
+            off = [m[i, j] for i in range(r) for j in range(r) if i != j]
+            assert m.is_diagonal() == (not any(off))
+            on = {m[i, i] for i in range(r)}
+            scalar = on.pop() if m.is_diagonal() and len(on) == 1 else None
+            assert m.scalar_value() == scalar
+
+
+def test_only_exact_imports_its_private_names():
+    """The matrix form stays inside `exact`: no other module imports one
+    of its private names, apart from the elimination kernel `_bareiss`
+    and the snap tolerance."""
+    allowed = {"_bareiss", "_SNAP_TOLERANCE"}
+    leaks = []
+    for path in sorted(Path(schemekit.__file__).parent.glob("*.py")):
+        if path.stem == "exact":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.module or "").split(".")[-1] == "exact"):
+                leaks += [(path.stem, alias.name) for alias in node.names
+                          if alias.name.startswith("_")
+                          and alias.name not in allowed]
+    assert leaks == []
 
 
 def test_induced_matrix_matches_substitution():

@@ -4,14 +4,13 @@ import random
 import numpy as np
 import pytest
 
+from schemekit import codes
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit import genham
+from schemekit.codes import _key_profile, _profile_keys
 from schemekit.errors import SizeCapExceeded
 from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
     GHScheme,
-    _key_profile,
-    _profile_keys,
     build_explicit,
     dual_eigenmatrix_gh,
     eigenmatrix_gh,
@@ -115,7 +114,7 @@ def test_build_explicit_forms_no_profile_keys(monkeypatch):
     def refuse(*args):
         raise AssertionError("_profile_keys called")
 
-    monkeypatch.setattr(genham, "_profile_keys", refuse)
+    monkeypatch.setattr(codes, "_profile_keys", refuse)
     g = build_explicit(one_class(2), 3)
     assert g.relation[0].tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
 
