@@ -1,8 +1,9 @@
 """Built-in scheme families.
 
-All builders produce relation tables that are valid by construction
-(the unit tests run verify_axioms on small instances of each) and attach
-an exact eigenmatrix whenever one exists over the Gaussian rationals.
+All builders hand a class vector c to the scheme, whose table c[y - x]
+is valid by construction (the unit tests run verify_axioms on small
+instances of each), and attach an exact eigenmatrix whenever one exists
+over the Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ def one_class(q):
     """The one-class scheme on q >= 2 points: equal / different."""
     if q < 2:
         raise DimensionMismatch("one_class needs q >= 2")
-    rel = np.ones((q, q), dtype=np.int64)
-    np.fill_diagonal(rel, 0)
     P = ExactMatrix([[1, q - 1], [1, -1]])
-    return AssociationScheme(rel, P=P,
+    return AssociationScheme(np.arange(q) != 0, P=P,
                              translation=TranslationStructure((q,)),
                              check=False)
 
@@ -40,9 +39,8 @@ def hamming(n, q, cap=DEFAULT_CAP):
     translation = TranslationStructure((q,) * n)
     # the class of (x, y) is the Hamming weight of y - x
     weight = (translation.digits(np.arange(v)) != 0).sum(axis=-1)
-    rel = weight[translation.difference_table()]
     P = induced_matrix(ExactMatrix([[1, q - 1], [1, -1]]), n)
-    return AssociationScheme(rel, P=P, translation=translation, check=False)
+    return AssociationScheme(weight, P=P, translation=translation, check=False)
 
 
 def group_scheme(orders, cap=DEFAULT_CAP):
@@ -56,7 +54,6 @@ def group_scheme(orders, cap=DEFAULT_CAP):
     v = translation.size
     if v > cap:
         raise SizeCapExceeded("group of order %d exceeds cap %d" % (v, cap))
-    rel = translation.difference_table()
     P = None
     if all(4 % m == 0 for m in translation.orders):
         # i^e = re[e] + im[e] i for the exponents e of the characters
@@ -65,7 +62,8 @@ def group_scheme(orders, cap=DEFAULT_CAP):
         P = ExactMatrix.from_numerators(
             np.array([1, 0, -1, 0])[exponents].tolist(),
             im.tolist() if im.any() else None, 1)
-    return AssociationScheme(rel, P=P, translation=translation, check=False)
+    return AssociationScheme(np.arange(v), P=P, translation=translation,
+                             check=False)
 
 
 def cycle_scheme(m, cap=DEFAULT_CAP):
@@ -78,10 +76,9 @@ def cycle_scheme(m, cap=DEFAULT_CAP):
         raise DimensionMismatch("cycle_scheme needs m >= 3")
     if m > cap:
         raise SizeCapExceeded("%d vertices exceeds cap %d" % (m, cap))
-    translation = TranslationStructure((m,))
-    k = translation.difference_table()
-    scheme = AssociationScheme(np.minimum(k, m - k), translation=translation,
-                               check=False)
+    z = np.arange(m)
+    scheme = AssociationScheme(np.minimum(z, m - z),
+                               translation=TranslationStructure((m,)), check=False)
     try:
         eigenmatrix(scheme)
     except SnapFailure:

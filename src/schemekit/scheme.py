@@ -1,10 +1,10 @@
 """Association schemes: verification, eigenmatrices, and algebra.
 
 A scheme is stored as a v x v relation table with values 0..d, where
-class 0 is the diagonal.  When the scheme carries a translation
-structure, whether its table fits it -- rel[x, y] = c[y - x] for the
-class vector c = rel[0] -- is decided once per scheme, on first use.
-A table that fits is checked and counted over the group from c:
+class 0 is the diagonal.  A scheme with a translation structure has
+rel[x, y] = c[y - x] for its class vector c = rel[0], decided at
+construction: constructions hand over c, and a table that does not fit
+is refused.  Its table is checked and counted over the group from c:
 p[i][j][k] = #{z : c(z) = i, c(w - z) = j} for any w in class k,
 required equal over each class, with c(w - z) read off rel[z, w].
 Any other table, or one that fails a check on that path, is verified by
@@ -27,7 +27,6 @@ class tuples under the group's generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -195,7 +194,7 @@ def _product_tensor(rel, d):
     Each indicator is rebuilt where it
     is used, at v^2 against the v^3 of a matmul, so no d+1 of them are
     held at once.  These are (d+1)^2 dense v x v matmuls: schemes with a
-    valid translation structure are counted over the group instead
+    translation structure are counted over the group instead
     (`_translation_tensor`), and this route serves the rest,
     `verify_axioms`, and the tests as the oracle.
     """
@@ -239,22 +238,16 @@ def _row_blocks(rows, width):
 
 
 def _fold(tables):
-    """The Kronecker fold of square tables T_j, the one producer of product
-    tables: entry (x, y), with x and y in the mixed radix of the table
-    sizes, is the tuple (T_j[x_j, y_j])_j read in radix max(T_j) + 1
-    (both big-endian)."""
+    """The Kronecker fold of tables T_j, the one producer of product
+    tables: entry (x, y), with x and y in the mixed radix of the row and
+    column counts, is the tuple (T_j[x_j, y_j])_j read in radix
+    max(T_j) + 1 (both big-endian).  On 1-row class vectors c_j it is
+    the class vector of the product."""
     out = np.zeros((1, 1), dtype=np.int64)
     for t in tables:
         out = out[:, None, :, None] * (int(t.max()) + 1) + t[None, :, None, :]
         out = out.reshape(len(out) * len(t), -1)
     return out
-
-
-def _invariance_break(rel, translation):
-    """The first (x, y), in row-major order, with rel[x, y] != rel[0, y - x]
-    under `translation` (of size v), or None when the table is
-    translation-invariant: rel[x, y] = c[y - x] for c = rel[0]."""
-    return _first_index(rel[0][translation.difference_table()] != rel)
 
 
 def _row_histograms(table, rows, c, k):
@@ -399,14 +392,14 @@ class TranslationStructure:
         return (digits * (4 // np.array(self.orders))) @ digits.T % 4
 
     def validate(self, relation):
-        """Check every class is invariant under simultaneous translation,
-        i.e. relation(x, y) depends only on the difference y - x, by the
-        check that decides whether a scheme is counted over the group."""
+        """Check relation(x, y) = c[y - x] for c = relation[0]: every class
+        is invariant under simultaneous translation.  DimensionMismatch
+        names the first (x, y), in row-major order, that breaks it."""
         rel = _as_relation(relation)
         v = rel.shape[0]
         if v != self.size:
             raise DimensionMismatch("group size %d != vertex count %d" % (self.size, v))
-        bad = _invariance_break(rel, self)
+        bad = _first_index(rel[0][self.difference_table()] != rel)
         if bad is not None:
             raise DimensionMismatch(
                 "classes are not translation-invariant at %r" % (bad,)
@@ -418,16 +411,27 @@ class AssociationScheme:
     """An association scheme given by its relation table.
 
     The table is a v x v integer array with values 0..d; class 0 must be
-    the diagonal.  The exact eigenmatrix P (rows = idempotents, columns =
-    classes) may be attached by a builder or computed and certified on
-    demand; schemes whose eigenvalues are not Gaussian rationals stay in
-    numeric-only mode and refuse exact transforms.  With check=True the
-    axioms are verified on construction (AxiomViolation if one fails);
-    with check=False on first use of the intersection tensor.
+    the diagonal.  With a translation, `relation` may be the class vector
+    c of length v instead, giving the table c[y - x]; a table must fit the
+    translation (`TranslationStructure.validate`).  The exact eigenmatrix
+    P (rows = idempotents, columns = classes) may be attached by a builder
+    or computed and certified on demand; schemes whose eigenvalues are not
+    Gaussian rationals stay in numeric-only mode and refuse exact
+    transforms.  With check=True the axioms are verified on construction
+    (AxiomViolation if one fails); with check=False on first use of the
+    intersection tensor.
     """
 
     def __init__(self, relation, P=None, translation=None, check=True):
-        rel = _as_relation(relation)
+        rel = np.asarray(relation, dtype=np.int64)
+        if translation is not None and rel.ndim == 1:
+            if len(rel) != translation.size:
+                raise DimensionMismatch("class vector of length %d != group size %d"
+                                        % (len(rel), translation.size))
+            rel = rel[translation.difference_table()]
+        elif translation is not None:
+            translation.validate(rel)
+        rel = _as_relation(rel)
         rel.setflags(write=False)
         self.v = rel.shape[0]
         self.d = int(rel.max())
@@ -452,20 +456,11 @@ class AssociationScheme:
     def is_symmetric(self):
         return bool((self.relation == self.relation.T).all())
 
-    @cached_property
-    def _classes(self):
-        """The class vector c with relation[x, y] = c[y - x], or None when
-        the scheme carries no translation or its table does not fit it."""
-        tr = self.translation
-        if (tr is None or tr.size != self.v
-                or _invariance_break(self.relation, tr) is not None):
-            return None
-        return self.relation[0]
-
     def intersection_tensor(self):
         """p[i][j][k], verified; AxiomViolation if the table is no scheme."""
         if self._tensor is None:
-            self._tensor = _verified_tensor(self.relation, self._classes)
+            c = None if self.translation is None else self.relation[0]
+            self._tensor = _verified_tensor(self.relation, c)
         return self._tensor
 
     def __repr__(self):
@@ -651,14 +646,18 @@ def krein_parameters(scheme):
     non-negative real; NegativeKrein is raised at the first other one in
     (i, j, r) order.  On the stored numerators of P and Q
     (`ExactMatrix.numerators`), all entries are one matmul of P with the
-    row products of Q, over v D_P D_Q^2.
+    row products of Q, over v D_P D_Q^2.  Its partial sums are at most
+    4 k B^3 for real and imaginary numerators of size at most B, so it
+    runs in int64 below 2^63 and on Python ints beyond.
     """
     P = eigenmatrix(scheme)
     v, k = scheme.v, scheme.d + 1
     (pr, pi, dp), (qr, qi, dq) = (P.numerators(),
                                   dual_eigenmatrix(P, v).numerators())
-    pa, pb, qa, qb = (np.zeros((k, k), dtype=object) if x is None
-                      else np.array(x, dtype=object) for x in (pr, pi, qr, qi))
+    B = max(abs(x) for part in (pr, pi, qr, qi) for row in part or () for x in row)
+    dtype = np.int64 if 4 * k * B**3 < 2**63 else object
+    pa, pb, qa, qb = (np.zeros((k, k), dtype=dtype) if x is None
+                      else np.array(x, dtype=dtype) for x in (pr, pi, qr, qi))
     # s[r, (i, j)] = sum_m P[r,m] Q[m,i] Q[m,j], real part in rows :k
     s = np.block([[pa, -pb], [pb, pa]]) @ np.concatenate(_row_products(qa, qb))
     re, im = (part.T.reshape(k, k, k) for part in (s[:k], s[k:]))
@@ -693,22 +692,23 @@ def fusion(scheme, blocks):
     for new, b in enumerate(blocks):
         for i in b:
             block_of[i] = new
+    classes = scheme.relation if scheme.translation is None else scheme.relation[0]
     try:
-        return AssociationScheme(block_of[scheme.relation],
-                                 translation=scheme.translation)
+        return AssociationScheme(block_of[classes], translation=scheme.translation)
     except AxiomViolation as e:
         raise ClosureFailure(e.report) from None
 
 
 def tensor_product(a, b):
     """Direct product scheme on pairs; class (i, j) gets index
-    i*(d_b+1)+j, so (0,0) -> 0."""
-    rel = _fold([a.relation, b.relation])
+    i*(d_b+1)+j, so (0,0) -> 0.  Of two translation schemes it is built
+    from the folded class vectors and carries the product group."""
     P = a.P.kron(b.P) if (a.P is not None and b.P is not None) else None
-    translation = None
-    if a.translation is not None and b.translation is not None:
-        translation = TranslationStructure(a.translation.orders + b.translation.orders)
-    return AssociationScheme(rel, P=P, translation=translation, check=False)
+    if a.translation is None or b.translation is None:
+        return AssociationScheme(_fold([a.relation, b.relation]), P=P, check=False)
+    orders = a.translation.orders + b.translation.orders
+    return AssociationScheme(_fold([a.relation[:1], b.relation[:1]])[0], P=P,
+                             translation=TranslationStructure(orders), check=False)
 
 
 def _check_tensor_cap(classes, cap):
@@ -730,7 +730,8 @@ def _orbit_power(scheme, n, generators, cap):
     least = min(least, least[m]) both ways over every m until nothing
     changes leaves each tuple's orbit at its least member, and orbits are
     numbered in the order of those.  No group element is listed.  Over a
-    translation base the result carries the structure of V^n.
+    translation base the class vectors are folded, not the tables, and
+    the result carries the structure of V^n.
     SizeCapExceeded past cap vertices or class tuples, or past cap^2
     intersection numbers: no larger than a v x v table at the cap.
     """
@@ -757,11 +758,12 @@ def _orbit_power(scheme, n, generators, cap):
             least[m] = np.minimum(least[m], least)
     roots = least == tuples
     _check_tensor_cap(int(roots.sum()), cap)
-    rel = (np.cumsum(roots) - 1)[least][_fold([scheme.relation] * n)]
-    translation = None
-    if scheme.translation is not None:
-        translation = TranslationStructure(scheme.translation.orders * n)
-    return AssociationScheme(rel, translation=translation)
+    label = (np.cumsum(roots) - 1)[least]
+    tr = scheme.translation
+    if tr is None:
+        return AssociationScheme(label[_fold([scheme.relation] * n)])
+    return AssociationScheme(label[_fold([scheme.relation[:1]] * n)[0]],
+                             translation=TranslationStructure(tr.orders * n))
 
 
 def orbit_fusion(scheme, n, generators, cap=DEFAULT_CAP):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from schemekit import codes
+from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import _key_profile, _profile_keys
 from schemekit.errors import SizeCapExceeded
@@ -108,15 +108,26 @@ def test_build_explicit_caps_class_tuples():
         build_explicit(base, 2)
 
 
-def test_build_explicit_forms_no_profile_keys(monkeypatch):
-    """The composite table is the relabelled tensor power: no word pair
-    is profiled by the key kernel."""
-    def refuse(*args):
-        raise AssertionError("_profile_keys called")
+def test_build_explicit_folds_class_vectors(monkeypatch):
+    """Over a translation base the composite is built from the folded
+    1-row class vectors, and the only tables folded are the cyclic
+    difference tables of V^n; over a base without a translation the
+    tables themselves are folded.  Both give the same composite."""
+    shapes = []
+    fold = scheme_module._fold
 
-    monkeypatch.setattr(codes, "_profile_keys", refuse)
-    g = build_explicit(one_class(2), 3)
-    assert g.relation[0].tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+    def recorded(tables):
+        shapes.append([t.shape for t in tables])
+        return fold(tables)
+
+    base = hamming(2, 2)
+    bare = AssociationScheme(base.relation)
+    monkeypatch.setattr(scheme_module, "_fold", recorded)
+    g = build_explicit(base, 2)
+    assert shapes == [[(1, 4)] * 2, [(2, 2)] * 4]
+    del shapes[:]
+    assert (build_explicit(bare, 2).relation == g.relation).all()
+    assert shapes == [[(4, 4)] * 2]
 
 
 def test_build_explicit_h22():

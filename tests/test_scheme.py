@@ -1,7 +1,9 @@
+import ast
 import itertools
 import random
 import re
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,17 +504,19 @@ def test_krein_agrees_with_sums_oracle():
 
 def test_krein_first_witness_agrees_with_sums_oracle():
     """A scheme carrying a wrong P: NegativeKrein names the oracle's
-    first witness with the same value, real and complex ones alike."""
+    first witness with the same value, real and complex ones alike, on
+    int64 numerators and, past a 2^40 entry, on Python ints."""
     rng = random.Random(3306)
     base = build_explicit(group_scheme([4]), 2)
     rows = _rows(eigenmatrix(base))
     k = len(rows)
     kinds = set()
-    for _ in range(12):
+    tamperings = [(rng.randrange(1, k), rng.randrange(k),
+                   rng.choice([1, -1, GaussRat(0, 1), GaussRat(1, -2) / 3]))
+                  for _ in range(12)]
+    for j, i, delta in tamperings + [(3, 5, 2**40)]:
         tampered = [list(r) for r in rows]
-        j, i = rng.randrange(1, k), rng.randrange(k)
-        tampered[j][i] = tampered[j][i] + rng.choice(
-            [1, -1, GaussRat(0, 1), GaussRat(1, -2) / 3])
+        tampered[j][i] = tampered[j][i] + delta
         P = ExactMatrix(tampered)
         try:
             want = _krein_by_sums(P, base.v)
@@ -523,8 +527,8 @@ def test_krein_first_witness_agrees_with_sums_oracle():
             krein_parameters(s)
         assert (info.value.indices, info.value.value) == want
         assert str(info.value.value) == str(want[1])
-        kinds.add(want[1].im != 0)
-    assert kinds == {False, True}
+        kinds.add("2^40" if delta == 2**40 else want[1].im != 0)
+    assert kinds == {False, True, "2^40"}
 
 
 def test_krein_group_convolution():
@@ -657,10 +661,11 @@ def test_orbit_fusion_checks_generators(bad, monkeypatch):
     def refuse(*args):
         raise AssertionError("table built before the generator check")
 
+    base = one_class(2)
     monkeypatch.setattr(scheme_module, "_fold", refuse)
     message = "generator %r is not a permutation of 0..2" % (bad,)
     with pytest.raises(DimensionMismatch, match=re.escape(message)):
-        orbit_fusion(one_class(2), 3, [(1, 0, 2), bad])
+        orbit_fusion(base, 3, [(1, 0, 2), bad])
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -676,9 +681,10 @@ def test_orbit_fusion_caps_the_intersection_tensor(monkeypatch):
     def refuse(*args):
         raise AssertionError("table built past the class cap")
 
+    base = one_class(2)
     monkeypatch.setattr(scheme_module, "_fold", refuse)
     with pytest.raises(SizeCapExceeded, match="768 classes"):
-        orbit_fusion(one_class(2), 10, [(1, 0, 2, 3, 4, 5, 6, 7, 8, 9)])
+        orbit_fusion(base, 10, [(1, 0, 2, 3, 4, 5, 6, 7, 8, 9)])
 
 
 def test_orbit_fusion_trivial_group():
@@ -727,10 +733,10 @@ def _translation_cases(name):
 
 
 def _group_count(rel, tr):
-    """The group count of a table under `tr`, or None when the table does
-    not fit `tr` or fails an axiom there."""
-    c = AssociationScheme(rel, translation=tr, check=False)._classes
-    return None if c is None else _translation_tensor(rel, c)
+    """The group count of a table that fits `tr`, or None when it fails an
+    axiom there."""
+    s = AssociationScheme(rel, translation=tr, check=False)
+    return _translation_tensor(s.relation, s.relation[0])
 
 
 def _group_tensor(s):
@@ -839,19 +845,34 @@ def test_group_fusion_failures_match_dense():
         assert str(info.value) == str(ClosureFailure(want))
 
 
-def test_wrong_translation_falls_back():
-    """A translation that does not fit the table gives the dense route's
-    result: the same tensor, the numeric P, the same failure report."""
+def test_wrong_translation_is_refused():
+    """A table that does not fit its translation is refused at
+    construction, checked or not, with the DimensionMismatch of
+    `validate`; without the translation the same table keeps the dense
+    tensor and its P.  A class vector must have the group's length."""
     z4 = group_scheme([4]).relation
-    for tr in (TranslationStructure((2, 2)), TranslationStructure((8,))):
-        assert _group_count(z4, tr) is None
-        s = AssociationScheme(z4, translation=tr)
-        assert (s.intersection_tensor() == _product_tensor(z4, 3)[0]).all()
-        assert eigenmatrix(s) == eigenmatrix(AssociationScheme(z4))
     path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    for rel, tr in ((z4, TranslationStructure((2, 2))), (z4, TranslationStructure((8,))),
+                    (path, TranslationStructure((3,)))):
+        with pytest.raises(DimensionMismatch) as want:
+            tr.validate(rel)
+        for check in (True, False):
+            with pytest.raises(DimensionMismatch) as info:
+                AssociationScheme(rel, translation=tr, check=check)
+            assert str(info.value) == str(want.value)
+    assert "not translation-invariant at (1, 0)" in str(want.value)
+    s = AssociationScheme(z4)
+    assert (s.intersection_tensor() == _product_tensor(z4, 3)[0]).all()
+    fits = AssociationScheme(z4, translation=TranslationStructure((4,)))
+    assert (s.intersection_tensor() == fits.intersection_tensor()).all()
+    assert eigenmatrix(s) == eigenmatrix(fits)
     with pytest.raises(AxiomViolation) as info:
-        AssociationScheme(path, translation=TranslationStructure((3,)))
+        AssociationScheme(path)
     assert str(info.value.report) == str(verify_axioms(path))
+    for c in ([0, 1, 2], [0, 1, 2, 3, 1]):
+        with pytest.raises(DimensionMismatch,
+                           match="class vector of length %d != group size 4" % len(c)):
+            AssociationScheme(c, translation=TranslationStructure((4,)))
 
 
 def _eigen_outcome(s):
@@ -1034,6 +1055,37 @@ def test_orbit_fusion_translation():
         s.translation.validate(s.relation)
     bare = AssociationScheme(one_class(2).relation)
     assert orbit_fusion(bare, 2, [(1, 0)]).translation is None
+
+
+def test_constructions_fit_their_translation():
+    """Products and fusions of translation bases, built from class
+    vectors, are translation schemes of the product group; a product
+    with a factor that has no translation folds the tables to the same
+    table and carries none."""
+    cases = [tensor_product(group_scheme([4]), cycle_scheme(5)),
+             tensor_product(hamming(2, 2), one_class(3)),
+             fusion(hamming(3, 2), [[0], [1, 3], [2]]),
+             fusion(group_scheme([2, 4]), [[0], [1, 3, 5, 7], [2, 6], [4]])]
+    for s in cases:
+        assert s.translation.validate(s.relation)
+    assert cases[0].translation.orders == (4, 5)
+    assert cases[1].translation.orders == (2, 2, 3)
+    mixed = tensor_product(group_scheme([4]), AssociationScheme(cycle_scheme(5).relation))
+    assert mixed.translation is None
+    assert (mixed.relation == cases[0].relation).all()
+
+
+def test_only_scheme_calls_difference_table():
+    """Constructions hand over class vectors: the one place outside
+    `TranslationStructure` that forms a difference table is the scheme
+    constructor."""
+    callers = []
+    for path in sorted(Path(scheme_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "difference_table"):
+                callers.append(path.stem)
+    assert set(callers) == {"scheme"}
 
 
 def _hamming_tensor(n):
