@@ -13,6 +13,10 @@ by k^3 <= cap^2 (the rule of `scheme._check_tensor_cap`).  Errors
 print an `error:` line on stderr and nothing on stdout.  --json switches
 every command to structured output with rationals serialized as exact
 strings.
+
+Each command prints nothing: it returns one result, its exit code with
+its JSON object and its text, and `run` prints the one form asked for
+after the command returns.  `run` is the one place output is written.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from math import comb
 
 from . import builders, jsonio
@@ -185,28 +190,21 @@ def _parse_blocks(text):
     return blocks
 
 
-# -- output plumbing -----------------------------------------------------
+# -- results -------------------------------------------------------------
+#
+# Each command returns (exit code, JSON object, text), the two forms as
+# functions of no arguments: `run` builds and prints the one asked for.
+# Building the other could cost more than the command's own work (the
+# v x v table of a scheme, every entry of a large P as an object).
 
 
-def _emit(obj):
-    print(json.dumps(obj, indent=2))
+def _matrix_text(label, M):
+    return "\n".join(["%s:" % label] + [
+        "  " + "  ".join(str(M[i, j]) for j in range(M.ncols))
+        for i in range(M.nrows)])
 
 
-def _matrix_lines(M):
-    return ["  ".join(str(M[i, j]) for j in range(M.ncols))
-            for i in range(M.nrows)]
-
-
-def _print_matrix(label, M):
-    print("%s:" % label)
-    for line in _matrix_lines(M):
-        print("  " + line)
-
-
-def _print_scheme(s, as_json):
-    if as_json:
-        _emit(jsonio.scheme_to_obj(s))
-        return
+def _scheme_result(s):
     lines = [
         "v = %d" % s.v,
         "d = %d" % s.d,
@@ -215,21 +213,16 @@ def _print_scheme(s, as_json):
     ]
     if s.translation is not None:
         lines.append("translation orders = %s" % (tuple(s.translation.orders),))
-    print("\n".join(lines))
     if s.P is not None:
-        _print_matrix("P", s.P)
-
-
-def _poly_obj_or_str(p, as_json, names=None):
-    return jsonio.poly_to_obj(p) if as_json else p.to_str(names)
+        lines.append(_matrix_text("P", s.P))
+    return 0, partial(jsonio.scheme_to_obj, s), lambda: "\n".join(lines)
 
 
 # -- scheme --------------------------------------------------------------
 
 
 def cmd_scheme_build(args):
-    _print_scheme(_build_named(args.name, args.args, args.cap), args.json)
-    return 0
+    return _scheme_result(_build_named(args.name, args.args, args.cap))
 
 
 def cmd_scheme_verify(args):
@@ -239,41 +232,27 @@ def cmd_scheme_verify(args):
     else:
         relation, _P = _read_table(args.source, args.cap)
     report = verify_axioms(relation)
-    if args.json:
-        checks = []
-        for c in report.checks:
-            witness = None
-            if c.witness is not None:
-                witness = [int(x) for x in c.witness]
-            checks.append({"axiom": c.axiom, "name": c.name, "ok": c.ok,
-                           "witness": witness, "detail": c.detail})
-        _emit({"ok": report.ok, "checks": checks})
-    else:
-        print(report)
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, lambda: {"ok": report.ok, "checks": [
+        {"axiom": c.axiom, "name": c.name, "ok": c.ok,
+         "witness": (None if c.witness is None
+                     else [int(x) for x in c.witness]),
+         "detail": c.detail} for c in report.checks]}, partial(str, report)
 
 
 def cmd_scheme_eigen(args):
     s = _load_base(args.source, args.cap)
     if args.numeric:
-        P = numeric_eigenmatrix(s)
-        if args.json:
-            _emit({"P_numeric": [[{"re": z.real, "im": z.imag} for z in row]
-                                 for row in P.tolist()]})
-        else:
-            for row in P:
-                print("  ".join("%.6g%+.6gi" % (z.real, z.imag) for z in row))
-        return 0
+        P = numeric_eigenmatrix(s).tolist()
+        return 0, lambda: {"P_numeric": [
+            [{"re": z.real, "im": z.imag} for z in row] for row in P]}, \
+            lambda: "\n".join("  ".join("%.6g%+.6gi" % (z.real, z.imag)
+                                        for z in row) for row in P)
     P = eigenmatrix(s)
     out = {"P": P}
     if args.dual:
         out["Q"] = dual_eigenmatrix(P, s.v)
-    if args.json:
-        _emit({k: jsonio.matrix_to_obj(M) for k, M in out.items()})
-    else:
-        for label, M in out.items():
-            _print_matrix(label, M)
-    return 0
+    return 0, lambda: {k: jsonio.matrix_to_obj(M) for k, M in out.items()}, \
+        lambda: "\n".join(_matrix_text(k, M) for k, M in out.items())
 
 
 def cmd_scheme_krein(args):
@@ -282,20 +261,15 @@ def cmd_scheme_krein(args):
     k = s.d + 1
     table = [[[jsonio.fraction_to_str(q[i, j, r].re) for r in range(k)]
               for j in range(k)] for i in range(k)]
-    if args.json:
-        _emit({"q": table})
-    else:
-        for i in range(k):
-            print("q[%d][j][r]:" % i)
-            for j in range(k):
-                print("  " + "  ".join(table[i][j]))
-    return 0
+    return 0, lambda: {"q": table}, lambda: "\n".join(
+        "q[%d][j][r]:\n" % i + "\n".join("  " + "  ".join(row)
+                                         for row in block)
+        for i, block in enumerate(table))
 
 
 def cmd_scheme_fuse(args):
     s = _load_scheme(args.source, args.cap)
-    _print_scheme(fusion(s, _parse_blocks(args.blocks)), args.json)
-    return 0
+    return _scheme_result(fusion(s, _parse_blocks(args.blocks)))
 
 
 # -- gh ------------------------------------------------------------------
@@ -303,40 +277,31 @@ def cmd_scheme_fuse(args):
 
 def cmd_gh_build(args):
     base = _load_scheme(args.base, args.cap)
-    _print_scheme(build_explicit(base, args.n, cap=args.cap), args.json)
-    return 0
+    return _scheme_result(build_explicit(base, args.n, cap=args.cap))
 
 
 def cmd_gh_eigen(args):
     base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
     P = eigenmatrix_gh(eigenmatrix(base), args.n)
-    if args.json:
-        _emit({"P": jsonio.matrix_to_obj(P)})
-    else:
-        _print_matrix("P", P)
-    return 0
+    return 0, lambda: {"P": jsonio.matrix_to_obj(P)}, \
+        partial(_matrix_text, "P", P)
 
 
 def cmd_gh_fusion_check(args):
     base = _load_scheme(args.base, args.cap)
     rep = fusion_check_trans(base, args.m, args.n, cap=args.cap)
-    if args.json:
-        split = None
-        if rep.split_classes is not None:
-            split = {str(k): [int(x) for x in v]
-                     for k, v in rep.split_classes.items()}
-        _emit({"ok": rep.ok,
-               "mapping": list(rep.mapping) if rep.mapping else None,
-               "split_classes": split,
-               "detail": rep.detail})
-    else:
-        print("fusion holds" if rep.ok else "fusion FAILS: %s" % rep.detail)
-        if rep.ok and rep.split_classes:
-            for k, v in sorted(rep.split_classes.items()):
-                print("  coarse class %d splits into fine classes %s"
-                      % (k, list(v)))
-    return 0 if rep.ok else 1
+    split = rep.split_classes
+    lines = ["fusion holds" if rep.ok else "fusion FAILS: %s" % rep.detail]
+    if rep.ok and split:
+        lines += ["  coarse class %d splits into fine classes %s"
+                  % (k, list(v)) for k, v in sorted(split.items())]
+    return 0 if rep.ok else 1, lambda: {
+        "ok": rep.ok,
+        "mapping": list(rep.mapping) if rep.mapping else None,
+        "split_classes": None if split is None else {
+            str(k): [int(x) for x in v] for k, v in split.items()},
+        "detail": rep.detail}, lambda: "\n".join(lines)
 
 
 # -- code ----------------------------------------------------------------
@@ -345,9 +310,7 @@ def cmd_gh_fusion_check(args):
 def cmd_code_enumerate(args):
     code = _load_code(args)
     W = weight_enumerator(code)
-    out = _poly_obj_or_str(W, args.json)
-    _emit(out) if args.json else print(out)
-    return 0
+    return 0, partial(jsonio.poly_to_obj, W), W.to_str
 
 
 def cmd_code_transform(args):
@@ -358,20 +321,15 @@ def cmd_code_transform(args):
     W = weight_enumerator(code)
     dual = macwilliams_transform(W, P, code.base.v, len(code))
     names = ["t%d" % i for i in range(dual.nvars)]
-    out = _poly_obj_or_str(dual, args.json, names)
-    _emit(out) if args.json else print(out)
-    return 0
+    return 0, partial(jsonio.poly_to_obj, dual), partial(dual.to_str, names)
 
 
 def cmd_code_dual(args):
     code = _load_code(args)
     dual = dual_code(code, cap=args.cap)
-    if args.json:
-        _emit({"size": len(dual), "words": [list(w) for w in dual.words]})
-    else:
-        for w in dual.words:
-            print(" ".join(str(x) for x in w))
-    return 0
+    return 0, lambda: {"size": len(dual),
+                       "words": [list(w) for w in dual.words]}, \
+        lambda: "\n".join(" ".join(str(x) for x in w) for w in dual.words)
 
 
 def _load_z4_code(args):
@@ -381,25 +339,20 @@ def _load_z4_code(args):
 def cmd_code_z4(args):
     code = _load_z4_code(args)
     enums = z4_enumerators(code)
-    if args.json:
-        _emit({"complete": jsonio.poly_to_obj(enums.complete),
-               "symmetrized": jsonio.poly_to_obj(enums.symmetrized),
-               "lee": jsonio.poly_to_obj(enums.lee)})
-    else:
-        print("complete:    %s" % enums.complete.to_str(["x0", "x1", "x2", "x3"]))
-        print("symmetrized: %s" % enums.symmetrized.to_str(["x0", "x1", "x2"]))
-        print("lee:         %s" % enums.lee.to_str(["s", "t"]))
-    return 0
+    return 0, lambda: {"complete": jsonio.poly_to_obj(enums.complete),
+                       "symmetrized": jsonio.poly_to_obj(enums.symmetrized),
+                       "lee": jsonio.poly_to_obj(enums.lee)}, \
+        lambda: "complete:    %s\nsymmetrized: %s\nlee:         %s" % (
+            enums.complete.to_str(["x0", "x1", "x2", "x3"]),
+            enums.symmetrized.to_str(["x0", "x1", "x2"]),
+            enums.lee.to_str(["s", "t"]))
 
 
 def cmd_code_gray_check(args):
     code = _load_z4_code(args)
     ok = gray_lee_check(code)
-    if args.json:
-        _emit({"holds": ok})
-    else:
-        print("Gray/Lee identity holds" if ok else "Gray/Lee identity FAILS")
-    return 0 if ok else 1
+    return 0 if ok else 1, lambda: {"holds": ok}, \
+        lambda: "Gray/Lee identity holds" if ok else "Gray/Lee identity FAILS"
 
 
 # -- modinv --------------------------------------------------------------
@@ -418,25 +371,18 @@ def _witness_human(w):
 def cmd_modinv_verify(args):
     P = eigenmatrix(_load_base(args.base, args.cap))
     w = verify_modular(P, _parse_diagonal(args.T))
-    _emit(_witness_obj(w)) if args.json else print(_witness_human(w))
-    return 0
+    return 0, partial(_witness_obj, w), partial(_witness_human, w)
 
 
 def cmd_modinv_search(args):
     P = eigenmatrix(_load_base(args.base, args.cap))
     w = search_T(P, restarts=args.restarts)
     if w is None:
-        if args.json:
-            _emit({"found": False,
-                   "detail": "search incomplete: no witness within "
-                             "%d restarts" % args.restarts})
-        else:
-            print("search incomplete: no witness within %d restarts"
+        detail = ("search incomplete: no witness within %d restarts"
                   % args.restarts)
-        return 1
-    _emit({"found": True, **_witness_obj(w)}) if args.json \
-        else print(_witness_human(w))
-    return 0
+        return 1, lambda: {"found": False, "detail": detail}, lambda: detail
+    return 0, lambda: {"found": True, **_witness_obj(w)}, \
+        partial(_witness_human, w)
 
 
 def cmd_modinv_lift(args):
@@ -451,27 +397,25 @@ def cmd_modinv_lift(args):
             raise MathError("search incomplete: no witness found to lift")
     rep = induced_modular_check(P, w.T, w.c, args.n)
     ok = rep.holds and rep.matches_expected and rep.t_hat_consistent
-    if args.json:
-        _emit({"n": args.n,
-               "base": _witness_obj(w),
-               "holds": rep.holds,
-               "constant": (jsonio.gauss_to_obj(rep.constant)
-                            if rep.constant is not None else None),
-               "expected": jsonio.gauss_to_obj(rep.expected),
-               "matches_expected": rep.matches_expected,
-               "t_hat_consistent": rep.t_hat_consistent})
+    if rep.holds:
+        lift = ("lift to degree %d: constant = %s (expected %s, %s); "
+                "diagonal lift consistent: %s"
+                % (args.n, rep.constant, rep.expected,
+                   "match" if rep.matches_expected else "MISMATCH",
+                   rep.t_hat_consistent))
     else:
-        print("base witness: %s" % _witness_human(w))
-        if rep.holds:
-            print("lift to degree %d: constant = %s (expected %s, %s); "
-                  "diagonal lift consistent: %s"
-                  % (args.n, rep.constant, rep.expected,
-                     "match" if rep.matches_expected else "MISMATCH",
-                     rep.t_hat_consistent))
-        else:
-            print("lift to degree %d FAILS: cube is not a nonzero scalar"
-                  % args.n)
-    return 0 if ok else 1
+        lift = ("lift to degree %d FAILS: cube is not a nonzero scalar"
+                % args.n)
+    return 0 if ok else 1, lambda: {
+        "n": args.n,
+        "base": _witness_obj(w),
+        "holds": rep.holds,
+        "constant": (jsonio.gauss_to_obj(rep.constant)
+                     if rep.constant is not None else None),
+        "expected": jsonio.gauss_to_obj(rep.expected),
+        "matches_expected": rep.matches_expected,
+        "t_hat_consistent": rep.t_hat_consistent,
+    }, lambda: "base witness: %s\n%s" % (_witness_human(w), lift)
 
 
 # -- parser --------------------------------------------------------------
@@ -646,14 +590,13 @@ def run(argv=None):
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
-        return args.func(args)
+        code, obj, text = args.func(args)
+        print(json.dumps(obj(), indent=2) if args.json else text())
+        return code
     except MathError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except SchemeKitError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (OSError, ValueError, TypeError) as e:
+    except (SchemeKitError, OSError, ValueError, TypeError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

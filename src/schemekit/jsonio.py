@@ -8,6 +8,7 @@ parser also accepts compact forms like "2+2i", "-i", "1/2-3/4i".
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -98,22 +99,36 @@ def scheme_to_obj(scheme):
 def parse_scheme_obj(obj):
     """The relation table and the attached "P" (or None) of a scheme
     JSON object, checked for format only: the axioms are not verified
-    and P is not certified."""
+    and P is not certified.  v, d and the relation entries must be
+    integers (not floats or booleans), the entries within int64."""
     if not isinstance(obj, dict):
         raise FormatError("scheme object must be a JSON object")
     for key in ("v", "d", "relation"):
         if key not in obj:
             raise FormatError("scheme object missing %r" % key)
+    for key in ("v", "d"):
+        if type(obj[key]) is not int:
+            raise FormatError("%s must be an integer, got %r"
+                              % (key, obj[key]))
     try:
         relation = np.array(obj["relation"], dtype=np.int64)
     except (TypeError, ValueError) as e:
         raise FormatError("bad relation table: %s" % e) from None
+    except OverflowError:
+        raise FormatError("bad relation table: an entry is outside "
+                          "int64") from None
     if relation.ndim != 2 or relation.shape[0] != relation.shape[1]:
         raise FormatError("relation table must be square")
-    if relation.shape[0] != int(obj["v"]):
+    # the int64 cast truncates floats and reads booleans and digit strings
+    kinds = set(map(type, chain.from_iterable(obj["relation"]))) - {int}
+    if kinds:
+        raise FormatError("bad relation table: entries must be integers, "
+                          "got %s" % ", ".join(sorted(t.__name__
+                                                      for t in kinds)))
+    if relation.shape[0] != obj["v"]:
         raise FormatError("relation size %d does not match v=%s"
                           % (relation.shape[0], obj["v"]))
-    if relation.size and int(relation.max()) != int(obj["d"]):
+    if relation.size and int(relation.max()) != obj["d"]:
         raise FormatError("relation classes do not match d=%s" % obj["d"])
     P = parse_matrix(obj["P"]) if obj.get("P") is not None else None
     return relation, P

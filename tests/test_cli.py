@@ -1,14 +1,20 @@
+import ast
 import inspect
 import io
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from schemekit import cli
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
-from schemekit.errors import CertificationFailure
+from schemekit.errors import CertificationFailure, FormatError
+from schemekit.exact import GaussRat
 from schemekit.jsonio import (
+    parse_gauss,
     parse_matrix,
     parse_scheme_obj,
     scheme_from_obj,
@@ -456,6 +462,10 @@ def test_class_cap_runs_before_the_work(tmp_path, monkeypatch, capsys, argv):
 C4_P = "P:\n  1  2  1\n  1  0  -1\n  1  -2  1\n"
 C4_SCHEME = ("v = 4\nd = 2\nvalencies = [1, 2, 1]\nsymmetric = True\n"
              "translation orders = (4,)\n")
+ONE_CLASS_SCHEME = ("v = 2\nd = 1\nvalencies = [1, 1]\nsymmetric = True\n"
+                    "translation orders = (2,)\n")
+AXIOMS = ["identity", "partition", "transpose", "intersection",
+          "commutativity"]
 
 
 @pytest.mark.parametrize("argv, code, expected", [
@@ -480,10 +490,31 @@ C4_SCHEME = ("v = 4\nd = 2\nvalencies = [1, 2, 1]\nsymmetric = True\n"
     (["code", "gray-check", "REP4"], 0, "Gray/Lee identity holds\n"),
     (["modinv", "search", "--base", "one_class:3"], 1,
      "search incomplete: no witness within 200 restarts\n"),
+    (["scheme", "build", "one_class", "2"], 0,
+     ONE_CLASS_SCHEME + "P:\n  1  1\n  1  -1\n"),
+    (["scheme", "verify", "cycle:4"], 0,
+     "".join("axiom %d (%s): ok\n" % (k + 1, name)
+             for k, name in enumerate(AXIOMS))),
+    (["gh", "eigen", "--base", "one_class:2", "--n", "2"], 0, C4_P),
+    (["code", "enumerate", "--base", "one_class:2", "REP3"], 0,
+     "s0^3 + s1^3\n"),
+    (["code", "transform", "--base", "one_class:2", "REP3"], 0,
+     "t0^3 + 3*t0*t1^2\n"),
+    (["code", "z4", "ZERO_TWO"], 0,
+     "complete:    x0 + x2\nsymmetrized: x0 + x2\nlee:         s^2 + t^2\n"),
+    (["modinv", "verify", "--base", "one_class:2", "--T", "1,i"], 0,
+     "T = diag(1, i), c = 2+2i\n"),
+    (["modinv", "search", "--base", "one_class:2"], 0,
+     "T = diag(1, i), c = 2+2i\n"),
+    (["modinv", "lift", "--base", "one_class:2", "--n", "2", "--T", "1,i"], 0,
+     "base witness: T = diag(1, i), c = 2+2i\nlift to degree 2: constant = "
+     "8i (expected 8i, match); diagonal lift consistent: True\n"),
 ])
 def test_text_output(tmp_path, capsys, argv, code, expected):
     files = {"EVEN": ["0 0 0", "0 1 1", "1 0 1", "1 1 0"],
-             "REP4": ["0 0", "1 1", "2 2", "3 3"]}
+             "REP4": ["0 0", "1 1", "2 2", "3 3"],
+             "REP3": ["0 0 0", "1 1 1"],
+             "ZERO_TWO": ["0", "2"]}
     argv = [write_code(tmp_path, files[a]) if a in files else a for a in argv]
     assert run(argv) == code
     assert capsys.readouterr().out == expected
@@ -601,3 +632,238 @@ def test_code_word_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: 8 code words exceeds cap 7\n"
+
+
+# -- pinned JSON output -------------------------------------------------------
+
+
+def g(re, im="0"):
+    return {"re": re, "im": im}
+
+
+ONE_CLASS_P = [[g("1"), g("1")], [g("1"), g("-1")]]
+WITNESS = {"T": [g("1"), g("0", "1")], "c": g("2", "2")}
+
+
+@pytest.mark.parametrize("argv, code, obj", [
+    (["scheme", "build", "one_class", "2"], 0,
+     {"v": 2, "d": 1, "relation": [[0, 1], [1, 0]], "P": ONE_CLASS_P}),
+    (["scheme", "verify", "cycle:4"], 0,
+     {"ok": True, "checks": [{"axiom": k + 1, "name": name, "ok": True,
+                              "witness": None, "detail": ""}
+                             for k, name in enumerate(AXIOMS)]}),
+    (["scheme", "eigen", "one_class:2", "--dual"], 0,
+     {"P": ONE_CLASS_P, "Q": ONE_CLASS_P}),
+    (["scheme", "eigen", "one_class:2", "--numeric"], 0,
+     {"P_numeric": [[{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],
+                    [{"re": 1.0, "im": 0.0}, {"re": -1.0, "im": 0.0}]]}),
+    (["scheme", "krein", "one_class:2"], 0,
+     {"q": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]]}),
+    (["scheme", "fuse", "group:4", "--blocks", "0;1,3;2"], 0,
+     {"v": 4, "d": 2, "relation": [[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1],
+                                   [1, 2, 1, 0]]}),
+    (["gh", "build", "--base", "one_class:2", "--n", "1"], 0,
+     {"v": 2, "d": 1, "relation": [[0, 1], [1, 0]]}),
+    (["gh", "eigen", "--base", "one_class:2", "--n", "2"], 0,
+     {"P": [[g("1"), g("2"), g("1")], [g("1"), g("0"), g("-1")],
+            [g("1"), g("-2"), g("1")]]}),
+    (["gh", "fusion-check", "--base", "one_class:2", "--m", "2", "--n", "2"],
+     0, {"ok": True, "mapping": [0, 1, 2, 2, 3, 4],
+         "split_classes": {"2": [2, 3]}, "detail": ""}),
+    (["code", "enumerate", "--base", "one_class:2", "REP3"], 0,
+     {"nvars": 2, "terms": [{"exponents": [3, 0], "coeff": g("1")},
+                            {"exponents": [0, 3], "coeff": g("1")}]}),
+    (["code", "transform", "--base", "one_class:2", "REP3"], 0,
+     {"nvars": 2, "terms": [{"exponents": [3, 0], "coeff": g("1")},
+                            {"exponents": [1, 2], "coeff": g("3")}]}),
+    (["code", "dual", "--base", "one_class:2", "EVEN"], 0,
+     {"size": 2, "words": [[0, 0, 0], [1, 1, 1]]}),
+    (["code", "z4", "ZERO_TWO"], 0,
+     {"complete": {"nvars": 4, "terms": [
+         {"exponents": [1, 0, 0, 0], "coeff": g("1")},
+         {"exponents": [0, 0, 1, 0], "coeff": g("1")}]},
+      "symmetrized": {"nvars": 3, "terms": [
+          {"exponents": [1, 0, 0], "coeff": g("1")},
+          {"exponents": [0, 0, 1], "coeff": g("1")}]},
+      "lee": {"nvars": 2, "terms": [{"exponents": [2, 0], "coeff": g("1")},
+                                    {"exponents": [0, 2], "coeff": g("1")}]}}),
+    (["code", "gray-check", "REP4"], 0, {"holds": True}),
+    (["modinv", "verify", "--base", "one_class:2", "--T", "1,i"], 0, WITNESS),
+    (["modinv", "search", "--base", "one_class:2"], 0,
+     {"found": True, **WITNESS}),
+    (["modinv", "search", "--base", "one_class:3", "--restarts", "3"], 1,
+     {"found": False,
+      "detail": "search incomplete: no witness within 3 restarts"}),
+    (["modinv", "lift", "--base", "one_class:2", "--n", "2", "--T", "1,i"], 0,
+     {"n": 2, "base": WITNESS, "holds": True, "constant": g("0", "8"),
+      "expected": g("0", "8"), "matches_expected": True,
+      "t_hat_consistent": True}),
+])
+def test_json_output(tmp_path, capsys, argv, code, obj):
+    # the exact bytes: two-space indent, keys in the order written
+    files = {"REP3": ["0 0 0", "1 1 1"],
+             "EVEN": ["0 0 0", "0 1 1", "1 0 1", "1 1 0"],
+             "ZERO_TWO": ["0", "2"],
+             "REP4": ["0 0", "1 1", "2 2", "3 3"]}
+    argv = [write_code(tmp_path, files[a]) if a in files else a for a in argv]
+    assert run(argv + ["--json"]) == code
+    assert capsys.readouterr() == (json.dumps(obj, indent=2) + "\n", "")
+
+
+def test_non_commutative_table_fails_verify(tmp_path, capsys):
+    # the thin scheme of S_3, as built by test_scheme.thin_s3_table
+    table = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+             [4, 5, 1, 0, 3, 2], [3, 2, 5, 4, 0, 1], [5, 4, 3, 2, 1, 0]]
+    path = tmp_path / "s3.json"
+    path.write_text(json.dumps({"v": 6, "d": 5, "relation": table}))
+    assert run(["scheme", "verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith("axiom 4 (intersection): ok\naxiom 5 "
+                        "(commutativity): FAILED (p[1][2][3] != p[2][1][3])\n")
+    assert "FAILED" not in out.split("axiom 5")[0]
+    assert run(["scheme", "eigen", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: axiom 5 (commutativity): FAILED (p[1][2][3] != "
+            "p[2][1][3])\n")
+
+
+# -- input errors -----------------------------------------------------------
+
+
+def assert_refused(capsys, argv, message):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scheme", "verify", "hamming:x"],
+     "bad builder spec 'hamming:x': arguments must be integers"),
+    (["scheme", "eigen", "group:"],
+     "bad builder spec 'group:': arguments must be integers"),
+    (["scheme", "build", "group"], "builder 'group' needs at least one order"),
+    (["scheme", "verify", "group"],
+     "builder 'group' needs at least one order"),
+    (["modinv", "verify", "--base", "one_class:2", "--T", ""],
+     "empty diagonal for --T"),
+    (["modinv", "verify", "--base", "one_class:2", "--T", " , ,"],
+     "empty diagonal for --T"),
+    (["modinv", "verify", "--base", "one_class:2", "--T", "1,1/-2i"],
+     "bad number '1/-2i'"),
+    (["scheme", "fuse", "group:4", "--blocks", "0;1,x;2"],
+     "bad block '1,x' in --blocks"),
+    (["scheme", "fuse", "group:4", "--blocks", ""], "empty --blocks"),
+    (["scheme", "fuse", "group:4", "--blocks", " ; ;"], "empty --blocks"),
+])
+def test_bad_arguments_are_refused(capsys, argv, message):
+    assert_refused(capsys, argv, message)
+
+
+def test_bad_json_is_refused(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"v": 2,')
+    assert_refused(capsys, ["scheme", "verify", str(path)],
+                   "bad JSON in %r: Expecting property name enclosed in "
+                   "double quotes: line 1 column 9 (char 8)" % str(path))
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2+2i", GaussRat(2, 2)),
+    ("-i", GaussRat(0, -1)),
+    ("i", GaussRat(0, 1)),
+    ("1/2-3/4i", GaussRat(Fraction(1, 2), Fraction(-3, 4))),
+    ("-3/4i", GaussRat(0, Fraction(-3, 4))),
+    ("-1/2", GaussRat(Fraction(-1, 2))),
+])
+def test_parse_gauss_compact_forms(text, expected):
+    assert parse_gauss(text) == expected
+
+
+def test_parse_gauss_refuses_a_sign_in_a_denominator():
+    with pytest.raises(FormatError, match=re.escape("bad number '1/-2i'")):
+        parse_gauss("1/-2i")
+
+
+R2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, 2], "scheme object must be a JSON object"),
+    ({"v": 2, "d": 1}, "scheme object missing 'relation'"),
+    ({"v": 2, "relation": R2}, "scheme object missing 'd'"),
+    ({"v": 2, "d": 1, "relation": [[0, 1]]}, "relation table must be square"),
+    ({"v": 2, "d": 1, "relation": [0, 1]}, "relation table must be square"),
+    ({"v": 3, "d": 1, "relation": R2}, "relation size 2 does not match v=3"),
+    ({"v": 2, "d": 2, "relation": R2}, "relation classes do not match d=2"),
+    ({"v": 2, "d": 1, "relation": [[0, "x"], [1, 0]]},
+     "bad relation table: invalid literal for int() with base 10: 'x'"),
+    ({"v": 2, "d": 1, "relation": R2, "P": []},
+     "matrix must be a non-empty list of rows"),
+    ({"v": 2, "d": 1, "relation": R2, "P": [[], []]},
+     "matrix rows must be non-empty lists"),
+    ({"v": 2, "d": 1, "relation": R2, "P": [["1", "1"], ["1"]]},
+     "ragged matrix"),
+    ({"v": 2, "d": 1, "relation": R2, "P": [["1", "1"], ["1", "x"]]},
+     "bad rational 'x': Invalid literal for Fraction: 'x'"),
+])
+def test_scheme_object_format_errors(tmp_path, capsys, obj, message):
+    with pytest.raises(FormatError) as info:
+        parse_scheme_obj(obj)
+    assert str(info.value) == message
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(obj))
+    for command in ("verify", "eigen"):
+        assert_refused(capsys, ["scheme", command, str(path)], message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"v": 2, "d": 1, "relation": [[0, 1.7], [1, 0.2]]}',
+     "bad relation table: entries must be integers, got float"),
+    ('{"v": 2, "d": 1, "relation": [[0, 1.0], [1, 0]]}',
+     "bad relation table: entries must be integers, got float"),
+    ('{"v": 2, "d": 1, "relation": [[0, true], [true, 0]]}',
+     "bad relation table: entries must be integers, got bool"),
+    ('{"v": 2, "d": 1, "relation": [[0, "1"], [1, 0]]}',
+     "bad relation table: entries must be integers, got str"),
+    ('{"v": 2, "d": 1, "relation": [[0, 99999999999999999999], [1, 0]]}',
+     "bad relation table: an entry is outside int64"),
+    ('{"v": 2, "d": 1, "relation": [[0, 9223372036854775808], [1, 0]]}',
+     "bad relation table: an entry is outside int64"),
+    ('{"v": 1e400, "d": 1, "relation": [[0, 1], [1, 0]]}',
+     "v must be an integer, got inf"),
+    ('{"v": 2.0, "d": 1, "relation": [[0, 1], [1, 0]]}',
+     "v must be an integer, got 2.0"),
+    ('{"v": true, "d": 1, "relation": [[0, 1], [1, 0]]}',
+     "v must be an integer, got True"),
+    ('{"v": 2, "d": 1.5, "relation": [[0, 1], [1, 0]]}',
+     "d must be an integer, got 1.5"),
+], ids=["float", "integral-float", "bool", "digit-string", "over-int64",
+        "int64-max-plus-one", "v-1e400", "v-float", "v-bool", "d-float"])
+def test_scheme_json_refuses_non_integers(tmp_path, capsys, text, message):
+    # before, the int64 cast truncated floats and read booleans, and an
+    # out-of-range value ended in an OverflowError traceback (exit 1)
+    with pytest.raises(FormatError) as info:
+        parse_scheme_obj(json.loads(text))
+    assert str(info.value) == message
+    path = tmp_path / "odd.json"
+    path.write_text(text)
+    for command in ("verify", "eigen"):
+        assert_refused(capsys, ["scheme", command, str(path)], message)
+
+
+# -- one output point -------------------------------------------------------
+
+
+def test_only_run_prints():
+    """Commands return their result; `run` alone writes to stdout."""
+    writers = []
+    for fn in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == "run":
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name)
+                    and node.func.id == "print"):
+                writers.append(fn.name)
+            if isinstance(node, ast.Attribute) and node.attr == "stdout":
+                writers.append(fn.name)
+    assert writers == []

@@ -78,6 +78,14 @@ def test_verify_rejects_non_scalar():
     assert err.value.entry is not None
 
 
+def test_verify_rejects_a_non_constant_diagonal():
+    # (PT)^3 = diag(1, 8): no off-diagonal entry, but no single c
+    with pytest.raises(NotScalar) as err:
+        verify_modular(diag(1, 2), diag(1, 1))
+    assert err.value.entry == (1, 1, GaussRat(8))
+    assert str(err.value) == "(PT)^3 diagonal is not constant: 1 vs 8 at 1"
+
+
 def test_verify_rejects_zero():
     with pytest.raises(NotScalar):
         verify_modular(P_BINARY, diag(0, 0))

@@ -100,6 +100,29 @@ def test_scheme_constructor_checks():
         AssociationScheme(np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]))
 
 
+def thin_s3_table():
+    """The thin scheme of S_3: the class of (x, y) is x^-1 y, with the
+    six permutations of (0, 1, 2) numbered in lexicographic order."""
+    perms = list(itertools.permutations(range(3)))
+    index = {p: k for k, p in enumerate(perms)}
+
+    def inverse(p):
+        return tuple(sorted(range(3), key=p.__getitem__))
+
+    return np.array([[index[tuple(inverse(x)[i] for i in y)] for y in perms]
+                     for x in perms])
+
+
+def test_non_commutative_scheme_fails_axiom_5_only():
+    report = verify_axioms(thin_s3_table())
+    assert [c.ok for c in report.checks] == [True, True, True, True, False]
+    assert str(report.checks[4]) == \
+        "axiom 5 (commutativity): FAILED (p[1][2][3] != p[2][1][3])"
+    with pytest.raises(AxiomViolation) as info:
+        AssociationScheme(thin_s3_table())
+    assert str(info.value) == str(report.checks[4])
+
+
 # -- intersection numbers ------------------------------------------------
 
 
