@@ -19,10 +19,13 @@ from .scheme import (
     eigenmatrix,
 )
 
-def one_class(q):
+
+def one_class(q, cap=DEFAULT_CAP):
     """The one-class scheme on q >= 2 points: equal / different."""
     if q < 2:
         raise DimensionMismatch("one_class needs q >= 2")
+    if q > cap:
+        raise SizeCapExceeded("%d vertices exceeds cap %d" % (q, cap))
     P = ExactMatrix([[1, q - 1], [1, -1]])
     return AssociationScheme(np.arange(q) != 0, P=P,
                              translation=TranslationStructure((q,)),

@@ -80,7 +80,7 @@ def _build_named(name, int_args, cap):
 
     if name == "one_class":
         expect(1)
-        return builders.one_class(int_args[0])
+        return builders.one_class(int_args[0], cap=cap)
     if name == "hamming":
         expect(2)
         return builders.hamming(int_args[0], int_args[1], cap=cap)

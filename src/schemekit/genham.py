@@ -176,18 +176,15 @@ def fusion_check_trans(base, m, n, cap=DEFAULT_CAP):
     coarse = build_explicit(base, m * n, cap=cap)
     inner = build_explicit(base, n, cap=cap)
     fine = build_explicit(inner, m, cap=cap)
-    pairs = np.stack([fine.relation.ravel(), coarse.relation.ravel()], axis=1)
-    uniq = np.unique(pairs, axis=0)
-    fine_ids = uniq[:, 0]
-    if len(np.unique(fine_ids)) != len(fine_ids):
-        dup = fine_ids[np.flatnonzero(np.diff(fine_ids) == 0)[0]]
-        return TransFusion(False, None, None,
-                           "fine class %d meets several coarse classes" % int(dup))
+    f, c = fine.relation.ravel(), coarse.relation.ravel()
     mapping = np.full(fine.d + 1, -1, dtype=np.int64)
-    mapping[uniq[:, 0]] = uniq[:, 1]
-    split = {}
-    for c in range(coarse.d + 1):
-        members = tuple(int(f) for f in np.flatnonzero(mapping == c))
-        if len(members) > 1:
-            split[c] = members
+    mapping[f] = c  # a fine class meeting several coarse ones keeps one
+    bad = mapping[f] != c
+    if bad.any():
+        return TransFusion(False, None, None,
+                           "fine class %d meets several coarse classes"
+                           % int(f[bad].min()))
+    members = {k: tuple(np.flatnonzero(mapping == k).tolist())
+               for k in range(coarse.d + 1)}
+    split = {k: fs for k, fs in members.items() if len(fs) > 1}
     return TransFusion(True, tuple(int(x) for x in mapping), split)

@@ -162,15 +162,26 @@ def poly_to_obj(p):
 
 
 def poly_from_obj(obj):
+    """The MPoly of a polynomial object: "nvars", a positive integer,
+    and a list of "terms", each an object with a "coeff" and nvars
+    "exponents", non-negative integers (not floats or booleans)."""
     if not isinstance(obj, dict) or "nvars" not in obj:
         raise FormatError("polynomial object missing 'nvars'")
-    nvars = int(obj["nvars"])
+    nvars, terms = obj["nvars"], obj.get("terms", [])
+    if type(nvars) is not int or nvars < 1:
+        raise FormatError("nvars must be a positive integer, got %r"
+                          % (nvars,))
+    if not isinstance(terms, list):
+        raise FormatError("terms must be a list, got %r" % (terms,))
     p = MPoly.zero(nvars)
-    for term in obj.get("terms", []):
-        e = tuple(int(x) for x in term["exponents"])
-        if len(e) != nvars or any(x < 0 for x in e):
-            raise FormatError("bad exponent tuple %r" % (term["exponents"],))
-        p = p + MPoly.monomial(e, parse_gauss(term["coeff"]))
+    for term in terms:
+        e = term.get("exponents") if isinstance(term, dict) else None
+        if (not isinstance(e, list) or len(e) != nvars or "coeff" not in term
+                or any(type(x) is not int or x < 0 for x in e)):
+            raise FormatError("bad term %r: needs a 'coeff' and %d "
+                              "non-negative integer 'exponents'"
+                              % (term, nvars))
+        p = p + MPoly.monomial(tuple(e), parse_gauss(term["coeff"]))
     return p
 
 

@@ -1,11 +1,12 @@
 """Modular-invariance witnesses: diagonal T with (PT)^3 = c I.
 
 verify_modular is purely exact.  search_T refuses a singular P at once.
-Up to 3x3 it eliminates exactly over the Gaussian rationals on the
-first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger sizes, and 3x3
-quadrics with a positive-dimensional component, use seeded batched
-Levenberg-Marquardt restarts on the cube, whose converged points are
-snapped to Gaussian rationals.  Every candidate is re-verified exactly,
+Up to 3x3 its candidates come from exact elimination over the Gaussian
+rationals on the first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger
+sizes, and 3x3 quadrics with a positive-dimensional component, use
+seeded batched Levenberg-Marquardt restarts on the cube, snapped to
+Gaussian rationals.  Every candidate (exact root, heuristic value or
+numeric restart) goes through one exact check, each distinct one once,
 so an inexact witness can never be returned.  A None is a proof of
 absence only from a zero-dimensional quadric system (see search_T).
 The one resultant is a determinant of polynomials, taken at integer
@@ -277,17 +278,7 @@ def _sylvester_matrix(f, g):
     return rows
 
 
-# -- exact search, sizes 2 and 3 ----------------------------------------
-
-
-def _verify_candidates(P, diagonals):
-    for entries in diagonals:
-        T = ExactMatrix.diagonal([GaussRat(1), *entries])
-        try:
-            return verify_modular(P, T)
-        except NotScalar:
-            continue
-    return None
+# -- exact candidates, sizes 2 and 3 ------------------------------------
 
 
 _HEURISTIC_VALUES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
@@ -308,16 +299,16 @@ def _last_coordinate(polys, prefix):
     return _exact_roots(g) if g else None
 
 
-def _search_exact(P, b, restarts):
-    """Sizes 2 and 3 by elimination on the first-row quadrics.
+def _exact_candidates(P, b, restarts):
+    """Candidate diagonals of sizes 2 and 3, from the first-row quadrics.
 
     With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
     quadric free of y = t_2.  If that eliminant vanishes identically the
     quadrics have a positive-dimensional component: the heuristic values
-    stand in for x, then the numeric search.  At each x (once for d = 1)
-    the last coordinate is a root of the quadrics' gcd; where they leave
-    it free, of the cube constraints'; where those do too, a heuristic
-    value.
+    stand in for x, and the numeric stream follows.  At each x (once for
+    d = 1) the last coordinate is a root of the quadrics' gcd; where they
+    leave it free, of the cube constraints'; where those do too, a
+    heuristic value.
     """
     quadrics = _quadrics(P, b)
     cube = None
@@ -338,15 +329,13 @@ def _search_exact(P, b, restarts):
             if cube is None:
                 cube = _cube_constraints(P)
             last = _last_coordinate(cube, prefix)
-        witness = _verify_candidates(
-            P, [prefix + (t,) for t in
-                (_HEURISTIC_VALUES if last is None else last)])
-        if witness is not None:
-            return witness
-    return _search_numeric(P, restarts) if degenerate else None
+        for t in _HEURISTIC_VALUES if last is None else last:
+            yield prefix + (t,)
+    if degenerate:
+        yield from _numeric_candidates(P, restarts)
 
 
-# -- numeric search with exact confirmation -----------------------------
+# -- numeric candidates -------------------------------------------------
 
 
 def least_squares(residual, x0):
@@ -463,13 +452,11 @@ def _cube_residual(Pn):
     return residual
 
 
-def _search_numeric(P, restarts):
-    """The lowest-index restart whose snapped point verifies exactly.
-
-    Restarts run in blocks of at most _SEARCH_RESTARTS, drawn in order
-    from one seeded stream (so a block gives the points that as many
-    single draws would), and each distinct snapped candidate is verified
-    once: a repeat of one that failed cannot succeed.
+def _numeric_candidates(P, restarts):
+    """The converged points of seeded restarts that snap to Gaussian
+    rationals, snapped, in restart order.  Restarts run in blocks of at
+    most _SEARCH_RESTARTS, drawn in order from one seeded stream (so a
+    block gives the points that as many single draws would).
     """
     k = P.nrows
     d = k - 1
@@ -479,7 +466,6 @@ def _search_numeric(P, restarts):
                    for r, i in zip(re, im or [[0] * k] * k)])
     residual = _cube_residual(Pn)
     rng = np.random.default_rng(_SEARCH_SEED)
-    tried = set()
     for start in range(0, restarts, _SEARCH_RESTARTS):
         size = min(_SEARCH_RESTARTS, restarts - start)
         x, cost = least_squares(residual,
@@ -487,28 +473,24 @@ def _search_numeric(P, restarts):
         for point in x[cost <= 1e-18]:
             entries = tuple(snap_gauss(complex(re, im))
                             for re, im in zip(point[:d], point[d:]))
-            if any(g is None for g in entries) or entries in tried:
-                continue
-            tried.add(entries)
-            witness = _verify_candidates(P, [entries])
-            if witness is not None:
-                return witness
-    return None
+            if all(g is not None for g in entries):
+                yield entries
 
 
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
-    A singular P is not searched.  Up to three classes the search is
-    `_search_exact`; beyond, and where that falls back, it is `restarts`
-    seeded Levenberg-Marquardt solves, run by `least_squares` in blocks
-    of at most _SEARCH_RESTARTS, whose converged points are snapped to
-    Gaussian rationals; each distinct snapped candidate is verified
-    once, and the witness returned is that of the lowest-index restart
-    that verifies.  restarts <= 0 searches nothing.  Returns a
-    ModularWitness (always verified exactly) or None.  None is a proof
-    that no Gaussian-rational witness exists when the quadrics are
-    zero-dimensional and fix every coordinate, up to the root snap
+    A singular P is not searched.  Up to three classes the candidates
+    are `_exact_candidates`; beyond, and where those fall back, they
+    are `_numeric_candidates`, from `restarts` seeded Levenberg-Marquardt
+    solves, run by `least_squares` in blocks of at most _SEARCH_RESTARTS,
+    whose converged points are snapped to Gaussian rationals.  Each
+    distinct candidate is verified once, in stream order, and the
+    witness returned is the first that verifies (of the numeric stream,
+    that of the lowest-index restart).  restarts <= 0 runs no restart.
+    Returns a ModularWitness (always verified exactly) or None.  None is
+    a proof that no Gaussian-rational witness exists when the quadrics
+    are zero-dimensional and fix every coordinate, up to the root snap
     (denominators up to 10^6); otherwise it means "search incomplete".
     """
     if P.nrows != P.ncols:
@@ -518,10 +500,22 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     except SingularMatrix:
         return None  # det (PT)^3 = c^k != 0 needs det P != 0
     if P.nrows == 1:
-        return _verify_candidates(P, [()])
-    if P.nrows <= 3:
-        return _search_exact(P, b, restarts)
-    return _search_numeric(P, restarts)
+        candidates = [()]
+    elif P.nrows <= 3:
+        candidates = _exact_candidates(P, b, restarts)
+    else:
+        candidates = _numeric_candidates(P, restarts)
+    tried = set()
+    for entries in candidates:
+        if entries in tried:
+            continue  # a repeat of a candidate that failed fails again
+        tried.add(entries)
+        try:
+            return verify_modular(
+                P, ExactMatrix.diagonal([GaussRat(1), *entries]))
+        except NotScalar:
+            pass
+    return None
 
 
 # -- lift to the composite scheme ---------------------------------------
@@ -549,15 +543,9 @@ def induced_modular_check(P, T, c, n):
     """
     if not T.is_diagonal():
         raise NotScalar("T is not diagonal")
-    k = P.nrows
-    diag = []
-    for gamma in compositions(n, k):
-        val = GaussRat(1)
-        for j, e in enumerate(gamma):
-            if e:
-                val = val * T[j, j] ** e
-        diag.append(val)
-    T_hat = ExactMatrix.diagonal(diag)
+    T_hat = ExactMatrix.diagonal([
+        prod((T[j, j] ** e for j, e in enumerate(gamma) if e),
+             start=GaussRat(1)) for gamma in compositions(n, P.nrows)])
     t_hat_consistent = induced_matrix(T, n) == T_hat
     P_hat = induced_matrix(P, n)
     M = P_hat @ T_hat

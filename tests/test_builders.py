@@ -33,6 +33,15 @@ def test_one_class_rejects_tiny():
         one_class(1)
 
 
+def test_one_class_cap():
+    assert one_class(4096).v == 4096
+    with pytest.raises(SizeCapExceeded,
+                       match="4097 vertices exceeds cap 4096"):
+        one_class(4097)
+    with pytest.raises(SizeCapExceeded, match="10 vertices exceeds cap 5"):
+        one_class(10, cap=5)
+
+
 def test_hamming_distance_relation():
     s = hamming(2, 2)
     # vertices 0..3 are big-endian digit pairs 00,01,10,11

@@ -11,12 +11,15 @@ import pytest
 from schemekit import cli
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
+from schemekit.codes import Code, weight_enumerator
 from schemekit.errors import CertificationFailure, FormatError
 from schemekit.exact import GaussRat
 from schemekit.jsonio import (
     parse_gauss,
     parse_matrix,
     parse_scheme_obj,
+    poly_from_obj,
+    poly_to_obj,
     scheme_from_obj,
     scheme_to_obj,
 )
@@ -209,6 +212,15 @@ def test_gh_build_caps_the_intersection_tensor(capsys):
     assert run(argv + ["--cap", "23"]) == 0
     capsys.readouterr()
     assert_usage_error(capsys, argv + ["--cap", "22"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "build", "one_class", "10", "--cap", "5"],
+    ["gh", "build", "--base", "one_class:10", "--n", "1", "--cap", "5"],
+])
+def test_one_class_honours_the_vertex_cap(capsys, argv):
+    assert_refused(capsys, argv, "10 vertices exceeds cap 5")
+    assert run(argv[:-1] + ["10"]) == 0
 
 
 # -- code -----------------------------------------------------------------
@@ -848,6 +860,52 @@ def test_scheme_json_refuses_non_integers(tmp_path, capsys, text, message):
     path.write_text(text)
     for command in ("verify", "eigen"):
         assert_refused(capsys, ["scheme", command, str(path)], message)
+
+
+def bad_term(term):
+    return ("bad term %r: needs a 'coeff' and 2 non-negative integer "
+            "'exponents'" % (term,))
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"nvars": 2.7, "terms": [{"exponents": [1.9, True], "coeff": "1"}]},
+     "nvars must be a positive integer, got 2.7"),
+    ({"nvars": True, "terms": []},
+     "nvars must be a positive integer, got True"),
+    ({"nvars": 0, "terms": []}, "nvars must be a positive integer, got 0"),
+    ({"nvars": 2, "terms": {"exponents": [1, 1]}},
+     "terms must be a list, got {'exponents': [1, 1]}"),
+    ({"nvars": 2, "terms": [{"exponents": [1.9, 1], "coeff": "1"}]},
+     bad_term({"exponents": [1.9, 1], "coeff": "1"})),
+    ({"nvars": 2, "terms": [{"exponents": [1, True], "coeff": "1"}]},
+     bad_term({"exponents": [1, True], "coeff": "1"})),
+    ({"nvars": 2, "terms": [{"exponents": [1, -1], "coeff": "1"}]},
+     bad_term({"exponents": [1, -1], "coeff": "1"})),
+    ({"nvars": 2, "terms": [{"exponents": [1], "coeff": "1"}]},
+     bad_term({"exponents": [1], "coeff": "1"})),
+    ({"nvars": 2, "terms": [{"exponents": "11", "coeff": "1"}]},
+     bad_term({"exponents": "11", "coeff": "1"})),
+    ({"nvars": 2, "terms": [{"coeff": "1"}]}, bad_term({"coeff": "1"})),
+    ({"nvars": 2, "terms": [{"exponents": [1, 1]}]},
+     bad_term({"exponents": [1, 1]})),
+    ({"nvars": 2, "terms": [[1, 1]]}, bad_term([1, 1])),
+], ids=["float-nvars", "bool-nvars", "zero-nvars", "terms-object",
+        "float-exponent", "bool-exponent", "negative-exponent",
+        "short-exponents", "string-exponents", "no-exponents", "no-coeff",
+        "list-term"])
+def test_poly_from_obj_refuses_non_integers(obj, message):
+    # before, int() truncated the first to s0*s1, and a term with no
+    # "exponents" raised a bare KeyError
+    with pytest.raises(FormatError) as info:
+        poly_from_obj(obj)
+    assert str(info.value) == message
+
+
+def test_poly_round_trip():
+    code = Code([(0, 1, 2), (1, 1, 0), (2, 2, 2), (0, 0, 0)], one_class(3))
+    W = weight_enumerator(code)
+    assert poly_from_obj(poly_to_obj(W)) == W
+    assert poly_from_obj(json.loads(json.dumps(poly_to_obj(W)))) == W
 
 
 # -- one output point -------------------------------------------------------

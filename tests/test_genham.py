@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from schemekit import genham
 from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import _key_profile, _profile_keys
@@ -294,3 +295,24 @@ def test_fusion_check_trans_ternary():
     rep = fusion_check_trans(one_class(3), 2, 2)
     assert rep.ok
     assert rep.split_classes  # some coarse class splits here too
+
+
+def test_fusion_check_trans_reports_the_least_crossing_class(monkeypatch):
+    """A fine scheme that cuts across the coarse classes fails the check,
+    naming the smallest fine class that meets several coarse ones."""
+    # Z_4 with its classes relabelled 0, 2, 1, 3: on the binary words of
+    # length 2, class 1 (difference 2) is coarse class 1 alone, while
+    # classes 2 and 3 (differences 1 and 3) meet coarse classes 1 and 2
+    crossing = AssociationScheme(np.array([0, 2, 1, 3])[
+        group_scheme([4]).relation])
+
+    base = one_class(2)
+
+    def fake(scheme, n, cap):
+        # coarse and inner are built over base, fine over inner
+        return build_explicit(scheme, n, cap) if scheme is base else crossing
+
+    monkeypatch.setattr(genham, "build_explicit", fake)
+    rep = fusion_check_trans(base, 2, 1)
+    assert rep == genham.TransFusion(
+        False, None, None, "fine class 2 meets several coarse classes")

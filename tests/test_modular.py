@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import subprocess
@@ -29,11 +30,10 @@ from schemekit.modular import (
     _cube_residual,
     _exact_roots,
     _gcd_many,
+    _numeric_candidates,
     _poly_det,
     _quadrics,
-    _search_numeric,
     _sylvester_matrix,
-    _verify_candidates,
     induced_modular_check,
     least_squares,
     search_T,
@@ -248,6 +248,44 @@ def test_search_verifies_each_candidate_once(monkeypatch):
     assert search_T(eigenmatrix(group_scheme([4]))) is None
     assert len(seen) == len(set(seen))
     assert len(seen) <= _SEARCH_RESTARTS // 4
+
+
+def test_search_refuses_a_non_square_P():
+    P = ExactMatrix([[GaussRat(1), GaussRat(1), GaussRat(0)],
+                     [GaussRat(1), GaussRat(-1), GaussRat(0)]])
+    with pytest.raises(DimensionMismatch, match="^P must be square$"):
+        search_T(P)
+
+
+def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
+    # the quadrics of this P have a positive-dimensional component, so
+    # the exact stream (t_1 a heuristic value, t_2 = 0) ends with the
+    # numeric stream, here replaced by one that repeats it, then adds one
+    P = _gauss_matrix([[0, 0, 1], [2, 2, 2], [I_UNIT, -1, 0]])
+    exact = [(t, GaussRat(0)) for t in _HEURISTIC_VALUES]
+    new = (GaussRat(2), GaussRat(0))
+    seen = []
+
+    def recording(P, T):
+        seen.append((T[1, 1], T[2, 2]))
+        return verify_modular(P, T)
+
+    monkeypatch.setattr(modular, "verify_modular", recording)
+    monkeypatch.setattr(modular, "_numeric_candidates",
+                        lambda P, restarts: iter(exact[::-1] + [new] + exact))
+    assert search_T(P) is None
+    assert seen == exact + [new]
+
+
+def test_only_search_T_verifies():
+    """Candidate sources yield diagonals; search_T alone checks them."""
+    callers = [fn.name for fn in ast.walk(ast.parse(
+                   Path(modular.__file__).read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Name)
+                       and node.id == "verify_modular"
+                       for node in ast.walk(fn))]
+    assert callers == ["search_T"]
 
 
 def test_least_squares_drops_only_singular_rows():
@@ -500,6 +538,17 @@ def _oracle_y_candidates(cons, x0):
     return None if len(hy) == 1 else _exact_roots(hy)
 
 
+def _oracle_verify(P, diagonals):
+    """The first diagonal (T[0, 0] = 1 omitted) that verifies, or None."""
+    for entries in diagonals:
+        try:
+            return verify_modular(P, ExactMatrix.diagonal([GaussRat(1),
+                                                           *entries]))
+        except NotScalar:
+            continue
+    return None
+
+
 def _oracle_cube_search(P):
     """search_T for sizes 2 and 3 from the constraints of the symbolic
     cube: their gcd for 2x2; for 3x3 the gcd of every pairwise resultant
@@ -508,10 +557,10 @@ def _oracle_cube_search(P):
     d = P.nrows - 1
     cons = _cube_constraints(P)
     if not cons:
-        return _verify_candidates(P, [(GaussRat(1),) * d])
+        return _oracle_verify(P, [(GaussRat(1),) * d])
     if d == 1:
         roots = _exact_roots(_gcd_many([_coeff_list(p) for p in cons]))
-        return _verify_candidates(P, [(t,) for t in roots])
+        return _oracle_verify(P, [(t,) for t in roots])
     with_y = [p for p in cons if any(e[1] for e in p.terms)]
     gens_x = [_coeff_list(p) for p in cons if p not in with_y]
     gens_x += [_poly_det(_sylvester_matrix(f, g))
@@ -519,10 +568,12 @@ def _oracle_cube_search(P):
     hx = _gcd_many(gens_x)
     for x0 in (_exact_roots(hx) if hx else _HEURISTIC_VALUES):
         ys = _oracle_y_candidates(cons, x0)
-        witness = ys and _verify_candidates(P, [(x0, y0) for y0 in ys])
+        witness = ys and _oracle_verify(P, [(x0, y0) for y0 in ys])
         if witness:
             return witness
-    return None if hx else _search_numeric(P, _SEARCH_RESTARTS)
+    if hx:
+        return None
+    return _oracle_verify(P, _numeric_candidates(P, _SEARCH_RESTARTS))
 
 
 def _gauss_matrix(rows):
@@ -607,6 +658,12 @@ def test_induced_t_hat_is_induced_matrix():
     assert rep.t_hat_consistent
     # independent cross-check: the lifted diagonal is the induced matrix
     assert induced_matrix(w.T, 2).is_diagonal()
+
+
+def test_induced_check_refuses_a_non_diagonal_T():
+    T = ExactMatrix([[GaussRat(1), GaussRat(1)], [GaussRat(0), GaussRat(1)]])
+    with pytest.raises(NotScalar, match="^T is not diagonal$"):
+        induced_modular_check(P_BINARY, T, GaussRat(1), 2)
 
 
 def test_induced_lift_uses_composite_eigenmatrix():

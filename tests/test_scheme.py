@@ -691,6 +691,18 @@ def test_orbit_fusion_checks_generators(bad, monkeypatch):
         orbit_fusion(base, 3, [(1, 0, 2), bad])
 
 
+@pytest.mark.parametrize("n, generators", [(1, []), (2, [(1, 0)])])
+def test_orbit_fusion_of_a_non_scheme_is_a_closure_failure(n, generators):
+    # the path on 3 vertices by distance: vertex 1 has two neighbours
+    path = AssociationScheme(np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                             check=False)
+    message = ("fusion is not a scheme: axiom 4 (intersection): FAILED at "
+               "(1, 1) (A_1 A_1 is not constant on class 0)")
+    with pytest.raises(ClosureFailure) as info:
+        orbit_fusion(path, n, generators)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_orbit_fusion_needs_positive_n(n):
     with pytest.raises(ValueError, match="need n >= 1"):
