@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import chain, repeat
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -178,6 +178,24 @@ class GaussRat:
 
 _SNAP_MAX_DENOMINATOR = 10**6
 _SNAP_TOLERANCE = 1e-9
+# as a float, just below 1 / (2 N) for N = _SNAP_MAX_DENOMINATOR
+_SNAP_INTEGER_RADIUS = 0.5 / _SNAP_MAX_DENOMINATOR
+
+
+def _snap_real(x):
+    """Fraction(x).limit_denominator(N), N = _SNAP_MAX_DENOMINATOR, or
+    None if that is farther than _SNAP_TOLERANCE from x.  Within
+    _SNAP_INTEGER_RADIUS of an integer k no continued fraction is
+    needed: there x - k is exact, and k is the nearest such fraction,
+    since every other p/q with q <= N lies at least 1/q >= 1/N from k.
+    A non-finite x raises as Fraction(x) does."""
+    if isfinite(x):
+        k = round(x)
+        miss = abs(x - k)
+        if miss < _SNAP_INTEGER_RADIUS:
+            return None if miss > _SNAP_TOLERANCE else Fraction(k)
+    f = Fraction(x).limit_denominator(_SNAP_MAX_DENOMINATOR)
+    return None if abs(float(f) - x) > _SNAP_TOLERANCE else f
 
 
 def snap_gauss(z):
@@ -186,10 +204,8 @@ def snap_gauss(z):
     _SNAP_TOLERANCE in either part: the one snap rule, for eigenvalues
     and modular witnesses alike.  Callers re-verify every snapped value
     exactly."""
-    re = Fraction(float(z.real)).limit_denominator(_SNAP_MAX_DENOMINATOR)
-    im = Fraction(float(z.imag)).limit_denominator(_SNAP_MAX_DENOMINATOR)
-    if (abs(float(re) - z.real) > _SNAP_TOLERANCE
-            or abs(float(im) - z.imag) > _SNAP_TOLERANCE):
+    re, im = _snap_real(float(z.real)), _snap_real(float(z.imag))
+    if re is None or im is None:
         return None
     return GaussRat(re, im)
 

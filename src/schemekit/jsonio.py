@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd
 
 import numpy as np
 
@@ -64,9 +65,19 @@ def parse_gauss(obj):
     return GaussRat(re, im)
 
 
+def _ratio_str(a, D):
+    """str(Fraction(a, D)) for an int a and a positive int D."""
+    g = gcd(a, D)
+    return str(a // g) if g == D else "%d/%d" % (a // g, D // g)
+
+
 def matrix_to_obj(M):
-    return [[gauss_to_obj(M[i, j]) for j in range(M.ncols)]
-            for i in range(M.nrows)]
+    """The entries as {"re", "im"} objects, formatted from the matrix's
+    Gaussian-integer numerators over its one denominator."""
+    re, im, D = M.numerators()
+    return [[{"re": _ratio_str(a, D), "im": _ratio_str(b, D)}
+             for a, b in zip(ra, ia)]
+            for ra, ia in zip(re, im or [[0] * M.ncols] * M.nrows)]
 
 
 def parse_matrix(obj):

@@ -36,6 +36,7 @@ from .exact import (
 
 _SEARCH_SEED = 47117
 _SEARCH_RESTARTS = 200
+_FIRST_RESTARTS = 8
 _LM_ITERATIONS = 100
 
 
@@ -360,8 +361,6 @@ def least_squares(residual, x0):
     for _ in range(_LM_ITERATIONS):
         live = live[(cost[live] > 1e-30)
                     & (np.max(np.abs(g[live]), axis=1) > 1e-15)]
-        if not live.size:
-            break
         step, solved = _solve_each(A[live] + damping[live, None, None] * eye,
                                    -g[live])
         cost[live[~solved]] = np.inf
@@ -370,20 +369,22 @@ def least_squares(residual, x0):
         moving = (np.einsum("ij,ij->i", step, step)
                   > 1e-30 * (1.0 + np.einsum("ij,ij->i", x_live, x_live)))
         live, step, x_live = live[moving], step[moving], x_live[moving]
+        if not live.size:
+            break
         cost_new, A_new, g_new = residual(x_live + step)
         predicted = 0.5 * np.einsum(
             "ij,ij->i", step, damping[live, None] * step - g[live])
         gain = (cost[live] - cost_new) / predicted
         better = gain > 0
+        stalled = better & (cost[live] - cost_new <= 1e-15 * cost[live])
         up, down = live[better], live[~better]
-        stalled = cost[up] - cost_new[better] <= 1e-15 * cost[up]
         x[up] = x_live[better] + step[better]
         cost[up], A[up], g[up] = cost_new[better], A_new[better], g_new[better]
         damping[up] *= np.maximum(1 / 3, 1 - (2 * gain[better] - 1) ** 3)
         growth[up] = 2.0
         damping[down] *= growth[down]
         growth[down] *= 2
-        live = np.setdiff1d(live, up[stalled])
+        live = live[~stalled]
     return x, cost
 
 
@@ -441,9 +442,13 @@ def _cube_residual(Pn):
         dK[:, j, :, j + 1] += (M2[:, None] @ cols)[..., 0].transpose(1, 0, 2)
         r = defect((M2 @ M).reshape(n, k * k))
         Dt = defect(dK.reshape(n, d, k * k))       # row j: dr/dt_j
-        H = Dt.conj() @ Dt.transpose(0, 2, 1)
-        Dr = np.einsum("njm,nm->nj", Dt.conj(), r)
-        A = np.block([[H.real, -H.imag], [H.imag, H.real]])
+        Dc = Dt.conj()
+        H = Dc @ Dt.transpose(0, 2, 1)
+        Dr = np.einsum("njm,nm->nj", Dc, r)
+        A = np.empty((n, 2 * d, 2 * d))
+        A[:, :d, :d] = A[:, d:, d:] = H.real
+        A[:, :d, d:] = -H.imag
+        A[:, d:, :d] = H.imag
         g = np.concatenate([Dr.real, Dr.imag], axis=1)
         cost = 0.5 * np.einsum("nm,nm->n", r.real, r.real) \
             + 0.5 * np.einsum("nm,nm->n", r.imag, r.imag)
@@ -454,9 +459,12 @@ def _cube_residual(Pn):
 
 def _numeric_candidates(P, restarts):
     """The converged points of seeded restarts that snap to Gaussian
-    rationals, snapped, in restart order.  Restarts run in blocks of at
-    most _SEARCH_RESTARTS, drawn in order from one seeded stream (so a
-    block gives the points that as many single draws would).
+    rationals, snapped, in restart order, lazily.  Restarts run in a
+    first block of _FIRST_RESTARTS, then in blocks of at most
+    _SEARCH_RESTARTS, all drawn in order from one seeded stream; a row
+    of `least_squares` does not depend on its block, so every block
+    gives the points that as many single draws would, and a consumer
+    that stops at a witness in the first block runs no other.
     """
     k = P.nrows
     d = k - 1
@@ -466,8 +474,11 @@ def _numeric_candidates(P, restarts):
                    for r, i in zip(re, im or [[0] * k] * k)])
     residual = _cube_residual(Pn)
     rng = np.random.default_rng(_SEARCH_SEED)
-    for start in range(0, restarts, _SEARCH_RESTARTS):
-        size = min(_SEARCH_RESTARTS, restarts - start)
+    start = 0
+    while start < restarts:
+        size = min(_SEARCH_RESTARTS if start else _FIRST_RESTARTS,
+                   restarts - start)
+        start += size
         x, cost = least_squares(residual,
                                 rng.normal(0.0, 1.0, size=(size, 2 * d)))
         for point in x[cost <= 1e-18]:
@@ -483,11 +494,13 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     A singular P is not searched.  Up to three classes the candidates
     are `_exact_candidates`; beyond, and where those fall back, they
     are `_numeric_candidates`, from `restarts` seeded Levenberg-Marquardt
-    solves, run by `least_squares` in blocks of at most _SEARCH_RESTARTS,
-    whose converged points are snapped to Gaussian rationals.  Each
-    distinct candidate is verified once, in stream order, and the
-    witness returned is the first that verifies (of the numeric stream,
-    that of the lowest-index restart).  restarts <= 0 runs no restart.
+    solves, run by `least_squares` in a first block of _FIRST_RESTARTS
+    and then blocks of at most _SEARCH_RESTARTS, whose converged points
+    are snapped to Gaussian rationals.  Each distinct candidate is
+    verified once, in stream order, and the witness returned is the
+    first that verifies (of the numeric stream, that of the
+    lowest-index restart); the streams are lazy, so no block runs after
+    the one that holds it.  restarts <= 0 runs no restart.
     Returns a ModularWitness (always verified exactly) or None.  None is
     a proof that no Gaussian-rational witness exists when the quadrics
     are zero-dimensional and fix every coordinate, up to the root snap

@@ -13,8 +13,11 @@ from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
 from schemekit.codes import Code, weight_enumerator
 from schemekit.errors import CertificationFailure, FormatError
-from schemekit.exact import GaussRat
+from schemekit.exact import ExactMatrix, GaussRat
+from schemekit.genham import eigenmatrix_gh
 from schemekit.jsonio import (
+    gauss_to_obj,
+    matrix_to_obj,
     parse_gauss,
     parse_matrix,
     parse_scheme_obj,
@@ -793,6 +796,34 @@ def test_parse_gauss_compact_forms(text, expected):
 def test_parse_gauss_refuses_a_sign_in_a_denominator():
     with pytest.raises(FormatError, match=re.escape("bad number '1/-2i'")):
         parse_gauss("1/-2i")
+
+
+def _entrywise_obj(M):
+    """matrix_to_obj as one gauss_to_obj per GaussRat entry."""
+    return [[gauss_to_obj(M[i, j]) for j in range(M.ncols)]
+            for i in range(M.nrows)]
+
+
+@pytest.mark.parametrize("rows", [
+    [[-3, 0, GaussRat(Fraction(5, 6), Fraction(-1, 4))],
+     [GaussRat(0, 2), Fraction(-7, 3), 1],
+     [GaussRat(Fraction(1, 2), 1), GaussRat(4, Fraction(-2, 3)),
+      GaussRat(-1, -1)]],
+    [[Fraction(1, 2), Fraction(-3, 4)], [0, 6]],
+    [[4, -2], [0, 10]],
+    [[GaussRat(0, -1), 2], [GaussRat(-6, 3), 0]],
+], ids=["mixed", "real-fractions", "integers", "gaussian-integers"])
+def test_matrix_obj_formats_as_each_entry(rows):
+    M = ExactMatrix([[GaussRat.coerce(x) for x in row] for row in rows])
+    assert matrix_to_obj(M) == _entrywise_obj(M)
+
+
+def test_gh_eigen_json_formats_as_each_entry(capsys):
+    assert run(["gh", "eigen", "--base", "hamming:2:2", "--n", "20",
+                "--json"]) == 0
+    P = eigenmatrix_gh(eigenmatrix(hamming(2, 2)), 20)
+    assert capsys.readouterr().out == json.dumps(
+        {"P": _entrywise_obj(P)}, indent=2) + "\n"
 
 
 R2 = [[0, 1], [1, 0]]

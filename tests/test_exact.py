@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, nan, nextafter
 from pathlib import Path
 
 import pytest
@@ -15,12 +15,16 @@ from schemekit.codes import (
     weight_enumerator,
 )
 from schemekit.exact import (
+    _SNAP_INTEGER_RADIUS,
+    _SNAP_MAX_DENOMINATOR,
+    _SNAP_TOLERANCE,
     ExactMatrix,
     GaussRat,
     MPoly,
     composition_index,
     compositions,
     induced_matrix,
+    snap_gauss,
     substitute_linear,
     substitute_polys,
 )
@@ -86,6 +90,74 @@ def test_gauss_random_field_axioms():
         assert (a + b) * c == a * c + b * c
         if b != GaussRat(0):
             assert (a / b) * b == a
+
+
+# -- snap_gauss ----------------------------------------------------------
+
+
+def _limit_denominator_snap(z):
+    """snap_gauss through Fraction.limit_denominator alone."""
+    parts = [Fraction(float(x)).limit_denominator(_SNAP_MAX_DENOMINATOR)
+             for x in (z.real, z.imag)]
+    if any(abs(float(f) - x) > _SNAP_TOLERANCE
+           for f, x in zip(parts, (z.real, z.imag))):
+        return None
+    return GaussRat(*parts)
+
+
+def _steps(x, n):
+    """x and its n float neighbours on either side."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(nextafter(below[-1], -inf))
+        above.append(nextafter(above[-1], inf))
+    return below[:0:-1] + above
+
+
+def _snap_inputs():
+    half = 1 / (2 * _SNAP_MAX_DENOMINATOR)
+    misses = (_steps(half, 8) + _steps(_SNAP_TOLERANCE, 2)
+              + [2 * half, half / 2, 1e-12, 0.0])
+    near = [k + s * e for k in (-7, -1, 0, 1, 3, 10**6, 2**40)
+            for e in misses for s in (1, -1)]
+    big = [s * x for s in (1, -1)
+           for x in (2.0**52, 2.0**52 + 1, 2.0**53, 2.0**60, 1e300)]
+    return near + big + [0.0, -0.0, 0.25, 1 / 3, 2**51 + 0.5]
+
+
+def test_snap_radius_is_below_half_over_n():
+    # k is the nearest fraction only strictly inside 1/(2N) of k
+    assert Fraction(_SNAP_INTEGER_RADIUS) < Fraction(
+        1, 2 * _SNAP_MAX_DENOMINATOR)
+
+
+def test_snap_matches_limit_denominator():
+    xs = _snap_inputs()
+    for x, y in zip(xs, xs[::-1]):
+        for z in (complex(x, y), complex(x, 0.0)):
+            assert snap_gauss(z) == _limit_denominator_snap(z), z
+
+
+def test_snap_near_an_integer_needs_no_continued_fraction(monkeypatch):
+    def refuse(self, max_denominator):
+        raise AssertionError("limit_denominator called")
+
+    monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+    assert snap_gauss(complex(3 + 1e-12, -2 - 1e-12)) == GaussRat(3, -2)
+    assert snap_gauss(complex(-0.0, 2.0**60)) == GaussRat(0, 2**60)
+    assert snap_gauss(complex(1 + 1e-7, 0.0)) is None
+
+
+@pytest.mark.parametrize("z, error, message", [
+    (complex(nan, 0.0), ValueError, "NaN"),
+    (complex(0.0, inf), OverflowError, "Infinity"),
+    (complex(-inf, nan), OverflowError, "Infinity"),
+    (complex(0.3, nan), ValueError, "NaN"),
+])
+def test_snap_of_a_non_finite_part_raises(z, error, message):
+    with pytest.raises(error, match="^cannot convert %s to integer ratio$"
+                       % message):
+        snap_gauss(z)
 
 
 # -- ExactMatrix ---------------------------------------------------------

@@ -21,6 +21,7 @@ from schemekit.exact import (
 from schemekit.genham import eigenmatrix_gh
 from schemekit import modular
 from schemekit.modular import (
+    _FIRST_RESTARTS,
     _HEURISTIC_VALUES,
     _LM_ITERATIONS,
     _SEARCH_RESTARTS,
@@ -212,11 +213,13 @@ def test_search_nonpositive_restarts_search_nothing(monkeypatch):
     assert search_T(P, restarts=-3) is None
 
 
-@pytest.mark.parametrize("restarts, found", [(2, False), (3, True),
-                                             (401, True)])
+@pytest.mark.parametrize("restarts, found", [
+    (2, False), (3, True), (7, True), (8, True), (9, True), (209, True),
+    (401, True)])
 def test_search_returns_lowest_index_witness(restarts, found):
-    # restart 2 is the first whose snapped point verifies; 401 restarts
-    # span three blocks and still return that restart's witness
+    # restart 2 is the first whose snapped point verifies; budgets at and
+    # around the first block's end, and 401 restarts (four blocks), all
+    # return that restart's witness
     w = search_T(eigenmatrix(group_scheme([2, 2])), restarts=restarts)
     if not found:
         assert w is None
@@ -234,7 +237,22 @@ def test_search_runs_restarts_in_bounded_blocks(monkeypatch):
 
     monkeypatch.setattr(modular, "least_squares", recording)
     assert search_T(eigenmatrix(group_scheme([4])), restarts=450) is None
-    assert sizes == [_SEARCH_RESTARTS, _SEARCH_RESTARTS, 50]
+    assert sizes == [8, 200, 200, 42]
+
+
+def test_search_stops_in_the_first_block(monkeypatch):
+    # group:2:2's witness comes from restart 2, so the first block is
+    # the only one run
+    sizes = []
+
+    def recording(residual, x0):
+        sizes.append(len(x0))
+        return least_squares(residual, x0)
+
+    monkeypatch.setattr(modular, "least_squares", recording)
+    w = search_T(eigenmatrix(group_scheme([2, 2])))
+    assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
+    assert sizes == [_FIRST_RESTARTS]
 
 
 def test_search_verifies_each_candidate_once(monkeypatch):
@@ -403,6 +421,25 @@ def test_batched_least_squares_matches_single_restarts(P):
         assert (cost[i] <= 1e-18) == (cost_i <= 1e-18), i
         if cost_i <= 1e-18:
             assert np.abs(x[i] - x_i).max() <= 1e-7, i
+
+
+@pytest.mark.parametrize("P", [
+    eigenmatrix(group_scheme([4])),
+    eigenmatrix(group_scheme([2, 2])),
+    eigenmatrix(cycle_scheme(6)),
+], ids=["group:4", "group:2:2", "cycle:6"])
+def test_least_squares_rows_do_not_depend_on_the_block(P):
+    # the search's blocks (8 restarts, then the rest) give, bit for bit,
+    # the points and costs of one block of all the restarts
+    Pn = _numeric_p(P)
+    residual = _cube_residual(Pn)
+    x0 = np.random.default_rng(_SEARCH_SEED).normal(
+        0.0, 1.0, size=(_SEARCH_RESTARTS, 2 * (P.nrows - 1)))
+    x, cost = least_squares(residual, x0)
+    head = least_squares(residual, x0[:_FIRST_RESTARTS])
+    tail = least_squares(residual, x0[_FIRST_RESTARTS:])
+    assert x.tobytes() == np.concatenate([head[0], tail[0]]).tobytes()
+    assert cost.tobytes() == np.concatenate([head[1], tail[1]]).tobytes()
 
 
 def test_cli_import_leaves_scipy_out():
