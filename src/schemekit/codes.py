@@ -2,15 +2,19 @@
 
 A code is a set of words over the vertex set of a base scheme.  Its
 weight enumerator collects pair profiles as a homogeneous polynomial,
-counted block-wise from vectorised profile keys (`_profile_keys`); the
-transform sends it to the dual enumerator, the exact substitution
-t -> P^-1 t scaled by v^n/|C|, computed as the enumerator's coefficient
-vector times the induced matrix of Q = v P^-1.  For additive codes over
-a translation scheme the dual code is computed by character-pairing
-arithmetic (no root-of-unity numerics), and the transform of the
-enumerator must equal the dual code's enumerator exactly.  A literal
-idempotent-based oracle is provided as an independent route to the dual
-enumerator.
+counted block-wise from integer profile keys (`_profile_keys`): one
+exact matmul of one-hot words against a per-code key factor, in float64
+while the keys stay below 2^53.  The transform sends it to the dual
+enumerator, the exact substitution t -> P^-1 t scaled by v^n/|C|,
+computed as the enumerator's coefficient vector times the induced matrix
+of Q = v P^-1.  For additive codes over a translation scheme the dual
+code is computed by character-pairing arithmetic (no root-of-unity
+numerics), and the transform of the enumerator must equal the dual
+code's enumerator exactly.  The Z4 Lee form re-indexes the symmetrized
+enumerator's monomials, and the Gray/Lee identity is the same transform
+on the self-dual Lee fusion of Z4, so no polynomial is multiplied out.
+A literal idempotent-based oracle is provided as an independent route
+to the dual enumerator.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .exact import (
     MPoly,
     compositions,
     induced_matrix,
-    substitute_polys,
 )
 from .scheme import (
     DEFAULT_CAP,
@@ -87,25 +90,48 @@ class Code:
             len(self.words), self.n, self.base.v)
 
 
-def _profile_keys(xs, ys, relation, d):
+def _key_factor(ys, relation, d):
+    """The right factor Y of the key product for the words ys (see
+    `_profile_keys`): Y[b, j v + s] = (n+1)^relation[s, ys[b, j]].
+
+    Its dtype is the narrowest exact one for keys below (n+1)^(d+1):
+    float64 while that bound is at most 2^53, int64 while it is at most
+    2^62, and Python ints (dtype object) beyond."""
+    n = ys.shape[1]
+    bound = (n + 1) ** (d + 1)
+    dtype = (np.float64 if bound <= 2**53 else
+             np.int64 if bound <= 2**62 else object)
+    coord_key = np.array([(n + 1) ** r for r in range(d + 1)],
+                         dtype=dtype)[relation]
+    return coord_key.T[ys].reshape(len(ys), -1)
+
+
+def _profile_keys(xs, ys, relation, d, factor=None):
     """Profile keys of every pair of rows of xs and ys (word arrays of
-    equal length n over a base with classes 0..d).
+    equal length n over a base with classes 0..d, v vertices).
 
     Entry (a, b) is sum_j (n+1)^relation[xs[a, j], ys[b, j]], the profile
     h(xs[a], ys[b]) read as digits in base n+1, so the key is injective.
-    Keys are int64 while (n+1)^(d+1) <= 2^62 and Python ints (dtype
-    object) beyond, so they never wrap.
+    It is the product X Y^T of the one-hot words X (X[a, j v + s] = 1
+    iff xs[a, j] = s) and Y = `_key_factor(ys, relation, d)`, which a
+    caller keying several row blocks against one ys passes as `factor`.
+    In float64 that is one GEMM, exact since every partial sum is an
+    integer below 2^53; the int64 and Python-int tiers add one gathered
+    column of Y per coordinate.  Keys are int64 while (n+1)^(d+1) <= 2^62
+    and Python ints beyond, so they never wrap.
     """
-    n = xs.shape[1]
-    if (n + 1) ** (d + 1) <= 2**62:
-        powers = (n + 1) ** np.arange(d + 1, dtype=np.int64)
-    else:
-        powers = np.array([(n + 1) ** r for r in range(d + 1)], dtype=object)
-    coord_key = powers[relation]
-    key = np.zeros((len(xs), len(ys)), dtype=powers.dtype)
+    if factor is None:
+        factor = _key_factor(ys, relation, d)
+    n, v = xs.shape[1], len(relation)
+    cols = np.arange(n) * v + xs
+    if factor.dtype == np.float64:
+        onehot = np.zeros((len(xs), n * v))
+        onehot[np.arange(len(xs))[:, None], cols] = 1
+        return (onehot @ factor.T).astype(np.int64)
+    key = np.zeros((len(ys), len(xs)), dtype=factor.dtype)
     for j in range(n):
-        key += coord_key[np.ix_(xs[:, j], ys[:, j])]
-    return key
+        key += factor[:, cols[:, j]]
+    return key.T
 
 
 def _key_profile(key, n, d):
@@ -119,15 +145,17 @@ def weight_enumerator(code):
 
     The |C|^2 ordered pairs are profiled by the vectorised key kernel
     `_profile_keys` a block of rows at a time (about 2^20 pairs per
-    block, so memory stays O(block) for large codes) and the keys are
-    counted with `np.unique`."""
+    block, so memory stays O(block) for large codes, beside the one key
+    factor of |C| n v entries) and the keys are counted with
+    `np.unique`."""
     base, n = code.base, code.n
     words = np.array(code.words, dtype=np.int64)
     size = len(words)
+    factor = _key_factor(words, base.relation, base.d)
     counts = {}
     for rows in _row_blocks(size, size):
         keys, freq = np.unique(
-            _profile_keys(words[rows], words, base.relation, base.d),
+            _profile_keys(words[rows], words, base.relation, base.d, factor),
             return_counts=True)
         for k, c in zip(keys.tolist(), freq.tolist()):
             counts[k] = counts.get(k, 0) + c
@@ -341,23 +369,33 @@ def _require_z4(code):
         raise DimensionMismatch("expected a code over the Z4 group scheme")
 
 
+def _merge(poly, nvars, key):
+    """The polynomial in nvars variables whose coefficient at key(e)
+    sums those of poly at every e sent there: a substitution of
+    monomials for variables, which only moves coefficients."""
+    terms = {}
+    for exps, c in poly.terms.items():
+        k = key(*exps)
+        terms[k] = terms.get(k, GaussRat(0)) + c
+    return MPoly(nvars, terms)
+
+
+def _lee(swe):
+    """The Lee form swe(s^2, s t, t^2) of a symmetrized enumerator."""
+    return _merge(swe, 2, lambda e0, e1, e2: (2 * e0 + e1, e1 + 2 * e2))
+
+
 def z4_enumerators(code):
     """Complete, symmetrized, and Lee weight enumerators of a Z4 code.
 
     The symmetrized form merges the +-1 difference classes; the Lee form
-    is the symmetrized form evaluated at (s^2, s t, t^2).
+    is the symmetrized form evaluated at (s^2, s t, t^2), which sends
+    s0^e0 s1^e1 s2^e2 to s^(2 e0 + e1) t^(e1 + 2 e2).
     """
     _require_z4(code)
     cwe = weight_enumerator(code)
-    sym_terms = {}
-    for (e0, e1, e2, e3), c in cwe.terms.items():
-        key = (e0, e1 + e3, e2)
-        sym_terms[key] = sym_terms.get(key, GaussRat(0)) + c
-    swe = MPoly(3, sym_terms)
-    s = MPoly.variable(0, 2)
-    t = MPoly.variable(1, 2)
-    lee = substitute_polys(swe, [s * s, s * t, t * t])
-    return Z4Enumerators(cwe, swe, lee)
+    swe = _merge(cwe, 3, lambda e0, e1, e2, e3: (e0, e1 + e3, e2))
+    return Z4Enumerators(cwe, swe, _lee(swe))
 
 
 def gray_image(code):
@@ -374,20 +412,23 @@ def gray_image(code):
     return Code(words, one_class(2), 2 * code.n)
 
 
+# The eigenmatrix of the Lee fusion {0}, {1, 3}, {2} of the Z4 scheme,
+# self-dual (P^2 = 4 I); row j writes the image of s_j in the identity,
+# (s+t)^2, s^2 - t^2 or (s-t)^2, over (s^2, s t, t^2).
+_LEE_P = ExactMatrix([[1, 2, 1], [1, 0, -1], [1, -2, 1]])
+
+
 def gray_lee_check(code):
     """Verify the Lee-enumerator duality identity exactly:
 
         W_dual(s^2, s t, t^2) = (1/|C|) W((s+t)^2, s^2 - t^2, (s-t)^2)
 
-    with W the symmetrized enumerator.  Raises NotAdditive for
+    with W the symmetrized enumerator.  The right side is the MacWilliams
+    transform of W on the Lee fusion scheme, whose eigenmatrix `_LEE_P`
+    is its own dual, read in the Lee monomials.  Raises NotAdditive for
     non-additive codes; returns True/False.
     """
     _require_z4(code)
-    dual = dual_code(code)
-    lhs = z4_enumerators(dual).lee
+    lhs = z4_enumerators(dual_code(code)).lee
     swe = z4_enumerators(code).symmetrized
-    s = MPoly.variable(0, 2)
-    t = MPoly.variable(1, 2)
-    rhs = substitute_polys(swe, [(s + t) ** 2, s * s - t * t, (s - t) ** 2])
-    rhs = rhs * GaussRat(Fraction(1, len(code)))
-    return lhs == rhs
+    return lhs == _lee(macwilliams_transform(swe, _LEE_P, 4, len(code)))

@@ -796,7 +796,11 @@ class MPoly:
 def substitute_polys(p, images):
     """Substitute images[i] for variable i of p.
 
-    All images must be polynomials in the same (new) variable set.
+    All images must be polynomials in the same (new) variable set.  It
+    expands powers of the images term by term, so no code of the package
+    calls it: it is kept as the oracle for the Z4 Lee form and the
+    Gray/Lee identity (`codes.z4_enumerators`, `codes.gray_lee_check`),
+    which re-index monomials and go through the induced matrix instead.
     """
     images = list(images)
     if len(images) != p.nvars:
@@ -828,8 +832,10 @@ def substitute_polys(p, images):
 
 def substitute_linear(p, M):
     """Linear change of variables: s_i is replaced by sum_j M[i,j] t_j.
-    The polynomial oracle for `codes.macwilliams_transform`; no package
-    code calls it."""
+
+    The polynomial oracle for `codes.macwilliams_transform`, which
+    applies the same change as one product with `induced_matrix`; no
+    code of the package calls it."""
     if M.nrows != p.nvars:
         raise DimensionMismatch(
             "matrix has %d rows but polynomial has %d variables"

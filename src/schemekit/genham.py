@@ -30,7 +30,9 @@ def h_vector(v, w, base):
 
     This is the scalar definition: `GHScheme.class_of` reads one pair
     with it, and the tests use it as the oracle for `build_explicit` and
-    for `codes._profile_keys`, which profiles whole arrays of pairs."""
+    for `codes._profile_keys`, which profiles whole arrays of pairs at
+    once as integer keys (a float64 GEMM of one-hot words while the keys
+    stay below 2^53, int64 or Python-int gathers beyond)."""
     if len(v) != len(w):
         raise DimensionMismatch("words have different lengths")
     counts = [0] * (base.d + 1)

@@ -28,7 +28,13 @@ from schemekit.errors import (
     NotAdditive,
     SizeCapExceeded,
 )
-from schemekit.exact import ExactMatrix, GaussRat, MPoly, compositions
+from schemekit.exact import (
+    ExactMatrix,
+    GaussRat,
+    MPoly,
+    compositions,
+    substitute_polys,
+)
 from schemekit.genham import build_explicit, h_vector
 from schemekit.scheme import TranslationStructure, eigenmatrix
 
@@ -194,14 +200,19 @@ def test_weight_enumerator_matches_pair_count(base, n, size):
     assert weight_enumerator(code) == pair_count_enumerator(code)
 
 
-def test_weight_enumerator_over_several_row_blocks():
+def test_weight_enumerator_over_several_row_blocks(monkeypatch):
     """A binary code whose pairs span several row blocks, the last one
-    short, against a bincount of Hamming distances."""
+    short, against a bincount of Hamming distances; the key factor is
+    formed once per call, not once per block."""
     n, size = 12, 1500
     code = mk(_random_words(4242, 2, n, size))
     blocks = scheme_module._row_blocks(size, size)
     step = blocks[0].stop
     assert len(blocks) > 2 and size % step != 0
+    factors = []
+    key_factor = codes._key_factor
+    monkeypatch.setattr(codes, "_key_factor",
+                        lambda *args: factors.append(args) or key_factor(*args))
     bits = np.array(code.words) @ (1 << np.arange(n)[::-1])
     popcount = np.array([bin(x).count("1") for x in range(2**n)])
     hist = np.bincount(popcount[bits[:, None] ^ bits[None, :]].ravel(),
@@ -209,6 +220,7 @@ def test_weight_enumerator_over_several_row_blocks():
     want = MPoly(2, {(n - w, w): GaussRat(Fraction(int(c), size))
                      for w, c in enumerate(hist) if c})
     assert weight_enumerator(code) == want
+    assert len(factors) == 1
 
 
 def test_enumerator_full_space():
@@ -531,3 +543,55 @@ def test_lee_enumerator_equals_gray_image_enumerator():
         lee = z4_enumerators(c).lee
         gray_W = weight_enumerator(gray_image(c))
         assert lee == gray_W
+
+
+def _z4_codes(seed, count):
+    """Random Z4 codes at n = 1..4, additive and not, in turn."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = 1 + k % 4
+        if k % 2:
+            out.append(random_code(rng, Z4, n, 12))
+        else:
+            out.append(random_additive_code(rng, Z4, n))
+    return out
+
+
+def test_lee_form_matches_polynomial_substitution():
+    """The re-indexed Lee form against the substitution it stands for."""
+    s = MPoly.variable(0, 2)
+    t = MPoly.variable(1, 2)
+    for c in _z4_codes(3307, 16):
+        z = z4_enumerators(c)
+        assert z.lee == substitute_polys(z.symmetrized, [s * s, s * t, t * t])
+
+
+def test_lee_transform_matches_polynomial_substitution():
+    """The right side of the Gray/Lee identity, taken as the MacWilliams
+    transform on the Lee fusion, against the substitution of its
+    printed form."""
+    s = MPoly.variable(0, 2)
+    t = MPoly.variable(1, 2)
+    for c in _z4_codes(5519, 16):
+        swe = z4_enumerators(c).symmetrized
+        want = substitute_polys(swe, [(s + t) ** 2, s * s - t * t, (s - t) ** 2])
+        want = want * GaussRat(Fraction(1, len(c)))
+        got = codes._lee(macwilliams_transform(swe, codes._LEE_P, 4, len(c)))
+        assert got == want
+
+
+def test_gray_lee_check_rejects_a_wrong_dual(monkeypatch):
+    """With dual_code returning the code itself, a code whose size is not
+    2^n has no dual of that size, and the identity fails."""
+    rng = random.Random(7129)
+    codes_checked = []
+    while len(codes_checked) < 6:
+        c = random_additive_code(rng, Z4, 1 + len(codes_checked) % 3)
+        if len(c) ** 2 != 4 ** c.n:
+            codes_checked.append(c)
+    for c in codes_checked:
+        assert gray_lee_check(c)
+    monkeypatch.setattr(codes, "dual_code", lambda code: code)
+    for c in codes_checked:
+        assert not gray_lee_check(c)

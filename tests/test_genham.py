@@ -7,7 +7,7 @@ import pytest
 from schemekit import genham
 from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit.codes import _key_profile, _profile_keys
+from schemekit.codes import _key_factor, _key_profile, _profile_keys
 from schemekit.errors import SizeCapExceeded
 from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
@@ -44,22 +44,32 @@ def test_h_vector():
     (hamming(2, 2), 3),
     (cycle_scheme(5), 4),
     (build_explicit(cycle_scheme(4), 2), 2),
+    (group_scheme([12]), 20),
+    (group_scheme([12]), 21),
     (group_scheme([12]), 34),
     (group_scheme([12]), 35),
     (group_scheme([12]), 70),
-], ids=["binary", "group4", "hamming22", "cycle5", "composite", "z12_n34",
-        "z12_n35", "z12_n70"])
+], ids=["binary", "group4", "hamming22", "cycle5", "composite", "z12_n20",
+        "z12_n21", "z12_n34", "z12_n35", "z12_n70"])
 def test_profile_keys_decode_to_h_vector(base, n):
-    """Every key of the vectorised kernel decodes to the scalar profile;
-    from (n+1)^(d+1) > 2^62 on (Z12 at n = 35 and 70, d = 11) the keys
-    are Python ints, where int64 keys would wrap."""
+    """Every key of the vectorised kernel decodes to the scalar profile.
+    Row 0 of ys lies in class d of row 0 of xs at every coordinate, so
+    their key is the largest, n (n+1)^d.  For Z12 (d = 11) the keys are
+    a float64 product up to n = 20 (21^12 <= 2^53), int64 sums from
+    n = 21, and from (n+1)^(d+1) > 2^62 on (n = 35 and 70) Python ints,
+    where int64 keys would wrap."""
     rng = np.random.default_rng(base.v * 1000 + n)
     xs = rng.integers(base.v, size=(5, n))
     ys = rng.integers(base.v, size=(7, n))
+    ys[0] = base.relation[xs[0]].argmax(axis=1)
     keys = _profile_keys(xs, ys, base.relation, base.d)
     assert keys.shape == (5, 7)
-    fits = (n + 1) ** (base.d + 1) <= 2**62
+    bound = (n + 1) ** (base.d + 1)
+    fits = bound <= 2**62
     assert keys.dtype == (np.int64 if fits else object)
+    assert _key_factor(ys, base.relation, base.d).dtype == (
+        np.float64 if bound <= 2**53 else keys.dtype)
+    assert keys[0, 0] == n * (n + 1) ** base.d
     for a in range(5):
         for b in range(7):
             assert _key_profile(keys[a, b], n, base.d) == \
