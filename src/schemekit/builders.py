@@ -2,8 +2,9 @@
 
 All builders hand a class vector c to the scheme, whose table c[y - x]
 is valid by construction (the unit tests run verify_axioms on small
-instances of each), and attach an exact eigenmatrix whenever one exists
-over the Gaussian rationals.
+instances of each); H(n, q) is the composite over K_q = one_class(q),
+built and verified by `genham.build_explicit`.  All attach an exact
+eigenmatrix whenever one exists over the Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -11,11 +12,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, SizeCapExceeded, SnapFailure
-from .exact import ExactMatrix, induced_matrix
+from .exact import ExactMatrix
+from .genham import build_explicit, eigenmatrix_gh
 from .scheme import (
     DEFAULT_CAP,
     AssociationScheme,
     TranslationStructure,
+    _check_power_cap,
     eigenmatrix,
 )
 
@@ -33,17 +36,15 @@ def one_class(q, cap=DEFAULT_CAP):
 
 
 def hamming(n, q, cap=DEFAULT_CAP):
-    """The Hamming scheme H(n, q): words in {0..q-1}^n, classes by distance."""
+    """The Hamming scheme H(n, q), classes by distance: the n-fold
+    composite over K_q = one_class(q), with P = eigenmatrix_gh of K_q's."""
     if n < 1 or q < 2:
         raise DimensionMismatch("hamming needs n >= 1 and q >= 2")
-    v = q**n
-    if v > cap:
-        raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (q, n, cap))
-    translation = TranslationStructure((q,) * n)
-    # the class of (x, y) is the Hamming weight of y - x
-    weight = (translation.digits(np.arange(v)) != 0).sum(axis=-1)
-    P = induced_matrix(ExactMatrix([[1, q - 1], [1, -1]]), n)
-    return AssociationScheme(weight, P=P, translation=translation, check=False)
+    _check_power_cap(q, n, cap, "vertices")  # as q^n, even for q > cap
+    base = one_class(q, cap)
+    scheme = build_explicit(base, n, cap)
+    scheme.P = eigenmatrix_gh(base.P, n)
+    return scheme
 
 
 def group_scheme(orders, cap=DEFAULT_CAP):

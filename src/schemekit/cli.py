@@ -6,10 +6,10 @@ verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
 (axiom violation, non-additive code, no scalar cube, an attached P that
 fails certification, no witness to lift, ...), 2 usage, I/O, or format
 error (a size below 1, or a size above --cap, included).  --cap bounds
-the vertices of a construction and of a JSON table (checked before the
-table is verified), the words of a code file, the classes of a
-composite, and the classes k of a scheme whose P is formed or inverted,
-by k^3 <= cap^2 (the rule of `scheme._check_tensor_cap`).  Errors
+the vertices of a construction and of a JSON table, the words of a code
+file, the candidate words of a dual, the classes of a composite, and
+the classes k of a scheme whose P is formed or inverted, by k^3 <= cap^2
+(`scheme._check_tensor_cap`), each before the work it bounds.  Errors
 print an `error:` line on stderr and nothing on stdout.  --json switches
 every command to structured output with rationals serialized as exact
 strings.
@@ -135,10 +135,15 @@ def _load_scheme(spec, cap):
 
 def _load_base(spec, cap):
     """`_load_scheme` for a command that forms or inverts P: refused
-    past the class-count rule of `_check_tensor_cap`."""
-    scheme = _load_scheme(spec, cap)
-    _check_tensor_cap(scheme.d + 1, cap)
-    return scheme
+    past the class-count rule of `_check_tensor_cap`, which a JSON table
+    meets before it is verified."""
+    scheme = _build_spec(spec, cap)
+    if scheme is not None:
+        _check_tensor_cap(scheme.d + 1, cap)
+        return scheme
+    relation, P = _read_table(spec, cap)
+    _check_tensor_cap(int(relation.max()) + 1, cap)
+    return jsonio._certified_scheme(relation, P)
 
 
 def _check_class_cap(base, n, cap):
@@ -152,16 +157,13 @@ def _check_class_cap(base, n, cap):
 
 def _read_code(args, base):
     """The code in args.file over base, refused past --cap words before
-    any pair is profiled: the enumerator is |C|^2 work."""
+    any pair is profiled (the enumerator is |C|^2 work), with the word
+    length of --n where a command has it."""
     words = jsonio.parse_code_file(_read_text(args.file))
     if len(words) > args.cap:
         raise SizeCapExceeded("%d code words exceeds cap %d"
                               % (len(words), args.cap))
-    return Code(words, base)
-
-
-def _load_code(args):
-    code = _read_code(args, _load_scheme(args.base, args.cap))
+    code = Code(words, base)
     if getattr(args, "n", None) is not None and code.n != args.n:
         raise FormatError("codewords have length %d, but --n says %d"
                           % (code.n, args.n))
@@ -308,15 +310,14 @@ def cmd_gh_fusion_check(args):
 
 
 def cmd_code_enumerate(args):
-    code = _load_code(args)
+    code = _read_code(args, _load_scheme(args.base, args.cap))
     W = weight_enumerator(code)
     return 0, partial(jsonio.poly_to_obj, W), W.to_str
 
 
 def cmd_code_transform(args):
-    code = _load_code(args)
+    code = _read_code(args, _load_base(args.base, args.cap))
     _check_class_cap(code.base, code.n, args.cap)
-    _check_tensor_cap(code.base.d + 1, args.cap)
     P = eigenmatrix(code.base)
     W = weight_enumerator(code)
     dual = macwilliams_transform(W, P, code.base.v, len(code))
@@ -325,7 +326,7 @@ def cmd_code_transform(args):
 
 
 def cmd_code_dual(args):
-    code = _load_code(args)
+    code = _read_code(args, _load_scheme(args.base, args.cap))
     dual = dual_code(code, cap=args.cap)
     return 0, lambda: {"size": len(dual),
                        "words": [list(w) for w in dual.words]}, \
@@ -350,7 +351,7 @@ def cmd_code_z4(args):
 
 def cmd_code_gray_check(args):
     code = _load_z4_code(args)
-    ok = gray_lee_check(code)
+    ok = gray_lee_check(code, cap=args.cap)
     return 0 if ok else 1, lambda: {"holds": ok}, \
         lambda: "Gray/Lee identity holds" if ok else "Gray/Lee identity FAILS"
 

@@ -37,11 +37,13 @@ from .exact import (
     GaussRat,
     MPoly,
     compositions,
-    induced_matrix,
 )
+from .genham import dual_eigenmatrix_gh
 from .scheme import (
     DEFAULT_CAP,
     TranslationStructure,
+    _check_power_cap,
+    _first_index,
     _row_blocks,
     dual_eigenmatrix,
     eigenmatrix,
@@ -178,8 +180,8 @@ def macwilliams_transform(enumerator, P, v, code_size):
 
     Row gamma of induced(Q, n), Q = v P^-1, holds the coefficients of
     prod_i (Q t)_i^gamma_i = v^n prod_i (P^-1 t)_i^gamma_i, so the
-    transform is the coefficient vector of W times induced(Q, n),
-    divided by |C|.
+    transform is the coefficient vector of W times induced(Q, n)
+    (`genham.dual_eigenmatrix_gh`), divided by |C|.
     """
     if not enumerator.is_homogeneous() or enumerator.degree() < 0:
         raise DimensionMismatch("enumerator must be homogeneous and nonzero")
@@ -190,8 +192,7 @@ def macwilliams_transform(enumerator, P, v, code_size):
     n = enumerator.degree()
     comps = compositions(n, enumerator.nvars)
     a = ExactMatrix([[enumerator.coefficient(gamma) for gamma in comps]])
-    out = (a.scale(Fraction(1, code_size))
-           @ induced_matrix(dual_eigenmatrix(P, v), n))
+    out = a.scale(Fraction(1, code_size)) @ dual_eigenmatrix_gh(P, v, n)
     return MPoly(enumerator.nvars, dict(zip(comps, out.row(0))))
 
 
@@ -278,9 +279,9 @@ def is_additive(code):
     for rows in _row_blocks(len(exps), exps.size):
         sums = group.index(exps[rows, None, :] + exps[None, :, :])
         missing = np.isin(sums, members, invert=True)
-        if missing.any():
-            a, b = np.unravel_index(np.argmax(missing), missing.shape)
-            a += rows.start
+        bad = _first_index(missing)
+        if bad is not None:
+            a, b = bad[0] + rows.start, bad[1]
             return False, (tuple(exps[a].tolist()), tuple(exps[b].tolist()))
     return True, None
 
@@ -318,16 +319,15 @@ def dual_code(code, cap=DEFAULT_CAP):
     sum_j a_j x_j L/m_j = 0 (mod L) where L = lcm of the cyclic orders.
     The pairing is bilinear, so the candidates are paired with a
     generating set of the code only (`_generators`), not every word.
-    Raises NotAdditive (with a witness pair) if the code is not additive.
+    SizeCapExceeded past cap candidate words v^n, checked first; then
+    NotAdditive (with a witness pair) if the code is not additive.
     """
+    base, n = code.base, code.n
+    _check_power_cap(base.v, n, cap, "candidate words")
     ok, witness = is_additive(code)
     if not ok:
         raise NotAdditive(witness)
     exps, group = _flat_exponents(code)
-    base, n = code.base, code.n
-    v = base.v
-    if group.size > cap:
-        raise SizeCapExceeded("%d^%d candidate words exceeds cap %d" % (v, n, cap))
     orders = np.array(group.orders, dtype=np.int64)
     L = lcm(*group.orders)
     weights = L // orders
@@ -335,7 +335,7 @@ def dual_code(code, cap=DEFAULT_CAP):
     candidates = group.digits(np.arange(group.size))
     pairing = (candidates * weights[None, :]) @ _generators(exps, group).T % L
     member = (pairing == 0).all(axis=1)
-    words = TranslationStructure((v,) * n).digits(np.flatnonzero(member))
+    words = TranslationStructure((base.v,) * n).digits(np.flatnonzero(member))
     return Code(words.tolist(), base, n)
 
 
@@ -418,17 +418,17 @@ def gray_image(code):
 _LEE_P = ExactMatrix([[1, 2, 1], [1, 0, -1], [1, -2, 1]])
 
 
-def gray_lee_check(code):
+def gray_lee_check(code, cap=DEFAULT_CAP):
     """Verify the Lee-enumerator duality identity exactly:
 
         W_dual(s^2, s t, t^2) = (1/|C|) W((s+t)^2, s^2 - t^2, (s-t)^2)
 
     with W the symmetrized enumerator.  The right side is the MacWilliams
     transform of W on the Lee fusion scheme, whose eigenmatrix `_LEE_P`
-    is its own dual, read in the Lee monomials.  Raises NotAdditive for
-    non-additive codes; returns True/False.
+    is its own dual, read in the Lee monomials.  Raises as `dual_code`
+    under `cap` does (NotAdditive, SizeCapExceeded); returns True/False.
     """
     _require_z4(code)
-    lhs = z4_enumerators(dual_code(code)).lee
+    lhs = z4_enumerators(dual_code(code, cap)).lee
     swe = z4_enumerators(code).symmetrized
     return lhs == _lee(macwilliams_transform(swe, _LEE_P, 4, len(code)))

@@ -2,8 +2,9 @@
 
 Everything in this module is exact.  Scalars are Gaussian rationals
 (complex numbers with Fraction real and imaginary parts), matrices and
-polynomials are built over them, and no operation ever rounds.  The one
-way in from floats is snap_gauss, whose results callers re-verify.
+polynomials are built over them, and no operation ever rounds.  Floats
+come in by snap_gauss (`modular`) and by the Gaussian-integer rounding
+of `scheme.eigenmatrix`; callers re-verify every value either gives.
 
 GaussRat is the scalar type: MPoly coefficients are GaussRat, and so
 is every entry an ExactMatrix hands out.  An ExactMatrix itself is
@@ -201,9 +202,9 @@ def _snap_real(x):
 def snap_gauss(z):
     """The Gaussian rational nearest a complex float z with denominators
     up to _SNAP_MAX_DENOMINATOR, or None if it is farther than
-    _SNAP_TOLERANCE in either part: the one snap rule, for eigenvalues
-    and modular witnesses alike.  Callers re-verify every snapped value
-    exactly."""
+    _SNAP_TOLERANCE in either part: the snap of `modular`'s roots and
+    witnesses (`scheme.eigenmatrix` rounds eigenvalues to Gaussian
+    integers instead).  Callers re-verify every snapped value exactly."""
     re, im = _snap_real(float(z.real)), _snap_real(float(z.imag))
     if re is None or im is None:
         return None

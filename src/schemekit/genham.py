@@ -87,9 +87,12 @@ def build_explicit(base, n, cap=DEFAULT_CAP):
     is verified, which asserts that the composite construction really is
     an association scheme.
     """
-    positions = list(range(n))
-    generators = [positions[1:] + positions[:1], positions[1::-1] + positions[2:]]
-    return _orbit_power(base, n, generators, cap)
+    def generators():  # listed only once `_orbit_power`'s caps hold
+        positions = list(range(n))
+        yield positions[1:] + positions[:1]
+        yield positions[1::-1] + positions[2:]
+
+    return _orbit_power(base, n, generators(), cap)
 
 
 def eigenmatrix_gh(P, n):

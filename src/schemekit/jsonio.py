@@ -23,6 +23,9 @@ def fraction_to_str(f):
 
 
 def parse_fraction(s):
+    if isinstance(s, (bool, float)):  # a float may be rounded already
+        raise FormatError("bad rational %r: not a JSON integer or string"
+                          % (s,))
     try:
         return Fraction(str(s).strip())
     except (ValueError, ZeroDivisionError) as e:
@@ -34,13 +37,14 @@ def gauss_to_obj(g):
 
 
 def parse_gauss(obj):
-    """Accept {"re","im"} objects, bare rationals, or compact strings."""
+    """Accept {"re","im"} objects, bare rationals, or compact strings;
+    a JSON boolean or float is refused by `parse_fraction`."""
     if isinstance(obj, dict):
         return GaussRat(parse_fraction(obj.get("re", 0)),
                         parse_fraction(obj.get("im", 0)))
-    if isinstance(obj, int):
-        return GaussRat(obj)
-    s = str(obj).strip().replace(" ", "")
+    if not isinstance(obj, str):
+        return GaussRat(parse_fraction(obj))
+    s = obj.strip().replace(" ", "")
     if not s:
         raise FormatError("empty number")
     if not s.endswith(("i", "I")):

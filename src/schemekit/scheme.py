@@ -100,8 +100,14 @@ def _first_index(mask):
     flat = np.flatnonzero(mask)
     if flat.size == 0:
         return None
-    x, y = np.unravel_index(flat[0], mask.shape)
-    return (int(x), int(y))
+    return tuple(int(i) for i in np.unravel_index(flat[0], mask.shape))
+
+
+def _first_cells(values, classes):
+    """The flat index of the first cell of each class 0..classes-1 in
+    `values`; an empty class takes the next class up's first cell."""
+    present, first = np.unique(values, return_index=True)
+    return first[np.searchsorted(present, np.arange(classes))]
 
 
 def verify_axioms(relation):
@@ -141,20 +147,17 @@ def verify_axioms(relation):
     else:
         checks.append(AxiomCheck(2, "partition", True))
 
-    # axiom 3: the transpose of each class is a class
-    transpose_ok = True
-    relT = rel.T
-    for i in range(d + 1):
-        vals = relT[rel == i]
-        if vals.size and (vals != vals[0]).any():
-            pos = np.argwhere(rel == i)
-            bad = pos[np.flatnonzero(vals != vals[0])[0]]
-            checks.append(AxiomCheck(3, "transpose", False,
-                                     (int(bad[0]), int(bad[1])),
-                                     "class %d is not transpose-consistent" % i))
-            transpose_ok = False
-            break
-    if transpose_ok:
+    # axiom 3: the transpose of each class is a class, the one its first
+    # cell (x, y) transposes to, rel[y, x]; the witness is the first cell
+    # of the least class that breaks this
+    x, y = np.divmod(_first_cells(rel, d + 1), v)
+    bad = rel.T != rel[y, x][rel]
+    if bad.any():
+        i = int(rel[bad].min())
+        checks.append(AxiomCheck(3, "transpose", False,
+                                 _first_index(bad & (rel == i)),
+                                 "class %d is not transpose-consistent" % i))
+    else:
         checks.append(AxiomCheck(3, "transpose", True))
 
     # axioms 4, 5: products lie in the span with constant integer
@@ -162,9 +165,9 @@ def verify_axioms(relation):
     tensor, witness = _product_tensor(rel, d)
     if witness is None:
         checks.append(AxiomCheck(4, "intersection", True))
-        diff = np.nonzero(tensor != np.swapaxes(tensor, 0, 1))
-        if diff[0].size:
-            a, b, c = (int(diff[0][0]), int(diff[1][0]), int(diff[2][0]))
+        diff = _first_index(tensor != np.swapaxes(tensor, 0, 1))
+        if diff is not None:
+            a, b, c = diff
             checks.append(AxiomCheck(5, "commutativity", False, None,
                                      "p[%d][%d][%d] != p[%d][%d][%d]" % (a, b, c, b, a, c)))
         else:
@@ -201,26 +204,17 @@ def _product_tensor(rel, d):
     def ind(i):
         return (rel == i).astype(np.float32)
 
-    # first occurrence of each class, to read off the expected constant
-    first = {}
-    flat = rel.ravel()
-    order = np.argsort(flat, kind="stable")
-    starts = np.searchsorted(flat[order], np.arange(d + 1))
-    for k in range(d + 1):
-        x, y = np.unravel_index(order[starts[k]], rel.shape)
-        first[k] = (int(x), int(y))
-
+    # the expected constants are read off each class's first cell
+    first = _first_cells(rel, d + 1)
     tensor = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
     for i in range(d + 1):
         ai = ind(i)
         for j in range(d + 1):
             prod = np.rint(ai @ ind(j)).astype(np.int64)
-            expected = np.empty(d + 1, dtype=np.int64)
-            for k in range(d + 1):
-                expected[k] = prod[first[k]]
-            if (prod != expected[rel]).any():
-                bad = _first_index(prod != expected[rel])
-                return None, (bad[0], bad[1], i, j)
+            expected = prod.ravel()[first]
+            bad = _first_index(prod != expected[rel])
+            if bad is not None:
+                return None, bad + (i, j)
             tensor[i, j] = expected
     return tensor, None
 
@@ -279,7 +273,7 @@ def _translation_tensor(rel, c):
     if c[0] != 0 or sizes[0] != 1 or not sizes.all():
         return None
     neg_c = rel[:, 0]  # neg_c[z] = c(-z)
-    first = np.unique(c, return_index=True)[1]  # a representative per class
+    first = _first_cells(c, k)  # a representative per class
     if (neg_c != neg_c[first][c]).any():
         return None
     columns = rel.T
@@ -291,20 +285,6 @@ def _translation_tensor(rel, c):
     tensor = np.ascontiguousarray(expected.transpose(2, 1, 0))
     if (tensor != np.swapaxes(tensor, 0, 1)).any():
         return None
-    return tensor
-
-
-def _verified_tensor(rel, c):
-    """The intersection tensor of a table that must be a scheme: counted
-    over the group from its class vector c when there is one, else (or
-    when an axiom fails there) by `verify_axioms`, whose report is raised
-    as AxiomViolation if an axiom fails."""
-    tensor = None if c is None else _translation_tensor(rel, c)
-    if tensor is None:
-        report = verify_axioms(rel)
-        if not report.ok:
-            raise AxiomViolation(report)
-        tensor = report.tensor
     return tensor
 
 
@@ -457,19 +437,23 @@ class AssociationScheme:
         return bool((self.relation == self.relation.T).all())
 
     def intersection_tensor(self):
-        """p[i][j][k], verified; AxiomViolation if the table is no scheme."""
+        """p[i][j][k], verified: counted over the group from the class
+        vector when there is a translation, else (or when an axiom fails
+        there) by `verify_axioms`, whose report is raised as
+        AxiomViolation if an axiom fails."""
         if self._tensor is None:
-            c = None if self.translation is None else self.relation[0]
-            self._tensor = _verified_tensor(self.relation, c)
+            if self.translation is not None:
+                self._tensor = _translation_tensor(self.relation,
+                                                   self.relation[0])
+            if self._tensor is None:
+                report = verify_axioms(self.relation)
+                if not report.ok:
+                    raise AxiomViolation(report)
+                self._tensor = report.tensor
         return self._tensor
 
     def __repr__(self):
         return "AssociationScheme(v=%d, d=%d)" % (self.v, self.d)
-
-
-def intersection_numbers(scheme):
-    """The tensor p[i][j][k] with A_i A_j = sum_k p[i][j][k] A_k."""
-    return scheme.intersection_tensor()
 
 
 # -- eigenmatrix: numeric diagonalization, snap, exact certification ----
@@ -665,9 +649,9 @@ def krein_parameters(scheme):
                                     im.reshape(k * k, k).tolist(),
                                     v * dp * dq * dq)
     q = np.array(q.rows(), dtype=object).reshape(k, k, k)
-    bad = np.argwhere((im != 0) | (re < 0))
-    if len(bad):
-        raise NegativeKrein(tuple(map(int, bad[0])), q[tuple(bad[0])])
+    bad = _first_index((im != 0) | (re < 0))
+    if bad is not None:
+        raise NegativeKrein(bad, q[bad])
     return q
 
 
@@ -720,6 +704,14 @@ def _check_tensor_cap(classes, cap):
                               "cap^2 = %d" % (classes, classes, cap**2))
 
 
+def _check_power_cap(b, n, cap, what):
+    """SizeCapExceeded past cap `what`, b^n of them, decided with no
+    power of more than cap.bit_length() factors: for b >= 2, b^n > cap
+    once n exceeds cap.bit_length()."""
+    if (b >= 2 and n > cap.bit_length()) or b**n > cap:
+        raise SizeCapExceeded("%d^%d %s exceeds cap %d" % (b, n, what, cap))
+
+
 def _orbit_power(scheme, n, generators, cap):
     """The fusion of the n-th tensor power of `scheme` by the orbits of
     the permutation group that `generators` (permutations of the n
@@ -737,11 +729,10 @@ def _orbit_power(scheme, n, generators, cap):
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    v, d = scheme.v, scheme.d
-    if v**n > cap:
-        raise SizeCapExceeded("%d^%d vertices exceeds cap %d" % (v, n, cap))
-    if (d + 1) ** n > cap:  # only a table that is no scheme has d + 1 > v
-        raise SizeCapExceeded("%d^%d class tuples exceeds cap %d" % (d + 1, n, cap))
+    d = scheme.d
+    _check_power_cap(scheme.v, n, cap, "vertices")
+    # only a table that is no scheme has d + 1 > v
+    _check_power_cap(d + 1, n, cap, "class tuples")
     tuples = np.arange((d + 1) ** n)
     moves = []
     for g in generators:

@@ -617,6 +617,45 @@ def test_tensor_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
     assert_usage_error(capsys, argv + ["--cap", "5"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["scheme", "eigen", "C4"],
+    ["scheme", "eigen", "C4", "--numeric"],
+    ["scheme", "krein", "C4"],
+    ["gh", "eigen", "--base", "C4", "--n", "1"],
+    ["code", "transform", "--base", "C4", "CODE"],
+    ["modinv", "verify", "--base", "C4", "--T", "1,1,-1"],
+    ["modinv", "search", "--base", "C4"],
+    ["modinv", "lift", "--base", "C4", "--n", "1"],
+])
+def test_tensor_cap_refuses_a_json_table_before_verifying_it(
+        tmp_path, monkeypatch, capsys, argv):
+    # the 4-cycle as a JSON table: its 3 classes run at cap 6 and are
+    # refused at cap 5 without the table being verified
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps(scheme_to_obj(cycle_scheme(4))))
+    argv = [str(path) if a == "C4" else
+            write_code(tmp_path, ["0", "2"]) if a == "CODE" else a
+            for a in argv]
+    assert run(argv + ["--cap", "6"]) == 0
+    capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the table was verified before the class cap")
+
+    monkeypatch.setattr("schemekit.jsonio.AssociationScheme", fail)
+    assert_refused(capsys, argv + ["--cap", "5"],
+                   "3 classes: 3^3 intersection numbers exceed cap^2 = 25")
+
+
+def test_gray_check_honours_the_cap(tmp_path, capsys):
+    # the dual of a length-7 Z4 code has 4^7 = 16384 candidate words
+    path = write_code(tmp_path, [" ".join(str(a) * 7) for a in range(4)])
+    assert_refused(capsys, ["code", "gray-check", path],
+                   "4^7 candidate words exceeds cap 4096")
+    assert run(["code", "gray-check", path, "--cap", "20000"]) == 0
+    assert capsys.readouterr().out == "Gray/Lee identity holds\n"
+
+
 @pytest.mark.parametrize("mode", [[], ["--json"]])
 @pytest.mark.parametrize("argv", [
     ["code", "enumerate", "--base", "one_class:2", "BIN"],
@@ -626,15 +665,14 @@ def test_tensor_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
     ["code", "gray-check", "Z4"],
 ])
 def test_code_word_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
-    # 8 words: |C| = cap runs, |C| = cap + 1 is refused before the code
-    # is built or any pair is profiled
-    files = {"BIN": ["%d %d %d" % (x >> 2, x >> 1 & 1, x & 1)
-                     for x in range(8)],
-             "Z4": ["%d %d" % (a, (a + 2 * b) % 4)
-                    for a in range(4) for b in range(2)]}
+    # 16 words, the whole word space, so the dual's candidate words meet
+    # the cap too: |C| = cap runs, |C| = cap + 1 is refused before the
+    # code is built or any pair is profiled
+    files = {"BIN": [" ".join("{:04b}".format(x)) for x in range(16)],
+             "Z4": ["%d %d" % (a, b) for a in range(4) for b in range(4)]}
     argv = [write_code(tmp_path, files[a]) if a in files else a
             for a in argv] + mode
-    assert run(argv + ["--cap", "8"]) == 0
+    assert run(argv + ["--cap", "16"]) == 0
     assert capsys.readouterr().out
 
     def fail(*args, **kwargs):
@@ -643,10 +681,10 @@ def test_code_word_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
     for name in ("Code", "weight_enumerator", "dual_code", "z4_enumerators",
                  "gray_lee_check"):
         monkeypatch.setattr(cli, name, fail)
-    assert run(argv + ["--cap", "7"]) == 2
+    assert run(argv + ["--cap", "15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 8 code words exceeds cap 7\n"
+    assert captured.err == "error: 16 code words exceeds cap 15\n"
 
 
 # -- pinned JSON output -------------------------------------------------------
@@ -879,8 +917,21 @@ def test_scheme_object_format_errors(tmp_path, capsys, obj, message):
      "v must be an integer, got True"),
     ('{"v": 2, "d": 1.5, "relation": [[0, 1], [1, 0]]}',
      "d must be an integer, got 1.5"),
+    ('{"v": 2, "d": 1, "relation": [[0, 1], [1, 0]], '
+     '"P": [[true, true], [true, -1]]}',
+     "bad rational True: not a JSON integer or string"),
+    ('{"v": 2, "d": 1, "relation": [[0, 1], [1, 0]], '
+     '"P": [[1.0, 1], [1, -1]]}',
+     "bad rational 1.0: not a JSON integer or string"),
+    ('{"v": 2, "d": 1, "relation": [[0, 1], [1, 0]], '
+     '"P": [[1, 1], [1, {"re": -1, "im": 1e-400}]]}',
+     "bad rational 0.0: not a JSON integer or string"),
+    ('{"v": 2, "d": 1, "relation": [[0, 1], [1, 0]], '
+     '"P": [[1, 1], [{"re": true}, -1]]}',
+     "bad rational True: not a JSON integer or string"),
 ], ids=["float", "integral-float", "bool", "digit-string", "over-int64",
-        "int64-max-plus-one", "v-1e400", "v-float", "v-bool", "d-float"])
+        "int64-max-plus-one", "v-1e400", "v-float", "v-bool", "d-float",
+        "P-bool", "P-float", "P-im-1e-400", "P-re-bool"])
 def test_scheme_json_refuses_non_integers(tmp_path, capsys, text, message):
     # before, the int64 cast truncated floats and read booleans, and an
     # out-of-range value ended in an OverflowError traceback (exit 1)
@@ -920,10 +971,17 @@ def bad_term(term):
     ({"nvars": 2, "terms": [{"exponents": [1, 1]}]},
      bad_term({"exponents": [1, 1]})),
     ({"nvars": 2, "terms": [[1, 1]]}, bad_term([1, 1])),
+    ({"nvars": 2, "terms": [{"exponents": [1, 1], "coeff": 0.5}]},
+     "bad rational 0.5: not a JSON integer or string"),
+    ({"nvars": 2, "terms": [{"exponents": [1, 1], "coeff": True}]},
+     "bad rational True: not a JSON integer or string"),
+    ({"nvars": 2, "terms": [{"exponents": [1, 1],
+                             "coeff": {"re": "1", "im": 2.0}}]},
+     "bad rational 2.0: not a JSON integer or string"),
 ], ids=["float-nvars", "bool-nvars", "zero-nvars", "terms-object",
         "float-exponent", "bool-exponent", "negative-exponent",
         "short-exponents", "string-exponents", "no-exponents", "no-coeff",
-        "list-term"])
+        "list-term", "float-coeff", "bool-coeff", "float-im-coeff"])
 def test_poly_from_obj_refuses_non_integers(obj, message):
     # before, int() truncated the first to s0*s1, and a term with no
     # "exponents" raised a bare KeyError

@@ -378,8 +378,8 @@ def test_is_additive_matches_loop_long_words(base, n):
     code = Code([zero, e1, e2], base, n)
     assert is_additive(code) == is_additive_loop(code)
     assert is_additive(code)[0] is False
-    with pytest.raises(NotAdditive):
-        dual_code(code)
+    with pytest.raises(NotAdditive):  # the cap admits every candidate
+        dual_code(code, cap=base.v**n)
     e12 = (1, 1) + zero[2:]
     closed = Code([zero, e1, e2, e12], base, n)
     if base is BINARY:
@@ -416,6 +416,21 @@ def test_dual_code_cap():
     c = mk([(0,) * 6, (1,) * 6])
     with pytest.raises(SizeCapExceeded):
         dual_code(c, cap=32)
+
+
+@pytest.mark.parametrize("words", [[(0,) * 64, (1,) * 64],
+                                   [(1,) * 64, (0, 1) * 32]],
+                         ids=["additive", "not-additive"])
+def test_dual_code_checks_the_cap_before_additivity(monkeypatch, words):
+    """The |C|^2 closure scan is not run for a dual past the cap, so a
+    code that is over it and not additive is refused for its size."""
+    def fail(code):
+        raise AssertionError("is_additive ran before the cap was checked")
+
+    monkeypatch.setattr(codes, "is_additive", fail)
+    with pytest.raises(SizeCapExceeded,
+                       match=r"^2\^64 candidate words exceeds cap 4096$"):
+        dual_code(Code(words, BINARY))
 
 
 def dual_code_full_pairing(code):
@@ -592,6 +607,6 @@ def test_gray_lee_check_rejects_a_wrong_dual(monkeypatch):
             codes_checked.append(c)
     for c in codes_checked:
         assert gray_lee_check(c)
-    monkeypatch.setattr(codes, "dual_code", lambda code: code)
+    monkeypatch.setattr(codes, "dual_code", lambda code, cap: code)
     for c in codes_checked:
         assert not gray_lee_check(c)

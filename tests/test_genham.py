@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +170,28 @@ def test_build_explicit_class_count():
 def test_build_explicit_cap():
     with pytest.raises(SizeCapExceeded):
         build_explicit(one_class(2), 13)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_explicit(one_class(2), 10**6),
+     "2^1000000 vertices exceeds cap 4096"),
+    (lambda: hamming(10**7, 3), "3^10000000 vertices exceeds cap 4096"),
+    # one vertex in class 1: no scheme, and its class tuples are capped
+    (lambda: build_explicit(AssociationScheme([[1]], check=False), 10**6),
+     "2^1000000 class tuples exceeds cap 4096"),
+], ids=["binary", "hamming", "class-tuples"])
+def test_composite_caps_come_before_any_n_sized_work(build, message):
+    """The caps compare v^n and (d+1)^n with the cap without forming
+    either power or any list of n positions first."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message
+    assert peak < 2**20
 
 
 def test_ghscheme_class_of():

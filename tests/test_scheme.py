@@ -28,7 +28,6 @@ from schemekit.scheme import (
     dual_eigenmatrix,
     eigenmatrix,
     fusion,
-    intersection_numbers,
     krein_parameters,
     numeric_eigenmatrix,
     orbit_fusion,
@@ -127,7 +126,7 @@ def test_non_commutative_scheme_fails_axiom_5_only():
 
 
 def test_intersection_numbers_cycle4_frozen():
-    p = intersection_numbers(cycle_scheme(4))
+    p = cycle_scheme(4).intersection_tensor()
     # walking two steps of the 4-cycle: 2 ways back, 0 ways to distance 1,
     # 2 ways to the antipode
     assert p[1][1][0] == 2
@@ -141,7 +140,7 @@ def test_intersection_numbers_row_sums():
     """For (x,y) in class k, summing p_ij(k) over j counts every z with
     (x,z) in class i exactly once, so the sum is the valency v_i."""
     s = hamming(2, 3)
-    p = intersection_numbers(s)
+    p = s.intersection_tensor()
     vals = s.valencies()
     for i in range(s.d + 1):
         for k in range(s.d + 1):
