@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatch,
     DuplicateWords,
     NotAdditive,
-    SizeCapExceeded,
 )
 from .exact import (
     ExactMatrix,
@@ -226,12 +225,11 @@ def dual_weight_enumerator_direct(code, cap=256):
     the exact base idempotents and evaluates x^T E_beta x over the code;
     the coefficient of t^beta is (v^n / |C|^2) x^T E_beta x.  This never
     touches the substitution machinery, so it is an independent check of
-    the transform.
+    the transform.  SizeCapExceeded past cap vertices v^n.
     """
     base, n = code.base, code.n
     v = base.v
-    if v**n > cap:
-        raise SizeCapExceeded("%d^%d exceeds oracle cap %d" % (v, n, cap))
+    _check_power_cap(v, n, cap, "oracle vertices")
     E = exact_idempotents(base)
     comps = compositions(n, base.d + 1)
     indices = TranslationStructure((v,) * n).index(code.words).tolist()
@@ -339,12 +337,13 @@ def dual_code(code, cap=DEFAULT_CAP):
     return Code(words.tolist(), base, n)
 
 
-def translation_duality_check(code):
+def translation_duality_check(code, cap=DEFAULT_CAP):
     """True iff the dual code's enumerator equals the transform of the
-    code's enumerator, exactly."""
+    code's enumerator, exactly.  Raises as `dual_code` under `cap` does
+    (NotAdditive, SizeCapExceeded)."""
     base = code.base
     P = eigenmatrix(base)
-    dual = dual_code(code)
+    dual = dual_code(code, cap)
     lhs = weight_enumerator(dual)
     rhs = macwilliams_transform(weight_enumerator(code), P, base.v, len(code))
     return lhs == rhs

@@ -550,15 +550,26 @@ def induced_modular_check(P, T, c, n):
     """Check the degree-n lift of a modular witness.
 
     T_hat is the diagonal matrix of monomials prod_j T[j,j]^gamma(j)
-    over compositions gamma; the check computes (P_hat T_hat)^3 exactly
-    and compares its scalar with c^n.  Also confirms that T_hat agrees
-    with the induced action of T on degree-n monomials.
+    over compositions gamma, formed as one running product of the
+    Gaussian-integer numerators of T per composition, over D^n; the
+    check computes (P_hat T_hat)^3 exactly and compares its scalar with
+    c^n.  Also confirms that T_hat agrees with the induced action of T
+    on degree-n monomials.
     """
     if not T.is_diagonal():
         raise NotScalar("T is not diagonal")
-    T_hat = ExactMatrix.diagonal([
-        prod((T[j, j] ** e for j, e in enumerate(gamma) if e),
-             start=GaussRat(1)) for gamma in compositions(n, P.nrows)])
+    re, im, D = T.numerators()
+    t = [(re[j][j], 0 if im is None else im[j][j]) for j in range(T.nrows)]
+    monomials = []
+    for gamma in compositions(n, P.nrows):
+        a, b = 1, 0
+        for j, e in enumerate(gamma):
+            for _ in range(e):
+                a, b = a * t[j][0] - b * t[j][1], a * t[j][1] + b * t[j][0]
+        monomials.append((a, b))
+    T_hat = ExactMatrix.from_numerators(*(
+        [[z[part] if g == h else 0 for h in range(len(monomials))]
+         for g, z in enumerate(monomials)] for part in (0, 1)), D**n)
     t_hat_consistent = induced_matrix(T, n) == T_hat
     P_hat = induced_matrix(P, n)
     M = P_hat @ T_hat

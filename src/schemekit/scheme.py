@@ -27,6 +27,7 @@ class tuples under the group's generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -45,6 +46,8 @@ _EIG_ATTEMPTS = 12
 
 # the size cap of every construction and of the CLI's --cap
 DEFAULT_CAP = 4096
+# the most axes of a numpy array, so the longest word of a tensor power
+_MAX_AXES = 64
 
 
 @dataclass
@@ -618,9 +621,62 @@ def numeric_eigenmatrix(scheme):
     raise SnapFailure("numeric diagonalization kept hitting degeneracies")
 
 
+def _orthogonality_dual(P, v):
+    """Q = v P^-1 from the orthogonality relations of the rows of P, or
+    None where they do not give it (see `dual_eigenmatrix`).
+
+    With k_i = P[0,i], L = lcm(k_i) and w_i = L / k_i, the numerators of
+    Q over L are m_j conj(P[j,i]) w_i, m_j = v L / sum_i |P[j,i]|^2 w_i,
+    formed on Python ints.  The partial sums of P Q are at most 2 k B^2
+    in each part, B the largest numerator of P and of Q, so the check
+    of P Q = v I runs in int64 below 2^63 and on Python ints beyond.
+    """
+    re, im, D = P.numerators()
+    k = P.nrows
+    if (not (isinstance(v, int) and v) or D != 1 or P.ncols != k
+            or not all(re[0]) or (im is not None and any(im[0]))):
+        return None
+    L = lcm(*re[0])
+    w = [L // x for x in re[0]]
+    parts = [re] if im is None else [re, im]
+    norms = [sum(sum(x * x * c for x, c in zip(part[j], w)) for part in parts)
+             for j in range(k)]
+    if not all(norms) or any(v * L % x for x in norms):
+        return None  # a zero row or a non-integer m_j
+    m = [v * L // x for x in norms]
+    # Q[i,j] L = m_j conj(P[j,i]) w_i
+    q = [[[sign * m[j] * part[j][i] * w[i] for j in range(k)]
+          for i in range(k)] for sign, part in zip((1, -1), parts)]
+    bound = 2 * k * max(abs(x) for rows in parts + q for row in rows
+                        for x in row) ** 2
+    dtype = np.int64 if bound < 2**63 else object
+    pa, qa = (np.array(x[0], dtype=dtype) for x in (parts, q))
+    if im is None:
+        pq_re, pq_im = pa @ qa, None
+    else:
+        pb, qb = (np.array(x[1], dtype=dtype) for x in (parts, q))
+        pq_re, pq_im = pa @ qa - pb @ qb, pa @ qb + pb @ qa
+    if (not np.array_equal(pq_re, np.diag([v * L] * k))
+            or (pq_im is not None and pq_im.any())):
+        return None
+    return ExactMatrix.from_numerators(q[0], q[1] if im else None, L)
+
+
 def dual_eigenmatrix(P, v):
-    """Q = v * P^-1, exactly: the dual eigenmatrix, with P Q = v I."""
-    return P.inverse().scale(v)
+    """Q = v P^-1, exactly: the dual eigenmatrix, with P Q = v I.
+
+    An eigenmatrix has orthogonal rows, sum_i P[j,i] conj(P[l,i]) / k_i
+    = (v / m_j) [j = l] with k_i = P[0,i] the valencies and m_j the
+    multiplicities, so Q[i,j] = m_j conj(P[j,i]) / k_i needs no inverse.
+    That Q is returned once P Q = v I holds exactly on the numerators,
+    checked in int64 while a bound allows and on Python ints beyond
+    (`_orthogonality_dual`).  Where the relations do not give Q -- a
+    denominator of P other than 1, a zero or non-real k_i, a non-integer
+    m_j, a failed check -- it is P.inverse().scale(v), so a P that is no
+    eigenmatrix gets the same Q, and a singular one SingularMatrix.
+    """
+    Q = _orthogonality_dual(P, v)
+    return P.inverse().scale(v) if Q is None else Q
 
 
 def krein_parameters(scheme):
@@ -724,8 +780,10 @@ def _orbit_power(scheme, n, generators, cap):
     numbered in the order of those.  No group element is listed.  Over a
     translation base the class vectors are folded, not the tables, and
     the result carries the structure of V^n.
-    SizeCapExceeded past cap vertices or class tuples, or past cap^2
-    intersection numbers: no larger than a v x v table at the cap.
+    SizeCapExceeded past cap vertices or class tuples, past cap^2
+    intersection numbers (no larger than a v x v table at the cap), or
+    past _MAX_AXES positions, the most axes of the class-tuple array:
+    over a 1-vertex base no power passes the cap.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -733,6 +791,9 @@ def _orbit_power(scheme, n, generators, cap):
     _check_power_cap(scheme.v, n, cap, "vertices")
     # only a table that is no scheme has d + 1 > v
     _check_power_cap(d + 1, n, cap, "class tuples")
+    if n > _MAX_AXES:
+        raise SizeCapExceeded("word length %d exceeds %d, the most axes of "
+                              "a class-tuple array" % (n, _MAX_AXES))
     tuples = np.arange((d + 1) ** n)
     moves = []
     for g in generators:

@@ -280,8 +280,11 @@ def test_transform_rejects_inhomogeneous():
 
 def test_direct_oracle_cap():
     c = mk([(0, 0), (1, 1)])
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(SizeCapExceeded,
+                       match=r"^2\^2 oracle vertices exceeds cap 2$"):
         dual_weight_enumerator_direct(c, cap=2)
+    assert dual_weight_enumerator_direct(c, cap=4) == \
+        dual_weight_enumerator_direct(c)
 
 
 # -- idempotents --------------------------------------------------------
@@ -497,6 +500,16 @@ def test_translation_duality_mixed_group():
     for _ in range(4):
         c = random_additive_code(rng, base, 1)
         assert translation_duality_check(c)
+
+
+def test_translation_duality_check_honours_the_cap():
+    """The constant Z4 words of length 7 have a dual of 4^6 words among
+    4^7 candidates: refused at the default cap, checked above it."""
+    c = Code([(x,) * 7 for x in range(4)], Z4)
+    with pytest.raises(SizeCapExceeded,
+                       match=r"^4\^7 candidate words exceeds cap 4096$"):
+        translation_duality_check(c)
+    assert translation_duality_check(c, cap=4**7)
 
 
 # -- Z4 specializations --------------------------------------------------

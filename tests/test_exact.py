@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import schemekit
+from schemekit import exact as exact_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     Code,
@@ -566,6 +567,100 @@ def test_induced_matrix_matches_substitution():
             image = substitute_linear(MPoly.monomial(gamma), m)
             assert got.row(composition_index(n, k)[gamma]) == tuple(
                 image.coefficient(alpha) for alpha in comps)
+
+
+def _by_substitution(M, n):
+    """induced_matrix(M, n) from the images of the monomials under
+    s -> M s, multiplied out as polynomials."""
+    comps = compositions(n, M.nrows)
+    return ExactMatrix([
+        [substitute_linear(MPoly.monomial(gamma), M).coefficient(alpha)
+         for alpha in comps] for gamma in comps])
+
+
+@pytest.fixture
+def induced_dtypes(monkeypatch):
+    """The dtypes of the numerator arrays of each induced matrix made
+    while the test runs."""
+    seen = []
+    induced_numerators = exact_module._induced_numerators
+
+    def spy(re, im, n):
+        parts = induced_numerators(re, im, n)
+        seen.extend(x.dtype.name for x in parts)
+        return parts
+
+    monkeypatch.setattr(exact_module, "_induced_numerators", spy)
+    return seen
+
+
+# (M, n, dtype): L is the largest row sum of |re| + |im| of the numerators
+@pytest.mark.parametrize("M, n, dtype", [
+    # L^2 = (2^31 - 1)^2 < 2^62, with an entry of that size
+    (ExactMatrix([[2**31 - 1, 0], [1, -1]]), 2, "int64"),
+    # L^2 = 2^62 exactly: the bound is strict
+    (ExactMatrix([[2**31, 0], [1, -1]]), 2, "object"),
+    # an entry of 2^64 + 2^33 + 1, which int64 would wrap
+    (ExactMatrix([[2**32 + 1, 0], [1, -1]]), 2, "object"),
+    # an entry of 18 * 2^60 i: (3 * 2^30 (1 + i))^2
+    (ExactMatrix([[GaussRat(3 * 2**30, 3 * 2**30), 1], [GaussRat(0, 1), 2]]),
+     2, "object"),
+    (eigenmatrix(group_scheme([4])), 2, "int64"),
+    (dual_eigenmatrix(eigenmatrix(cycle_scheme(6)), 6), 2, "int64"),
+    # denominator 6: the numerators are induced, over 6^n
+    (ExactMatrix([[Fraction(1, 2), GaussRat(Fraction(1, 3), -1)],
+                  [GaussRat(0, Fraction(-5, 6)), 3]]), 4, "int64"),
+    (ExactMatrix([[GaussRat(7, -7)]]), 16, "int64"),
+    (ExactMatrix([[GaussRat(7, -7)]]), 17, "object"),
+], ids=["below", "at", "past-2^63", "past-2^63-complex", "group:4",
+        "Q-cycle:6", "fractional", "1x1-below", "1x1-above"])
+def test_induced_matrix_dtype_and_substitution_oracle(M, n, dtype,
+                                                      induced_dtypes):
+    """induced_matrix equals the substitution oracle on both sides of
+    the int64 bound L^n < 2^62, and takes the dtype that bound says."""
+    assert induced_matrix(M, n) == _by_substitution(M, n)
+    assert set(induced_dtypes) == {dtype}
+
+
+def _by_products(M, n):
+    """induced_matrix(M, n) with row gamma the product of the linear
+    forms (M s)_j, gamma_j times each, multiplied out on the numerators
+    as dicts from exponent tuples to Gaussian integers (a, b)."""
+    re, im, D = M.numerators()
+    k = M.nrows
+    unit = [tuple(int(t == i) for t in range(k)) for i in range(k)]
+    forms = [{unit[i]: (re[j][i], im[j][i] if im else 0) for i in range(k)}
+             for j in range(k)]
+    comps = compositions(n, k)
+    rows = []
+    for gamma in comps:
+        poly = {(0,) * k: (1, 0)}
+        for j, e in enumerate(gamma):
+            for _ in range(e):
+                out = {}
+                for x, (a, b) in poly.items():
+                    for y, (c, d) in forms[j].items():
+                        z = tuple(map(sum, zip(x, y)))
+                        p, q = out.get(z, (0, 0))
+                        out[z] = (p + a * c - b * d, q + a * d + b * c)
+                poly = out
+        rows.append([poly.get(alpha, (0, 0)) for alpha in comps])
+    return ExactMatrix.from_numerators([[a for a, _ in r] for r in rows],
+                                       [[b for _, b in r] for r in rows], D**n)
+
+
+@pytest.mark.parametrize("M, n, dtype", [
+    (eigenmatrix(group_scheme([4])), 6, "int64"),
+    (dual_eigenmatrix(eigenmatrix(group_scheme([4])), 4), 6, "int64"),
+    (eigenmatrix(hamming(2, 2)), 7, "int64"),
+    # L = 2: 2^61 and 2^62 on either side of the bound
+    (eigenmatrix(one_class(2)), 61, "int64"),
+    (eigenmatrix(one_class(2)), 62, "object"),
+], ids=["P-group:4", "Q-group:4", "hamming:2:2", "binary-61", "binary-62"])
+def test_induced_matrix_matches_products_of_linear_forms(M, n, dtype,
+                                                         induced_dtypes):
+    assert induced_matrix(M, n) == _by_products(M, n)
+    assert set(induced_dtypes) == {dtype}
 
 
 @pytest.mark.parametrize("base", [

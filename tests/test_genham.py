@@ -179,7 +179,10 @@ def test_build_explicit_cap():
     # one vertex in class 1: no scheme, and its class tuples are capped
     (lambda: build_explicit(AssociationScheme([[1]], check=False), 10**6),
      "2^1000000 class tuples exceeds cap 4096"),
-], ids=["binary", "hamming", "class-tuples"])
+    # one vertex: 1^n passes every cap, and the word length is refused
+    (lambda: build_explicit(AssociationScheme([[0]]), 10**6),
+     "word length 1000000 exceeds 64, the most axes of a class-tuple array"),
+], ids=["binary", "hamming", "class-tuples", "one-vertex"])
 def test_composite_caps_come_before_any_n_sized_work(build, message):
     """The caps compare v^n and (d+1)^n with the cap without forming
     either power or any list of n positions first."""
@@ -192,6 +195,14 @@ def test_composite_caps_come_before_any_n_sized_work(build, message):
         tracemalloc.stop()
     assert str(info.value) == message
     assert peak < 2**20
+
+
+def test_one_vertex_composite_up_to_64_positions():
+    one = AssociationScheme([[0]])
+    g = build_explicit(one, 64)
+    assert (g.v, g.d) == (1, 0)
+    with pytest.raises(SizeCapExceeded, match="^word length 65 exceeds 64"):
+        build_explicit(one, 65)
 
 
 def test_ghscheme_class_of():

@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -695,6 +696,11 @@ def test_induced_t_hat_is_induced_matrix():
     assert rep.t_hat_consistent
     # independent cross-check: the lifted diagonal is the induced matrix
     assert induced_matrix(w.T, 2).is_diagonal()
+    # T_hat over D^n from the numerators of a T with denominators 6 and 5
+    T = ExactMatrix.diagonal([GaussRat(1),
+                              GaussRat(Fraction(1, 2), Fraction(-1, 3)),
+                              GaussRat(0, Fraction(2, 5))])
+    assert induced_modular_check(P_CYCLE4, T, GaussRat(1), 3).t_hat_consistent
 
 
 def test_induced_check_refuses_a_non_diagonal_T():

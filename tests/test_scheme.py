@@ -2,6 +2,7 @@ import ast
 import itertools
 import random
 import re
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -459,6 +460,79 @@ def test_dual_eigenmatrix_pq():
         P = eigenmatrix(s)
         Q = dual_eigenmatrix(P, s.v)
         assert P @ Q == ExactMatrix.identity(s.d + 1).scale(s.v)
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_BASES))
+def test_dual_eigenmatrix_needs_no_inverse(name, monkeypatch):
+    """On a base P (n = 1) and its composites up to 64 classes, Q comes
+    from the orthogonality relations and equals v P^-1: the inverse
+    oracle up to 10 classes, and P Q = v I (which only v P^-1 satisfies)
+    beyond, at the largest n within 32 and within 64 classes."""
+    base = BENCH_BASES[name]()
+    P = eigenmatrix(base)
+    sizes = {n: len(compositions(n, base.d + 1)) for n in range(1, 64)}
+    ns = sorted({n for n, size in sizes.items() if size <= 10}
+                | {max(n for n, size in sizes.items() if size <= cap)
+                   for cap in (32, 64)})
+    cases = [(eigenmatrix_gh(P, n), base.v**n) for n in ns]
+    assert cases[-1][0].nrows > 50
+    want = [M.inverse().scale(v) if M.nrows <= 10 else None for M, v in cases]
+
+    def refuse(self):
+        raise AssertionError("dual_eigenmatrix inverted P")
+
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+    for (M, v), Q in zip(cases, want):
+        got = dual_eigenmatrix(M, v)
+        if Q is None:
+            assert M @ got == ExactMatrix.identity(M.nrows).scale(v)
+        else:
+            assert got == Q
+
+
+def _tampered(P, i, j, delta):
+    rows = [list(row) for row in P.rows()]
+    rows[i][j] = rows[i][j] + delta
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("P, v", [
+    (ExactMatrix([[1, 2], [3, 4]]), 3),
+    # orthogonality fails, though every m_j is an integer
+    (ExactMatrix([[1, 2], [1, 1]]), 3),
+    (_tampered(eigenmatrix(group_scheme([4])), 1, 2, GaussRat(0, 1)), 4),
+    (_tampered(eigenmatrix(hamming(2, 2)), 2, 1, 1), 4),
+    # a denominator, and a non-real valency
+    (eigenmatrix(cycle_scheme(4)).scale(Fraction(1, 2)), 4),
+    (_tampered(eigenmatrix(group_scheme([4])), 0, 1, GaussRat(0, 1)), 4),
+    # an eigenmatrix with a v other than an integer
+    (eigenmatrix(one_class(3)), Fraction(3, 2)),
+], ids=["1234", "not-orthogonal", "tampered-group:4", "tampered-hamming:2:2",
+        "denominator", "complex-valency", "fractional-v"])
+def test_dual_eigenmatrix_falls_back_to_the_inverse(P, v, monkeypatch):
+    calls = []
+    inverse = ExactMatrix.inverse
+
+    def spy(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(ExactMatrix, "inverse", spy)
+    Q = dual_eigenmatrix(P, v)
+    assert calls == [P]
+    assert Q == inverse(P).scale(v)
+    assert P @ Q == ExactMatrix.identity(P.nrows).scale(v)
+
+
+@pytest.mark.parametrize("P, v", [
+    (ExactMatrix([[1, 2], [2, 4]]), 3),
+    # at v = 0, Q = 0 would satisfy P Q = v I for any P
+    (ExactMatrix([[1, 1], [1, 1]]), 0),
+    (ExactMatrix([[1, 1, 1], [1, 0, -1], [2, 1, 0]]), 3),
+], ids=["rank-1", "v=0", "rank-2"])
+def test_dual_eigenmatrix_of_a_singular_P_raises(P, v):
+    with pytest.raises(SingularMatrix):
+        dual_eigenmatrix(P, v)
 
 
 def test_eigenmatrix_row_zero_is_valencies():
