@@ -604,11 +604,18 @@ class ExactMatrix:
                        for j, x in enumerate(row) if i != j)
 
     def scalar_value(self):
-        """The scalar c if this matrix equals c*I, else None."""
+        """The scalar c if this matrix equals c*I, else None: decided on
+        the numerators, with one GaussRat made for c."""
         if self.nrows != self.ncols:
             return None
-        c = self[0, 0]
-        return c if self == ExactMatrix.identity(self.nrows).scale(c) else None
+        re, im, D = self.numerators()
+        for part in (re,) if im is None else (re, im):
+            c = part[0][0]
+            if any(x != (c if i == j else 0)
+                   for i, row in enumerate(part) for j, x in enumerate(row)):
+                return None
+        return GaussRat(Fraction(re[0][0], D),
+                        Fraction(im[0][0] if im else 0, D))
 
     def __str__(self):
         return "\n".join(

@@ -9,6 +9,8 @@ Gaussian rationals.  Every candidate (exact root, heuristic value or
 numeric restart) goes through one exact check, each distinct one once,
 so an inexact witness can never be returned.  A None is a proof of
 absence only from a zero-dimensional quadric system (see search_T).
+search_T keeps its recent results, keyed on (P, restarts), for the
+life of the process.
 The one resultant is a determinant of polynomials, taken at integer
 points by the elimination kernel of `ExactMatrix.inverse`
 (`exact._bareiss`) and interpolated.
@@ -20,6 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
+from threading import Lock
 
 import numpy as np
 
@@ -33,38 +36,79 @@ from .exact import (
     induced_matrix,
     snap_gauss,
 )
+from .scheme import dual_eigenmatrix
 
 _SEARCH_SEED = 47117
 _SEARCH_RESTARTS = 200
 _FIRST_RESTARTS = 8
 _LM_ITERATIONS = 100
+_MEMO_SIZE = 128
+
+# (P, restarts) -> the result of search_T, oldest use first; read and
+# written under the lock, searched outside it
+_searched = {}
+_searched_lock = Lock()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModularWitness:
+    """A verified witness: diagonal T with (PT)^3 = c I, c != 0.
+    Frozen, so that search_T can hand a stored one out again."""
+
     T: ExactMatrix
     c: GaussRat
+
+
+def _cube_row(P, T):
+    """Row 0 of (PT)^3 for a diagonal T, as Gaussian-integer numerator
+    pairs over one denominator D: e_0 P T, then times P T twice, three
+    vector-matrix products on the numerators of P and T.  Returns
+    (pairs, D)."""
+    k = P.nrows
+    pr, pi, dp = P.numerators()
+    tr, ti, dt = T.numerators()
+    columns = list(zip(zip(*pr), zip(*(pi or [[0] * k] * k))))
+    t = [(tr[j][j], ti[j][j] if ti else 0) for j in range(k)]
+    u = [(1, 0)] + [(0, 0)] * (k - 1)
+    for _ in range(3):
+        u = [(sum(a * x - b * y for (a, b), x, y in zip(u, cr, ci)),
+              sum(a * y + b * x for (a, b), x, y in zip(u, cr, ci)))
+             for cr, ci in columns]
+        u = [(a * c - b * s, a * s + b * c) for (a, b), (c, s) in zip(u, t)]
+    return u, (dp * dt) ** 3
+
+
+def _off_diagonal(i, j, x):
+    return NotScalar("(PT)^3 has nonzero off-diagonal entry %s at (%d, %d)"
+                     % (x, i, j), entry=(i, j, x))
 
 
 def verify_modular(P, T):
     """Check (PT)^3 = c I exactly for diagonal T; returns the witness.
 
     Raises NotScalar (with the offending entry) if the cube is not a
-    nonzero scalar matrix, or if T is not diagonal.
+    nonzero scalar matrix, or if T is not diagonal.  Row 0 of the cube
+    is formed first, on the numerators (`_cube_row`): a nonzero
+    off-diagonal entry there is the first the full check would report,
+    and is raised as it would be.  Only a cube whose row 0 passes is
+    formed in full.
     """
     if P.nrows != P.ncols or T.nrows != T.ncols or P.nrows != T.nrows:
         raise DimensionMismatch("P and T must be square of the same size")
     if not T.is_diagonal():
         raise NotScalar("T is not diagonal")
+    row, D = _cube_row(P, T)
+    for j, (a, b) in enumerate(row[1:], 1):
+        if a or b:
+            raise _off_diagonal(0, j, GaussRat(Fraction(a, D),
+                                               Fraction(b, D)))
     M = P @ T
     K = M @ M @ M
     k = K.nrows
     for i in range(k):
         for j in range(k):
             if i != j and K[i, j]:
-                raise NotScalar(
-                    "(PT)^3 has nonzero off-diagonal entry %s at (%d, %d)"
-                    % (K[i, j], i, j), entry=(i, j, K[i, j]))
+                raise _off_diagonal(i, j, K[i, j])
     c = K[0, 0]
     for i in range(1, k):
         if K[i, i] != c:
@@ -488,6 +532,32 @@ def _numeric_candidates(P, restarts):
                 yield entries
 
 
+def _first_inverse_row(P):
+    """Row 0 of P^-1.  Where the sum v of row 0 is a nonzero integer,
+    as for an eigenmatrix, it is row 0 of `dual_eigenmatrix(P, v)` over
+    v, which the orthogonality relations give without an inverse; any
+    other P is inverted.  Raises SingularMatrix for a singular P."""
+    re, im, D = P.numerators()
+    v, rest = divmod(sum(re[0]), D)
+    if rest or not v or (im is not None and sum(im[0])):
+        return P.inverse().row(0)
+    return [x / v for x in dual_eigenmatrix(P, v).row(0)]
+
+
+def _candidates(P, restarts):
+    """The candidate diagonals search_T verifies, as a stream; none for
+    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0."""
+    try:
+        b = _first_inverse_row(P)
+    except SingularMatrix:
+        return ()
+    if P.nrows == 1:
+        return [()]
+    if P.nrows <= 3:
+        return _exact_candidates(P, b, restarts)
+    return _numeric_candidates(P, restarts)
+
+
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
@@ -505,30 +575,37 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     a proof that no Gaussian-rational witness exists when the quadrics
     are zero-dimensional and fix every coordinate, up to the root snap
     (denominators up to 10^6); otherwise it means "search incomplete".
+
+    The result depends on P's values and `restarts` alone, so it is kept
+    for the life of the process, keyed on (P, restarts) with P compared
+    and hashed by its numerators, for the _MEMO_SIZE most recently used
+    keys: an equal P searched again with the same `restarts` gets the
+    stored witness, or None, with no search.
     """
     if P.nrows != P.ncols:
         raise DimensionMismatch("P must be square")
-    try:
-        b = P.inverse().row(0)
-    except SingularMatrix:
-        return None  # det (PT)^3 = c^k != 0 needs det P != 0
-    if P.nrows == 1:
-        candidates = [()]
-    elif P.nrows <= 3:
-        candidates = _exact_candidates(P, b, restarts)
-    else:
-        candidates = _numeric_candidates(P, restarts)
+    key = (P, restarts)
+    with _searched_lock:
+        if key in _searched:
+            _searched[key] = witness = _searched.pop(key)
+            return witness
+    witness = None
     tried = set()
-    for entries in candidates:
+    for entries in _candidates(P, restarts):
         if entries in tried:
             continue  # a repeat of a candidate that failed fails again
         tried.add(entries)
         try:
-            return verify_modular(
+            witness = verify_modular(
                 P, ExactMatrix.diagonal([GaussRat(1), *entries]))
+            break
         except NotScalar:
             pass
-    return None
+    with _searched_lock:
+        if len(_searched) >= _MEMO_SIZE:
+            del _searched[next(iter(_searched))]
+        _searched[key] = witness
+    return witness
 
 
 # -- lift to the composite scheme ---------------------------------------

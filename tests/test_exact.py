@@ -172,6 +172,33 @@ def test_matrix_identity_and_getitem():
     assert m.scalar_value() == GaussRat(1)
 
 
+def _oracle_scalar_value(m):
+    """c if m == c I, by comparing with the scaled identity."""
+    if m.nrows != m.ncols:
+        return None
+    c = m[0, 0]
+    return c if m == ExactMatrix.identity(m.nrows).scale(c) else None
+
+
+@pytest.mark.parametrize("m, want", [
+    (ExactMatrix.identity(3).scale(GaussRat(-7)), GaussRat(-7)),
+    (ExactMatrix.diagonal([GaussRat(2), GaussRat(2), GaussRat(3)]), None),
+    (ExactMatrix([[GaussRat(4), GaussRat(0)], [GaussRat(0, 1), GaussRat(4)]]),
+     None),
+    (ExactMatrix.identity(2).scale(GaussRat(0)), GaussRat(0)),
+    (ExactMatrix.identity(3).scale(GaussRat(Fraction(2, 3), Fraction(-1, 5))),
+     GaussRat(Fraction(2, 3), Fraction(-1, 5))),
+    (ExactMatrix.diagonal([GaussRat(Fraction(1, 2), 1),
+                           GaussRat(Fraction(1, 2), -1)]), None),
+    (ExactMatrix([[GaussRat(1), GaussRat(0)]]), None),
+], ids=["scalar", "non-constant-diagonal", "one-off-diagonal", "zero",
+        "complex-fractional", "complex-non-constant", "non-square"])
+def test_scalar_value_matches_the_scaled_identity(m, want):
+    got = m.scalar_value()
+    assert got == want == _oracle_scalar_value(m)
+    assert type(got) is type(want)
+
+
 def test_matrix_inverse_random():
     rng = random.Random(902)
     done = 0

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import itertools
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from schemekit.modular import (
     _cube_constraints,
     _cube_residual,
     _exact_roots,
+    _first_inverse_row,
     _gcd_many,
     _numeric_candidates,
     _poly_det,
@@ -52,6 +55,11 @@ I_UNIT = GaussRat(0, 1)
 def diag(*entries):
     return ExactMatrix.diagonal([GaussRat(e) if not isinstance(e, GaussRat)
                                  else e for e in entries])
+
+
+def _gauss_matrix(rows):
+    return ExactMatrix([[x if isinstance(x, GaussRat) else GaussRat(x)
+                         for x in row] for row in rows])
 
 
 # -- verify_modular ------------------------------------------------------
@@ -103,6 +111,70 @@ def test_verify_rejects_non_diagonal():
 def test_verify_rejects_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_modular(P_BINARY, diag(1, 1, 1))
+
+
+def _oracle_full_check(P, T):
+    """verify_modular entry by entry on the whole cube, in GaussRat
+    arithmetic: (message, entry) of the first failure, or (None, c)."""
+    k = P.nrows
+    M = [[P[i, j] * T[j, j] for j in range(k)] for i in range(k)]
+    K = M
+    for _ in range(2):
+        K = [[sum((K[i][r] * M[r][j] for r in range(k)), GaussRat(0))
+              for j in range(k)] for i in range(k)]
+    for i in range(k):
+        for j in range(k):
+            if i != j and K[i][j]:
+                return ("(PT)^3 has nonzero off-diagonal entry %s at (%d, %d)"
+                        % (K[i][j], i, j), (i, j, K[i][j]))
+    c = K[0][0]
+    for i in range(1, k):
+        if K[i][i] != c:
+            return ("(PT)^3 diagonal is not constant: %s vs %s at %d"
+                    % (c, K[i][i], i), (i, i, K[i][i]))
+    if not c:
+        return "(PT)^3 is the zero matrix; c = 0 is rejected", (0, 0, c)
+    return None, c
+
+
+def _checked(P, T):
+    try:
+        return None, verify_modular(P, T).c
+    except NotScalar as err:
+        return str(err), err.entry
+
+
+@pytest.mark.parametrize("P", [eigenmatrix(group_scheme([4])),
+                               eigenmatrix(cycle_scheme(6))],
+                         ids=["group:4", "cycle:6"])
+def test_row_zero_check_reports_as_the_full_cube(P):
+    # every distinct candidate of the numeric stream, most of them
+    # irrational points snapped to nearby Gaussian rationals
+    candidates = list(dict.fromkeys(_numeric_candidates(P, _SEARCH_RESTARTS)))
+    assert len(candidates) > 1
+    rows = set()
+    for entries in candidates:
+        T = ExactMatrix.diagonal([GaussRat(1), *entries])
+        got = _checked(P, T)
+        assert got == _oracle_full_check(P, T)
+        rows.add(got[1][0] if got[0] else None)
+    assert 0 in rows  # the row-0 check rejected some
+
+
+@pytest.mark.parametrize("P, T", [
+    (P_BINARY, diag(1, I_UNIT)),
+    (P_BINARY, diag(1, 1)),
+    (P_BINARY, diag(0, 0)),
+    (diag(1, 2), diag(1, 1)),
+    (_gauss_matrix([[1, 0, 0], [1, 1, 0], [0, 0, 1]]), diag(1, 1, 1)),
+    (eigenmatrix(group_scheme([2, 2])),
+     diag(1, -I_UNIT, -I_UNIT, -1)),
+    (eigenmatrix(group_scheme([2, 2])).scale(GaussRat(Fraction(1, 3), 1)),
+     diag(1, GaussRat(Fraction(1, 2)), GaussRat(0, Fraction(-2, 5)), 3)),
+], ids=["witness", "off-diagonal", "zero", "non-constant", "lower-row",
+        "complex-witness", "fractional"])
+def test_verify_reports_as_the_full_cube(P, T):
+    assert _checked(P, T) == _oracle_full_check(P, T)
 
 
 # -- search_T -------------------------------------------------------------
@@ -294,6 +366,121 @@ def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
                         lambda P, restarts: iter(exact[::-1] + [new] + exact))
     assert search_T(P) is None
     assert seen == exact + [new]
+
+
+def test_search_serves_an_equal_P_from_the_memo(monkeypatch):
+    # cycle:4 and hamming:2:2 have equal eigenmatrices, built apart
+    P = eigenmatrix(hamming(2, 2))
+    assert P == P_CYCLE4 and P is not P_CYCLE4
+    w = search_T(P_CYCLE4)
+
+    def refuse(*args):
+        raise AssertionError("searched again")
+
+    for name in ("_exact_candidates", "_numeric_candidates",
+                 "verify_modular", "_first_inverse_row"):
+        monkeypatch.setattr(modular, name, refuse)
+    assert search_T(P) == w
+
+
+def test_search_memo_keys_on_restarts(monkeypatch):
+    sizes = []
+
+    def recording(residual, x0):
+        sizes.append(len(x0))
+        return least_squares(residual, x0)
+
+    monkeypatch.setattr(modular, "least_squares", recording)
+    P = eigenmatrix(group_scheme([4]))
+    assert search_T(P, 7) is None
+    assert search_T(P, 200) is None
+    assert sizes == [7, _FIRST_RESTARTS, 200 - _FIRST_RESTARTS]
+    assert search_T(P, 7) is None and search_T(P, 200) is None
+    assert len(sizes) == 3
+    assert list(modular._searched) == [(P, 7), (P, 200)]
+
+
+def test_search_memo_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(modular, "_MEMO_SIZE", 2)
+    a, b, c = (eigenmatrix(one_class(q)) for q in (2, 3, 4))
+    for P in (a, b, a, c):
+        search_T(P)
+    assert list(modular._searched) == [(a, _SEARCH_RESTARTS),
+                                       (c, _SEARCH_RESTARTS)]
+
+
+def test_search_memo_is_safe_across_threads(monkeypatch):
+    # more threads than cores, a two-entry memo cycled through three
+    # keys so that entries are evicted while others are read, a short
+    # switch interval, and searches that find nothing at once
+    monkeypatch.setattr(modular, "_MEMO_SIZE", 2)
+    monkeypatch.setattr(modular, "_candidates", lambda P, restarts: ())
+    Ps = [eigenmatrix(one_class(q)) for q in (2, 3, 4)]
+    errors = []
+
+    def work():
+        try:
+            for i in range(10000):
+                assert search_T(Ps[i % 3]) is None
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(modular._searched) == 2
+
+
+def test_search_witness_is_frozen():
+    w = search_T(P_BINARY)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.c = GaussRat(1)
+    assert search_T(P_BINARY).c == GaussRat(2, 2)
+
+
+@pytest.mark.parametrize("P", [
+    eigenmatrix(build) for build in (
+        one_class(2), one_class(3), one_class(5), cycle_scheme(4),
+        cycle_scheme(6), group_scheme([4]), group_scheme([2, 2]),
+        hamming(2, 2), hamming(3, 2), group_scheme([2, 4]))
+], ids=["one_class:2", "one_class:3", "one_class:5", "cycle:4", "cycle:6",
+        "group:4", "group:2:2", "hamming:2:2", "hamming:3:2", "group:2:4"])
+def test_first_inverse_row_of_an_eigenmatrix_needs_no_inverse(monkeypatch, P):
+    want = P.inverse().row(0)
+
+    def refuse(self):
+        raise AssertionError("inverted an eigenmatrix")
+
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+    assert tuple(_first_inverse_row(P)) == want
+
+
+@pytest.mark.parametrize("rows, integer_sum", [
+    ([[1, 2], [3, 4]], True),
+    ([[2, 0, 0], [0, 1, 0], [0, 0, I_UNIT]], True),
+    ([[1, Fraction(1, 2)], [1, -1]], False),
+    ([[1, I_UNIT], [1, -I_UNIT]], False),
+    ([[1, -1], [1, 1]], False),
+], ids=["not-orthogonal", "diag(2,1,i)", "fractional-sum", "complex-sum",
+        "zero-sum"])
+def test_first_inverse_row_of_another_P_is_the_inverse(monkeypatch, rows,
+                                                       integer_sum):
+    # an integer row sum goes through dual_eigenmatrix, which falls back
+    # to the inverse; any other P is inverted directly
+    P = _gauss_matrix(rows)
+    want = P.inverse().row(0)
+    if not integer_sum:
+        monkeypatch.setattr(modular, "dual_eigenmatrix", None)
+    assert tuple(_first_inverse_row(P)) == want
 
 
 def test_only_search_T_verifies():
@@ -612,11 +799,6 @@ def _oracle_cube_search(P):
     if hx:
         return None
     return _oracle_verify(P, _numeric_candidates(P, _SEARCH_RESTARTS))
-
-
-def _gauss_matrix(rows):
-    return ExactMatrix([[x if isinstance(x, GaussRat) else GaussRat(x)
-                         for x in row] for row in rows])
 
 
 @pytest.mark.parametrize("P", [
