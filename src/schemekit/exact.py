@@ -605,17 +605,39 @@ class ExactMatrix:
 
     def scalar_value(self):
         """The scalar c if this matrix equals c*I, else None: decided on
-        the numerators, with one GaussRat made for c."""
+        the numerators by `_scalar_break`."""
         if self.nrows != self.ncols:
             return None
+        c, broken = self._scalar_break()
+        return None if broken else c
+
+    def _scalar_break(self):
+        """Whether this square matrix is c*I, for c = self[0, 0], decided
+        on the numerators: (c, None) if it is, else (c, (i, j, x)) for
+        x = self[i, j], its first nonzero off-diagonal entry in row-major
+        order or, if it has none, its first diagonal entry unequal to c.
+        GaussRat values are made for c and that entry alone."""
         re, im, D = self.numerators()
-        for part in (re,) if im is None else (re, im):
-            c = part[0][0]
-            if any(x != (c if i == j else 0)
-                   for i, row in enumerate(part) for j, x in enumerate(row)):
-                return None
-        return GaussRat(Fraction(re[0][0], D),
-                        Fraction(im[0][0] if im else 0, D))
+        k = self.nrows
+        parts = (re,) if im is None else (re, im)
+
+        def at(i, j):
+            return GaussRat(Fraction(re[i][j], D),
+                            Fraction(im[i][j] if im else 0, D))
+
+        for i in range(k):
+            for part in parts:
+                row = part[i]
+                # zero off the diagonal: k - 1 zeros besides row[i]
+                if row.count(0) - (not row[i]) != k - 1:
+                    j = next(j for j in range(k)
+                             if j != i and any(p[i][j] for p in parts))
+                    return at(0, 0), (i, j, at(i, j))
+        for i in range(1, k):
+            for part in parts:
+                if part[i][i] != part[0][0]:
+                    return at(0, 0), (i, i, at(i, i))
+        return at(0, 0), None
 
     def __str__(self):
         return "\n".join(

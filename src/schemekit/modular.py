@@ -1,6 +1,7 @@
 """Modular-invariance witnesses: diagonal T with (PT)^3 = c I.
 
-verify_modular is purely exact.  search_T refuses a singular P at once.
+verify_modular is purely exact: it forms the cube and decides c*I on
+the Gaussian-integer numerators.  search_T refuses a singular P at once.
 Up to 3x3 its candidates come from exact elimination over the Gaussian
 rationals on the first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger
 sizes, and 3x3 quadrics with a positive-dimensional component, use
@@ -36,7 +37,6 @@ from .exact import (
     induced_matrix,
     snap_gauss,
 )
-from .scheme import dual_eigenmatrix
 
 _SEARCH_SEED = 47117
 _SEARCH_RESTARTS = 200
@@ -59,62 +59,36 @@ class ModularWitness:
     c: GaussRat
 
 
-def _cube_row(P, T):
-    """Row 0 of (PT)^3 for a diagonal T, as Gaussian-integer numerator
-    pairs over one denominator D: e_0 P T, then times P T twice, three
-    vector-matrix products on the numerators of P and T.  Returns
-    (pairs, D)."""
-    k = P.nrows
-    pr, pi, dp = P.numerators()
-    tr, ti, dt = T.numerators()
-    columns = list(zip(zip(*pr), zip(*(pi or [[0] * k] * k))))
-    t = [(tr[j][j], ti[j][j] if ti else 0) for j in range(k)]
-    u = [(1, 0)] + [(0, 0)] * (k - 1)
-    for _ in range(3):
-        u = [(sum(a * x - b * y for (a, b), x, y in zip(u, cr, ci)),
-              sum(a * y + b * x for (a, b), x, y in zip(u, cr, ci)))
-             for cr, ci in columns]
-        u = [(a * c - b * s, a * s + b * c) for (a, b), (c, s) in zip(u, t)]
-    return u, (dp * dt) ** 3
-
-
-def _off_diagonal(i, j, x):
-    return NotScalar("(PT)^3 has nonzero off-diagonal entry %s at (%d, %d)"
-                     % (x, i, j), entry=(i, j, x))
+def _check_pair(P, T):
+    """Refuse a P and T that are not square of one size, or a T that is
+    not diagonal."""
+    if P.nrows != P.ncols or T.nrows != T.ncols or P.nrows != T.nrows:
+        raise DimensionMismatch("P and T must be square of the same size")
+    if not T.is_diagonal():
+        raise NotScalar("T is not diagonal")
 
 
 def verify_modular(P, T):
     """Check (PT)^3 = c I exactly for diagonal T; returns the witness.
 
     Raises NotScalar (with the offending entry) if the cube is not a
-    nonzero scalar matrix, or if T is not diagonal.  Row 0 of the cube
-    is formed first, on the numerators (`_cube_row`): a nonzero
-    off-diagonal entry there is the first the full check would report,
-    and is raised as it would be.  Only a cube whose row 0 passes is
-    formed in full.
+    nonzero scalar matrix, or if T is not diagonal.  The cube K is
+    formed by `ExactMatrix @` and checked by `ExactMatrix._scalar_break`,
+    both on the Gaussian-integer numerators: the error names K's first
+    nonzero off-diagonal entry in row-major order, else its first
+    diagonal entry unequal to K[0, 0], else c = 0.  GaussRat values are
+    made only for c and the entry reported.
     """
-    if P.nrows != P.ncols or T.nrows != T.ncols or P.nrows != T.nrows:
-        raise DimensionMismatch("P and T must be square of the same size")
-    if not T.is_diagonal():
-        raise NotScalar("T is not diagonal")
-    row, D = _cube_row(P, T)
-    for j, (a, b) in enumerate(row[1:], 1):
-        if a or b:
-            raise _off_diagonal(0, j, GaussRat(Fraction(a, D),
-                                               Fraction(b, D)))
+    _check_pair(P, T)
     M = P @ T
-    K = M @ M @ M
-    k = K.nrows
-    for i in range(k):
-        for j in range(k):
-            if i != j and K[i, j]:
-                raise _off_diagonal(i, j, K[i, j])
-    c = K[0, 0]
-    for i in range(1, k):
-        if K[i, i] != c:
-            raise NotScalar(
-                "(PT)^3 diagonal is not constant: %s vs %s at %d"
-                % (c, K[i, i], i), entry=(i, i, K[i, i]))
+    c, broken = (M @ M @ M)._scalar_break()
+    if broken:
+        i, j, x = broken
+        if i != j:
+            raise NotScalar("(PT)^3 has nonzero off-diagonal entry %s at "
+                            "(%d, %d)" % (x, i, j), entry=broken)
+        raise NotScalar("(PT)^3 diagonal is not constant: %s vs %s at %d"
+                        % (c, x, i), entry=broken)
     if not c:
         raise NotScalar("(PT)^3 is the zero matrix; c = 0 is rejected",
                         entry=(0, 0, c))
@@ -532,23 +506,13 @@ def _numeric_candidates(P, restarts):
                 yield entries
 
 
-def _first_inverse_row(P):
-    """Row 0 of P^-1.  Where the sum v of row 0 is a nonzero integer,
-    as for an eigenmatrix, it is row 0 of `dual_eigenmatrix(P, v)` over
-    v, which the orthogonality relations give without an inverse; any
-    other P is inverted.  Raises SingularMatrix for a singular P."""
-    re, im, D = P.numerators()
-    v, rest = divmod(sum(re[0]), D)
-    if rest or not v or (im is not None and sum(im[0])):
-        return P.inverse().row(0)
-    return [x / v for x in dual_eigenmatrix(P, v).row(0)]
-
-
 def _candidates(P, restarts):
     """The candidate diagonals search_T verifies, as a stream; none for
-    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0."""
+    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0.  b, row 0
+    of P^-1, comes from `P.inverse()`, which is also the singularity
+    check."""
     try:
-        b = _first_inverse_row(P)
+        b = P.inverse().row(0)
     except SingularMatrix:
         return ()
     if P.nrows == 1:
@@ -631,10 +595,9 @@ def induced_modular_check(P, T, c, n):
     Gaussian-integer numerators of T per composition, over D^n; the
     check computes (P_hat T_hat)^3 exactly and compares its scalar with
     c^n.  Also confirms that T_hat agrees with the induced action of T
-    on degree-n monomials.
+    on degree-n monomials.  P and T must be square of one size.
     """
-    if not T.is_diagonal():
-        raise NotScalar("T is not diagonal")
+    _check_pair(P, T)
     re, im, D = T.numerators()
     t = [(re[j][j], 0 if im is None else im[j][j]) for j in range(T.nrows)]
     monomials = []

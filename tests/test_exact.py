@@ -199,6 +199,26 @@ def test_scalar_value_matches_the_scaled_identity(m, want):
     assert type(got) is type(want)
 
 
+def _g(re, im=0):
+    return GaussRat(re, im)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[_g(2, 1), 0, 0], [0, _g(2, 1), 0], [0, 0, _g(2, 1)]], None),
+    ([[1, 0, 0], [_g(0, 3), 1, 5], [0, 0, 1]], (1, 0)),
+    ([[1, 0, 0], [0, 1, _g(0, 3)], [0, 0, 1]], (1, 2)),
+    ([[1, 0, 0], [0, 2, 0], [0, _g(0, 1), 1]], (2, 1)),
+    ([[_g(1, 1), 0, 0], [0, _g(1, 1), 0], [0, 0, _g(1, -1)]], (2, 2)),
+    ([[0, 0], [0, 0]], None),
+], ids=["scalar", "imaginary-first", "imaginary-only", "off-before-diagonal",
+        "diagonal-imaginary", "zero"])
+def test_scalar_break_names_the_first_entry_off_c_I(rows, want):
+    m = ExactMatrix([[GaussRat.coerce(x) for x in row] for row in rows])
+    c, broken = m._scalar_break()
+    assert c == m[0, 0] and type(c) is GaussRat
+    assert broken == (want and (*want, m[want]))
+
+
 def test_matrix_inverse_random():
     rng = random.Random(902)
     done = 0

@@ -33,7 +33,6 @@ from schemekit.modular import (
     _cube_constraints,
     _cube_residual,
     _exact_roots,
-    _first_inverse_row,
     _gcd_many,
     _numeric_candidates,
     _poly_det,
@@ -158,10 +157,10 @@ def test_row_zero_check_reports_as_the_full_cube(P):
         got = _checked(P, T)
         assert got == _oracle_full_check(P, T)
         rows.add(got[1][0] if got[0] else None)
-    assert 0 in rows  # the row-0 check rejected some
+    assert 0 in rows  # some fail in row 0 of the cube
 
 
-@pytest.mark.parametrize("P, T", [
+_VERIFY_CASES = [
     (P_BINARY, diag(1, I_UNIT)),
     (P_BINARY, diag(1, 1)),
     (P_BINARY, diag(0, 0)),
@@ -171,10 +170,32 @@ def test_row_zero_check_reports_as_the_full_cube(P):
      diag(1, -I_UNIT, -I_UNIT, -1)),
     (eigenmatrix(group_scheme([2, 2])).scale(GaussRat(Fraction(1, 3), 1)),
      diag(1, GaussRat(Fraction(1, 2)), GaussRat(0, Fraction(-2, 5)), 3)),
-], ids=["witness", "off-diagonal", "zero", "non-constant", "lower-row",
-        "complex-witness", "fractional"])
+]
+
+
+@pytest.mark.parametrize("P, T", _VERIFY_CASES,
+                         ids=["witness", "off-diagonal", "zero",
+                              "non-constant", "lower-row", "complex-witness",
+                              "fractional"])
 def test_verify_reports_as_the_full_cube(P, T):
     assert _checked(P, T) == _oracle_full_check(P, T)
+
+
+def test_verify_decides_on_the_numerators(monkeypatch):
+    # with no GaussRat rows to read, every case and every distinct
+    # group:4 candidate still reports as the full cube does
+    P4 = eigenmatrix(group_scheme([4]))
+    cases = _VERIFY_CASES + [
+        (P4, ExactMatrix.diagonal([GaussRat(1), *entries]))
+        for entries in dict.fromkeys(_numeric_candidates(P4,
+                                                         _SEARCH_RESTARTS))]
+    want = [_oracle_full_check(P, T) for P, T in cases]
+
+    def refuse(self):
+        raise AssertionError("read the GaussRat rows")
+
+    monkeypatch.setattr(ExactMatrix, "rows", refuse)
+    assert [_checked(P, T) for P, T in cases] == want
 
 
 # -- search_T -------------------------------------------------------------
@@ -253,13 +274,18 @@ def test_search_one_class4_double_root():
     ExactMatrix([[GaussRat(x) for x in row]
                  for row in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1),
                              (2, 0, 2, 0))]),
-], ids=["3x3", "4x4"])
+    _gauss_matrix([[0]]),
+    _gauss_matrix([[1, I_UNIT], [I_UNIT, -1]]),
+], ids=["3x3", "4x4", "1x1", "2x2"])
 def test_search_singular_p_searches_nothing(monkeypatch, P):
-    # det (PT)^3 = c^k is nonzero for every witness, so det P must be
+    # det (PT)^3 = c^k is nonzero for every witness, so det P must be;
+    # the inverse that gives b refuses P before the 1x1 shortcut and
+    # before either stream
     def refuse(*args):
         raise AssertionError("searched a singular P")
 
-    for name in ("least_squares", "verify_modular", "_quadrics"):
+    for name in ("least_squares", "verify_modular", "_quadrics",
+                 "_exact_candidates", "_numeric_candidates"):
         monkeypatch.setattr(modular, name, refuse)
     assert search_T(P) is None
 
@@ -378,8 +404,9 @@ def test_search_serves_an_equal_P_from_the_memo(monkeypatch):
         raise AssertionError("searched again")
 
     for name in ("_exact_candidates", "_numeric_candidates",
-                 "verify_modular", "_first_inverse_row"):
+                 "verify_modular"):
         monkeypatch.setattr(modular, name, refuse)
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
     assert search_T(P) == w
 
 
@@ -445,42 +472,6 @@ def test_search_witness_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.c = GaussRat(1)
     assert search_T(P_BINARY).c == GaussRat(2, 2)
-
-
-@pytest.mark.parametrize("P", [
-    eigenmatrix(build) for build in (
-        one_class(2), one_class(3), one_class(5), cycle_scheme(4),
-        cycle_scheme(6), group_scheme([4]), group_scheme([2, 2]),
-        hamming(2, 2), hamming(3, 2), group_scheme([2, 4]))
-], ids=["one_class:2", "one_class:3", "one_class:5", "cycle:4", "cycle:6",
-        "group:4", "group:2:2", "hamming:2:2", "hamming:3:2", "group:2:4"])
-def test_first_inverse_row_of_an_eigenmatrix_needs_no_inverse(monkeypatch, P):
-    want = P.inverse().row(0)
-
-    def refuse(self):
-        raise AssertionError("inverted an eigenmatrix")
-
-    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
-    assert tuple(_first_inverse_row(P)) == want
-
-
-@pytest.mark.parametrize("rows, integer_sum", [
-    ([[1, 2], [3, 4]], True),
-    ([[2, 0, 0], [0, 1, 0], [0, 0, I_UNIT]], True),
-    ([[1, Fraction(1, 2)], [1, -1]], False),
-    ([[1, I_UNIT], [1, -I_UNIT]], False),
-    ([[1, -1], [1, 1]], False),
-], ids=["not-orthogonal", "diag(2,1,i)", "fractional-sum", "complex-sum",
-        "zero-sum"])
-def test_first_inverse_row_of_another_P_is_the_inverse(monkeypatch, rows,
-                                                       integer_sum):
-    # an integer row sum goes through dual_eigenmatrix, which falls back
-    # to the inverse; any other P is inverted directly
-    P = _gauss_matrix(rows)
-    want = P.inverse().row(0)
-    if not integer_sum:
-        monkeypatch.setattr(modular, "dual_eigenmatrix", None)
-    assert tuple(_first_inverse_row(P)) == want
 
 
 def test_only_search_T_verifies():
@@ -889,6 +880,15 @@ def test_induced_check_refuses_a_non_diagonal_T():
     T = ExactMatrix([[GaussRat(1), GaussRat(1)], [GaussRat(0), GaussRat(1)]])
     with pytest.raises(NotScalar, match="^T is not diagonal$"):
         induced_modular_check(P_BINARY, T, GaussRat(1), 2)
+
+
+@pytest.mark.parametrize("T", [diag(1, I_UNIT, 5), diag(1)],
+                         ids=["larger", "smaller"])
+def test_induced_check_refuses_a_T_of_another_size(monkeypatch, T):
+    monkeypatch.setattr(modular, "induced_matrix", None)
+    with pytest.raises(DimensionMismatch,
+                       match="^P and T must be square of the same size$"):
+        induced_modular_check(P_BINARY, T, GaussRat(2, 2), 2)
 
 
 def test_induced_lift_uses_composite_eigenmatrix():
