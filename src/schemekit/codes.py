@@ -13,13 +13,10 @@ numerics), and the transform of the enumerator must equal the dual
 code's enumerator exactly.  The Z4 Lee form re-indexes the symmetrized
 enumerator's monomials, and the Gray/Lee identity is the same transform
 on the self-dual Lee fusion of Z4, so no polynomial is multiplied out.
-A literal idempotent-based oracle is provided as an independent route
-to the dual enumerator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -44,7 +41,6 @@ from .scheme import (
     _check_power_cap,
     _first_index,
     _row_blocks,
-    dual_eigenmatrix,
     eigenmatrix,
 )
 
@@ -193,64 +189,6 @@ def macwilliams_transform(enumerator, P, v, code_size):
     a = ExactMatrix([[enumerator.coefficient(gamma) for gamma in comps]])
     out = a.scale(Fraction(1, code_size)) @ dual_eigenmatrix_gh(P, v, n)
     return MPoly(enumerator.nvars, dict(zip(comps, out.row(0))))
-
-
-def exact_idempotents(scheme):
-    """The idempotents E_0..E_d as exact v x v matrices,
-    E_i[x][y] = Q[class(x,y), i] / v."""
-    P = eigenmatrix(scheme)
-    v = scheme.v
-    Q = dual_eigenmatrix(P, v)
-    vg = GaussRat(v)
-    rel = scheme.relation
-    return [
-        ExactMatrix([[Q[int(rel[x, y]), i] / vg for y in range(v)]
-                     for x in range(v)])
-        for i in range(scheme.d + 1)
-    ]
-
-
-def _arrangements(beta):
-    """Distinct orderings of the multiset with beta[i] copies of i."""
-    seq = []
-    for i, e in enumerate(beta):
-        seq.extend([i] * e)
-    return sorted(set(itertools.permutations(seq)))
-
-
-def dual_weight_enumerator_direct(code, cap=256):
-    """Dual enumerator by literal idempotent evaluation (oracle route).
-
-    Builds each E_beta as the symmetrized sum of Kronecker products of
-    the exact base idempotents and evaluates x^T E_beta x over the code;
-    the coefficient of t^beta is (v^n / |C|^2) x^T E_beta x.  This never
-    touches the substitution machinery, so it is an independent check of
-    the transform.  SizeCapExceeded past cap vertices v^n.
-    """
-    base, n = code.base, code.n
-    v = base.v
-    _check_power_cap(v, n, cap, "oracle vertices")
-    E = exact_idempotents(base)
-    comps = compositions(n, base.d + 1)
-    indices = TranslationStructure((v,) * n).index(code.words).tolist()
-    size = len(code.words)
-    scale = GaussRat(Fraction(v**n, size * size))
-    terms = {}
-    for beta in comps:
-        acc = None
-        for arrangement in _arrangements(beta):
-            m = E[arrangement[0]]
-            for i in arrangement[1:]:
-                m = m.kron(E[i])
-            acc = m if acc is None else acc + m
-        total = GaussRat(0)
-        for a in indices:
-            for b in indices:
-                total = total + acc[a, b]
-        coeff = scale * total
-        if coeff:
-            terms[beta] = coeff
-    return MPoly(base.d + 1, terms)
 
 
 # -- additive codes over translation schemes ---------------------------

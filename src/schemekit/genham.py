@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .exact import composition_index, compositions, induced_matrix
+from .exact import compositions, induced_matrix
 from .scheme import DEFAULT_CAP, _orbit_power, dual_eigenmatrix, eigenmatrix
 
 
@@ -28,11 +28,11 @@ def h_vector(v, w, base):
     """Profile of a word pair: entry r counts coordinates with
     base relation r.
 
-    This is the scalar definition: `GHScheme.class_of` reads one pair
-    with it, and the tests use it as the oracle for `build_explicit` and
-    for `codes._profile_keys`, which profiles whole arrays of pairs at
-    once as integer keys (a float64 GEMM of one-hot words while the keys
-    stay below 2^53, int64 or Python-int gathers beyond)."""
+    This is the scalar definition: the tests use it as the oracle for
+    `build_explicit` and for `codes._profile_keys`, which profiles whole
+    arrays of pairs at once as integer keys (a float64 GEMM of one-hot
+    words while the keys stay below 2^53, int64 or Python-int gathers
+    beyond)."""
     if len(v) != len(w):
         raise DimensionMismatch("words have different lengths")
     counts = [0] * (base.d + 1)
@@ -43,8 +43,8 @@ def h_vector(v, w, base):
 
 class GHScheme:
     """Symbolic handle on the composite scheme over `base` with word
-    length n: class indexing and eigenmatrices without the explicit
-    v^n table."""
+    length n: its classes (compositions) and eigenmatrix without the
+    explicit v^n table."""
 
     def __init__(self, base, n):
         if n < 1:
@@ -63,9 +63,6 @@ class GHScheme:
     @property
     def v(self):
         return self.base.v**self.n
-
-    def class_of(self, v, w):
-        return composition_index(self.n, self.base.d + 1)[h_vector(v, w, self.base)]
 
     def eigenmatrix(self):
         return eigenmatrix_gh(eigenmatrix(self.base), self.n)

@@ -11,7 +11,9 @@ numeric restart) goes through one exact check, each distinct one once,
 so an inexact witness can never be returned.  A None is a proof of
 absence only from a zero-dimensional quadric system (see search_T).
 search_T keeps its recent results, keyed on (P, restarts), for the
-life of the process.
+life of the process, in one `functools.lru_cache` (`_search`).
+induced_modular_check lifts a witness to degree n with the induced
+matrices of P and T, one route for both.
 The one resultant is a determinant of polynomials, taken at integer
 points by the elimination kernel of `ExactMatrix.inverse`
 (`exact._bareiss`) and interpolated.
@@ -22,8 +24,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm, prod
-from threading import Lock
 
 import numpy as np
 
@@ -33,7 +35,6 @@ from .exact import (
     GaussRat,
     MPoly,
     _bareiss,
-    compositions,
     induced_matrix,
     snap_gauss,
 )
@@ -43,11 +44,6 @@ _SEARCH_RESTARTS = 200
 _FIRST_RESTARTS = 8
 _LM_ITERATIONS = 100
 _MEMO_SIZE = 128
-
-# (P, restarts) -> the result of search_T, oldest use first; read and
-# written under the lock, searched outside it
-_searched = {}
-_searched_lock = Lock()
 
 
 @dataclass(frozen=True)
@@ -543,33 +539,30 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     The result depends on P's values and `restarts` alone, so it is kept
     for the life of the process, keyed on (P, restarts) with P compared
     and hashed by its numerators, for the _MEMO_SIZE most recently used
-    keys: an equal P searched again with the same `restarts` gets the
-    stored witness, or None, with no search.
+    keys (`_search`): an equal P searched again with the same `restarts`
+    gets the stored witness, or None, with no search.
     """
     if P.nrows != P.ncols:
         raise DimensionMismatch("P must be square")
-    key = (P, restarts)
-    with _searched_lock:
-        if key in _searched:
-            _searched[key] = witness = _searched.pop(key)
-            return witness
-    witness = None
+    return _search(P, restarts)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _search(P, restarts):
+    """The search of `search_T` for a square P.  search_T passes both
+    arguments by position, so search_T(P), search_T(P, 200) and
+    search_T(P, restarts=200) share one memo entry."""
     tried = set()
     for entries in _candidates(P, restarts):
         if entries in tried:
             continue  # a repeat of a candidate that failed fails again
         tried.add(entries)
         try:
-            witness = verify_modular(
+            return verify_modular(
                 P, ExactMatrix.diagonal([GaussRat(1), *entries]))
-            break
         except NotScalar:
             pass
-    with _searched_lock:
-        if len(_searched) >= _MEMO_SIZE:
-            del _searched[next(iter(_searched))]
-        _searched[key] = witness
-    return witness
+    return None
 
 
 # -- lift to the composite scheme ---------------------------------------
@@ -590,32 +583,19 @@ class InducedModular:
 def induced_modular_check(P, T, c, n):
     """Check the degree-n lift of a modular witness.
 
-    T_hat is the diagonal matrix of monomials prod_j T[j,j]^gamma(j)
-    over compositions gamma, formed as one running product of the
-    Gaussian-integer numerators of T per composition, over D^n; the
-    check computes (P_hat T_hat)^3 exactly and compares its scalar with
-    c^n.  Also confirms that T_hat agrees with the induced action of T
-    on degree-n monomials.  P and T must be square of one size.
+    T_hat = induced_matrix(T, n), the induced action of T on degree-n
+    monomials: for diagonal T, the diagonal of monomials
+    prod_j T[j,j]^gamma(j) over compositions gamma.  The check computes
+    (P_hat T_hat)^3 exactly and compares its scalar with c^n;
+    t_hat_consistent says that T_hat is diagonal, which makes
+    (P_hat, T_hat) a modular pair.  P and T must be square of one size.
     """
     _check_pair(P, T)
-    re, im, D = T.numerators()
-    t = [(re[j][j], 0 if im is None else im[j][j]) for j in range(T.nrows)]
-    monomials = []
-    for gamma in compositions(n, P.nrows):
-        a, b = 1, 0
-        for j, e in enumerate(gamma):
-            for _ in range(e):
-                a, b = a * t[j][0] - b * t[j][1], a * t[j][1] + b * t[j][0]
-        monomials.append((a, b))
-    T_hat = ExactMatrix.from_numerators(*(
-        [[z[part] if g == h else 0 for h in range(len(monomials))]
-         for g, z in enumerate(monomials)] for part in (0, 1)), D**n)
-    t_hat_consistent = induced_matrix(T, n) == T_hat
-    P_hat = induced_matrix(P, n)
-    M = P_hat @ T_hat
+    T_hat = induced_matrix(T, n)
+    M = induced_matrix(P, n) @ T_hat
     K = M @ M @ M
     constant = K.scalar_value()
     holds = constant is not None and bool(constant)
     expected = c**n
     return InducedModular(holds, constant, expected,
-                          holds and constant == expected, t_hat_consistent)
+                          holds and constant == expected, T_hat.is_diagonal())

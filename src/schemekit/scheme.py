@@ -313,31 +313,9 @@ class TranslationStructure:
     def __setattr__(self, name, value):
         raise AttributeError("TranslationStructure is immutable")
 
-    def element(self, vertex):
-        out = []
-        for m in reversed(self.orders):
-            out.append(vertex % m)
-            vertex //= m
-        return tuple(reversed(out))
-
-    def vertex(self, elem):
-        idx = 0
-        for x, m in zip(elem, self.orders):
-            idx = idx * m + (x % m)
-        return idx
-
-    def add(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.orders))
-
-    def sub(self, a, b):
-        return tuple((x - y) % m for x, y, m in zip(a, b, self.orders))
-
-    def neg(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.orders))
-
     def digits(self, vertices):
         """Element tuples of an int array of vertices, on a new trailing
-        axis: the vectorised `element`."""
+        axis."""
         rest = np.asarray(vertices, dtype=np.int64)
         out = np.empty(rest.shape + (len(self.orders),), dtype=np.int64)
         for j in range(len(self.orders) - 1, -1, -1):
@@ -346,7 +324,8 @@ class TranslationStructure:
 
     def index(self, digits):
         """Vertices of element tuples on the trailing axis (digits taken
-        mod the orders): the vectorised `vertex`, inverse of `digits`.
+        mod the orders, so a sum of tuples indexes their group sum): the
+        inverse of `digits`.
 
         Vertices are int64 while the group has at most 2^63 elements and
         Python ints (dtype object) beyond, so they never wrap."""
@@ -359,7 +338,7 @@ class TranslationStructure:
         return out
 
     def difference_table(self):
-        """The v x v table of index(element(y) - element(x)): the
+        """The v x v table of index(digits(y) - digits(x)): the
         Kronecker fold of the m x m difference tables of the factors."""
         return _fold([(np.arange(m) - np.arange(m)[:, None]) % m for m in self.orders])
 

@@ -10,4 +10,4 @@ def fresh_search_memo():
     """Start each test with an empty `search_T` memo, so that a test that
     patches a candidate stream, `least_squares`, `verify_modular` or a
     restart constant sees a fresh search."""
-    modular._searched.clear()
+    modular._search.cache_clear()

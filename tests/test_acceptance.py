@@ -19,7 +19,6 @@ from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     Code,
     dual_code,
-    dual_weight_enumerator_direct,
     gray_image,
     gray_lee_check,
     macwilliams_transform,
@@ -41,6 +40,8 @@ from schemekit.scheme import (
     sort_rows_canonically,
     verify_axioms,
 )
+
+from oracles import dual_weight_enumerator_direct
 
 
 BINARY = one_class(2)
@@ -88,7 +89,7 @@ def random_additive_code(rng, base, n):
                 frontier.append(nxt)
     words = []
     for flat in sorted(group):
-        word = tuple(tr.vertex(flat[j * width:(j + 1) * width])
+        word = tuple(int(tr.index(flat[j * width:(j + 1) * width]))
                      for j in range(n))
         words.append(word)
     return Code(words, base, n)

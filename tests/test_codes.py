@@ -11,8 +11,6 @@ from schemekit.codes import (
     GRAY_BITS,
     Code,
     dual_code,
-    dual_weight_enumerator_direct,
-    exact_idempotents,
     gray_image,
     gray_lee_check,
     inner_distribution,
@@ -37,6 +35,8 @@ from schemekit.exact import (
 )
 from schemekit.genham import build_explicit, h_vector
 from schemekit.scheme import TranslationStructure, eigenmatrix
+
+from oracles import dual_weight_enumerator_direct, exact_idempotents
 
 
 BINARY = one_class(2)
@@ -89,7 +89,7 @@ def random_additive_code(rng, base, n):
         word = []
         for j in range(n):
             chunk = flat[j * width:(j + 1) * width]
-            word.append(tr.vertex(chunk))
+            word.append(int(tr.index(chunk)))
         words.append(tuple(word))
     return Code(words, base, n)
 
@@ -467,7 +467,8 @@ def test_dual_code_matches_full_pairing():
                     assert len(gens) <= max(1, len(code).bit_length())
                     span = {tuple([0] * exps.shape[1])}
                     for g in gens.tolist():
-                        span |= {tuple(group.add(s, t * np.array(g)))
+                        span |= {tuple((np.add(s, t * np.array(g))
+                                        % group.orders).tolist())
                                  for s in span for t in range(1, 5)}
                     assert span == {tuple(w) for w in exps.tolist()}
                     checked += 1

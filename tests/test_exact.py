@@ -11,7 +11,6 @@ from schemekit import exact as exact_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
     Code,
-    dual_weight_enumerator_direct,
     macwilliams_transform,
     weight_enumerator,
 )
@@ -31,6 +30,8 @@ from schemekit.exact import (
 )
 from schemekit.errors import DimensionMismatch, SingularMatrix
 from schemekit.scheme import dual_eigenmatrix, eigenmatrix
+
+from oracles import dual_weight_enumerator_direct
 
 
 def rand_gauss(rng, span=5):

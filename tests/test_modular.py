@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import itertools
 import os
 import subprocess
@@ -423,24 +424,36 @@ def test_search_memo_keys_on_restarts(monkeypatch):
     assert search_T(P, 200) is None
     assert sizes == [7, _FIRST_RESTARTS, 200 - _FIRST_RESTARTS]
     assert search_T(P, 7) is None and search_T(P, 200) is None
+    assert search_T(P) is None and search_T(P, restarts=200) is None
     assert len(sizes) == 3
-    assert list(modular._searched) == [(P, 7), (P, 200)]
+    info = modular._search.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+
+
+def _two_entry_memo(monkeypatch):
+    monkeypatch.setattr(modular, "_search",
+                        functools.lru_cache(maxsize=2)(modular._search.__wrapped__))
 
 
 def test_search_memo_drops_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(modular, "_MEMO_SIZE", 2)
+    _two_entry_memo(monkeypatch)
     a, b, c = (eigenmatrix(one_class(q)) for q in (2, 3, 4))
     for P in (a, b, a, c):
         search_T(P)
-    assert list(modular._searched) == [(a, _SEARCH_RESTARTS),
-                                       (c, _SEARCH_RESTARTS)]
+    assert modular._search.cache_info()[:2] == (1, 3)  # hits, misses
+    # a and c are kept (each a hit), b was dropped (a miss)
+    search_T(c)
+    search_T(a)
+    assert modular._search.cache_info()[:2] == (3, 3)
+    search_T(b)
+    assert modular._search.cache_info()[:2] == (3, 4)
 
 
 def test_search_memo_is_safe_across_threads(monkeypatch):
     # more threads than cores, a two-entry memo cycled through three
     # keys so that entries are evicted while others are read, a short
     # switch interval, and searches that find nothing at once
-    monkeypatch.setattr(modular, "_MEMO_SIZE", 2)
+    _two_entry_memo(monkeypatch)
     monkeypatch.setattr(modular, "_candidates", lambda P, restarts: ())
     Ps = [eigenmatrix(one_class(q)) for q in (2, 3, 4)]
     errors = []
@@ -464,7 +477,7 @@ def test_search_memo_is_safe_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(modular._searched) == 2
+    assert modular._search.cache_info().currsize == 2
 
 
 def test_search_witness_is_frozen():
@@ -475,14 +488,15 @@ def test_search_witness_is_frozen():
 
 
 def test_only_search_T_verifies():
-    """Candidate sources yield diagonals; search_T alone checks them."""
+    """Candidate sources yield diagonals; search_T's memoised search
+    (`_search`) alone checks them."""
     callers = [fn.name for fn in ast.walk(ast.parse(
                    Path(modular.__file__).read_text()))
                if isinstance(fn, ast.FunctionDef)
                and any(isinstance(node, ast.Name)
                        and node.id == "verify_modular"
                        for node in ast.walk(fn))]
-    assert callers == ["search_T"]
+    assert callers == ["_search"]
 
 
 def test_least_squares_drops_only_singular_rows():

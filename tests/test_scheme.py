@@ -38,6 +38,8 @@ from schemekit.scheme import (
 )
 from schemekit.scheme import _product_tensor, _translation_tensor
 
+from oracles import element, vertex
+
 
 def gauss_rows(M):
     return [[str(M[i, j]) for j in range(M.ncols)] for i in range(M.nrows)]
@@ -154,9 +156,10 @@ def test_intersection_numbers_row_sums():
 def test_translation_roundtrip():
     tr = TranslationStructure((2, 4))
     for v in range(8):
-        assert tr.vertex(tr.element(v)) == v
-    assert tr.add((1, 3), (1, 2)) == (0, 1)
-    assert tr.neg((1, 1)) == (1, 3)
+        assert vertex(tr.orders, element(tr.orders, v)) == v
+    # index reads digits mod the orders: sums and negatives of elements
+    assert tr.index(np.add((1, 3), (1, 2))) == tr.index((0, 1))
+    assert tr.index(np.negative((1, 1))) == tr.index((1, 3))
 
 
 @pytest.mark.parametrize("orders", [(2, 4), (4,), (2, 2, 2), (3, 5), (4, 2, 3)])
@@ -166,7 +169,7 @@ def test_translation_digits_and_index(orders):
     digits = tr.digits(vertices)
     assert digits.shape == (tr.size, len(orders))
     for x in range(tr.size):
-        assert tuple(digits[x].tolist()) == tr.element(x)
+        assert tuple(digits[x].tolist()) == element(orders, x)
         assert tr.index(digits[x]) == x
     assert (tr.index(digits) == vertices).all()
     # any shape gains a trailing axis, and index takes digits mod the orders
@@ -175,7 +178,7 @@ def test_translation_digits_and_index(orders):
     assert (tr.index(tr.digits(grid)) == grid).all()
     shifted = digits + 3 * np.array(orders)
     assert (tr.index(shifted) == vertices).all()
-    assert tr.vertex(tuple(shifted[-1].tolist())) == tr.size - 1
+    assert vertex(orders, tuple(shifted[-1].tolist())) == tr.size - 1
 
 
 @pytest.mark.parametrize("orders", [(2,) * 63, (2,) * 64, (2,) * 70, (4,) * 32,
@@ -188,7 +191,7 @@ def test_translation_index_is_exact_for_large_groups(orders):
     digits[0] = 0
     digits[1] = np.array(orders) - 1
     got = tr.index(digits).tolist()
-    assert got == [tr.vertex(tuple(row)) for row in digits.tolist()]
+    assert got == [vertex(orders, row) for row in digits.tolist()]
     assert got[1] == tr.size - 1
     assert len(set(got)) == len({tuple(row) for row in digits.tolist()})
 
@@ -200,8 +203,8 @@ def test_difference_table(orders):
     assert (table == group_scheme(list(orders)).relation).all()
     for x in range(tr.size):
         for y in range(tr.size):
-            assert table[x, y] == tr.vertex(tr.sub(tr.element(y),
-                                                   tr.element(x)))
+            difference = np.subtract(element(orders, y), element(orders, x))
+            assert table[x, y] == vertex(orders, difference)
 
 
 def test_translation_validate():
