@@ -186,20 +186,46 @@ _SNAP_TOLERANCE = 1e-9
 _SNAP_INTEGER_RADIUS = 0.5 / _SNAP_MAX_DENOMINATOR
 
 
+def _limit_denominator(n, m):
+    """(p, q) with p/q = Fraction(n, m).limit_denominator(N), N =
+    _SNAP_MAX_DENOMINATOR, for n/m in lowest terms and m > 0: the same
+    continued fraction on integers, and of its two final bounds p/q and
+    p1/q1 the second iff |p1 m - n q1| q <= |p m - n q| q1, the one
+    cross-multiplication that replaces limit_denominator's two Fraction
+    subtractions."""
+    if m <= _SNAP_MAX_DENOMINATOR:
+        return n, m
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, m
+    while True:
+        c = a // b
+        if q0 + c * q1 > _SNAP_MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + c * p1, q0 + c * q1
+        a, b = b, a - c * b
+    k = (_SNAP_MAX_DENOMINATOR - q0) // q1
+    p, q = p0 + k * p1, q0 + k * q1
+    if abs(p1 * m - n * q1) * q <= abs(p * m - n * q) * q1:
+        return p1, q1
+    return p, q
+
+
 def _snap_real(x):
     """Fraction(x).limit_denominator(N), N = _SNAP_MAX_DENOMINATOR, or
     None if that is farther than _SNAP_TOLERANCE from x.  Within
     _SNAP_INTEGER_RADIUS of an integer k no continued fraction is
     needed: there x - k is exact, and k is the nearest such fraction,
     since every other p/q with q <= N lies at least 1/q >= 1/N from k.
-    A non-finite x raises as Fraction(x) does."""
+    Elsewhere `_limit_denominator` runs on the integer ratio of x, and a
+    Fraction is made only for the answer.  A non-finite x raises as
+    Fraction(x) does."""
     if isfinite(x):
         k = round(x)
         miss = abs(x - k)
         if miss < _SNAP_INTEGER_RADIUS:
             return None if miss > _SNAP_TOLERANCE else Fraction(k)
-    f = Fraction(x).limit_denominator(_SNAP_MAX_DENOMINATOR)
-    return None if abs(float(f) - x) > _SNAP_TOLERANCE else f
+    p, q = _limit_denominator(*x.as_integer_ratio())
+    return None if abs(p / q - x) > _SNAP_TOLERANCE else Fraction(p, q)
 
 
 def snap_gauss(z):

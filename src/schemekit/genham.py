@@ -15,6 +15,7 @@ symbolically and cross-checks against explicit tables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,15 +120,19 @@ class FormalDuality:
 def formal_duality_check(P, v, n):
     """Check the composite duality identity and detect self-duality.
 
-    identity_holds: induced(P, n) induced(v*P^-1, n) == v^n I exactly.
+    identity_holds: induced(P, n) induced(v*P^-1, n) == v^n I exactly,
+    decided at the base as P (v*P^-1) == v I: induced_matrix is
+    multiplicative, so the composite identity holds for every n >= 0
+    with the base one.  n must still be an int >= 0.
     self_dual: some class/idempotent reordering makes v*P^-1 equal P
     (identity permutations are tried first, then, for up to 6 rows, row
     orders in lexicographic order, each with its first matching column
     order).
     """
+    if operator.index(n) < 0:
+        raise ValueError("need n >= 0")
     dual = dual_eigenmatrix(P, v)
-    product = induced_matrix(P, n) @ induced_matrix(dual, n)
-    identity_holds = product.scalar_value() == v**n
+    identity_holds = (P @ dual).scalar_value() == v
 
     row_perm = col_perm = None
     if dual == P:

@@ -570,6 +570,12 @@ def _search(P, restarts):
 
 @dataclass
 class InducedModular:
+    """The outcome of `induced_modular_check`.  t_hat_consistent says
+    that T_hat is diagonal; T is refused unless diagonal, and the induced
+    matrix of a diagonal T is diagonal, so the field reads False only
+    through a bug in `induced_matrix`.  It stays as that check, and the
+    CLI's `modinv lift` prints it."""
+
     holds: bool
     constant: GaussRat | None
     expected: GaussRat

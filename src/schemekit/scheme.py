@@ -27,6 +27,7 @@ class tuples under the group's generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import lcm
 
 import numpy as np
@@ -478,7 +479,8 @@ def certify_eigenmatrix(scheme, P):
     the identity are then at most 2 k_i k_k <= 2 v^2 in each part, since
     sum_r p[i][k][r] k_r = k_i k_k, and one int64 matmul with the
     intersection tensor reshaped to ((d+1)^2, d+1) gives the right-hand
-    sides of every row.
+    sides of every row.  Distinct rows are decided on the numerators
+    themselves, as a set of (re, im) row tuples.
     """
     k = scheme.d + 1
     if P.nrows != k or P.ncols != k:
@@ -496,24 +498,37 @@ def certify_eigenmatrix(scheme, P):
     b = np.zeros_like(a) if im is None else np.array(im, dtype=np.int64)
     if (a[:, 0] != 1).any() or b[:, 0].any():
         return False
-    if len(np.unique(np.concatenate([a, b], axis=1), axis=0)) != k:
+    # a real P (im None) pairs each row with itself
+    if len(set(zip(map(tuple, re), map(tuple, im or re)))) != k:
         return False
     rhs = np.concatenate([a, b]) @ tensor.T
     lhs_re, lhs_im = _row_products(a, b)
     return bool((lhs_re == rhs[:k]).all() and (lhs_im == rhs[k:]).all())
 
 
-def _numeric_eigenrows(scheme, rng):
-    """One numeric attempt: diagonalize a random combination of the
-    matrices L_i[k, r] = p[i][k][r] and read a character x off each
-    eigenvector, scaled to x_0 = 1, as L_i x = x_i x.
+@cache
+def _attempt_coefficients(k):
+    """The seeded coefficients of every numeric attempt on k classes, one
+    read-only row per attempt, drawn once per class count: the same
+    integers as successive draws of integers(1, 10^6, size=k) from
+    default_rng(_EIG_SEED).  An entry holds _EIG_ATTEMPTS * k integers,
+    less than the k^3 tensor of any scheme that reads it."""
+    coeffs = np.random.default_rng(_EIG_SEED).integers(
+        1, 1_000_000, size=(_EIG_ATTEMPTS, k))
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _numeric_eigenrows(scheme, coeffs):
+    """One numeric attempt: diagonalize the combination of the matrices
+    L_i[k, r] = p[i][k][r] with the given coefficients and read a
+    character x off each eigenvector, scaled to x_0 = 1, as L_i x = x_i x.
 
     Returns the d+1 rows x, or None if this combination was degenerate:
     an eigenvector with x_0 near 0, or one that is not an eigenvector of
     every L_i.
     """
     L = scheme.intersection_tensor().astype(np.float64)
-    coeffs = rng.integers(1, 1_000_000, size=scheme.d + 1)
     _, V = np.linalg.eig(np.tensordot(coeffs, L, axes=1))
     if (np.abs(V[0]) < 1e-9).any():
         return None
@@ -533,9 +548,8 @@ def _characters(scheme):
     rows, that row first and the rest by descending key, the real and
     imaginary parts of each entry rounded to 6 places."""
     vals = scheme.valencies()
-    rng = np.random.default_rng(_EIG_SEED)
-    for _ in range(_EIG_ATTEMPTS):
-        rows = _numeric_eigenrows(scheme, rng)
+    for coeffs in _attempt_coefficients(scheme.d + 1):
+        rows = _numeric_eigenrows(scheme, coeffs)
         if rows is None:
             yield None, "degenerate random combination"
             continue

@@ -140,11 +140,56 @@ def test_snap_matches_limit_denominator():
             assert snap_gauss(z) == _limit_denominator_snap(z), z
 
 
+def test_snap_off_the_integers_matches_limit_denominator():
+    """Seeded parts that take the continued fraction: uniform floats,
+    fractions with denominators up to 2N nudged by up to 2e-9, square
+    roots, midpoints of two fractions with denominators near N, and
+    dyadic fractions with denominators up to 2^19 < N, which need none."""
+    rng = random.Random(1011)
+    n = _SNAP_MAX_DENOMINATOR
+    xs = [rng.uniform(-50, 50) for _ in range(400)]
+    xs += [rng.randint(-3 * n, 3 * n) / rng.randint(2, 2 * n)
+           + rng.choice((0.0, 1e-12, -3e-10, 2e-9)) for _ in range(400)]
+    xs += [rng.choice((1, -1)) * rng.randint(2, 10**6) ** 0.5
+           for _ in range(200)]
+    for _ in range(200):
+        q1, q2 = rng.randint(n // 2, n), rng.randint(n // 2, n)
+        p1 = rng.randint(0, q1)
+        xs.append((p1 / q1 + (p1 * q2 // q1 + 1) / q2) / 2)
+    xs += [rng.randint(-2**25, 2**25) / 2**e for e in range(1, 20)
+           for _ in range(10)]
+    for x, y in zip(xs, xs[::-1]):
+        assert snap_gauss(complex(x, y)) == _limit_denominator_snap(complex(x, y))
+
+
+def test_limit_denominator_matches_fraction_on_exact_ratios():
+    """`_limit_denominator` on rationals that are not floats: seeded
+    ratios, midpoints of two fractions with denominators up to N, and
+    ties between its two final bounds, a +- 1/(2N) halfway between a
+    and a +- 1/N, where both it and limit_denominator take a."""
+    rng = random.Random(1012)
+    n = _SNAP_MAX_DENOMINATOR
+    ratios = [Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**13))
+              for _ in range(2000)]
+    ratios += [a + Fraction(s, 2 * n) for a in range(-3, 4) for s in (1, -1)]
+    for _ in range(500):
+        q = rng.randint(1, n)
+        p = rng.randint(-3 * q, 3 * q)
+        for q2 in (n, n - q, rng.randint(1, n)):
+            p2 = p * q2 // q + 1
+            ratios.append((Fraction(p, q) + Fraction(p2, q2)) / 2)
+    for f in ratios:
+        got = Fraction(*exact_module._limit_denominator(f.numerator,
+                                                        f.denominator))
+        assert got == f.limit_denominator(n), f
+
+
 def test_snap_near_an_integer_needs_no_continued_fraction(monkeypatch):
-    def refuse(self, max_denominator):
+    def refuse(*args):
         raise AssertionError("limit_denominator called")
 
     monkeypatch.setattr(Fraction, "limit_denominator", refuse)
+    monkeypatch.setattr(exact_module, "_limit_denominator", refuse)
     assert snap_gauss(complex(3 + 1e-12, -2 - 1e-12)) == GaussRat(3, -2)
     assert snap_gauss(complex(-0.0, 2.0**60)) == GaussRat(0, 2**60)
     assert snap_gauss(complex(1 + 1e-7, 0.0)) is None

@@ -281,6 +281,48 @@ def test_formal_duality_frozen_six_classes():
     assert fd.col_perm == (0, 2, 4, 3, 5, 1)
 
 
+DUALITY_BASES = {
+    "one_class:2": lambda: one_class(2), "one_class:3": lambda: one_class(3),
+    "one_class:5": lambda: one_class(5), "cycle:4": lambda: cycle_scheme(4),
+    "cycle:6": lambda: cycle_scheme(6), "group:4": lambda: group_scheme([4]),
+    "group:2:2": lambda: group_scheme([2, 2]), "hamming:2:2": lambda: hamming(2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUALITY_BASES))
+def test_composite_duality_identity_is_multiplicative(name):
+    """induced(P, n) induced(v P^-1, n) == v^n I for n = 0..8 on the bench
+    bases: the composite identity that `formal_duality_check` reads off
+    the base, which holds because induced_matrix is multiplicative."""
+    base = DUALITY_BASES[name]()
+    P = eigenmatrix(base)
+    Q = dual_eigenmatrix(P, base.v)
+    for n in range(9):
+        product = induced_matrix(P, n) @ induced_matrix(Q, n)
+        assert product.scalar_value() == base.v**n, n
+        assert formal_duality_check(P, base.v, n).identity_holds
+
+
+def test_formal_duality_forms_no_induced_matrix(monkeypatch):
+    def refuse(M, n):
+        raise AssertionError("formal_duality_check formed an induced matrix")
+
+    monkeypatch.setattr(genham, "induced_matrix", refuse)
+    P = eigenmatrix(group_scheme([4]))
+    fd = formal_duality_check(P, 4, 8)
+    assert fd.identity_holds and fd.self_dual
+
+
+def test_formal_duality_refuses_a_bad_n():
+    P = eigenmatrix(one_class(2))
+    with pytest.raises(ValueError):
+        formal_duality_check(P, 2, -1)
+    for n in (1.5, 2.0, "2", None):
+        with pytest.raises(TypeError):
+            formal_duality_check(P, 2, n)
+    assert formal_duality_check(P, 2, np.int64(3)).identity_holds
+
+
 def brute_force_self_duality(P, v):
     """The first (row_perm, col_perm) pair in lexicographic order with
     v P^-1 reordered equal to P, or (None, None)."""

@@ -1,7 +1,10 @@
 import ast
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -305,6 +308,27 @@ def test_certify_refuses_fractions_before_the_identity(monkeypatch):
     assert not certify_eigenmatrix(s, ExactMatrix(rows))
 
 
+def test_certify_refuses_a_duplicated_complex_row():
+    """Row 3 of the order-4 group scheme's P replaced by row 1, its
+    conjugate: every row is still a character, and only the distinctness
+    check refuses P."""
+    s = group_scheme([4])
+    rows = _rows(eigenmatrix(s))
+    assert [x.conjugate() for x in rows[1]] == rows[3] != rows[1]
+    rows[3] = list(rows[1])
+    assert not _agree(s, ExactMatrix(rows))
+
+
+def test_certify_tells_rows_apart_by_their_imaginary_parts():
+    """Rows 1 and 3 of the order-4 group scheme's P agree in their real
+    parts and differ only in the imaginary ones; P certifies."""
+    s = group_scheme([4])
+    P = eigenmatrix(s)
+    re, im, D = P.numerators()
+    assert D == 1 and re[1] == re[3] and im[1] != im[3]
+    assert _agree(s, P)
+
+
 BENCH_BASES = {
     "one_class:2": lambda: one_class(2), "one_class:3": lambda: one_class(3),
     "one_class:5": lambda: one_class(5), "cycle:4": lambda: cycle_scheme(4),
@@ -438,8 +462,8 @@ def test_eigenmatrix_retries_only_a_near_miss(miss, attempts, monkeypatch):
     exact_rows = scheme_module._numeric_eigenrows
     calls = []
 
-    def shifted(scheme, rng):
-        rows = np.array(exact_rows(scheme, rng))
+    def shifted(scheme, coeffs):
+        rows = np.array(exact_rows(scheme, coeffs))
         if not calls:
             is_val = np.abs(rows - scheme.valencies()).max(axis=1) < 1e-6
             rows[~is_val, -1] += miss
@@ -456,6 +480,73 @@ def test_eigenmatrix_retries_only_a_near_miss(miss, attempts, monkeypatch):
             eigenmatrix(s)
         assert s.snap_failed
     assert len(calls) == attempts
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_attempt_coefficients_are_the_seeded_stream(k):
+    """One read-only row per attempt, equal to the successive draws of a
+    fresh generator seeded with _EIG_SEED."""
+    rng = np.random.default_rng(scheme_module._EIG_SEED)
+    want = np.stack([rng.integers(1, 1_000_000, size=k)
+                     for _ in range(scheme_module._EIG_ATTEMPTS)])
+    got = scheme_module._attempt_coefficients(k)
+    assert got.dtype == want.dtype and (got == want).all()
+    assert scheme_module._attempt_coefficients(k) is got
+    with pytest.raises(ValueError, match="read-only"):
+        got[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        got[-1] += 1
+    assert (got == want).all()
+
+
+def test_eigenmatrix_draws_once_per_class_count(monkeypatch):
+    """Two schemes with 3 classes and no attached P: the second
+    eigenmatrix reuses the first one's coefficients, so one Generator is
+    made in all."""
+    scheme_module._attempt_coefficients.cache_clear()
+    made = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for rel in (cycle_scheme(4).relation, hamming(2, 2).relation):
+        s = AssociationScheme(rel.copy())
+        assert s.d + 1 == 3 and s.P is None
+        assert certify_eigenmatrix(s, eigenmatrix(s))
+    assert made == [(scheme_module._EIG_SEED,)]
+
+
+_NO_MASKED_ARRAYS = """
+import json, sys
+import schemekit as sk
+from schemekit.jsonio import scheme_from_obj, scheme_to_obj
+bases = [sk.one_class(2), sk.one_class(3), sk.one_class(5), sk.cycle_scheme(4),
+         sk.cycle_scheme(6), sk.group_scheme([4]), sk.group_scheme([2, 2]),
+         sk.hamming(2, 2)]
+composite = sk.build_explicit(bases[5], 2)
+assert composite.P is None
+sk.certify_eigenmatrix(composite, sk.eigenmatrix(composite))
+sk.krein_parameters(composite)
+obj = json.loads(json.dumps(scheme_to_obj(bases[3])))
+assert scheme_from_obj(obj).P is not None
+import schemekit.cli
+sys.exit('numpy.ma' in sys.modules)
+"""
+
+
+def test_certified_paths_leave_numpy_ma_out():
+    """A fresh interpreter builds the bench bases, certifies a composite's
+    eigenmatrix, takes its Krein parameters, loads a scheme JSON with an
+    attached P and imports the CLI without importing numpy.ma, which
+    costs about 10 ms of start-up."""
+    src = str(Path(scheme_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], env=env,
+                          timeout=60)
+    assert proc.returncode == 0
 
 
 def test_dual_eigenmatrix_pq():
@@ -1056,14 +1147,13 @@ def test_class_vector_is_decided_once(monkeypatch):
     assert P.nrows == comb(3 + 3, 3)
 
 
-def _dense_eigenrows(scheme, rng):
-    """Oracle: the v x v attempt.  Diagonalize a random combination of the
-    adjacency matrices, read the eigenvalue vector of every class on each
-    eigenvector and return the distinct vectors, or None if this
-    combination was degenerate."""
+def _dense_eigenrows(scheme, coeffs):
+    """Oracle: the v x v attempt.  Diagonalize the combination of the
+    adjacency matrices with the given coefficients, read the eigenvalue
+    vector of every class on each eigenvector and return the distinct
+    vectors, or None if this combination was degenerate."""
     rel = scheme.relation
     d, v = scheme.d, scheme.v
-    coeffs = rng.integers(1, 1_000_000, size=d + 1)
     M = np.zeros((v, v), dtype=np.float64)
     for i in range(d + 1):
         M += float(coeffs[i]) * (rel == i)
