@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeCapExceeded, SnapFailure
+from .errors import DimensionMismatch, SizeCapExceeded
 from .exact import ExactMatrix
 from .genham import build_explicit, eigenmatrix_gh
 from .scheme import (
@@ -73,8 +73,10 @@ def group_scheme(orders, cap=DEFAULT_CAP):
 def cycle_scheme(m, cap=DEFAULT_CAP):
     """Distance scheme of the m-cycle; classes are cycle distances.
 
-    The exact eigenmatrix is attached when the eigenvalues are Gaussian
-    rationals (m in {3, 4, 6}); otherwise the scheme stays numeric-only.
+    The exact eigenmatrix is attached when the eigenvalues 2cos(2 pi j/m)
+    are Gaussian rationals, which by Niven's theorem is m in {3, 4, 6};
+    every other m is numeric-only from the start (snap_failed set), with
+    no intersection tensor formed.
     """
     if m < 3:
         raise DimensionMismatch("cycle_scheme needs m >= 3")
@@ -83,8 +85,8 @@ def cycle_scheme(m, cap=DEFAULT_CAP):
     z = np.arange(m)
     scheme = AssociationScheme(np.minimum(z, m - z),
                                translation=TranslationStructure((m,)), check=False)
-    try:
+    if m in (3, 4, 6):
         eigenmatrix(scheme)
-    except SnapFailure:
-        pass  # numeric-only mode, scheme.snap_failed stays set
+    else:
+        scheme.snap_failed = True
     return scheme

@@ -7,12 +7,15 @@ verify|search|lift.  Exit codes: 0 success, 1 mathematical failure
 fails certification, no witness to lift, ...), 2 usage, I/O, or format
 error (a size below 1, or a size above --cap, included).  --cap bounds
 the vertices of a construction and of a JSON table, the words of a code
-file, the candidate words of a dual, the classes of a composite, and
-the classes k of a scheme whose P is formed or inverted, by k^3 <= cap^2
-(`scheme._check_tensor_cap`), each before the work it bounds.  Errors
-print an `error:` line on stderr and nothing on stdout.  --json switches
-every command to structured output with rationals serialized as exact
-strings.
+file, the candidate words of a dual, the classes of a composite, the
+fine classes of `gh fusion-check` (which builds no table), and the
+classes k of a scheme whose P is formed or inverted, or whose
+intersection tensor `scheme verify` counts from a builder spec, by
+k^3 <= cap^2 (`scheme._check_tensor_cap`), each before the work it
+bounds; a builder spec meets that class rule before its builder runs.
+Errors print an `error:` line on stderr and nothing on stdout.  --json
+switches every command to structured output with rationals serialized
+as exact strings.
 
 Each command prints nothing: it returns one result, its exit code with
 its JSON object and its text, and `run` prints the one form asked for
@@ -25,7 +28,7 @@ import argparse
 import json
 import sys
 from functools import partial
-from math import comb
+from math import comb, prod
 
 from . import builders, jsonio
 from .codes import (
@@ -47,6 +50,7 @@ from .modular import (
 )
 from .scheme import (
     DEFAULT_CAP,
+    _axiom_report,
     _check_tensor_cap,
     dual_eigenmatrix,
     eigenmatrix,
@@ -72,7 +76,9 @@ def _read_text(path):
         return fh.read()
 
 
-def _build_named(name, int_args, cap):
+def _named_builder(name, int_args):
+    """The builder call of a named scheme, still to be given its cap, and
+    the class count of what it would build, read off the arguments."""
     def expect(k):
         if len(int_args) != k:
             raise FormatError("builder %r takes %d integer argument%s, got %d"
@@ -80,23 +86,24 @@ def _build_named(name, int_args, cap):
 
     if name == "one_class":
         expect(1)
-        return builders.one_class(int_args[0], cap=cap)
+        return partial(builders.one_class, *int_args), 2
     if name == "hamming":
         expect(2)
-        return builders.hamming(int_args[0], int_args[1], cap=cap)
+        return partial(builders.hamming, *int_args), int_args[0] + 1
     if name == "cycle":
         expect(1)
-        return builders.cycle_scheme(int_args[0], cap=cap)
+        return partial(builders.cycle_scheme, *int_args), int_args[0] // 2 + 1
     if name == "group":
         if not int_args:
             raise FormatError("builder 'group' needs at least one order")
-        return builders.group_scheme(list(int_args), cap=cap)
+        return partial(builders.group_scheme, list(int_args)), prod(int_args)
     raise FormatError("unknown builder %r (expected one of %s)"
                       % (name, ", ".join(_BUILDER_NAMES)))
 
 
-def _build_spec(spec, cap):
-    """The scheme of a builder spec, or None if spec is a file or '-'."""
+def _spec_builder(spec):
+    """`_named_builder` of a builder spec, or None if spec is a file or
+    '-'."""
     head = spec.split(":", 1)[0]
     if spec == "-" or head not in _BUILDER_NAMES:
         return None
@@ -105,7 +112,7 @@ def _build_spec(spec, cap):
     except ValueError:
         raise FormatError("bad builder spec %r: arguments must be "
                           "integers" % spec) from None
-    return _build_named(head, int_args, cap)
+    return _named_builder(head, int_args)
 
 
 def _read_json(spec):
@@ -127,20 +134,22 @@ def _read_table(spec, cap):
 
 def _load_scheme(spec, cap):
     """Scheme from a builder spec, a JSON file path, or '-' (stdin)."""
-    scheme = _build_spec(spec, cap)
-    if scheme is None:
-        scheme = jsonio._certified_scheme(*_read_table(spec, cap))
-    return scheme
+    named = _spec_builder(spec)
+    if named is not None:
+        return named[0](cap=cap)
+    return jsonio._certified_scheme(*_read_table(spec, cap))
 
 
 def _load_base(spec, cap):
-    """`_load_scheme` for a command that forms or inverts P: refused
-    past the class-count rule of `_check_tensor_cap`, which a JSON table
-    meets before it is verified."""
-    scheme = _build_spec(spec, cap)
-    if scheme is not None:
-        _check_tensor_cap(scheme.d + 1, cap)
-        return scheme
+    """`_load_scheme` for a command that forms or inverts P or counts the
+    intersection tensor: refused past the class-count rule of
+    `_check_tensor_cap`, which a builder spec meets before its builder
+    runs and a JSON table before it is verified."""
+    named = _spec_builder(spec)
+    if named is not None:
+        build, classes = named
+        _check_tensor_cap(classes, cap)
+        return build(cap=cap)
     relation, P = _read_table(spec, cap)
     _check_tensor_cap(int(relation.max()) + 1, cap)
     return jsonio._certified_scheme(relation, P)
@@ -224,16 +233,15 @@ def _scheme_result(s):
 
 
 def cmd_scheme_build(args):
-    return _scheme_result(_build_named(args.name, args.args, args.cap))
+    build, _classes = _named_builder(args.name, args.args)
+    return _scheme_result(build(cap=args.cap))
 
 
 def cmd_scheme_verify(args):
-    s = _build_spec(args.source, args.cap)
-    if s is not None:
-        relation = s.relation
+    if _spec_builder(args.source) is None:
+        report = verify_axioms(_read_table(args.source, args.cap)[0])
     else:
-        relation, _P = _read_table(args.source, args.cap)
-    report = verify_axioms(relation)
+        report = _axiom_report(_load_base(args.source, args.cap))
     return 0 if report.ok else 1, lambda: {"ok": report.ok, "checks": [
         {"axiom": c.axiom, "name": c.name, "ok": c.ok,
          "witness": (None if c.witness is None
@@ -294,15 +302,13 @@ def cmd_gh_fusion_check(args):
     base = _load_scheme(args.base, args.cap)
     rep = fusion_check_trans(base, args.m, args.n, cap=args.cap)
     split = rep.split_classes
-    lines = ["fusion holds" if rep.ok else "fusion FAILS: %s" % rep.detail]
-    if rep.ok and split:
-        lines += ["  coarse class %d splits into fine classes %s"
-                  % (k, list(v)) for k, v in sorted(split.items())]
-    return 0 if rep.ok else 1, lambda: {
+    lines = ["fusion holds"] + [
+        "  coarse class %d splits into fine classes %s" % (k, list(v))
+        for k, v in split.items()]
+    return 0, lambda: {
         "ok": rep.ok,
-        "mapping": list(rep.mapping) if rep.mapping else None,
-        "split_classes": None if split is None else {
-            str(k): [int(x) for x in v] for k, v in split.items()},
+        "mapping": list(rep.mapping),
+        "split_classes": {str(k): list(v) for k, v in split.items()},
         "detail": rep.detail}, lambda: "\n".join(lines)
 
 
@@ -453,11 +459,14 @@ def build_parser():
                         help="structured output with exact rational strings")
     common.add_argument("--cap", type=int, default=DEFAULT_CAP,
                         help="cap on the vertices of a construction or a "
-                             "JSON table, the words of a code file and "
-                             "the classes of a composite; a scheme whose "
-                             "P is formed may have k classes with k^3 <= "
-                             "cap^2 (default %(default)s, which admits 256 "
-                             "classes: about a minute of exact work)")
+                             "JSON table, the words of a code file, the "
+                             "classes of a composite and the fine classes "
+                             "of gh fusion-check; a scheme whose P is "
+                             "formed may have k classes with k^3 <= cap^2 "
+                             "(default %(default)s, which admits 256 "
+                             "classes: scheme eigen --dual takes under a "
+                             "second there, scheme krein about 300 s and "
+                             "1.6 GB on a 2-core VM)")
     based = argparse.ArgumentParser(add_help=False, parents=[common])
     based.add_argument("--base", required=True, help=_BASE_HELP)
     top = parser.add_subparsers(dest="command", required=True)

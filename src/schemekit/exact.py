@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import chain, repeat
+from itertools import chain, combinations_with_replacement, repeat
 from math import gcd, isfinite, lcm
 from operator import add, mul, sub
 
@@ -680,15 +680,14 @@ def compositions(n, k):
 
     Canonical order: lexicographically decreasing, so (n, 0, ..., 0)
     comes first and (0, ..., 0, n) last.  There are C(n+k-1, k-1) of them.
+    Their k-1 partial sums are the multisets of 0..n, listed in reverse.
     """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0 and k >= 1")
-    if k == 1:
-        return ((n,),)
-    out = []
-    for first in range(n, -1, -1):
-        for rest in compositions(n - first, k - 1):
-            out.append((first,) + rest)
+    head, tail = (0,), (n,)
+    out = [tuple(map(sub, sums + tail, head + sums))
+           for sums in combinations_with_replacement(range(n + 1), k - 1)]
+    out.reverse()
     return tuple(out)
 
 

@@ -188,6 +188,21 @@ def verify_axioms(relation):
     return AxiomReport(checks, tensor)
 
 
+def _axiom_report(scheme):
+    """`verify_axioms` of the scheme's table, read off its verified
+    intersection tensor: counted over the group for a translation
+    scheme, with no dense product, and otherwise (or when an axiom fails
+    there) the dense route's own report."""
+    try:
+        tensor = scheme.intersection_tensor()
+    except AxiomViolation as e:
+        return e.report
+    names = ("identity", "partition", "transpose", "intersection",
+             "commutativity")
+    return AxiomReport([AxiomCheck(a, name, True)
+                        for a, name in enumerate(names, 1)], tensor)
+
+
 def _product_tensor(rel, d):
     """Compute p[i][j][k] with A_i A_j = sum_k p[i][j][k] A_k.
 

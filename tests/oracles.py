@@ -2,13 +2,16 @@
 
 Each is the literal, scalar definition of something the package computes
 another way: the mixed-radix encoding of `TranslationStructure.digits` /
-`index`, the profile class of `genham.build_explicit`, and the
-idempotent-based dual enumerator of `codes.macwilliams_transform`.  They
-are slow by design and live here, beside the tests, not in the package.
+`index`, the profile class of `genham.build_explicit`, the
+idempotent-based dual enumerator of `codes.macwilliams_transform`, and
+the three explicit tables behind `genham.fusion_check_trans`.  They are
+slow by design and live here, beside the tests, not in the package.
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from schemekit.exact import (
     ExactMatrix,
@@ -17,7 +20,7 @@ from schemekit.exact import (
     composition_index,
     compositions,
 )
-from schemekit.genham import h_vector
+from schemekit.genham import TransFusion, build_explicit, h_vector
 from schemekit.scheme import (
     TranslationStructure,
     _check_power_cap,
@@ -105,3 +108,22 @@ def dual_weight_enumerator_direct(code, cap=256):
         if coeff:
             terms[beta] = coeff
     return MPoly(base.d + 1, terms)
+
+
+def fusion_check_tables(base, m, n, cap=4096):
+    """The fusion of H(m, H(n, base)) onto H(m*n, base) read off tables:
+    the fine and the coarse scheme are built explicitly on the identified
+    vertex set V^(m*n), and each fine class maps to the coarse class of
+    its cells.  SizeCapExceeded past cap vertices."""
+    coarse = build_explicit(base, m * n, cap=cap)
+    fine = build_explicit(build_explicit(base, n, cap=cap), m, cap=cap)
+    f, c = fine.relation.ravel(), coarse.relation.ravel()
+    mapping = np.full(fine.d + 1, -1, dtype=np.int64)
+    mapping[f] = c
+    if (mapping[f] != c).any():
+        return TransFusion(False, None, None, "a fine class meets several "
+                           "coarse classes")
+    members = {k: tuple(np.flatnonzero(mapping == k).tolist())
+               for k in range(coarse.d + 1)}
+    split = {k: fs for k, fs in members.items() if len(fs) > 1}
+    return TransFusion(True, tuple(int(x) for x in mapping), split)

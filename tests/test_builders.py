@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit.errors import DimensionMismatch, SizeCapExceeded
+from schemekit.errors import DimensionMismatch, SizeCapExceeded, SnapFailure
 from schemekit.exact import ExactMatrix, GaussRat
-from schemekit.scheme import certify_eigenmatrix, eigenmatrix, verify_axioms
+from schemekit.scheme import (
+    AssociationScheme,
+    certify_eigenmatrix,
+    eigenmatrix,
+    verify_axioms,
+)
 
 
 def gauss_rows(M):
@@ -173,6 +178,23 @@ def test_cycle_five_is_numeric_only():
     s = cycle_scheme(5)
     assert s.P is None
     assert s.snap_failed
+
+
+def test_cycle_exact_p_only_where_niven_allows(monkeypatch):
+    """2cos(2 pi j/m) is rational for every j only at m in {3, 4, 6}: any
+    other cycle is numeric-only without its intersection tensor."""
+    for m in (3, 4, 6):
+        assert certify_eigenmatrix(cycle_scheme(m), cycle_scheme(m).P)
+
+    def fail(self):
+        raise AssertionError("the intersection tensor was formed")
+
+    monkeypatch.setattr(AssociationScheme, "intersection_tensor", fail)
+    for m in (5, 7, 8, 12, 1024):
+        s = cycle_scheme(m)
+        assert s.P is None and s.snap_failed
+        with pytest.raises(SnapFailure, match="numeric-only mode"):
+            eigenmatrix(s)
 
 
 def test_cycle_even_has_exact_p():

@@ -205,6 +205,21 @@ def test_gh_fusion_check(capsys):
     assert obj["split_classes"] == {"2": [2, 3]}
 
 
+def test_gh_fusion_check_past_the_vertex_cap(capsys):
+    # binary (4, 4): 2^16 words, past the vertex cap, but no table is
+    # built; C(4+4, 4) = 70 fine classes
+    argv = ["gh", "fusion-check", "--base", "one_class:2", "--m", "4",
+            "--n", "4"]
+    assert run(argv + ["--json"]) == 0
+    obj = out_json(capsys)
+    assert (obj["ok"], obj["detail"]) == (True, "")
+    assert len(obj["mapping"]) == 70
+    assert run(argv + ["--cap", "70"]) == 0
+    assert capsys.readouterr().out.startswith("fusion holds\n")
+    assert_refused(capsys, argv + ["--cap", "69"],
+                   "70 fine classes exceeds cap 69")
+
+
 def test_gh_build_cap(capsys):
     assert run(["gh", "build", "--base", "one_class:2", "--n", "13"]) == 2
 
@@ -645,6 +660,41 @@ def test_tensor_cap_refuses_a_json_table_before_verifying_it(
     monkeypatch.setattr("schemekit.jsonio.AssociationScheme", fail)
     assert_refused(capsys, argv + ["--cap", "5"],
                    "3 classes: 3^3 intersection numbers exceed cap^2 = 25")
+
+
+@pytest.mark.parametrize("command", ["eigen", "krein", "verify"])
+def test_class_rule_refuses_a_spec_before_its_builder(monkeypatch, capsys,
+                                                      command):
+    # 4096 classes inside the vertex cap: the count follows from the spec
+    def fail(*args, **kwargs):
+        raise AssertionError("the builder ran before the class rule")
+
+    monkeypatch.setattr(cli.builders, "group_scheme", fail)
+    assert_refused(capsys, ["scheme", command, "group" + ":2" * 12],
+                   "4096 classes: 4096^3 intersection numbers exceed "
+                   "cap^2 = 16777216")
+    monkeypatch.setattr(cli.builders, "cycle_scheme", fail)
+    assert_refused(capsys, ["scheme", command, "cycle:10", "--cap", "5"],
+                   "6 classes: 6^3 intersection numbers exceed cap^2 = 25")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_scheme_verify_counts_a_spec_over_its_group(tmp_path, monkeypatch,
+                                                    capsys, mode):
+    """A builder spec is verified by its translation route, with the
+    bytes the dense route prints for the same table from a JSON file."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(scheme_to_obj(group_scheme([4, 2, 2]))))
+    assert run(["scheme", "verify", str(path)] + mode) == 0
+    dense = capsys.readouterr()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the dense route ran on a builder spec")
+
+    monkeypatch.setattr(cli, "verify_axioms", fail)
+    monkeypatch.setattr("schemekit.scheme._product_tensor", fail)
+    assert run(["scheme", "verify", "group:4:2:2"] + mode) == 0
+    assert capsys.readouterr() == dense
 
 
 def test_gray_check_honours_the_cap(tmp_path, capsys):

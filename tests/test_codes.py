@@ -143,6 +143,14 @@ def test_inner_distribution_matches_enumerator():
     assert sum(a) == len(c)
 
 
+def test_inner_distribution_over_a_base_of_many_classes():
+    # 1024 classes: one composition part per class, no recursion per part
+    code = Code([(0,), (5,)], group_scheme([2] * 10), 1)
+    a = inner_distribution(code)
+    assert len(a) == 1024
+    assert (a[0], a[5]) == (1, 1) and sum(a) == 2
+
+
 def pair_count_enumerator(code):
     """The weight enumerator by the scalar definition: h_vector on every
     ordered pair, counted in a dict."""

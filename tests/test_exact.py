@@ -339,6 +339,30 @@ def test_compositions_count_binomial():
             assert len(compositions(n, k)) == comb(n + k - 1, k - 1)
 
 
+def _recursive_compositions(n, k):
+    """The defining recursion: first part n, n-1, ..., 0, then the rest."""
+    if k == 1:
+        return [(n,)]
+    return [(first,) + rest for first in range(n, -1, -1)
+            for rest in _recursive_compositions(n - first, k - 1)]
+
+
+def test_compositions_follow_the_recursion():
+    for n in range(9):
+        for k in range(1, 7):
+            assert list(compositions(n, k)) == _recursive_compositions(n, k)
+
+
+def test_compositions_of_many_parts():
+    # one part per class of a 4096-class base; the cache is bypassed, so
+    # no 4096 x 4096 result stays behind
+    comps = compositions.__wrapped__(1, 4096)
+    assert len(comps) == 4096
+    assert comps[0] == (1,) + (0,) * 4095
+    assert comps[-1] == (0,) * 4095 + (1,)
+    assert all(c[i] == 1 and sum(c) == 1 for i, c in enumerate(comps))
+
+
 def test_composition_index_roundtrip():
     comps = compositions(4, 3)
     index = composition_index(4, 3)

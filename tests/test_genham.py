@@ -385,22 +385,33 @@ def test_fusion_check_trans_ternary():
     assert rep.split_classes  # some coarse class splits here too
 
 
-def test_fusion_check_trans_reports_the_least_crossing_class(monkeypatch):
-    """A fine scheme that cuts across the coarse classes fails the check,
-    naming the smallest fine class that meets several coarse ones."""
-    # Z_4 with its classes relabelled 0, 2, 1, 3: on the binary words of
-    # length 2, class 1 (difference 2) is coarse class 1 alone, while
-    # classes 2 and 3 (differences 1 and 3) meet coarse classes 1 and 2
-    crossing = AssociationScheme(np.array([0, 2, 1, 3])[
-        group_scheme([4]).relation])
+def test_fusion_check_trans_builds_no_scheme(monkeypatch):
+    """The mapping comes from compositions alone: binary (4, 4), whose
+    65,536 words are past the vertex cap, has 70 fine classes."""
+    def fail(*args, **kwargs):
+        raise AssertionError("an explicit scheme was built")
 
-    base = one_class(2)
+    monkeypatch.setattr(genham, "build_explicit", fail)
+    monkeypatch.setattr(genham, "_orbit_power", fail)
+    rep = fusion_check_trans(one_class(2), 4, 4)
+    assert (rep.ok, rep.detail) == (True, "")
+    assert len(rep.mapping) == 70
+    assert sorted(set(rep.mapping)) == list(range(17))  # compositions of 16
+    assert rep == fusion_check_trans(one_class(5), 4, 4)  # d alone counts
 
-    def fake(scheme, n, cap):
-        # coarse and inner are built over base, fine over inner
-        return build_explicit(scheme, n, cap) if scheme is base else crossing
 
-    monkeypatch.setattr(genham, "build_explicit", fake)
-    rep = fusion_check_trans(base, 2, 1)
-    assert rep == genham.TransFusion(
-        False, None, None, "fine class 2 meets several coarse classes")
+@pytest.mark.parametrize("m, n", [(0, 2), (2, 0), (-1, 1)])
+def test_fusion_check_trans_needs_positive_sizes(m, n):
+    with pytest.raises(ValueError):
+        fusion_check_trans(one_class(2), m, n)
+
+
+def test_fusion_check_trans_caps_fine_classes():
+    # binary (4, 4): C(4+4, 4) = 70 fine classes
+    assert len(fusion_check_trans(one_class(2), 4, 4, cap=70).mapping) == 70
+    with pytest.raises(SizeCapExceeded, match="70 fine classes exceeds cap 69"):
+        fusion_check_trans(one_class(2), 4, 4, cap=69)
+    # refused from the counts alone: 501 classes at n = 2 would list
+    # C(502, 2) = 125,751 inner classes of 501 parts each
+    with pytest.raises(SizeCapExceeded, match="125751 fine classes"):
+        fusion_check_trans(cycle_scheme(1001), 1, 2)

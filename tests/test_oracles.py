@@ -1,7 +1,8 @@
 """Each reference in `oracles` against the route it checks, on one fixed
 seeded set: the benchmark's base schemes, a fusion and an orbit fusion,
-and seeded random and additive codes over them.  Also pins the public
-surface: the references are not part of the package."""
+seeded random and additive codes over them, and the nested composites
+of those bases (and of cycle:5) within the tables' vertex cap.  Also
+pins the public surface: the references are not part of the package."""
 
 import ast
 import itertools
@@ -19,8 +20,8 @@ from schemekit.codes import (
     macwilliams_transform,
     weight_enumerator,
 )
-from schemekit.exact import ExactMatrix
-from schemekit.genham import build_explicit
+from schemekit.exact import ExactMatrix, induced_matrix
+from schemekit.genham import build_explicit, fusion_check_trans
 from schemekit.scheme import (
     TranslationStructure,
     eigenmatrix,
@@ -34,6 +35,7 @@ from oracles import (
     dual_weight_enumerator_direct,
     element,
     exact_idempotents,
+    fusion_check_tables,
     vertex,
 )
 
@@ -135,6 +137,39 @@ def test_direct_dual_enumerator_matches_transform(name):
             assert want == weight_enumerator(dual_code(code)), code.words
             assert want == macwilliams_transform(weight_enumerator(code), P,
                                                  base.v, len(code))
+
+
+# the benchmark's eight bases, and a base with no exact P
+FUSION_BASES = {name: BASES[name] for name in (
+    "one_class:2", "one_class:3", "one_class:5", "cycle:4", "cycle:6",
+    "group:4", "group:2:2", "hamming:2:2")} | {"cycle:5": cycle_scheme(5)}
+
+
+@pytest.mark.parametrize("name, m, n", [
+    (name, m, n) for name, base in FUSION_BASES.items()
+    for m in range(1, 5) for n in range(1, 5)
+    if base.v ** (m * n) <= 4096])  # the tables' vertex cap
+def test_fusion_check_trans_matches_the_tables(name, m, n):
+    base = FUSION_BASES[name]
+    got = fusion_check_trans(base, m, n)
+    assert got == fusion_check_tables(base, m, n)
+    assert list(got.split_classes) == sorted(got.split_classes)
+
+
+@pytest.mark.parametrize("name", [name for name in FUSION_BASES
+                                  if name != "cycle:5"])
+def test_fusion_mapping_is_a_fusion_of_eigenmatrices(name):
+    """Summing the columns of induced(induced(P, n), m) over each coarse
+    class gives row mapping[beta] of induced(P, m n) in row beta: the
+    coarse scheme is a fusion of the fine one, read on eigenmatrices."""
+    P = eigenmatrix(FUSION_BASES[name])
+    for m, n in itertools.product((1, 2), repeat=2):
+        mapping = fusion_check_trans(FUSION_BASES[name], m, n).mapping
+        fine = induced_matrix(induced_matrix(P, n), m)
+        coarse = induced_matrix(P, m * n)
+        fuse = ExactMatrix([[int(k == c) for c in range(coarse.ncols)]
+                            for k in mapping])
+        assert fine @ fuse == ExactMatrix([coarse.row(k) for k in mapping])
 
 
 # -- the public surface ----------------------------------------------------
