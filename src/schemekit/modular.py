@@ -5,18 +5,18 @@ the Gaussian-integer numerators.  search_T refuses a singular P at once.
 Up to 3x3 its candidates come from exact elimination over the Gaussian
 rationals on the first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger
 sizes, and 3x3 quadrics with a positive-dimensional component, use
-seeded batched Levenberg-Marquardt restarts on the cube, snapped to
-Gaussian rationals.  Every candidate (exact root, heuristic value or
-numeric restart) goes through one exact check, each distinct one once,
-so an inexact witness can never be returned.  A None is a proof of
-absence only from a zero-dimensional quadric system (see search_T).
-search_T keeps its recent results, keyed on (P, restarts), for the
-life of the process, in one `functools.lru_cache` (`_search`).
+seeded batched Levenberg-Marquardt restarts on the cube, with its
+residual and derivatives read off its coefficient tensor, snapped to
+Gaussian rationals.  Every candidate with no zero entry (which forces
+c = 0) goes through one exact check, each distinct one once, so an
+inexact witness can never be returned.  A None is a proof of absence
+only from a zero-dimensional quadric system (see search_T).  search_T
+keeps its recent results, keyed on (P, restarts), for the life of the
+process, in one `functools.lru_cache` (`_search`).
 induced_modular_check lifts a witness to degree n with the induced
-matrices of P and T, one route for both.
-The one resultant is a determinant of polynomials, taken at integer
-points by the elimination kernel of `ExactMatrix.inverse`
-(`exact._bareiss`) and interpolated.
+matrices of P and T, one route for both.  The one resultant is a
+determinant of polynomials, taken at integer points by `exact._bareiss`
+and interpolated.
 """
 
 from __future__ import annotations
@@ -360,113 +360,113 @@ def least_squares(residual, x0):
     x0 holds one starting point per row.  residual(x) returns, for each
     row of x, the cost and the normal equations A = J^T J and g = J^T r
     of the real residual r and its Jacobian J.  Every row keeps its own
-    damping, which follows Nielsen's gain-ratio rule, and stops on its
-    own: at cost 1e-30, at a vanishing gradient or step, when an
-    accepted step no longer lowers the cost, or after _LM_ITERATIONS
-    trial steps.  A row whose damped system is singular is dropped with
-    cost inf.  Returns (x, cost), one row of x and one cost per row.
+    damping (Nielsen's gain-ratio rule) and stops on its own: at cost
+    1e-30, at a vanishing gradient or step, when an accepted step no
+    longer lowers the cost, or after _LM_ITERATIONS trial steps; a row
+    whose damped system is singular is dropped with cost inf.  Only
+    running rows are held (row, x, cost, A, g, damping, growth); a row
+    that stops is written out.  Returns (x, cost) for the rows of x0.
     """
     x = np.array(x0, dtype=float)
+    x_out, cost_out = np.empty_like(x), np.empty(len(x))
     cost, A, g = residual(x)
-    eye = np.eye(x.shape[1])
     damping = 1e-3 * np.max(np.diagonal(A, axis1=1, axis2=2), axis=1)
-    growth = np.full(len(x), 2.0)
-    live = np.arange(len(x))
+    live = (np.arange(len(x)), x, cost, A, g, damping, np.full(len(x), 2.0))
+    stalled = np.zeros(len(x), bool)
+    eye = np.eye(x.shape[1])
+
+    def settle(keep, live):
+        # write out the rows that stop (keep False); the others' state
+        if keep.all():
+            return live
+        row, x, cost = live[:3]
+        x_out[row[~keep]], cost_out[row[~keep]] = x[~keep], cost[~keep]
+        return tuple(a[keep] for a in live)
+
     for _ in range(_LM_ITERATIONS):
-        live = live[(cost[live] > 1e-30)
-                    & (np.max(np.abs(g[live]), axis=1) > 1e-15)]
-        step, solved = _solve_each(A[live] + damping[live, None, None] * eye,
-                                   -g[live])
-        cost[live[~solved]] = np.inf
-        live = live[solved]
-        x_live = x[live]
-        moving = (np.einsum("ij,ij->i", step, step)
-                  > 1e-30 * (1.0 + np.einsum("ij,ij->i", x_live, x_live)))
-        live, step, x_live = live[moving], step[moving], x_live[moving]
-        if not live.size:
+        running = (~stalled & (cost > 1e-30)
+                   & (np.max(np.abs(g), axis=1) > 1e-15))
+        step, solved = _solve_each(A + damping[:, None, None] * eye, -g)
+        cost[running & ~solved] = np.inf
+        keep = running & solved & (np.einsum("ij,ij->i", step, step) > 1e-30
+                                   * (1.0 + np.einsum("ij,ij->i", x, x)))
+        row, x, cost, A, g, damping, growth = live = settle(keep, live)
+        if not row.size:
             break
-        cost_new, A_new, g_new = residual(x_live + step)
-        predicted = 0.5 * np.einsum(
-            "ij,ij->i", step, damping[live, None] * step - g[live])
-        gain = (cost[live] - cost_new) / predicted
-        better = gain > 0
-        stalled = better & (cost[live] - cost_new <= 1e-15 * cost[live])
-        up, down = live[better], live[~better]
-        x[up] = x_live[better] + step[better]
-        cost[up], A[up], g[up] = cost_new[better], A_new[better], g_new[better]
-        damping[up] *= np.maximum(1 / 3, 1 - (2 * gain[better] - 1) ** 3)
+        step = step[keep]
+        x_new = x + step
+        cost_new, A_new, g_new = residual(x_new)
+        predicted = 0.5 * np.einsum("ij,ij->i", step,
+                                    damping[:, None] * step - g)
+        gain = (cost - cost_new) / predicted
+        up = gain > 0
+        stalled = up & (cost - cost_new <= 1e-15 * cost)
+        x[up], cost[up], A[up], g[up] = \
+            x_new[up], cost_new[up], A_new[up], g_new[up]
+        damping[up] *= np.maximum(1 / 3, 1 - (2 * gain[up] - 1) ** 3)
         growth[up] = 2.0
-        damping[down] *= growth[down]
-        growth[down] *= 2
-        live = live[~stalled]
-    return x, cost
+        damping[~up] *= growth[~up]
+        growth[~up] *= 2
+    settle(np.zeros(len(live[0]), bool), live)
+    return x_out, cost_out
 
 
 def _solve_each(M, b):
-    """Solve the stacked systems M[i] y = b[i].  Returns the solutions
-    of the nonsingular systems and the mask of those systems."""
+    """Solve the stacked systems M[i] y = b[i].  Returns y, zero in the
+    rows of the singular systems, and the mask of the others."""
     try:
         return np.linalg.solve(M, b[..., None])[..., 0], np.ones(len(b), bool)
     except np.linalg.LinAlgError:
-        solved = np.ones(len(b), bool)
-        y = np.empty_like(b)
+        y, solved = np.zeros_like(b), np.ones(len(b), bool)
         for i in range(len(b)):
             try:
                 y[i] = np.linalg.solve(M[i], b[i])
             except np.linalg.LinAlgError:
                 solved[i] = False
-        return y[solved], solved
+        return y, solved
 
 
 def _cube_residual(Pn):
-    """Cost and normal equations of (P diag(1, t))^3 = c I in
-    x = (Re t, Im t), for each row of x.
+    """Cost and normal equations of (P diag t)^3 = c I, t = (1, t_1..t_d),
+    in x = (Re t_1..t_d, Im t_1..t_d), for each row of x.
 
-    The residual r is the off-diagonal entries of the cube K and the
-    differences K[i, i] - K[0, 0], in real then imaginary parts.  K is
-    holomorphic in t: with M = P diag(1, t) and dM = P[:, j] e_j^T,
-    dK/dt_j = dM M^2 + M dM M + M^2 dM, and its derivative in Im t_j is
-    i dK/dt_j.  So with D the complex derivative of the entries in t,
-    the real Jacobian is J = [[Re D, -Im D], [Im D, Re D]], and with
-    H = D^H D, J^T J = [[Re H, -Im H], [Im H, Re H]] and
-    J^T r = (Re D^H r, Im D^H r); J itself is never formed.
+    K[a, b] = t_b Q[a, b] with Q[a, b] = sum_rs P_ar P_rs P_sb t_r t_s, so
+    dQ/dt_j is a fixed linear map L of t, built once per P (k^4 entries).
+    A call takes t L row by row (a row never depends on its batch),
+    Q = (1/2) sum_j t_j dQ/dt_j by Euler's identity, and dK/dt_j =
+    t_b dQ/dt_j (+ Q where j = b).  r is the entries of K^T off the
+    diagonal and the K[i, i] - K[0, 0].  K is holomorphic, so with D the
+    rows dr/dt_j, j >= 1, and H = conj(D) D^T, the real residual
+    (Re r, Im r) has J^T J = [[Re H, -Im H], [Im H, Re H]] and J^T r =
+    (Re conj(D) r, Im conj(D) r).  A call holds two (n, k, k^2) arrays.
     """
-    k = Pn.shape[0]
-    d = k - 1
-    off = np.flatnonzero(~np.eye(k, dtype=bool))
-    diagonal = (k + 1) * np.arange(1, k)
-    cols = Pn[:, 1:].T[:, :, None]        # P[:, j] for j = 1..d
-    j = np.arange(d)
-
-    def defect(K):
-        """The entries of vec(K) (last axis) that vanish exactly when K
-        is scalar."""
-        return np.concatenate([K[..., off], K[..., diagonal] - K[..., :1]],
-                              axis=-1)
+    k, d = len(Pn), len(Pn) - 1
+    # X[s, r, b, a] = P_ar P_rs P_sb, the coefficient of t_r t_s in Q[a, b]
+    X = np.einsum("ar,rs,sb->srba", Pn, Pn, Pn)
+    L = (X + X.transpose(1, 0, 2, 3)).reshape(k, -1)
 
     def residual(x):
         n = len(x)
-        t = np.concatenate([np.ones((n, 1)), x[:, :d] + 1j * x[:, d:]],
-                           axis=1)
-        M = Pn * t[:, None, :]
-        M2 = M @ M
-        dK = (cols * M2[:, 1:, None, :]
-              + (M[:, None] @ cols) * M[:, 1:, None, :])
-        # M^2 dM is M^2 P[:, j] in column j alone
-        dK[:, j, :, j + 1] += (M2[:, None] @ cols)[..., 0].transpose(1, 0, 2)
-        r = defect((M2 @ M).reshape(n, k * k))
-        Dt = defect(dK.reshape(n, d, k * k))       # row j: dr/dt_j
-        Dc = Dt.conj()
-        H = Dc @ Dt.transpose(0, 2, 1)
-        Dr = np.einsum("njm,nm->nj", Dc, r)
+        t = np.ones((n, k), complex)
+        t.real[:, 1:], t.imag[:, 1:] = x[:, :d], x[:, d:]
+        D = (t[:, None] @ L).reshape(n, k, k * k)    # [j, (b, a)]: dQ/dt_j
+        Q = (t[:, None] @ D).reshape(n, k, k) / 2     # Q^T
+        D = D.reshape(n, k, k, k)
+        D *= t[:, None, :, None]
+        np.einsum("njja->nja", D)[...] += Q           # + Q where j = b
+        D[:, 0] = Q * t[:, :, None]                   # row 0: K^T
+        D = D.reshape(n, k, k * k)
+        D[..., k + 1::k + 1] -= D[..., :1]            # K[i, i] - K[0, 0]
+        D = D[..., 1:]
+        # G = conj(r, D_1, .., D_d) (r, D_1, .., D_d)^T
+        G = D.conj() @ D.transpose(0, 2, 1)
+        H = G[:, 1:, 1:]
         A = np.empty((n, 2 * d, 2 * d))
         A[:, :d, :d] = A[:, d:, d:] = H.real
         A[:, :d, d:] = -H.imag
         A[:, d:, :d] = H.imag
-        g = np.concatenate([Dr.real, Dr.imag], axis=1)
-        cost = 0.5 * np.einsum("nm,nm->n", r.real, r.real) \
-            + 0.5 * np.einsum("nm,nm->n", r.imag, r.imag)
-        return cost, A, g
+        g = np.concatenate([G[:, 1:, 0].real, G[:, 1:, 0].imag], axis=1)
+        return 0.5 * G[:, 0, 0].real, A, g
 
     return residual
 
@@ -524,13 +524,12 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     A singular P is not searched.  Up to three classes the candidates
     are `_exact_candidates`; beyond, and where those fall back, they
     are `_numeric_candidates`, from `restarts` seeded Levenberg-Marquardt
-    solves, run by `least_squares` in a first block of _FIRST_RESTARTS
-    and then blocks of at most _SEARCH_RESTARTS, whose converged points
-    are snapped to Gaussian rationals.  Each distinct candidate is
-    verified once, in stream order, and the witness returned is the
-    first that verifies (of the numeric stream, that of the
-    lowest-index restart); the streams are lazy, so no block runs after
-    the one that holds it.  restarts <= 0 runs no restart.
+    solves in blocks, whose converged points are snapped to Gaussian
+    rationals.  Each distinct candidate with no zero entry is verified
+    once, in stream order, and the witness returned is the first that
+    verifies (of the numeric stream, that of the lowest-index restart);
+    the streams are lazy, so no block runs after the one that holds it.
+    restarts <= 0 runs no restart.
     Returns a ModularWitness (always verified exactly) or None.  None is
     a proof that no Gaussian-rational witness exists when the quadrics
     are zero-dimensional and fix every coordinate, up to the root snap
@@ -554,8 +553,9 @@ def _search(P, restarts):
     search_T(P, restarts=200) share one memo entry."""
     tried = set()
     for entries in _candidates(P, restarts):
-        if entries in tried:
-            continue  # a repeat of a candidate that failed fails again
+        # a zero entry forces det (PT)^3 = c^k = 0; a repeat fails again
+        if not all(entries) or entries in tried:
+            continue
         tried.add(entries)
         try:
             return verify_modular(

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,8 @@ from schemekit.modular import (
     verify_modular,
 )
 from schemekit.scheme import eigenmatrix
+
+import oracles
 
 
 P_BINARY = eigenmatrix(one_class(2))
@@ -377,11 +380,11 @@ def test_search_refuses_a_non_square_P():
 
 def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
     # the quadrics of this P have a positive-dimensional component, so
-    # the exact stream (t_1 a heuristic value, t_2 = 0) ends with the
+    # the exact stream (t_1 a heuristic value, t_2 = 4i) ends with the
     # numeric stream, here replaced by one that repeats it, then adds one
-    P = _gauss_matrix([[0, 0, 1], [2, 2, 2], [I_UNIT, -1, 0]])
-    exact = [(t, GaussRat(0)) for t in _HEURISTIC_VALUES]
-    new = (GaussRat(2), GaussRat(0))
+    P = _gauss_matrix([[2, 0, I_UNIT], [1, -1, 0], [1, 0, 0]])
+    exact = [(t, GaussRat(0, 4)) for t in _HEURISTIC_VALUES]
+    new = (GaussRat(2), GaussRat(4))
     seen = []
 
     def recording(P, T):
@@ -393,6 +396,29 @@ def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
                         lambda P, restarts: iter(exact[::-1] + [new] + exact))
     assert search_T(P) is None
     assert seen == exact + [new]
+
+
+def test_search_verifies_no_candidate_with_a_zero_entry(monkeypatch):
+    # det (PT)^3 = det(P)^3 det(T)^3, so a zero entry of T forces c = 0:
+    # most of group:4's and group:2:2's restarts converge to such points
+    seen = []
+
+    def recording(P, T):
+        seen.append(tuple(T[i, i] for i in range(T.nrows)))
+        return verify_modular(P, T)
+
+    monkeypatch.setattr(modular, "verify_modular", recording)
+    assert search_T(eigenmatrix(group_scheme([4]))) is None
+    w = search_T(eigenmatrix(group_scheme([2, 2])))
+    assert w.T == diag(1, -I_UNIT, -I_UNIT, -1) and w.c == GaussRat(0, -8)
+    assert seen and all(all(entries) for entries in seen)
+    # nor from the exact stream: every candidate of this P has t_2 = 0
+    seen.clear()
+    monkeypatch.setattr(modular, "_numeric_candidates",
+                        lambda P, restarts: iter([(GaussRat(2), GaussRat(0))]))
+    assert search_T(_gauss_matrix([[0, 0, 1], [2, 2, 2],
+                                   [I_UNIT, -1, 0]])) is None
+    assert seen == []
 
 
 def test_search_serves_an_equal_P_from_the_memo(monkeypatch):
@@ -616,11 +642,107 @@ def test_batched_least_squares_matches_single_restarts(P):
             assert np.abs(x[i] - x_i).max() <= 1e-7, i
 
 
-@pytest.mark.parametrize("P", [
+_NUMERIC_PS = [
     eigenmatrix(group_scheme([4])),
     eigenmatrix(group_scheme([2, 2])),
     eigenmatrix(cycle_scheme(6)),
-], ids=["group:4", "group:2:2", "cycle:6"])
+    induced_matrix(P_CYCLE4, 2),
+]
+_NUMERIC_IDS = ["group:4", "group:2:2", "cycle:6", "induced:cycle:4:2"]
+
+
+@pytest.mark.parametrize("P", _NUMERIC_PS, ids=_NUMERIC_IDS)
+def test_cube_residual_matches_the_products(P):
+    # cost, A and g of the coefficient-tensor kernel against the k x k
+    # products, each row to 1e-12 of its largest entry, at three batch
+    # sizes of the search's draws
+    Pn = _numeric_p(P)
+    x = np.random.default_rng(_SEARCH_SEED).normal(
+        0.0, 1.0, size=(192, 2 * (P.nrows - 1)))
+    kernel, oracle = _cube_residual(Pn), oracles.cube_residual_products(Pn)
+    for n in (1, 8, 192):
+        for got, want in zip(kernel(x[:n]), oracle(x[:n])):
+            got, want = got.reshape(n, -1), want.reshape(n, -1)
+            assert np.all(np.abs(got - want).max(axis=1)
+                          <= 1e-12 * np.abs(want).max(axis=1))
+
+
+def test_cube_residual_memory_grows_as_k4_and_n_k3():
+    # at 32 classes the map of dQ/dt_j has k^4 entries and a call of n
+    # rows holds (n, k, k^2) arrays; a dense map of the cube's
+    # derivatives would hold k^5 / 2 = 16.8e6 complex values (268 MB)
+    k, n = 32, 8
+    rng = np.random.default_rng(0)
+    Pn = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    x = rng.normal(size=(n, 2 * (k - 1)))
+    tracemalloc.start()
+    try:
+        cost, A, g = _cube_residual(Pn)(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.shape == (n, 2 * (k - 1), 2 * (k - 1))
+    assert peak <= 2 * 16 * (k ** 4 + n * k ** 3)
+
+
+@pytest.mark.parametrize("P", _NUMERIC_PS, ids=_NUMERIC_IDS)
+def test_least_squares_matches_the_gathering_loop(P):
+    # the search's restarts, with the state of finished rows written out
+    # instead of gathered and scattered at each step: bit for bit
+    residual = _cube_residual(_numeric_p(P))
+    x0 = np.random.default_rng(_SEARCH_SEED).normal(
+        0.0, 1.0, size=(_SEARCH_RESTARTS, 2 * (P.nrows - 1)))
+    x, cost = least_squares(residual, x0)
+    x_want, cost_want = oracles.least_squares_gathered(residual, x0)
+    assert x.tobytes() == x_want.tobytes()
+    assert cost.tobytes() == cost_want.tobytes()
+
+
+def test_least_squares_writes_out_the_rows_the_cap_cuts_off(monkeypatch):
+    # after 5 trial steps most rows still run; each ends where the
+    # gathering loop leaves it
+    for module in (modular, oracles):
+        monkeypatch.setattr(module, "_LM_ITERATIONS", 5)
+    residual = _cube_residual(_numeric_p(eigenmatrix(group_scheme([4]))))
+    x0 = np.random.default_rng(_SEARCH_SEED).normal(
+        0.0, 1.0, size=(_SEARCH_RESTARTS, 6))
+    x, cost = least_squares(residual, x0)
+    x_want, cost_want = oracles.least_squares_gathered(residual, x0)
+    assert np.all(np.isfinite(cost)) and np.any(cost > 1e-18)
+    assert x.tobytes() == x_want.tobytes()
+    assert cost.tobytes() == cost_want.tobytes()
+
+
+# search_T on the P's of at most six classes, as recorded with the k x k
+# product kernel: (T's diagonal, c) or None
+_SURVEY = [
+    ("group:4", eigenmatrix(group_scheme([4])), None),
+    ("group:2:2", eigenmatrix(group_scheme([2, 2])),
+     ((1, -I_UNIT, -I_UNIT, -1), GaussRat(0, -8))),
+    ("cycle:6", eigenmatrix(cycle_scheme(6)), None),
+    ("hamming:3:2", eigenmatrix(hamming(3, 2)), None),
+    ("hamming:3:3", eigenmatrix(hamming(3, 3)), None),
+    ("hamming:4:2", eigenmatrix(hamming(4, 2)), None),
+    ("hamming:5:2", eigenmatrix(hamming(5, 2)), None),
+    ("induced:cycle:4:2", induced_matrix(P_CYCLE4, 2), None),
+    ("induced:one_class:3:3", induced_matrix(eigenmatrix(one_class(3)), 3),
+     None),
+    ("induced:hamming:2:2:2", induced_matrix(eigenmatrix(hamming(2, 2)), 2),
+     None),
+]
+
+
+@pytest.mark.parametrize("P, want", [case[1:] for case in _SURVEY],
+                         ids=[case[0] for case in _SURVEY])
+def test_search_survey_results(P, want):
+    w = search_T(P)
+    if want is None:
+        assert w is None
+    else:
+        assert w.T == diag(*want[0]) and w.c == want[1]
+
+
+@pytest.mark.parametrize("P", _NUMERIC_PS, ids=_NUMERIC_IDS)
 def test_least_squares_rows_do_not_depend_on_the_block(P):
     # the search's blocks (8 restarts, then the rest) give, bit for bit,
     # the points and costs of one block of all the restarts
