@@ -457,7 +457,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="structured output with exact rational strings")
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    common.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
                         help="cap on the vertices of a construction or a "
                              "JSON table, the words of a code file, the "
                              "classes of a composite and the fine classes "

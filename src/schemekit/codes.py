@@ -39,6 +39,7 @@ from .scheme import (
     DEFAULT_CAP,
     TranslationStructure,
     _check_power_cap,
+    _first_cells,
     _first_index,
     _row_blocks,
     eigenmatrix,
@@ -277,13 +278,31 @@ def dual_code(code, cap=DEFAULT_CAP):
 
 def translation_duality_check(code, cap=DEFAULT_CAP):
     """True iff the dual code's enumerator equals the transform of the
-    code's enumerator, exactly.  Raises as `dual_code` under `cap` does
-    (NotAdditive, SizeCapExceeded)."""
+    code's enumerator, exactly.  The transform takes P's rows in the
+    order of the classes of the dual words: row j holds the class sums
+    of the character of class j's first element under `dual_code`'s
+    pairing, rounded to Gaussian integers and looked up among P's rows.
+    False if those are not P's rows in some order.  Raises as
+    `dual_code` under `cap` does (NotAdditive, SizeCapExceeded)."""
     base = code.base
     P = eigenmatrix(base)
     dual = dual_code(code, cap)
+    tr, c, k = base.translation, base.relation[0], base.d + 1
+    digits = tr.digits(np.arange(tr.size))
+    L = lcm(*tr.orders)
+    pairing = (digits[_first_cells(c, k)] * (L // np.array(tr.orders))
+               @ digits.T)
+    sums = np.exp(2j * np.pi / L * pairing) @ (c[:, None] == np.arange(k))
+    re, im, D = P.numerators()
+    index = {(tuple(a), tuple(b)): i
+             for i, (a, b) in enumerate(zip(re, im or [[0] * k] * k))}
+    keys = np.rint(np.stack([sums.real, sums.imag], 1) * D).astype(int)
+    order = [index.get(tuple(map(tuple, key))) for key in keys.tolist()]
+    if set(order) != set(range(k)):
+        return False
     lhs = weight_enumerator(dual)
-    rhs = macwilliams_transform(weight_enumerator(code), P, base.v, len(code))
+    rhs = macwilliams_transform(weight_enumerator(code), P.permuted(order),
+                                base.v, len(code))
     return lhs == rhs
 
 

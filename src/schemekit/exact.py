@@ -13,9 +13,8 @@ an imaginary integer matrix -- over one denominator D, kept reduced; its
 GaussRat entries are made when a caller first reads them.  The kernels
 work on the numerators: matrix product, Kronecker product and inverse
 with Python ints, induced matrices on numpy int64 arrays while a bound
-on their entries allows and on arrays of Python ints beyond.  One
-fraction-free elimination kernel, `_bareiss`, serves both the inverse
-and the point determinants of `modular._poly_det`.
+on their entries allows and on arrays of Python ints beyond.  The
+inverse runs the fraction-free elimination kernel `_bareiss`.
 """
 
 from __future__ import annotations
@@ -295,11 +294,9 @@ def _bareiss(rows):
 
     The pivot of each column is its first nonzero entry on or below the
     diagonal; the entries seen there are those of plain Gauss-Jordan
-    elimination up to nonzero factors.  Returns (rows, pivot, odd): the
-    rows with those k columns dropped, the last pivot and whether an odd
-    number of row swaps was made, so that the determinant of the leading
-    k x k block is the pivot, negated if odd.  Raises SingularMatrix
-    naming the first column without a pivot.
+    elimination up to nonzero factors.  Returns (rows, pivot): the rows
+    with those k columns dropped and the last pivot.  Raises
+    SingularMatrix naming the first column without a pivot.
     """
     rows = list(rows)
     k = len(rows)
@@ -310,14 +307,13 @@ def _bareiss(rows):
     def tail(row):
         return (row[0][1:], None if row[1] is None else row[1][1:])
 
-    prev, odd = (1, 0), False
+    prev = (1, 0)
     for col in range(k):
         pivot = next((r for r in range(col, k) if any(head(rows[r]))), None)
         if pivot is None:
             raise SingularMatrix("matrix is singular at column %d" % col)
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            odd = not odd
         p = head(rows[col])
         pivot_row = tail(rows[col])
         # (p * row - f * pivot row) / prev is exact; a non-real prev
@@ -335,7 +331,7 @@ def _bareiss(rows):
             rows[r] = ([x // norm for x in xr],
                        None if xi is None else [x // norm for x in xi])
         prev = p
-    return rows, prev, odd
+    return rows, prev
 
 
 def _int_matmul(A, B):
@@ -602,7 +598,7 @@ class ExactMatrix:
         # rows of [A | I], A = D * self
         rows = [(re[i] + [int(i == j) for j in range(k)],
                  None if im is None else im[i] + [0] * k) for i in range(k)]
-        rows, pivot, _ = _bareiss(rows)
+        rows, pivot = _bareiss(rows)
         # A is now pivot * I, pivot the last pivot, and the rows hold
         # pivot * A^-1 = pivot / D times the inverse
         right = ExactMatrix.from_numerators([x for x, _ in rows],

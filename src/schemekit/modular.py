@@ -14,18 +14,17 @@ only from a zero-dimensional quadric system (see search_T).  search_T
 keeps its recent results, keyed on (P, restarts), for the life of the
 process, in one `functools.lru_cache` (`_search`).
 induced_modular_check lifts a witness to degree n with the induced
-matrices of P and T, one route for both.  The one resultant is a
-determinant of polynomials, taken at integer points by `exact._bareiss`
-and interpolated.
+matrices of P and T, one route for both.  The one resultant, in t_2 of
+two quadrics, is their Sylvester determinant written out
+(`_resultant_y`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import prod
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .exact import (
     ExactMatrix,
     GaussRat,
     MPoly,
-    _bareiss,
     induced_matrix,
     snap_gauss,
 )
@@ -228,69 +226,19 @@ def _y_coefficients(p):
     return coeffs
 
 
-def _poly_det(S):
-    """Determinant of a square matrix of ascending coefficient lists over
-    the Gaussian rationals, trailing zeros dropped.
-
-    The coefficients are scaled to Gaussian integers over one
-    denominator D; the determinant p, of degree at most N (the sum of
-    the row degrees), is taken at x = 0..N by `_bareiss` and rebuilt
-    from its forward differences, p(x) = sum_k (Delta^k p)(0) C(x, k).
-    """
-    n = len(S)
-    D = lcm(*{f.denominator for row in S for entry in row for c in entry
-              for f in (c.re, c.im)})
-    S = [[[(int(c.re * D), int(c.im * D)) for c in entry] for entry in row]
-         for row in S]
-    N = sum(max(len(entry) for entry in row) - 1 for row in S)
-
-    def at(entry, x):
-        re = im = 0
-        for a, b in reversed(entry):
-            re, im = re * x + a, im * x + b
-        return re, im
-
-    def det_at(x):
-        rows = [tuple(zip(*(at(e, x) for e in row))) for row in S]
-        try:
-            _, (a, b), odd = _bareiss(rows)
-        except SingularMatrix:
-            return 0, 0
-        return (-a, -b) if odd else (a, b)
-
-    values = [det_at(x) for x in range(N + 1)]
-    # sum_k (Delta^k p)(0) (N!/k!) x(x-1)..(x-k+1), then divide by N!
-    re, im = [0] * (N + 1), [0] * (N + 1)
-    falling = [1]
-    scale = factorial(N)
-    for k in range(N + 1):
-        a, b = values[0]
-        for i, f in enumerate(falling):
-            re[i] += a * scale * f
-            im[i] += b * scale * f
-        values = [(u[0] - v[0], u[1] - v[1])
-                  for u, v in zip(values[1:], values)]
-        falling = [u - k * w for u, w in zip([0] + falling, falling + [0])]
-        scale //= k + 1
-    den = factorial(N) * D ** n
-    return _trim([GaussRat(Fraction(a, den), Fraction(b, den))
-                  for a, b in zip(re, im)])
-
-
-def _sylvester_matrix(f, g):
-    """Sylvester matrix in y of bivariate f, g, entries as ascending
-    coefficient lists in x; None if either has y-degree 0."""
-    fc = [_coeff_list(c) for c in _y_coefficients(f)]
-    gc = [_coeff_list(c) for c in _y_coefficients(g)]
-    m, n = len(fc) - 1, len(gc) - 1
-    if m < 1 or n < 1:
-        return None
-    rows = []
-    for i in range(n):
-        rows.append([[]] * i + fc[::-1] + [[]] * (n - 1 - i))
-    for i in range(m):
-        rows.append([[]] * i + gc[::-1] + [[]] * (m - 1 - i))
-    return rows
+def _resultant_y(f, g):
+    """Res_y(f, g), a univariate MPoly in x, for bivariate f, g of
+    y-degrees (1, 1) or (2, 1) in either order: the Sylvester
+    determinant written out on their y-coefficients.  These are the
+    only y-degrees two first-row quadrics with y-terms can have: of
+    q_j = b_m a_j(t) t_j - b_j a_m(t) t_m, only the one with j = 2 != m
+    has a t_2^2 term (see `_quadrics`)."""
+    f, g = _y_coefficients(f), _y_coefficients(g)
+    if len(f) < len(g):
+        f, g = g, f
+    if len(f) == 2:
+        return f[1] * g[0] - f[0] * g[1]
+    return f[2] * g[0] * g[0] - f[1] * g[0] * g[1] + f[0] * g[1] * g[1]
 
 
 # -- exact candidates, sizes 2 and 3 ------------------------------------
@@ -333,7 +281,7 @@ def _exact_candidates(P, b, restarts):
         gens_x = [_coeff_list(_y_coefficients(q)[0])
                   for q in quadrics if q not in with_y]
         if len(with_y) == 2:
-            gens_x.append(_poly_det(_sylvester_matrix(*with_y)))
+            gens_x.append(_coeff_list(_resultant_y(*with_y)))
         hx = _gcd_many(gens_x)
         degenerate = not hx
         prefixes = [(x0,) for x0 in

@@ -391,6 +391,21 @@ def test_restarts_below_one_are_usage_errors(capsys, restarts):
                                 "--restarts=" + restarts])
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["scheme", "verify", "group:4"],
+    ["code", "dual", "--base", "group:4", "-"],
+    ["modinv", "search", "--base", "group:4"],
+])
+def test_cap_below_one_is_a_usage_error(capsys, command, cap):
+    # refused by the parser, before any command reads its cap
+    assert run(command + ["--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "must be at least 1, got %s" % cap in captured.err
+
+
 @pytest.mark.parametrize("obj", [
     {"v": "two", "d": 1, "relation": [[0, 1], [1, 0]]},
     {"v": 2, "d": None, "relation": [[0, 1], [1, 0]]},

@@ -34,7 +34,12 @@ from schemekit.exact import (
     substitute_polys,
 )
 from schemekit.genham import build_explicit, h_vector
-from schemekit.scheme import TranslationStructure, eigenmatrix
+from schemekit.scheme import (
+    TranslationStructure,
+    eigenmatrix,
+    fusion,
+    orbit_fusion,
+)
 
 from oracles import dual_weight_enumerator_direct, exact_idempotents
 
@@ -509,6 +514,26 @@ def test_translation_duality_mixed_group():
     for _ in range(4):
         c = random_additive_code(rng, base, 1)
         assert translation_duality_check(c)
+
+
+@pytest.mark.parametrize("words", [[(0,)], [(0,), (5,), (10,), (15,)]],
+                         ids=["zero", "diagonal"])
+@pytest.mark.parametrize("orders", [[4], [2, 2]], ids=["group:4", "group:2:2"])
+def test_translation_duality_on_a_swap_fusion(orders, words):
+    """The square of a group scheme fused by the coordinate swap: P's
+    rows come in canonical order, not in the order of the classes of
+    their characters, and the transform must take the latter."""
+    base = orbit_fusion(group_scheme(orders), 2, [(1, 0)])
+    assert translation_duality_check(Code(words, base, 1))
+
+
+def test_translation_duality_fails_where_characters_split_a_class():
+    """A fusion of Z2^3 whose characters do not follow its classes: the
+    characters of the first elements of classes 1 and 2 fall in one
+    class of characters, so no order of P's rows fits and the check is
+    False, with no error."""
+    base = fusion(group_scheme([2, 2, 2]), [[0], [2, 3, 4, 5], [1, 6, 7]])
+    assert not translation_duality_check(Code([(0,)], base, 1))
 
 
 def test_translation_duality_check_honours_the_cap():

@@ -654,9 +654,8 @@ def test_matrix_ops_match_entrywise_definitions(kind):
 
 def test_only_exact_imports_its_private_names():
     """The matrix form stays inside `exact`: no other module imports one
-    of its private names, apart from the elimination kernel `_bareiss`
-    and the snap tolerance."""
-    allowed = {"_bareiss", "_SNAP_TOLERANCE"}
+    of its private names, apart from the snap tolerance."""
+    allowed = {"_SNAP_TOLERANCE"}
     leaks = []
     for path in sorted(Path(schemekit.__file__).parent.glob("*.py")):
         if path.stem == "exact":
@@ -668,6 +667,21 @@ def test_only_exact_imports_its_private_names():
                           if alias.name.startswith("_")
                           and alias.name not in allowed]
     assert leaks == []
+
+
+def test_only_the_inverse_runs_bareiss():
+    """The elimination kernel `_bareiss` serves `ExactMatrix.inverse`
+    alone: no other function of the package names it."""
+    callers = []
+    for path in sorted(Path(schemekit.__file__).parent.glob("*.py")):
+        for parent in ast.walk(ast.parse(path.read_text())):
+            callers += [(path.stem, getattr(parent, "name", None), fn.name)
+                        for fn in ast.iter_child_nodes(parent)
+                        if isinstance(fn, ast.FunctionDef)
+                        and any(isinstance(node, ast.Name)
+                                and node.id == "_bareiss"
+                                for node in ast.walk(fn))]
+    assert callers == [("exact", "ExactMatrix", "inverse")]
 
 
 def test_induced_matrix_matches_substitution():

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ import pytest
 
 import schemekit
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit.errors import DimensionMismatch, NotScalar
+from schemekit.errors import DimensionMismatch, NotScalar, SingularMatrix
 from schemekit.exact import (
     ExactMatrix,
     GaussRat,
@@ -37,9 +38,9 @@ from schemekit.modular import (
     _exact_roots,
     _gcd_many,
     _numeric_candidates,
-    _poly_det,
     _quadrics,
-    _sylvester_matrix,
+    _resultant_y,
+    _y_coefficients,
     induced_modular_check,
     least_squares,
     search_T,
@@ -297,13 +298,13 @@ def test_search_singular_p_searches_nothing(monkeypatch, P):
 def test_search_cycle4_takes_one_resultant(monkeypatch):
     calls = []
 
-    def counting(S):
-        calls.append(S)
-        return _poly_det(S)
+    def counting(f, g):
+        calls.append((f, g))
+        return _resultant_y(f, g)
 
-    monkeypatch.setattr(modular, "_poly_det", counting)
+    monkeypatch.setattr(modular, "_resultant_y", counting)
     assert search_T(P_CYCLE4).T == diag(1, 1, -1)
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 def test_search_nonpositive_restarts_search_nothing(monkeypatch):
@@ -781,24 +782,46 @@ def _laplace_det(M):
     return total
 
 
-def _oracle_det(S):
-    """det S for a matrix of ascending coefficient lists, by Laplace."""
-    return _coeff_list(_laplace_det(
-        [[MPoly(1, {(e,): c for e, c in enumerate(entry) if c})
-          for entry in row] for row in S]))
+def _sylvester_matrix(f, g):
+    """Sylvester matrix in y of bivariate f, g, each of positive
+    y-degree, entries univariate MPolys in x."""
+    fc, gc = _y_coefficients(f)[::-1], _y_coefficients(g)[::-1]
+    m, n = len(fc) - 1, len(gc) - 1
+    zero = [MPoly.zero(1)]
+    return ([zero * i + fc + zero * (n - 1 - i) for i in range(n)]
+            + [zero * i + gc + zero * (m - 1 - i) for i in range(m)])
 
 
-def test_poly_det_swaps_rows_at_a_zero_pivot():
-    # the (0, 0) entry x vanishes at x = 0, where elimination swaps rows
-    one, x = [GaussRat(1)], [GaussRat(0), GaussRat(1)]
-    S = [[x, one, []], [one, [], x], [[], x, one]]
-    minus_one_minus_x3 = [GaussRat(c) for c in (-1, 0, 0, -1)]
-    assert _poly_det(S) == _oracle_det(S) == minus_one_minus_x3
+def _random_invertible(seed, k, count):
+    """count seeded random invertible k x k Gaussian-rational matrices,
+    about 40% of their entries in {0, 1, -1}, so that the degrees of
+    their quadrics vary."""
+    def entry():
+        if rng.random() < 0.4:
+            return GaussRat(rng.choice((0, 0, 1, -1)))
+        return GaussRat(Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                        Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        P = ExactMatrix([[entry() for _ in range(k)] for _ in range(k)])
+        try:
+            P.inverse()
+        except SingularMatrix:
+            continue
+        out.append(P)
+    return out
+
+
+def _quadrics_with_y(P):
+    return [q for q in _quadrics(P, P.inverse().row(0))
+            if any(e[1] for e in q.terms)]
 
 
 P_SKEW = ExactMatrix([[GaussRat(1), GaussRat(2), GaussRat(0, 1)],
                       [GaussRat(1, 1), GaussRat(-1), GaussRat("1/2")],
                       [GaussRat(1), GaussRat(0, "-2/3"), GaussRat(3)]])
+RANDOM_3X3 = _random_invertible(3030, 3, 100)
 
 
 @pytest.mark.parametrize("P, vanish", [
@@ -810,11 +833,27 @@ P_SKEW = ExactMatrix([[GaussRat(1), GaussRat(2), GaussRat(0, 1)],
 def test_sylvester_determinant_matches_laplace(P, vanish):
     # on cycle:4 and hamming:2:2 the witnesses form a curve, so the
     # quadrics' resultant vanishes; the other two give nonzero ones
-    S = _sylvester_matrix(*_quadrics(P, P.inverse().row(0)))
-    assert S is not None
-    det = _poly_det(S)
-    assert det == _oracle_det(S)
-    assert (not det) == vanish
+    f, g = _quadrics_with_y(P)
+    res = _resultant_y(f, g)
+    assert res == _laplace_det(_sylvester_matrix(f, g))
+    assert (not res) == vanish
+
+
+def test_random_resultants_match_laplace():
+    """`_resultant_y` is the Laplace expansion of the Sylvester matrix
+    on random 3x3 P's, whose quadrics give y-degrees (1, 1) and (2, 1),
+    each with vanishing and nonzero resultants, and never (2, 2)."""
+    seen = set()
+    for P in RANDOM_3X3:
+        with_y = _quadrics_with_y(P)
+        if len(with_y) < 2:
+            continue
+        res = _resultant_y(*with_y)
+        assert res == _laplace_det(_sylvester_matrix(*with_y))
+        seen.add((tuple(sorted((len(_y_coefficients(q)) - 1 for q in with_y),
+                               reverse=True)), bool(res)))
+    assert seen == {((1, 1), False), ((1, 1), True),
+                    ((2, 1), False), ((2, 1), True)}
 
 
 # -- the first-row quadrics ---------------------------------------------------
@@ -915,7 +954,7 @@ def _oracle_cube_search(P):
         return _oracle_verify(P, [(t,) for t in roots])
     with_y = [p for p in cons if any(e[1] for e in p.terms)]
     gens_x = [_coeff_list(p) for p in cons if p not in with_y]
-    gens_x += [_poly_det(_sylvester_matrix(f, g))
+    gens_x += [_coeff_list(_laplace_det(_sylvester_matrix(f, g)))
                for f, g in itertools.combinations(with_y, 2)]
     hx = _gcd_many(gens_x)
     for x0 in (_exact_roots(hx) if hx else _HEURISTIC_VALUES):
@@ -947,10 +986,12 @@ def _oracle_cube_search(P):
     _with_witness(CYCLE3.scale(GaussRat(2)),
                   _gauss_matrix([[1, 1, 0], [0, 1, I_UNIT], [2, 0, 1]]),
                   diag(1, -1, GaussRat(0, 2))),
+    *RANDOM_3X3[:10],
 ], ids=["one_class:2", "one_class:3", "one_class:4", "one_class:5", "cycle:4",
         "hamming:2:2", "hamming:2:3", "hamming:2:4", "gaussian-rational",
         "b0-zero", "lower-triangular", "diagonal", "block-diagonal",
-        "conjugated-2x2", "conjugated-3x3"])
+        "conjugated-2x2", "conjugated-3x3",
+        *("random-%d" % i for i in range(10))])
 def test_quadric_route_matches_cube_route(P):
     w, oracle = search_T(P), _oracle_cube_search(P)
     assert (w is None) == (oracle is None)
