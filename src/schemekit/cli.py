@@ -11,8 +11,11 @@ file, the candidate words of a dual, the classes of a composite, the
 fine classes of `gh fusion-check` (which builds no table), and the
 classes k of a scheme whose P is formed or inverted, or whose
 intersection tensor `scheme verify` counts from a builder spec, by
-k^3 <= cap^2 (`scheme._check_tensor_cap`), each before the work it
-bounds; a builder spec meets that class rule before its builder runs.
+k^3 <= cap^2 (`scheme._check_tensor_cap`), and the classes k >= 5 of a
+scheme that `modinv search` or `modinv lift` searches, which the numeric
+witness search serves, by min(restarts, 200) k^3 <= cap^2; each before
+the work it bounds, and a builder spec meets the class rules before its
+builder runs.
 Errors print an `error:` line on stderr and nothing on stdout.  --json
 switches every command to structured output with rationals serialized
 as exact strings.
@@ -162,6 +165,18 @@ def _check_class_cap(base, n, cap):
     if classes > cap:
         raise SizeCapExceeded("C(%d+%d, %d) = %d composite classes exceeds "
                               "cap %d" % (n, base.d, base.d, classes, cap))
+
+
+def _check_search_cap(base, restarts, cap):
+    """SizeCapExceeded for a base of k >= 5 classes, whose witness search
+    runs the numeric stream, past cap^2 complex entries in that stream's
+    per-step arrays, min(restarts, 200) k^3 of them."""
+    k = base.d + 1
+    entries = min(restarts, _SEARCH_RESTARTS) * k**3
+    if k >= 5 and entries > cap**2:
+        raise SizeCapExceeded("%d classes: %d entries per step of the "
+                              "numeric witness search exceed cap^2 = %d"
+                              % (k, entries, cap**2))
 
 
 def _read_code(args, base):
@@ -382,7 +397,9 @@ def cmd_modinv_verify(args):
 
 
 def cmd_modinv_search(args):
-    P = eigenmatrix(_load_base(args.base, args.cap))
+    base = _load_base(args.base, args.cap)
+    _check_search_cap(base, args.restarts, args.cap)
+    P = eigenmatrix(base)
     w = search_T(P, restarts=args.restarts)
     if w is None:
         detail = ("search incomplete: no witness within %d restarts"
@@ -395,6 +412,8 @@ def cmd_modinv_search(args):
 def cmd_modinv_lift(args):
     base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
+    if args.T is None:
+        _check_search_cap(base, _SEARCH_RESTARTS, args.cap)
     P = eigenmatrix(base)
     if args.T is not None:
         w = verify_modular(P, _parse_diagonal(args.T))

@@ -2,21 +2,25 @@
 
 verify_modular is purely exact: it forms the cube and decides c*I on
 the Gaussian-integer numerators.  search_T refuses a singular P at once.
-Up to 3x3 its candidates come from exact elimination over the Gaussian
-rationals on the first-row quadrics of PTP = c T^-1 P^-1 T^-1; larger
-sizes, and 3x3 quadrics with a positive-dimensional component, use
-seeded batched Levenberg-Marquardt restarts on the cube, with its
-residual and derivatives read off its coefficient tensor, snapped to
-Gaussian rationals.  Every candidate with no zero entry (which forces
-c = 0) goes through one exact check, each distinct one once, so an
-inexact witness can never be returned.  A None is a proof of absence
-only from a zero-dimensional quadric system (see search_T).  search_T
-keeps its recent results, keyed on (P, restarts), for the life of the
-process, in one `functools.lru_cache` (`_search`).
-induced_modular_check lifts a witness to degree n with the induced
-matrices of P and T, one route for both.  The one resultant, in t_2 of
-two quadrics, is their Sylvester determinant written out
-(`_resultant_y`).
+Its candidates come from one of three exact routes, by size, all read
+off PTP = c T^-1 P^-1 T^-1: a 1x1 P has the one candidate T = (1); up
+to 3x3, elimination over the Gaussian rationals on the first-row
+quadrics, with one resultant, their Sylvester determinant written out
+(`_resultant_y`); at 4x4, Cramer's rule on three equations affine in
+(t_2, t_3) and one eliminant in t_1 of degree at most 8, formed on
+Gaussian integers (`_cramer_candidates`).  Larger sizes, 3x3 quadrics
+with a positive-dimensional component and the 4x4 P's the Cramer route
+cannot decide use seeded batched Levenberg-Marquardt restarts on the
+cube, with its residual and derivatives read off its coefficient
+tensor, snapped to Gaussian rationals.  Every candidate with no zero
+entry (which forces c = 0) goes through one exact check, each distinct
+one once, so an inexact witness can never be returned.  A None is a
+proof of absence, up to the root snap, only from an exact route that
+decided (see search_T).  search_T keeps its recent results, keyed on
+(P, restarts), for the life of the process, in one
+`functools.lru_cache` (`_search`).  induced_modular_check lifts a
+witness to degree n with the induced matrices of P and T, one route for
+both.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -298,6 +303,247 @@ def _exact_candidates(P, b, restarts):
         yield from _numeric_candidates(P, restarts)
 
 
+# -- exact candidates, size 4 -------------------------------------------
+#
+# On Gaussian integers, each a pair (re, im) of ints: a polynomial in t_1
+# is an ascending list of them, trailing zeros allowed, and a Gaussian
+# rational z / q is held as the pair (z, q) of one and an int q > 0.
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gdet(a, b, c, d):
+    """a d - b c."""
+    x, y = _gmul(a, d), _gmul(b, c)
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _gp_add(p, q, sign=1):
+    """p + sign * q."""
+    n = max(len(p), len(q))
+    p, q = p + [(0, 0)] * (n - len(p)), q + [(0, 0)] * (n - len(q))
+    return [(a + sign * c, b + sign * d) for (a, b), (c, d) in zip(p, q)]
+
+
+def _gp_mul(p, q):
+    out = [(0, 0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if any(a):
+            for j, b in enumerate(q):
+                x, y = _gmul(a, b)
+                u, v = out[i + j]
+                out[i + j] = (u + x, v + y)
+    return out
+
+
+def _gp_trim(p):
+    p = list(p)
+    while p and not any(p[-1]):
+        p.pop()
+    return p
+
+
+def _gp_primitive(p):
+    """p over the integer gcd of its parts."""
+    g = gcd(*(x for c in p for x in c))
+    return [(a // g, b // g) for a, b in p] if g > 1 else p
+
+
+def _gp_pdivmod(a, b):
+    """(q, r) with u a = q b + r and deg r < deg b, for a nonzero b
+    without trailing zeros and u a power of its leading coefficient."""
+    lead, q, r = [b[-1]], [], _gp_trim(a)
+    while len(r) >= len(b):
+        shift = [(0, 0)] * (len(r) - len(b))
+        q = _gp_add(_gp_mul(lead, q), shift + [r[-1]])
+        r = _gp_trim(_gp_add(_gp_mul(lead, r),
+                             shift + _gp_mul([r[-1]], b), -1))
+    return q, r
+
+
+def _gp_at(p, x, n):
+    """q^n p(z / q) for x = (z, q) and n >= deg p, a Gaussian integer."""
+    (zr, zi), q = x
+    value, scale = (0, 0), 1
+    for c in reversed(p + [(0, 0)] * (n + 1 - len(p))):
+        value = _gmul(value, (zr, zi))
+        value = (value[0] + c[0] * scale, value[1] + c[1] * scale)
+        scale *= q
+    return value
+
+
+def _ratio(u, v):
+    """The GaussRat u / v of Gaussian integers, v != 0."""
+    n = v[0] ** 2 + v[1] ** 2
+    return GaussRat(Fraction(u[0] * v[0] + u[1] * v[1], n),
+                    Fraction(u[1] * v[0] - u[0] * v[1], n))
+
+
+def _gp_roots(p):
+    """The nonzero Gaussian-rational roots (z, q) of a nonzero p, each
+    once, as `_exact_roots` finds them: its squarefree part, made by a
+    primitive pseudo-remainder sequence, is solved numerically, each
+    root is snapped and kept only if it is a root exactly."""
+    f = _gp_primitive(_gp_trim(p))
+    if len(f) > 2:
+        g, h = f, _gp_trim([(i * a, i * b) for i, (a, b) in enumerate(f)][1:])
+        while h:
+            g, h = h, _gp_primitive(_gp_pdivmod(g, h)[1])
+        if len(g) > 1:
+            f = _gp_primitive(_gp_pdivmod(f, g)[0])
+    if len(f) <= 1:
+        return []
+    if len(f) == 2:
+        (a, b), (c, d) = f
+        z, q = _gmul((-a, -b), (c, -d)), c * c + d * d
+        g = gcd(*z, q)
+        return [((z[0] // g, z[1] // g), q // g)] if any(z) else []
+    m = max(abs(x) for c in f for x in c)
+    roots = []
+    for w in np.roots([complex(a / m, b / m) for a, b in reversed(f)]):
+        x = snap_gauss(w)
+        if x is None or not x:
+            continue
+        q = lcm(x.re.denominator, x.im.denominator)
+        x = ((x.re.numerator * (q // x.re.denominator),
+              x.im.numerator * (q // x.im.denominator)), q)
+        if not any(_gp_at(f, x, len(f) - 1)) and x not in roots:
+            roots.append(x)
+    return roots
+
+
+_QUADRICS_4 = ((0, 2), (0, 3), (2, 0), (3, 0))
+
+
+def _cramer_candidates(P, B):
+    """Candidate diagonals of size 4, sorted, or None where this route
+    cannot decide; B = P^-1.
+
+    With M = PT, (PT)^3 = c I, c != 0, reads M^2 = c M^-1, that is
+    L_ij(t) t_i t_j = c B_ij for L_ij(t) = sum_r P_ir P_rj t_r (t_0 =
+    1).  So c = L_00 / B_00, and every E_ij = B_00 t_i t_j L_ij - B_ij
+    L_00 vanishes at a witness; they are formed on the Gaussian-integer
+    numerators of P and B, in which they are homogeneous.  E_01, E_10
+    and E_11 are affine in (t_2, t_3) over polynomials in t_1.  For the
+    first two of them whose determinant D(t_1) is not identically zero,
+    Cramer's rule gives t_2 = N_2 / D and t_3 = N_3 / D; put into the
+    first of the quadrics E_02, E_03, E_20, E_30 that stays nonzero,
+    times D^2, they give the eliminant G, of degree at most 8.  Every
+    witness has t_1 among the nonzero roots of G and of D.  Off D's
+    roots Cramer's rule gives (t_2, t_3).  On them, two of the three
+    relations that are independent there give (t_2, t_3); else one that
+    is left gives a line, on which the first quadric that stays nonzero
+    gives the points.  The candidates are sorted by (im, re) ascending,
+    coordinate by coordinate.  None where B_00 = 0, where every D or
+    every G vanishes identically, or where no relation, or no quadric on
+    the line, is left at a root of D.
+    """
+    (pr, pi, _), (br, bi, _) = P.numerators(), B.numerators()
+    p = [[(pr[i][j], pi[i][j] if pi else 0) for j in range(4)]
+         for i in range(4)]
+    b = [[(br[i][j], bi[i][j] if bi else 0) for j in range(4)]
+         for i in range(4)]
+    b00 = b[0][0]
+    if not any(b00):
+        return None
+
+    def lin(i, j):
+        # L_ij's coefficients of 1, t_2 and t_3, polynomials in t_1
+        l = [_gmul(p[i][r], p[r][j]) for r in range(4)]
+        return l[:2], l[2:3], l[3:]
+
+    def affine(i, j):
+        # E_ij for i, j <= 1: B_00 t_1^(i + j) L_ij - B_ij L_00
+        head = [(0, 0)] * (i + j) + [b00]
+        return [_gp_add(_gp_mul(head, f), _gp_mul([b[i][j]], f0), -1)
+                for f, f0 in zip(lin(i, j), lin(0, 0))]
+
+    rows = [affine(0, 1), affine(1, 0), affine(1, 1)]
+    for (a0, b0, c0), (a1, b1, c1) in ((rows[0], rows[1]),
+                                       (rows[0], rows[2]),
+                                       (rows[1], rows[2])):
+        D = _gp_trim(_gp_add(_gp_mul(b0, c1), _gp_mul(b1, c0), -1))
+        if D:
+            break
+    else:
+        return None
+    # (D, N_2, N_3) is D times (1, t_2, t_3)
+    N = (D, _gp_add(_gp_mul(a1, c0), _gp_mul(a0, c1), -1),
+         _gp_add(_gp_mul(b1, a0), _gp_mul(b0, a1), -1))
+
+    def scaled(i, j):
+        # D L_ij at (t_2, t_3) = (N_2 / D, N_3 / D)
+        out = []
+        for n, f in zip(N, lin(i, j)):
+            out = _gp_add(out, _gp_mul(n, f))
+        return out
+
+    DL00 = _gp_mul(D, scaled(0, 0))
+    for i, j in _QUADRICS_4:
+        G = _gp_trim(_gp_add(_gp_mul([b00], _gp_mul(N[i + j - 1],
+                                                    scaled(i, j))),
+                             _gp_mul([b[i][j]], DL00), -1))
+        if G:
+            break
+    else:
+        return None
+
+    def on_a_root(x):
+        # the candidates (t_2, t_3) at a root x of D, or None
+        n = max(len(f) for row in rows for f in row) - 1
+        rel = [[_gp_at(f, x, n) for f in row] for row in rows]
+        live = [r for r in rel if any(r[1]) or any(r[2])]
+        if not live:
+            return None
+        a0, b0, c0 = live[0]
+        for a1, b1, c1 in live[1:]:
+            det = _gdet(b0, c0, b1, c1)
+            if any(det):
+                return [(_ratio(_gdet(c0, a0, c1, a1), det),
+                         _ratio(_gdet(a0, b0, a1, b1), det))]
+        # the line (t_2, t_3) = (T_2(s), T_3(s)) / d, s free
+        neg = [(-a0[0], -a0[1])]
+        T, d = (([(0, 0), c0], neg + [(-b0[0], -b0[1])]), c0) if any(c0) \
+            else ((neg, [(0, 0), b0]), b0)
+        q = [(x[1], 0)]
+
+        def on_line(i, j):
+            # q d L_ij on the line
+            c, l2, l3 = lin(i, j)
+            return _gp_add(_gp_mul([d], [_gp_at(c, x, 1)]), _gp_mul(
+                q, _gp_add(_gp_mul(l2, T[0]), _gp_mul(l3, T[1]))))
+
+        dL00 = _gp_mul([d], on_line(0, 0))
+        for i, j in _QUADRICS_4:
+            # q d^2 E_ij on the line, a quadratic in s
+            quadratic = _gp_trim(_gp_add(
+                _gp_mul([b00], _gp_mul(T[i + j - 2], on_line(i, j))),
+                _gp_mul([b[i][j]], dL00), -1))
+            if quadratic:
+                return [tuple(_ratio(_gp_at(t, s, 1), _gmul((s[1], 0), d))
+                              for t in T) for s in _gp_roots(quadratic)]
+        return None
+
+    candidates = []
+    roots = _gp_roots(G)
+    n = max(map(len, N)) - 1
+    for x in roots + [x for x in _gp_roots(D) if x not in roots]:
+        t1 = _ratio(x[0], (x[1], 0))
+        d = _gp_at(D, x, n)
+        if any(d):
+            candidates.append((t1, _ratio(_gp_at(N[1], x, n), d),
+                               _ratio(_gp_at(N[2], x, n), d)))
+            continue
+        found = on_a_root(x)
+        if found is None:
+            return None
+        candidates += [(t1, *t) for t in found]
+    candidates.sort(key=lambda t: tuple((g.im, g.re) for g in t))
+    return candidates
+
+
 # -- numeric candidates -------------------------------------------------
 
 
@@ -452,36 +698,44 @@ def _numeric_candidates(P, restarts):
 
 def _candidates(P, restarts):
     """The candidate diagonals search_T verifies, as a stream; none for
-    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0.  b, row 0
-    of P^-1, comes from `P.inverse()`, which is also the singularity
-    check."""
+    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0.  P^-1
+    comes from `P.inverse()`, which is also the singularity check; the
+    2x2 and 3x3 route reads its row 0, the 4x4 route all of it."""
     try:
-        b = P.inverse().row(0)
+        B = P.inverse()
     except SingularMatrix:
         return ()
     if P.nrows == 1:
         return [()]
     if P.nrows <= 3:
-        return _exact_candidates(P, b, restarts)
-    return _numeric_candidates(P, restarts)
+        return _exact_candidates(P, B.row(0), restarts)
+    found = _cramer_candidates(P, B) if P.nrows == 4 else None
+    return _numeric_candidates(P, restarts) if found is None else found
 
 
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
-    A singular P is not searched.  Up to three classes the candidates
-    are `_exact_candidates`; beyond, and where those fall back, they
-    are `_numeric_candidates`, from `restarts` seeded Levenberg-Marquardt
-    solves in blocks, whose converged points are snapped to Gaussian
-    rationals.  Each distinct candidate with no zero entry is verified
-    once, in stream order, and the witness returned is the first that
-    verifies (of the numeric stream, that of the lowest-index restart);
-    the streams are lazy, so no block runs after the one that holds it.
-    restarts <= 0 runs no restart.
+    A singular P is not searched.  The candidates come from the exact
+    route for P's size: `_exact_candidates` for two and three classes,
+    `_cramer_candidates` for four.  Beyond four classes, where the 3x3
+    quadrics have a positive-dimensional component and where the 4x4
+    route cannot decide, they are `_numeric_candidates`, from `restarts`
+    seeded Levenberg-Marquardt solves in blocks, whose converged points
+    are snapped to Gaussian rationals.  Each distinct candidate with no
+    zero entry is verified once, in stream order, and the witness
+    returned is the first that verifies: of the 4x4 route, the first in
+    (im, re) ascending order, coordinate by coordinate, the reverse of
+    `_exact_roots`'s order, which keeps group:2:2's diag(1, -i, -i, -1)
+    (c = -8i) first of its four witnesses; of the numeric stream, that
+    of the lowest-index restart.  The streams are lazy, so no block runs
+    after the one that holds it.  restarts <= 0 runs no restart.
     Returns a ModularWitness (always verified exactly) or None.  None is
-    a proof that no Gaussian-rational witness exists when the quadrics
-    are zero-dimensional and fix every coordinate, up to the root snap
-    (denominators up to 10^6); otherwise it means "search incomplete".
+    a proof that no Gaussian-rational witness exists, up to the root
+    snap (denominators up to 10^6), from the 2x2 and 3x3 route where the
+    quadrics are zero-dimensional and fix every coordinate, and from the
+    4x4 route wherever it decides; after the heuristic values or the
+    numeric stream it means "search incomplete".
 
     The result depends on P's values and `restarts` alone, so it is kept
     for the life of the process, keyed on (P, restarts) with P compared

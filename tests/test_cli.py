@@ -3,6 +3,7 @@ import inspect
 import io
 import json
 import re
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,11 @@ from schemekit import cli
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
 from schemekit.codes import Code, weight_enumerator
-from schemekit.errors import CertificationFailure, FormatError
+from schemekit.errors import (
+    CertificationFailure,
+    FormatError,
+    SizeCapExceeded,
+)
 from schemekit.exact import ExactMatrix, GaussRat
 from schemekit.genham import eigenmatrix_gh
 from schemekit.jsonio import (
@@ -500,6 +505,72 @@ def test_class_cap_runs_before_the_work(tmp_path, monkeypatch, capsys, argv):
     code = write_code(tmp_path, [" ".join(["0"] * 20), " ".join(["7"] * 20)])
     # C(27, 7) = 888,030 classes, over the default cap of 4096
     assert_usage_error(capsys, [code if a == "CODE" else a for a in argv])
+
+
+def _searches(monkeypatch):
+    """The restart budgets `search_T` is called with from now on; each
+    call finds nothing at once."""
+    budgets = []
+
+    def recording(P, restarts=200):
+        budgets.append(restarts)
+
+    monkeypatch.setattr(cli, "search_T", recording)
+    return budgets
+
+
+@pytest.mark.parametrize("argv, restarts", [
+    (["modinv", "search", "--base", "hamming:4:2"], 200),
+    (["modinv", "search", "--base", "hamming:4:2", "--restarts", "199"], 199),
+    (["modinv", "lift", "--base", "hamming:4:2", "--n", "1"], 200),
+])
+def test_numeric_search_cap_boundary(monkeypatch, capsys, argv, restarts):
+    # five classes: each step of the numeric witness search holds
+    # min(restarts, 200) * 5^3 complex entries, 25,000 at 200 restarts,
+    # and 158^2 = 24,964 < 25,000 <= 159^2; 199 restarts hold 24,875
+    budgets = _searches(monkeypatch)
+    cap = 158 if restarts < 200 else 159
+    assert run(argv + ["--cap", str(cap)]) == 1
+    assert budgets == [restarts]
+    capsys.readouterr()
+    if restarts == 200:
+        assert_usage_error(capsys, argv + ["--cap", "158"])
+        assert budgets == [restarts]
+
+
+def test_numeric_search_cap_leaves_a_given_T_alone(capsys):
+    # no search runs when T is given, so no search cap applies
+    assert run(["modinv", "lift", "--base", "hamming:4:2", "--n", "1",
+                "--T", "1,i,-1,-i,1", "--cap", "100"]) == 0
+    assert "match" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("classes, admitted", [(4, True), (43, True),
+                                               (44, False)])
+def test_numeric_search_cap_at_the_default(classes, admitted):
+    # 200 * 43^3 = 15,901,400 <= 4096^2 = 16,777,216 < 200 * 44^3; four
+    # classes are decided exactly or searched under any cap
+    base = types.SimpleNamespace(d=classes - 1)
+    if admitted:
+        cli._check_search_cap(base, 200, 4096)
+        cli._check_search_cap(base, 10**6, 4096)
+    else:
+        with pytest.raises(SizeCapExceeded, match="^44 classes: 17036800 "):
+            cli._check_search_cap(base, 200, 4096)
+    cli._check_search_cap(types.SimpleNamespace(d=3), 200, 1)
+
+
+@pytest.mark.parametrize("command", ["search", "lift"])
+def test_numeric_search_cap_refuses_128_classes_at_once(monkeypatch, capsys,
+                                                       command):
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the search cap was checked")
+
+    for name in ("eigenmatrix", "search_T"):
+        monkeypatch.setattr(cli, name, fail)
+    argv = ["modinv", command, "--base", "group:2:2:2:2:2:2:2"]
+    assert_usage_error(capsys, argv + (["--n", "1"] if command == "lift"
+                                       else []))
 
 
 # -- pinned text output -----------------------------------------------------

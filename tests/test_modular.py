@@ -16,7 +16,12 @@ import pytest
 
 import schemekit
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit.errors import DimensionMismatch, NotScalar, SingularMatrix
+from schemekit.errors import (
+    DimensionMismatch,
+    NotScalar,
+    SchemeKitError,
+    SingularMatrix,
+)
 from schemekit.exact import (
     ExactMatrix,
     GaussRat,
@@ -24,7 +29,7 @@ from schemekit.exact import (
     induced_matrix,
     substitute_polys,
 )
-from schemekit.genham import eigenmatrix_gh
+from schemekit.genham import build_explicit, eigenmatrix_gh
 from schemekit import modular
 from schemekit.modular import (
     _FIRST_RESTARTS,
@@ -33,10 +38,13 @@ from schemekit.modular import (
     _SEARCH_RESTARTS,
     _SEARCH_SEED,
     _coeff_list,
+    _cramer_candidates,
     _cube_constraints,
     _cube_residual,
     _exact_roots,
     _gcd_many,
+    _gp_mul,
+    _gp_roots,
     _numeric_candidates,
     _quadrics,
     _resultant_y,
@@ -46,7 +54,7 @@ from schemekit.modular import (
     search_T,
     verify_modular,
 )
-from schemekit.scheme import eigenmatrix
+from schemekit.scheme import eigenmatrix, fusion, tensor_product
 
 import oracles
 
@@ -64,6 +72,33 @@ def diag(*entries):
 def _gauss_matrix(rows):
     return ExactMatrix([[x if isinstance(x, GaussRat) else GaussRat(x)
                          for x in row] for row in rows])
+
+
+def _plus_one(P, at):
+    """P with a class of its own, of eigenvalue 1, inserted at index at:
+    a P of one more class, whose witnesses are those of P with a cube
+    root of their c inserted."""
+    k = P.nrows
+    order = list(range(k))
+    order.insert(at, k)
+    return ExactMatrix([[P[i, j] if max(i, j) < k else GaussRat(int(i == j))
+                         for j in order] for i in order])
+
+
+def _refuse_least_squares(monkeypatch):
+    def no_solve(residual, x0):
+        raise AssertionError("least_squares called")
+
+    monkeypatch.setattr(modular, "least_squares", no_solve)
+
+
+P_Z4 = eigenmatrix(group_scheme([4]))
+P_Z22 = eigenmatrix(group_scheme([2, 2]))
+# five classes each, so that search_T reaches the numeric stream
+P_C6_PLUS = _plus_one(eigenmatrix(cycle_scheme(6)), 4)
+P_Z4_PLUS = _plus_one(P_Z4, 4)
+P_Z22_PLUS = _plus_one(P_Z22, 1)
+W_Z22_PLUS = ((1, -2 * I_UNIT, I_UNIT, I_UNIT, -1), GaussRat(0, 8))
 
 
 # -- verify_modular ------------------------------------------------------
@@ -248,21 +283,45 @@ def test_search_none_for_ternary():
     assert search_T(eigenmatrix(one_class(3))) is None
 
 
-def test_search_none_for_z4():
-    assert search_T(eigenmatrix(group_scheme([4]))) is None
+def test_search_none_for_z4(monkeypatch):
+    # decided by the exact 4x4 route, with no numeric restart
+    _refuse_least_squares(monkeypatch)
+    assert search_T(P_Z4) is None
 
 
-def test_search_numeric_group22_witness():
-    # four classes: the Levenberg-Marquardt restarts, snapped and verified
-    w = search_T(eigenmatrix(group_scheme([2, 2])))
+def test_search_group22_witness(monkeypatch):
+    # four classes: the exact 4x4 route, whose candidates hold all four
+    # witnesses; this one comes first in (im, re) ascending order
+    _refuse_least_squares(monkeypatch)
+    w = search_T(P_Z22)
     assert w is not None
     assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
     assert w.c == GaussRat(0, -8)
+    witnesses = [e for e in _cramer_candidates(P_Z22, P_Z22.inverse())
+                 if _oracle_verify(P_Z22, [e])]
+    assert len(witnesses) == 4
+    assert witnesses[0] == (-I_UNIT, -I_UNIT, GaussRat(-1))
 
 
-def test_search_none_for_cycle6():
-    # its witnesses lie in Q(zeta_12), so none snaps to a Gaussian rational
+def test_search_none_for_cycle6(monkeypatch):
+    # its witnesses lie in Q(zeta_12), so none snaps to a Gaussian
+    # rational; the exact 4x4 route decides that with no numeric restart
+    _refuse_least_squares(monkeypatch)
     assert search_T(eigenmatrix(cycle_scheme(6))) is None
+
+
+@pytest.mark.parametrize("P", [eigenmatrix(hamming(3, 2)),
+                               eigenmatrix(build_explicit(one_class(2), 3))],
+                         ids=["hamming:3:2", "build_explicit:one_class:2:3"])
+def test_search_finds_the_binary_cube_witness(monkeypatch, P):
+    # c = (2 - 2i)^3, the cube of the c of the binary witness diag(1, -i);
+    # the numeric restarts stop about 1.5e-8 from this singular root,
+    # outside the snap, and miss it
+    _refuse_least_squares(monkeypatch)
+    w = search_T(P)
+    assert w is not None
+    assert w.T == diag(1, -I_UNIT, -1, I_UNIT)
+    assert w.c == GaussRat(-16, -16)
 
 
 def test_search_one_class4_double_root():
@@ -290,7 +349,8 @@ def test_search_singular_p_searches_nothing(monkeypatch, P):
         raise AssertionError("searched a singular P")
 
     for name in ("least_squares", "verify_modular", "_quadrics",
-                 "_exact_candidates", "_numeric_candidates"):
+                 "_exact_candidates", "_cramer_candidates",
+                 "_numeric_candidates"):
         monkeypatch.setattr(modular, name, refuse)
     assert search_T(P) is None
 
@@ -308,23 +368,32 @@ def test_search_cycle4_takes_one_resultant(monkeypatch):
 
 
 def test_search_nonpositive_restarts_search_nothing(monkeypatch):
-    def no_solve(residual, x0):
-        raise AssertionError("least_squares called")
+    _refuse_least_squares(monkeypatch)
+    assert search_T(P_C6_PLUS, restarts=0) is None
+    assert search_T(P_C6_PLUS, restarts=-3) is None
 
-    monkeypatch.setattr(modular, "least_squares", no_solve)
-    P = eigenmatrix(group_scheme([4]))
-    assert search_T(P, restarts=0) is None
-    assert search_T(P, restarts=-3) is None
+
+def _recording_least_squares(monkeypatch):
+    """The block sizes of the `least_squares` calls from now on."""
+    sizes = []
+
+    def recording(residual, x0):
+        sizes.append(len(x0))
+        return least_squares(residual, x0)
+
+    monkeypatch.setattr(modular, "least_squares", recording)
+    return sizes
 
 
 @pytest.mark.parametrize("restarts, found", [
     (2, False), (3, True), (7, True), (8, True), (9, True), (209, True),
     (401, True)])
 def test_search_returns_lowest_index_witness(restarts, found):
-    # restart 2 is the first whose snapped point verifies; budgets at and
-    # around the first block's end, and 401 restarts (four blocks), all
-    # return that restart's witness
-    w = search_T(eigenmatrix(group_scheme([2, 2])), restarts=restarts)
+    # the stream itself on group:2:2's P, which search_T now decides
+    # exactly: restart 2 is the first whose snapped point verifies;
+    # budgets at and around the first block's end, and 401 restarts (four
+    # blocks), all give that restart's witness first
+    w = _oracle_verify(P_Z22, _numeric_candidates(P_Z22, restarts))
     if not found:
         assert w is None
     else:
@@ -333,33 +402,27 @@ def test_search_returns_lowest_index_witness(restarts, found):
 
 
 def test_search_runs_restarts_in_bounded_blocks(monkeypatch):
-    sizes = []
-
-    def recording(residual, x0):
-        sizes.append(len(x0))
-        return least_squares(residual, x0)
-
-    monkeypatch.setattr(modular, "least_squares", recording)
-    assert search_T(eigenmatrix(group_scheme([4])), restarts=450) is None
+    # the stream itself, on a P that search_T now decides exactly; its
+    # zero-entry points and repeats, which search_T skips, are dropped
+    # before the check
+    sizes = _recording_least_squares(monkeypatch)
+    stream = _numeric_candidates(P_Z4, 450)
+    assert _oracle_verify(P_Z4, {e for e in stream if all(e)}) is None
     assert sizes == [8, 200, 200, 42]
 
 
 def test_search_stops_in_the_first_block(monkeypatch):
-    # group:2:2's witness comes from restart 2, so the first block is
-    # the only one run
-    sizes = []
-
-    def recording(residual, x0):
-        sizes.append(len(x0))
-        return least_squares(residual, x0)
-
-    monkeypatch.setattr(modular, "least_squares", recording)
-    w = search_T(eigenmatrix(group_scheme([2, 2])))
+    # group:2:2's witness comes from restart 2, so a consumer of the
+    # stream that stops at it runs the first block only (search_T does,
+    # on a P of five classes: test_search_memo_keys_on_restarts)
+    sizes = _recording_least_squares(monkeypatch)
+    w = _oracle_verify(P_Z22, _numeric_candidates(P_Z22, _SEARCH_RESTARTS))
     assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
     assert sizes == [_FIRST_RESTARTS]
 
 
-def test_search_verifies_each_candidate_once(monkeypatch):
+def _recording_verify(monkeypatch):
+    """The diagonals `verify_modular` is called on from now on."""
     seen = []
 
     def recording(P, T):
@@ -367,9 +430,17 @@ def test_search_verifies_each_candidate_once(monkeypatch):
         return verify_modular(P, T)
 
     monkeypatch.setattr(modular, "verify_modular", recording)
-    assert search_T(eigenmatrix(group_scheme([4]))) is None
-    assert len(seen) == len(set(seen))
-    assert len(seen) <= _SEARCH_RESTARTS // 4
+    return seen
+
+
+def test_search_verifies_each_candidate_once(monkeypatch):
+    # the stream's points with no zero entry here come from restarts 11,
+    # 14, 26, 53 and 65, and restart 65 repeats one of the others
+    restarts = 72
+    seen = _recording_verify(monkeypatch)
+    assert search_T(P_C6_PLUS, restarts) is None
+    assert len(seen) == len(set(seen)) == 4
+    assert len(seen) <= restarts // 4
 
 
 def test_search_refuses_a_non_square_P():
@@ -401,17 +472,13 @@ def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
 
 def test_search_verifies_no_candidate_with_a_zero_entry(monkeypatch):
     # det (PT)^3 = det(P)^3 det(T)^3, so a zero entry of T forces c = 0:
-    # most of group:4's and group:2:2's restarts converge to such points
-    seen = []
-
-    def recording(P, T):
-        seen.append(tuple(T[i, i] for i in range(T.nrows)))
-        return verify_modular(P, T)
-
-    monkeypatch.setattr(modular, "verify_modular", recording)
-    assert search_T(eigenmatrix(group_scheme([4]))) is None
-    w = search_T(eigenmatrix(group_scheme([2, 2])))
-    assert w.T == diag(1, -I_UNIT, -I_UNIT, -1) and w.c == GaussRat(0, -8)
+    # most restarts on group:4's and group:2:2's P, each with a class of
+    # its own added, converge to such points: six of the first eight on
+    # the first, restarts 0 and 1 before the witness on the second
+    seen = _recording_verify(monkeypatch)
+    assert search_T(P_Z4_PLUS, _FIRST_RESTARTS) is None
+    w = search_T(P_Z22_PLUS)
+    assert w.T == diag(*W_Z22_PLUS[0]) and w.c == W_Z22_PLUS[1]
     assert seen and all(all(entries) for entries in seen)
     # nor from the exact stream: every candidate of this P has t_2 = 0
     seen.clear()
@@ -439,20 +506,16 @@ def test_search_serves_an_equal_P_from_the_memo(monkeypatch):
 
 
 def test_search_memo_keys_on_restarts(monkeypatch):
-    sizes = []
-
-    def recording(residual, x0):
-        sizes.append(len(x0))
-        return least_squares(residual, x0)
-
-    monkeypatch.setattr(modular, "least_squares", recording)
-    P = eigenmatrix(group_scheme([4]))
-    assert search_T(P, 7) is None
-    assert search_T(P, 200) is None
-    assert sizes == [7, _FIRST_RESTARTS, 200 - _FIRST_RESTARTS]
-    assert search_T(P, 7) is None and search_T(P, 200) is None
-    assert search_T(P) is None and search_T(P, restarts=200) is None
-    assert len(sizes) == 3
+    # the witness comes from restart 2, within either budget's first block
+    sizes = _recording_least_squares(monkeypatch)
+    P = P_Z22_PLUS
+    w = search_T(P, 7)
+    assert w.T == diag(*W_Z22_PLUS[0])
+    assert search_T(P, 200) == w
+    assert sizes == [7, _FIRST_RESTARTS]
+    assert search_T(P, 7) == w and search_T(P, 200) == w
+    assert search_T(P) == w and search_T(P, restarts=200) == w
+    assert len(sizes) == 2
     info = modular._search.cache_info()
     assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
 
@@ -715,13 +778,15 @@ def test_least_squares_writes_out_the_rows_the_cap_cuts_off(monkeypatch):
 
 
 # search_T on the P's of at most six classes, as recorded with the k x k
-# product kernel: (T's diagonal, c) or None
+# product kernel, except hamming:3:2, whose witness the exact 4x4 route
+# finds and the numeric restarts miss: (T's diagonal, c) or None
 _SURVEY = [
     ("group:4", eigenmatrix(group_scheme([4])), None),
     ("group:2:2", eigenmatrix(group_scheme([2, 2])),
      ((1, -I_UNIT, -I_UNIT, -1), GaussRat(0, -8))),
     ("cycle:6", eigenmatrix(cycle_scheme(6)), None),
-    ("hamming:3:2", eigenmatrix(hamming(3, 2)), None),
+    ("hamming:3:2", eigenmatrix(hamming(3, 2)),
+     ((1, -I_UNIT, -1, I_UNIT), GaussRat(-16, -16))),
     ("hamming:3:3", eigenmatrix(hamming(3, 3)), None),
     ("hamming:4:2", eigenmatrix(hamming(4, 2)), None),
     ("hamming:5:2", eigenmatrix(hamming(5, 2)), None),
@@ -741,6 +806,75 @@ def test_search_survey_results(P, want):
         assert w is None
     else:
         assert w.T == diag(*want[0]) and w.c == want[1]
+
+
+def _seeded_fusions(orders, count, seed):
+    """The eigenmatrices of count distinct 4-class fusions of the group
+    scheme of orders: seeded random maps x -> A x of its element tuples
+    merge the elements into classes, which are joined at random into
+    three, and a partition is kept where `fusion` makes a scheme of it."""
+    rng = random.Random(seed)
+    group = group_scheme(orders)
+    elements = group.translation.digits(np.arange(1, group.v))
+    out = []
+    while len(out) < count:
+        A = np.array([[rng.randrange(max(orders)) for _ in orders]
+                      for _ in orders])
+        image = group.translation.index(elements @ A.T % orders)
+        root = list(range(group.v))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for x, y in zip(range(1, group.v), image):
+            root[find(x)] = find(int(y))
+        classes = {}
+        for x in range(1, group.v):
+            classes.setdefault(find(x), []).append(x)
+        label = [rng.randrange(3) for _ in classes]
+        if len(set(label)) < 3:
+            continue
+        blocks = [[0]] + [sum((c for c, l in zip(classes.values(), label)
+                               if l == b), []) for b in range(3)]
+        try:
+            P = eigenmatrix(fusion(group, blocks))
+        except SchemeKitError:
+            continue
+        if P not in out:
+            out.append(P)
+    return out
+
+
+def test_cramer_route_against_the_numeric_stream():
+    """On 4-class P's: where the exact 4x4 route decides, a None means
+    that no numeric candidate verifies, and a numeric witness means that
+    it finds one; where it declines, search_T returns the numeric
+    stream's first witness."""
+    corpus = [P_Z4, P_Z22, eigenmatrix(cycle_scheme(6)),
+              *(eigenmatrix(hamming(3, q)) for q in range(2, 6)),
+              eigenmatrix(tensor_product(one_class(2), one_class(3)))]
+    for orders in ([2, 2, 2], [4, 2], [2, 2, 2, 2], [4, 4]):
+        corpus += _seeded_fusions(orders, 3, 2031)
+    distinct = []
+    for P in corpus:
+        if P not in distinct:
+            distinct.append(P)
+    decided = gained = 0
+    for P in distinct:
+        stream = _numeric_candidates(P, _SEARCH_RESTARTS)
+        numeric = [w for w in (_oracle_verify(P, [e]) for e in
+                               dict.fromkeys(e for e in stream if all(e)))
+                   if w]
+        w = search_T(P)
+        if _cramer_candidates(P, P.inverse()) is None:
+            assert w == (numeric[0] if numeric else None)
+            continue
+        decided += 1
+        assert (w is not None) >= bool(numeric)
+        gained += w is not None and not numeric
+    assert (len(distinct), decided, gained) == (16, 15, 2)
 
 
 @pytest.mark.parametrize("P", _NUMERIC_PS, ids=_NUMERIC_IDS)
@@ -863,6 +997,21 @@ def test_exact_roots_of_a_double_root():
     x = MPoly.variable(0, 1)
     p = (x - I_UNIT) ** 2 * (x + 1)
     assert _exact_roots(_coeff_list(p)) == [I_UNIT, GaussRat(-1)]
+
+
+def test_gp_roots_of_multiple_roots():
+    # (x - i)^2 (x + 1)^3 (2x - 1) x over the Gaussian integers: a double
+    # and a triple root, found on the squarefree part, and the root 0,
+    # which no witness coordinate can be, left out
+    p = [(1, 0)]
+    for factor, times in (([(0, -1), (1, 0)], 2), ([(1, 0), (1, 0)], 3),
+                          ([(-1, 0), (2, 0)], 1), ([(0, 0), (1, 0)], 1)):
+        for _ in range(times):
+            p = _gp_mul(p, factor)
+    assert sorted(_gp_roots(p)) == [((-1, 0), 1), ((0, 1), 1), ((1, 0), 2)]
+    # a linear p, its content divided out
+    assert _gp_roots([(6, 0), (-4, 0), (0, 0)]) == [((3, 0), 2)]
+    assert _gp_roots([(0, 0), (5, 5)]) == []
 
 
 def _value(p, point):
