@@ -1,24 +1,29 @@
 """Codes in composite schemes: enumerators, transforms, and duals.
 
-A code is a set of words over the vertex set of a base scheme.  Its
-weight enumerator collects pair profiles as a homogeneous polynomial,
-counted block-wise from integer profile keys (`_profile_keys`): one
-exact matmul of one-hot words against a per-code key factor, in float64
-while the keys stay below 2^53.  The transform sends it to the dual
-enumerator, the exact substitution t -> P^-1 t scaled by v^n/|C|,
-computed as the enumerator's coefficient vector times the induced matrix
-of Q = v P^-1.  For additive codes over a translation scheme the dual
-code is computed by character-pairing arithmetic (no root-of-unity
-numerics), and the transform of the enumerator must equal the dual
-code's enumerator exactly.  The Z4 Lee form re-indexes the symmetrized
-enumerator's monomials, and the Gray/Lee identity is the same transform
-on the self-dual Lee fusion of Z4, so no polynomial is multiplied out.
+A code is a set of words over the vertex set of a base scheme.  This
+module works in integers until it returns a result.  Pair profiles are
+counted as integers (`_pair_counts`) from block-wise integer profile
+keys (`_profile_keys`: one exact matmul of one-hot words against a
+per-code key factor, in float64 while the keys stay below 2^53).  The
+weight enumerator, the inner distribution and the Z4 complete,
+symmetrized and Lee forms read those counts, the Z4 forms merge them,
+and each divides by |C| once per term.  The transform, the exact
+substitution t -> P^-1 t scaled by v^n/|C|, multiplies one vector of
+Gaussian-integer numerators with the numerator arrays of the induced
+matrix of Q = v P^-1 (`exact.induced_numerators`).  A code over a
+translation scheme is additive iff the span of greedily picked
+generators has |C| elements; the dual of an additive code pairs those
+generators with the candidates by exact character arithmetic, and the
+transform of the code's enumerator must equal the dual's exactly.  The
+Gray/Lee identity is the transform on the self-dual Lee fusion of Z4,
+merged into the Lee monomials, so no polynomial is multiplied out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 import numpy as np
@@ -32,9 +37,10 @@ from .exact import (
     ExactMatrix,
     GaussRat,
     MPoly,
+    composition_index,
     compositions,
+    induced_numerators,
 )
-from .genham import dual_eigenmatrix_gh
 from .scheme import (
     DEFAULT_CAP,
     TranslationStructure,
@@ -42,6 +48,7 @@ from .scheme import (
     _first_cells,
     _first_index,
     _row_blocks,
+    dual_eigenmatrix,
     eigenmatrix,
 )
 
@@ -132,43 +139,128 @@ def _profile_keys(xs, ys, relation, d, factor=None):
     return key.T
 
 
-def _key_profile(key, n, d):
-    """The profile tuple encoded by a `_profile_keys` key."""
-    return tuple(key // (n + 1) ** r % (n + 1) for r in range(d + 1))
+def _pair_counts(code):
+    """The profiles of the code's ordered pairs and how many pairs have
+    each: (rows, counts), the distinct profiles as tuples of d+1 class
+    counts and an int64 array of their pair counts.
+
+    The |C|^2 pairs are keyed by `_profile_keys` a block of rows at a
+    time (about 2^20 pairs per block, so memory stays O(block) for large
+    codes, beside the one key factor of |C| n v entries), each block's
+    keys are counted with `np.unique`, the blocks' counts are merged, and
+    the keys are decoded into profiles in one numpy step
+    (`_key_profiles`)."""
+    base, n, d = code.base, code.n, code.base.d
+    size = len(code.words)
+    words = np.fromiter(chain.from_iterable(code.words), np.int64,
+                        size * n).reshape(size, n)
+    factor = _key_factor(words, base.relation, d)
+    blocks = [np.unique(_profile_keys(words[rows], words, base.relation, d,
+                                      factor), return_counts=True)
+              for rows in _row_blocks(size, size)]
+    keys, counts = blocks[0]
+    if len(blocks) > 1:
+        keys, inverse = np.unique(np.concatenate([k for k, _ in blocks]),
+                                  return_inverse=True)
+        counts = _sum_at(inverse, np.concatenate([c for _, c in blocks]),
+                         len(keys))
+    return list(map(tuple, _key_profiles(keys, n, d).tolist())), counts
+
+
+def _key_profiles(keys, n, d):
+    """The profiles encoded by an array of `_profile_keys` keys, on a new
+    trailing axis of d+1 class counts."""
+    powers = np.array([(n + 1) ** r for r in range(d + 1)], dtype=keys.dtype)
+    return keys[..., None] // powers % (n + 1)
+
+
+def _sum_at(inverse, values, size):
+    """Sums of values grouped by their entry of inverse, 0..size-1."""
+    total = np.zeros(size, dtype=values.dtype)
+    np.add.at(total, inverse, values)
+    return total
+
+
+def _poly(rows, nums, den):
+    """The polynomial sum_t (nums[0][t] + nums[1][t] i) / den s^rows[t]
+    (nums[1] absent for real coefficients), rows distinct exponent
+    tuples: one GaussRat per nonzero term."""
+    if len(nums) == 1:
+        terms = {e: GaussRat(Fraction(a, den))
+                 for e, a in zip(rows, nums[0].tolist()) if a}
+    else:
+        terms = {e: GaussRat(Fraction(a, den), Fraction(b, den))
+                 for e, a, b in zip(rows, *(x.tolist() for x in nums))
+                 if a or b}
+    return MPoly(len(rows[0]), terms)
 
 
 def weight_enumerator(code):
     """Homogeneous degree-n polynomial in d+1 variables whose coefficient
-    of s^alpha is (1/|C|) times the number of pairs with profile alpha.
-
-    The |C|^2 ordered pairs are profiled by the vectorised key kernel
-    `_profile_keys` a block of rows at a time (about 2^20 pairs per
-    block, so memory stays O(block) for large codes, beside the one key
-    factor of |C| n v entries) and the keys are counted with
-    `np.unique`."""
-    base, n = code.base, code.n
-    words = np.array(code.words, dtype=np.int64)
-    size = len(words)
-    factor = _key_factor(words, base.relation, base.d)
-    counts = {}
-    for rows in _row_blocks(size, size):
-        keys, freq = np.unique(
-            _profile_keys(words[rows], words, base.relation, base.d, factor),
-            return_counts=True)
-        for k, c in zip(keys.tolist(), freq.tolist()):
-            counts[k] = counts.get(k, 0) + c
-    return MPoly(base.d + 1,
-                 {_key_profile(k, n, base.d): GaussRat(Fraction(c, size))
-                  for k, c in counts.items()})
+    of s^alpha is (1/|C|) times the number of pairs with profile alpha:
+    the integer pair counts of `_pair_counts`, divided by |C| once per
+    term."""
+    rows, counts = _pair_counts(code)
+    return _poly(rows, [counts], len(code))
 
 
 def inner_distribution(code):
     """Vector a with a_r = (1/|C|) #{(x,y) in C^2 : class(x,y) = r},
     classes of the composite scheme in canonical composition order: the
-    coefficients of the weight enumerator."""
-    W = weight_enumerator(code)
-    return [W.coefficient(c).re
-            for c in compositions(code.n, code.base.d + 1)]
+    coefficients of the weight enumerator, read off the pair counts."""
+    rows, counts = _pair_counts(code)
+    index = composition_index(code.n, code.base.d + 1)
+    out = [Fraction(0)] * len(index)
+    for alpha, c in zip(rows, counts.tolist()):
+        out[index[alpha]] = Fraction(c, len(code))
+    return out
+
+
+def _gauss_matmul(x, y):
+    """x @ y for Gaussian-integer arrays x and y, each given as [re] or
+    [re, im]."""
+    (xr, *xi), (yr, *yi) = x, y
+    re = xr @ yr - sum(a @ b for a in xi for b in yi)
+    im = [xr @ b for b in yi] + [a @ yr for a in xi]
+    return [re] + ([sum(im)] if im else [])
+
+
+def _transform(enumerator, P, v, code_size):
+    """The dual enumerator of `macwilliams_transform` as numerators:
+    (rows, nums, den) for `_poly`, rows every composition of n.
+
+    The enumerator is read as one vector of Gaussian-integer numerators
+    a over one denominator D and multiplied with the numerator arrays of
+    induced(Q, n), Q = `dual_eigenmatrix(P, v)`, from the induced kernel
+    `exact.induced_numerators`; the result is over D D_Q^n |C|.  Every
+    entry and partial sum of the product is at most A L^n in each part,
+    for A = sum |Re a| + |Im a| and L the largest row l1 norm of Q's
+    numerators, so it runs in int64 while A L^n < 2^62 (the kernel's
+    arrays are then int64 too) and on Python ints beyond."""
+    if not enumerator.is_homogeneous() or enumerator.degree() < 0:
+        raise DimensionMismatch("enumerator must be homogeneous and nonzero")
+    k = enumerator.nvars
+    if P.nrows != k:
+        raise DimensionMismatch(
+            "matrix has %d rows but polynomial has %d variables"
+            % (P.nrows, k))
+    n = enumerator.degree()
+    index = composition_index(n, k)
+    terms = enumerator.terms.items()
+    D = lcm(*(f.denominator for _, c in terms for f in (c.re, c.im)))
+    re, im = [0] * len(index), [0] * len(index)
+    for gamma, c in terms:
+        re[index[gamma]] = c.re.numerator * (D // c.re.denominator)
+        im[index[gamma]] = c.im.numerator * (D // c.im.denominator)
+    qre, qim, dq = dual_eigenmatrix(P, v).numerators()
+    L = max(sum(map(abs, chain(qre[j], qim[j] if qim else ())))
+            for j in range(k))
+    A = sum(map(abs, re)) + sum(map(abs, im))
+    dtype = np.int64 if A * L**n < 2**62 else object
+    a = [np.array(x, dtype=dtype) for x in ([re, im] if any(im) else [re])]
+    induced = [x.astype(dtype, copy=False)
+               for x in induced_numerators(qre, qim, n)]
+    return compositions(n, k), _gauss_matmul(a, induced), D * dq**n * code_size
 
 
 def macwilliams_transform(enumerator, P, v, code_size):
@@ -176,20 +268,11 @@ def macwilliams_transform(enumerator, P, v, code_size):
 
     Row gamma of induced(Q, n), Q = v P^-1, holds the coefficients of
     prod_i (Q t)_i^gamma_i = v^n prod_i (P^-1 t)_i^gamma_i, so the
-    transform is the coefficient vector of W times induced(Q, n)
-    (`genham.dual_eigenmatrix_gh`), divided by |C|.
+    transform is the coefficient vector of W times induced(Q, n), divided
+    by |C|: one integer vector-matrix product on numerators (`_transform`)
+    and one GaussRat per nonzero term of the result.
     """
-    if not enumerator.is_homogeneous() or enumerator.degree() < 0:
-        raise DimensionMismatch("enumerator must be homogeneous and nonzero")
-    if P.nrows != enumerator.nvars:
-        raise DimensionMismatch(
-            "matrix has %d rows but polynomial has %d variables"
-            % (P.nrows, enumerator.nvars))
-    n = enumerator.degree()
-    comps = compositions(n, enumerator.nvars)
-    a = ExactMatrix([[enumerator.coefficient(gamma) for gamma in comps]])
-    out = a.scale(Fraction(1, code_size)) @ dual_eigenmatrix_gh(P, v, n)
-    return MPoly(enumerator.nvars, dict(zip(comps, out.row(0))))
+    return _poly(*_transform(enumerator, P, v, code_size))
 
 
 # -- additive codes over translation schemes ---------------------------
@@ -209,43 +292,59 @@ def is_additive(code):
     """True iff the word set is a subgroup of the translation group.
 
     Returns (True, None) or (False, (a, b)) for the first pair, scanning
-    a then b in word order, whose sum a + b is not a word.  The sums are
-    formed a block of rows at a time and looked up as group indices."""
+    a then b in word order, whose sum a + b is not a word.  It is decided
+    by the span of the words (`_generators`); the |C|^2 scan for the
+    witness (`_closure_witness`) runs only for a code that is not
+    additive."""
     exps, group = _flat_exponents(code)
+    if _generators(exps, group) is not None:
+        return True, None
+    return False, _closure_witness(exps, group)
+
+
+def _closure_witness(exps, group):
+    """The first pair (a, b) of rows of exps, scanning a then b in row
+    order, whose sum is not a row, as digit tuples, or None if the rows
+    are closed under addition.  The sums are formed a block of rows at a
+    time and looked up as group indices."""
     members = group.index(exps)
     for rows in _row_blocks(len(exps), exps.size):
         sums = group.index(exps[rows, None, :] + exps[None, :, :])
-        missing = np.isin(sums, members, invert=True)
-        bad = _first_index(missing)
+        bad = _first_index(np.isin(sums, members, invert=True))
         if bad is not None:
             a, b = bad[0] + rows.start, bad[1]
-            return False, (tuple(exps[a].tolist()), tuple(exps[b].tolist()))
-    return True, None
+            return tuple(exps[a].tolist()), tuple(exps[b].tolist())
+    return None
 
 
 def _generators(exps, group):
-    """Rows of exps (the digits of an additive code) that generate it,
-    picked greedily in word order: a word is taken when it lies outside
-    the span of those taken before it.  The span grows by the cosets
-    span + t g, t = 1, 2, ..., until t g falls back into it."""
+    """Rows of exps (the digits of a code's words) that generate the
+    code, or None if it is not additive.
+
+    They are picked greedily in word order: a word is taken when it lies
+    outside the span of those taken before it, and the span grows by the
+    cosets span + t g, t = 1, 2, ..., until t g falls back into it.
+    Every word then lies in the span, so the code is additive iff the
+    span has |C| elements; the search stops as soon as the span would
+    outgrow that, so no span larger than the code is formed."""
     orders = np.array(group.orders, dtype=np.int64)
-    in_span = np.zeros(group.size, dtype=bool)
-    in_span[0] = True
+    size = len(exps)
+    in_span = {0}
     span = np.zeros((1, exps.shape[1]), dtype=np.int64)
     taken = []
     for word, index in zip(exps, group.index(exps).tolist()):
-        if len(span) == len(exps):
-            break
-        if in_span[index]:
+        if index in in_span:
             continue
         taken.append(word)
         cosets = [span]
         step = word
-        while not in_span[group.index(step)]:
+        while group.index(step) not in in_span:
+            if len(span) * (len(cosets) + 1) > size:
+                return None
             cosets.append((span + step) % orders)
             step = (step + word) % orders
         span = np.concatenate(cosets)
-        in_span[group.index(span)] = True
+        in_span.update(group.index(span).tolist())
     return np.array(taken, dtype=np.int64).reshape(-1, exps.shape[1])
 
 
@@ -255,22 +354,23 @@ def dual_code(code, cap=DEFAULT_CAP):
     Membership is decided by exact character pairing: a is dual to x iff
     sum_j a_j x_j L/m_j = 0 (mod L) where L = lcm of the cyclic orders.
     The pairing is bilinear, so the candidates are paired with a
-    generating set of the code only (`_generators`), not every word.
-    SizeCapExceeded past cap candidate words v^n, checked first; then
-    NotAdditive (with a witness pair) if the code is not additive.
+    generating set of the code only (`_generators`, which also decides
+    that the code is additive), not every word.  SizeCapExceeded past
+    cap candidate words v^n, checked first; then NotAdditive (with the
+    witness pair of `is_additive`) if the code is not additive.
     """
     base, n = code.base, code.n
     _check_power_cap(base.v, n, cap, "candidate words")
-    ok, witness = is_additive(code)
-    if not ok:
-        raise NotAdditive(witness)
     exps, group = _flat_exponents(code)
+    generators = _generators(exps, group)
+    if generators is None:
+        raise NotAdditive(_closure_witness(exps, group))
     orders = np.array(group.orders, dtype=np.int64)
     L = lcm(*group.orders)
     weights = L // orders
 
     candidates = group.digits(np.arange(group.size))
-    pairing = (candidates * weights[None, :]) @ _generators(exps, group).T % L
+    pairing = (candidates * weights[None, :]) @ generators.T % L
     member = (pairing == 0).all(axis=1)
     words = TranslationStructure((base.v,) * n).digits(np.flatnonzero(member))
     return Code(words.tolist(), base, n)
@@ -325,33 +425,38 @@ def _require_z4(code):
         raise DimensionMismatch("expected a code over the Z4 group scheme")
 
 
-def _merge(poly, nvars, key):
-    """The polynomial in nvars variables whose coefficient at key(e)
-    sums those of poly at every e sent there: a substitution of
-    monomials for variables, which only moves coefficients."""
-    terms = {}
-    for exps, c in poly.terms.items():
-        k = key(*exps)
-        terms[k] = terms.get(k, GaussRat(0)) + c
-    return MPoly(nvars, terms)
+def _merge(rows, nums, image):
+    """Terms (rows, nums) under the substitution of the monomial with
+    exponents image[i] for variable i, which only moves coefficients:
+    the exponent row e goes to e image, and the numerators of rows sent
+    to one image are summed."""
+    merged, inverse = np.unique(np.array(rows) @ np.array(image), axis=0,
+                                return_inverse=True)
+    return (list(map(tuple, merged.tolist())),
+            [_sum_at(inverse, x, len(merged)) for x in nums])
 
 
-def _lee(swe):
-    """The Lee form swe(s^2, s t, t^2) of a symmetrized enumerator."""
-    return _merge(swe, 2, lambda e0, e1, e2: (2 * e0 + e1, e1 + 2 * e2))
+# the monomials put for the variables by `_merge`: the symmetrized form
+# is cwe(s0, s1, s2, s1), and the Lee form of a symmetrized one is
+# swe(s^2, s t, t^2)
+_SYMMETRIZED = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 0))
+_LEE = ((2, 0), (1, 1), (0, 2))
 
 
 def z4_enumerators(code):
     """Complete, symmetrized, and Lee weight enumerators of a Z4 code.
 
-    The symmetrized form merges the +-1 difference classes; the Lee form
-    is the symmetrized form evaluated at (s^2, s t, t^2), which sends
-    s0^e0 s1^e1 s2^e2 to s^(2 e0 + e1) t^(e1 + 2 e2).
+    All three merge the integer pair counts of `_pair_counts` and divide
+    by |C| once per term.  The symmetrized form merges the +-1 difference
+    classes; the Lee form is the symmetrized form evaluated at (s^2, s t,
+    t^2), which sends s0^e0 s1^e1 s2^e2 to s^(2 e0 + e1) t^(e1 + 2 e2).
     """
     _require_z4(code)
-    cwe = weight_enumerator(code)
-    swe = _merge(cwe, 3, lambda e0, e1, e2, e3: (e0, e1 + e3, e2))
-    return Z4Enumerators(cwe, swe, _lee(swe))
+    rows, counts = _pair_counts(code)
+    swe = _merge(rows, [counts], _SYMMETRIZED)
+    size = len(code)
+    return Z4Enumerators(_poly(rows, [counts], size), _poly(*swe, size),
+                         _poly(*_merge(*swe, _LEE), size))
 
 
 def gray_image(code):
@@ -387,4 +492,5 @@ def gray_lee_check(code, cap=DEFAULT_CAP):
     _require_z4(code)
     lhs = z4_enumerators(dual_code(code, cap)).lee
     swe = z4_enumerators(code).symmetrized
-    return lhs == _lee(macwilliams_transform(swe, _LEE_P, 4, len(code)))
+    rows, nums, den = _transform(swe, _LEE_P, 4, len(code))
+    return lhs == _poly(*_merge(rows, nums, _LEE), den)

@@ -7,13 +7,20 @@ come in by snap_gauss (`modular`) and by the Gaussian-integer rounding
 of `scheme.eigenmatrix`; callers re-verify every value either gives.
 
 GaussRat is the scalar type: MPoly coefficients are GaussRat, and so
-is every entry an ExactMatrix hands out.  An ExactMatrix itself is
-stored in one form only, its Gaussian-integer numerators -- a real and
-an imaginary integer matrix -- over one denominator D, kept reduced; its
-GaussRat entries are made when a caller first reads them.  The kernels
+is every entry an ExactMatrix hands out.  A GaussRat keeps Fraction
+parts as given and shares one zero Fraction as the imaginary part of
+real values, so making one from Fractions makes no new Fraction.  An
+ExactMatrix itself is stored in one form only, its Gaussian-integer
+numerators -- a real and an imaginary integer matrix -- over one
+denominator D, kept reduced; its GaussRat entries are made when a
+caller first reads them.  The kernels
 work on the numerators: matrix product, Kronecker product and inverse
-with Python ints, induced matrices on numpy int64 arrays while a bound
-on their entries allows and on arrays of Python ints beyond.  The
+with Python ints, and induced matrices on numpy int64 arrays while a
+bound on their entries allows and on arrays of Python ints beyond.  The
+induced kernel is public, `induced_numerators`: `induced_matrix` wraps
+its arrays in an ExactMatrix, and `codes.macwilliams_transform`
+multiplies an enumerator's numerators with them directly, so no matrix
+indexed by compositions is made into GaussRat entries or reduced.  The
 inverse runs the fraction-free elimination kernel `_bareiss`.
 """
 
@@ -30,12 +37,16 @@ import numpy as np
 from .errors import DimensionMismatch, SingularMatrix
 
 
+# the imaginary part of every real GaussRat made from an int 0 or by default
+_ZERO = Fraction(0)
+
+
 def _frac(x):
     """Coerce ints, Fractions, and 'p/q' strings to Fraction; reject floats."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return Fraction(x) if x else _ZERO
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError("exact arithmetic only: cannot convert %r" % (x,))
@@ -70,13 +81,15 @@ class GaussRat:
     """A Gaussian rational re + im*i, immutable and exact.
 
     Floats are rejected on construction so nothing inexact can sneak in.
+    A Fraction operand is kept as given, and a real value's imaginary part
+    is one shared zero.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+    def __init__(self, re=0, im=_ZERO):
+        _set_re(self, re if type(re) is Fraction else _frac(re))
+        _set_im(self, im if type(im) is Fraction else _frac(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -177,6 +190,10 @@ class GaussRat:
 
     def __complex__(self):
         return complex(float(self.re), float(self.im))
+
+
+# the slot setters, which bypass the refusing __setattr__
+_set_re, _set_im = GaussRat.re.__set__, GaussRat.im.__set__
 
 
 _SNAP_MAX_DENOMINATOR = 10**6
@@ -373,10 +390,13 @@ def _degree_step(m, k):
 _GATHER_ENTRIES = 2**20
 
 
-def _induced_numerators(re, im, n):
-    """The induced matrix of the integer matrix re + im i (im None if
-    real) on degree-n monomials, as a list of numerator arrays: the real
-    part, then the imaginary part for a complex matrix.
+def induced_numerators(re, im, n):
+    """The induced matrix of the integer matrix re + im i (rows of ints,
+    im None if real, as `ExactMatrix.numerators` gives them) on degree-n
+    monomials, as a list of numerator arrays indexed by compositions in
+    canonical order: the real part, then the imaginary part for a
+    complex matrix.  The kernel of `induced_matrix` and of
+    `codes.macwilliams_transform`.
 
     Row gamma of degree m is row gamma - e_j of degree m-1 times the
     linear form of row j, j the first nonzero part of gamma: a block of
@@ -709,10 +729,11 @@ class MPoly:
         clean = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            if len(exps) != nvars or min(exps) < 0:
                 raise DimensionMismatch("bad exponent tuple %r" % (exps,))
-            coeff = GaussRat.coerce(coeff)
-            if coeff:
+            if type(coeff) is not GaussRat:
+                coeff = GaussRat.coerce(coeff)
+            if coeff.re or coeff.im:
                 clean[exps] = coeff
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -919,12 +940,12 @@ def induced_matrix(M, n):
     The map M -> induced_matrix(M, n) is multiplicative.  It is formed
     degree by degree on the Gaussian-integer numerators of M, over D^n:
     int64 arrays while L^n < 2^62, L the largest row l1 norm of the
-    numerators, and arrays of Python ints beyond (`_induced_numerators`).
+    numerators, and arrays of Python ints beyond (`induced_numerators`).
     """
     if M.nrows != M.ncols:
         raise DimensionMismatch("induced matrix needs a square matrix")
     compositions(n, M.nrows)  # rejects n < 0
     re, im, D = M.numerators()
-    parts = _induced_numerators(re, im, n)
+    parts = induced_numerators(re, im, n)
     return ExactMatrix.from_numerators(parts[0].tolist(),
                                        im and parts[1].tolist(), D**n)

@@ -264,15 +264,15 @@ def _fold(tables):
 
 
 def _row_histograms(table, rows, c, k):
-    """counts[r, j, i] = #{z : table[r, z] = j, c[z] = i} over the rows
-    `rows` of `table`, whose values, like those of c, lie below k: one
-    `np.bincount` of the keys (r k + j) k + i, the kernel of the group
-    count in `_translation_tensor`.  The keys are read in memory order,
-    so a transposed `table` costs no copy."""
+    """counts[i, j, r] = #{z : c[z] = i, table[rows[r], z] = j} over the
+    rows `rows` of `table`, whose values, like those of c, lie below k:
+    one `np.bincount` of the keys (i k + j) m + r, m the number of rows,
+    the kernel of the group count in `_translation_tensor`.  The keys are
+    read in memory order, so a transposed `table` costs no copy."""
     block = table[rows]
-    n = block.shape[0]
-    keys = (np.arange(n)[:, None] * k + block) * k + c
-    return np.bincount(keys.ravel("K"), minlength=n * k * k).reshape(n, k, k)
+    m = block.shape[0]
+    keys = (c * k + block) * m + np.arange(m)[:, None]
+    return np.bincount(keys.ravel("K"), minlength=k * k * m).reshape(k, k, m)
 
 
 def _translation_tensor(rel, c):
@@ -285,7 +285,11 @@ def _translation_tensor(rel, c):
     histogram H_w[i, j] = #{z : c(z) = i, c(w - z) = j} is the same over
     each class k, giving p[i][j][k].  No difference table is needed:
     c(-z) = rel[z, 0] and c(w - z) = rel[z, w], so H_w is the histogram
-    of column w of the table against c, counted over row blocks of w.
+    of column w of the table against c.  The histograms of one
+    representative w per class are counted straight into the tensor's
+    (i, j, k) layout, and those of every w, over row blocks of w, are
+    compared with the tensor's columns gathered at the classes of w, so
+    the one k^3 array held is the tensor.
     """
     v, k = rel.shape[0], int(c.max()) + 1
     sizes = np.bincount(c, minlength=k)
@@ -296,14 +300,14 @@ def _translation_tensor(rel, c):
     if (neg_c != neg_c[first][c]).any():
         return None
     columns = rel.T
-    # expected[k, j, i] = H_w[i, j] for the representative w of class k
-    expected = _row_histograms(columns, first, c, k)
+    tensor = _row_histograms(columns, first, c, k)
     for rows in _row_blocks(v, max(v, k * k)):
-        if (_row_histograms(columns, rows, c, k) != expected[c[rows]]).any():
+        if (_row_histograms(columns, rows, c, k)
+                != tensor.take(c[rows], axis=2)).any():
             return None
-    tensor = np.ascontiguousarray(expected.transpose(2, 1, 0))
-    if (tensor != np.swapaxes(tensor, 0, 1)).any():
-        return None
+    for rows in _row_blocks(k, k * k):
+        if (tensor[rows] != tensor[:, rows].swapaxes(0, 1)).any():
+            return None
     return tensor
 
 

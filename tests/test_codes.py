@@ -381,6 +381,50 @@ def test_is_additive_matches_loop(block, monkeypatch):
     assert verdicts == {True, False}
 
 
+TRANSLATION_BASES = (BINARY, one_class(3), Z4, group_scheme([2, 2]),
+                     group_scheme([2, 4]), cycle_scheme(4), cycle_scheme(6),
+                     hamming(2, 2))
+
+
+@pytest.mark.parametrize("base", TRANSLATION_BASES,
+                         ids=["binary", "one_class3", "z4", "z2z2", "z2z4",
+                              "cycle4", "cycle6", "hamming22"])
+def test_is_additive_decides_by_the_span(base, monkeypatch):
+    """The span decision agrees with the |C|^2 closure scan, verdict and
+    witness, on random additive codes and their shuffled, shortened and
+    extended variants, and the scan runs only for a code that is not
+    additive."""
+    scan = codes._closure_witness
+    scans = []
+    monkeypatch.setattr(codes, "_closure_witness",
+                        lambda exps, group: scans.append(1) or scan(exps, group))
+    rng = random.Random(base.v * 31 + base.d)
+    verdicts = set()
+    for n in (1, 2, 3):
+        for _ in range(4):
+            for code in _additive_variants(rng, base, n):
+                want = scan(*codes._flat_exponents(code))
+                scans.clear()
+                assert is_additive(code) == (want is None, want)
+                assert len(scans) == (want is not None)
+                verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def test_is_additive_on_the_full_binary_space():
+    """All 2^10 binary words: additive, decided without the scan, and
+    generated by the ten unit vectors, taken in word order."""
+    n = 10
+    words = [tuple((x >> (n - 1 - j)) & 1 for j in range(n))
+             for x in range(2**n)]
+    code = mk(words)
+    exps, group = codes._flat_exponents(code)
+    assert codes._generators(exps, group).tolist() == \
+        np.eye(n, dtype=int)[::-1].tolist()
+    assert is_additive(code) == (True, None)
+    assert is_additive(mk(words[1:])) == (False, (words[1], words[1]))
+
+
 @pytest.mark.parametrize("base, n", [(BINARY, 64), (BINARY, 70), (Z4, 32),
                                      (group_scheme([2, 4]), 40)],
                          ids=["binary64", "binary70", "z4_32", "z2z4_40"])
@@ -438,12 +482,14 @@ def test_dual_code_cap():
                                    [(1,) * 64, (0, 1) * 32]],
                          ids=["additive", "not-additive"])
 def test_dual_code_checks_the_cap_before_additivity(monkeypatch, words):
-    """The |C|^2 closure scan is not run for a dual past the cap, so a
-    code that is over it and not additive is refused for its size."""
-    def fail(code):
-        raise AssertionError("is_additive ran before the cap was checked")
+    """Neither the span decision nor the |C|^2 closure scan is run for a
+    dual past the cap, so a code that is over it and not additive is
+    refused for its size."""
+    def fail(*args):
+        raise AssertionError("additivity was decided before the cap")
 
-    monkeypatch.setattr(codes, "is_additive", fail)
+    for name in ("is_additive", "_generators", "_closure_witness"):
+        monkeypatch.setattr(codes, name, fail)
     with pytest.raises(SizeCapExceeded,
                        match=r"^2\^64 candidate words exceeds cap 4096$"):
         dual_code(Code(words, BINARY))
@@ -639,8 +685,8 @@ def test_lee_transform_matches_polynomial_substitution():
         swe = z4_enumerators(c).symmetrized
         want = substitute_polys(swe, [(s + t) ** 2, s * s - t * t, (s - t) ** 2])
         want = want * GaussRat(Fraction(1, len(c)))
-        got = codes._lee(macwilliams_transform(swe, codes._LEE_P, 4, len(c)))
-        assert got == want
+        rows, nums, den = codes._transform(swe, codes._LEE_P, 4, len(c))
+        assert codes._poly(*codes._merge(rows, nums, codes._LEE), den) == want
 
 
 def test_gray_lee_check_rejects_a_wrong_dual(monkeypatch):

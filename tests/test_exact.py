@@ -4,9 +4,11 @@ from fractions import Fraction
 from math import gcd, inf, nan, nextafter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schemekit
+from schemekit import codes
 from schemekit import exact as exact_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.codes import (
@@ -77,6 +79,38 @@ def test_gauss_str_forms():
 def test_gauss_rejects_floats():
     with pytest.raises(TypeError):
         GaussRat(0.5)
+
+
+@pytest.mark.parametrize("x", [0.0, 1.5, np.float64(2.0)],
+                         ids=["zero", "one_and_a_half", "np_float64"])
+def test_gauss_rejects_floats_in_either_part(x):
+    """No float gets past the Fraction fast path, beside an int, a
+    Fraction or the default imaginary part."""
+    for args in ((x,), (x, 0), (0, x), (Fraction(1, 2), x),
+                 (x, Fraction(1, 2))):
+        with pytest.raises(TypeError):
+            GaussRat(*args)
+
+
+def test_gauss_parses_strings():
+    assert GaussRat("1/2", "-3/4") == GaussRat(Fraction(1, 2), Fraction(-3, 4))
+    assert GaussRat("7") == GaussRat(7)
+
+
+def test_gauss_keeps_fraction_operands():
+    """A Fraction part is kept as the same object, and every real value
+    made from an int 0 or by default shares one zero imaginary part."""
+    re, im = Fraction(2, 3), Fraction(-5, 7)
+    z = GaussRat(re, im)
+    assert z.re is re and z.im is im
+    assert GaussRat(re).im is GaussRat(5, 0).im is GaussRat(0).re
+
+
+@pytest.mark.parametrize("x", [0, 3, -4, Fraction(1, 3), "2/5"],
+                         ids=["zero", "three", "minus_four", "third", "str"])
+def test_gauss_real_value_with_or_without_zero_imaginary(x):
+    assert GaussRat(x) == GaussRat(x, 0) == GaussRat(x, Fraction(0))
+    assert hash(GaussRat(x)) == hash(GaussRat(x, 0)) == hash(Fraction(x))
 
 
 def test_gauss_zero_division():
@@ -714,14 +748,14 @@ def induced_dtypes(monkeypatch):
     """The dtypes of the numerator arrays of each induced matrix made
     while the test runs."""
     seen = []
-    induced_numerators = exact_module._induced_numerators
+    induced_numerators = exact_module.induced_numerators
 
     def spy(re, im, n):
         parts = induced_numerators(re, im, n)
         seen.extend(x.dtype.name for x in parts)
         return parts
 
-    monkeypatch.setattr(exact_module, "_induced_numerators", spy)
+    monkeypatch.setattr(exact_module, "induced_numerators", spy)
     return seen
 
 
@@ -838,3 +872,88 @@ def test_transform_matches_substitution_and_direct_oracle(base, n):
         W = weight_enumerator(code)
         assert macwilliams_transform(W, P, base.v, len(code)) == \
             transform_by_substitution(W, P, base.v, len(code))
+
+
+def _random_homogeneous(rng, k, n, terms, span=5):
+    """A nonzero homogeneous degree-n polynomial in k variables with up to
+    `terms` random complex Gaussian-rational coefficients."""
+    comps = compositions(n, k)
+    while True:
+        W = MPoly(k, {rng.choice(comps): rand_gauss(rng, span)
+                      for _ in range(terms)})
+        if W:
+            return W
+
+
+@pytest.fixture
+def transform_dtypes(monkeypatch):
+    """The dtypes of the numerator products of each transform."""
+    seen = []
+    matmul = codes._gauss_matmul
+
+    def spy(x, y):
+        seen.extend(a.dtype.name for a in x + y)
+        return matmul(x, y)
+
+    monkeypatch.setattr(codes, "_gauss_matmul", spy)
+    return seen
+
+
+@pytest.mark.parametrize("P, v, degrees", [
+    (eigenmatrix(one_class(2)), 2, (1, 4, 7)),
+    (eigenmatrix(one_class(3)), 3, (2, 5)),
+    (eigenmatrix(cycle_scheme(4)), 4, (1, 3)),
+    (eigenmatrix(group_scheme([4])), 4, (1, 2, 4)),
+    (eigenmatrix(group_scheme([2, 4])), 8, (1, 2)),
+    (ExactMatrix([[1, GaussRat(Fraction(1, 2), -1)], [Fraction(1, 3), -2]]),
+     3, (1, 3)),
+], ids=["one_class:2", "one_class:3", "cycle:4", "group:4", "group:2:4",
+        "not_an_eigenmatrix"])
+def test_transform_of_random_polynomials_matches_substitution(
+        P, v, degrees, transform_dtypes):
+    """The transform of random homogeneous polynomials with complex
+    coefficients, not only enumerators, over real and complex P and a P
+    with denominators (Q by the inverse), against the substitution."""
+    rng = random.Random(2203 + P.nrows)
+    for n in degrees:
+        for size in (1, 6):
+            W = _random_homogeneous(rng, P.nrows, n, 6)
+            assert macwilliams_transform(W, P, v, size) == \
+                transform_by_substitution(W, P, v, size)
+    assert set(transform_dtypes) == {"int64"}
+
+
+@pytest.mark.parametrize("P, v, n, scale", [
+    # L = 1000: L^7 = 10^21 > 2^62, so induced(Q, 7) holds Python ints
+    (eigenmatrix(one_class(1000)), 1000, 7, 1),
+    # L = 2 and L^2 = 4, but numerators of 2^61 and more: A L^2 > 2^62
+    (eigenmatrix(one_class(2)), 2, 2, 2**61),
+], ids=["one_class:1000", "large_numerators"])
+def test_transform_past_the_int64_bound(P, v, n, scale, transform_dtypes):
+    """Past A L^n < 2^62 the product runs on Python ints, exactly."""
+    rng = random.Random(n)
+    W = _random_homogeneous(rng, 2, n, 4) * GaussRat(scale)
+    assert macwilliams_transform(W, P, v, 3) == \
+        transform_by_substitution(W, P, v, 3)
+    assert set(transform_dtypes) == {"object"}
+
+
+def test_transform_builds_no_composite_matrix(monkeypatch):
+    """The transform multiplies numerator arrays: the only ExactMatrix it
+    forms is the base's Q, never one indexed by compositions."""
+    shapes = []
+    store = ExactMatrix._store
+
+    def spy(self, *args):
+        store(self, *args)
+        shapes.append((self.nrows, self.ncols))
+
+    monkeypatch.setattr(ExactMatrix, "_store", spy)
+    for base, n in ((one_class(2), 10), (group_scheme([4]), 5),
+                    (cycle_scheme(4), 4)):
+        P = eigenmatrix(base)
+        code = random_code_of(random.Random(n), base, n, 12)
+        W = weight_enumerator(code)
+        shapes.clear()
+        macwilliams_transform(W, P, base.v, len(code))
+        assert set(shapes) <= {(P.nrows, P.nrows)}

@@ -8,7 +8,7 @@ import pytest
 from schemekit import genham
 from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
-from schemekit.codes import _key_factor, _key_profile, _profile_keys
+from schemekit.codes import _key_factor, _key_profiles, _profile_keys
 from schemekit.errors import SizeCapExceeded
 from schemekit.exact import ExactMatrix, GaussRat, compositions, induced_matrix
 from schemekit.genham import (
@@ -73,9 +73,10 @@ def test_profile_keys_decode_to_h_vector(base, n):
     assert _key_factor(ys, base.relation, base.d).dtype == (
         np.float64 if bound <= 2**53 else keys.dtype)
     assert keys[0, 0] == n * (n + 1) ** base.d
+    profiles = _key_profiles(keys, n, base.d).tolist()
     for a in range(5):
         for b in range(7):
-            assert _key_profile(keys[a, b], n, base.d) == \
+            assert tuple(profiles[a][b]) == \
                 h_vector(xs[a].tolist(), ys[b].tolist(), base)
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -955,6 +956,23 @@ def test_group_tensor_matches_dense(name):
         assert witness is None
         assert (_group_tensor(s) == dense).all()
         assert (s.intersection_tensor() == dense).all()
+
+
+def test_group_count_holds_one_tensor(monkeypatch):
+    """The group count of Z4^3 (64 classes) over row blocks of 4 rows
+    holds the tensor and block-sized arrays only, no second k^3 array
+    (numpy's allocations are traced by tracemalloc)."""
+    s = group_scheme([4, 4, 4])
+    dense, _ = _product_tensor(s.relation, s.d)
+    monkeypatch.setattr(scheme_module, "_BLOCK", 2**14)
+    tracemalloc.start()
+    try:
+        tensor = _translation_tensor(s.relation, s.relation[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tensor == dense).all()
+    assert peak < 1.5 * tensor.nbytes
 
 
 @pytest.mark.parametrize("block", [1, 100])
