@@ -4,32 +4,33 @@ verify_modular is purely exact: it forms the cube and decides c*I on
 the Gaussian-integer numerators.  search_T refuses a singular P at once.
 Its candidates come from one of three exact routes, by size, all read
 off PTP = c T^-1 P^-1 T^-1: a 1x1 P has the one candidate T = (1); up
-to 3x3, elimination over the Gaussian rationals on the first-row
-quadrics, with one resultant, their Sylvester determinant written out
-(`_resultant_y`); at 4x4, Cramer's rule on three equations affine in
-(t_2, t_3) and one eliminant in t_1 of degree at most 8, formed on
-Gaussian integers (`_cramer_candidates`).  Larger sizes, 3x3 quadrics
-with a positive-dimensional component and the 4x4 P's the Cramer route
-cannot decide use seeded batched Levenberg-Marquardt restarts on the
-cube, with its residual and derivatives read off its coefficient
-tensor, snapped to Gaussian rationals.  Every candidate with no zero
-entry (which forces c = 0) goes through one exact check, each distinct
-one once, so an inexact witness can never be returned.  A None is a
-proof of absence, up to the root snap, only from an exact route that
-decided (see search_T).  search_T keeps its recent results, keyed on
-(P, restarts), for the life of the process, in one
-`functools.lru_cache` (`_search`).  induced_modular_check lifts a
-witness to degree n with the induced matrices of P and T, one route for
-both.
+to 3x3, elimination on the first-row quadrics, with one resultant,
+their Sylvester determinant written out (`_resultant_y`); at 4x4,
+Cramer's rule on three equations affine in (t_2, t_3) and one
+eliminant in t_1 of degree at most 8 (`_cramer_candidates`).  Both
+form their polynomials on the Gaussian-integer numerators of P and
+P^-1, as lists of (re, im) pairs, and share one gcd (`_gp_gcd`) and
+one root finder (`_gp_roots`); GaussRat values are made only for the
+candidates.  Larger sizes, 3x3 quadrics with a positive-dimensional
+component and the 4x4 P's the Cramer route cannot decide use seeded
+batched Levenberg-Marquardt restarts on the cube, with its residual
+and derivatives read off its coefficient tensor, snapped to Gaussian
+rationals.  Every candidate with no zero entry (which forces c = 0)
+goes through one exact check, each distinct one once, so an inexact
+witness can never be returned.  A None is a proof of absence, up to
+the root snap, only from an exact route that decided (see search_T).
+search_T keeps its recent results, keyed on (P, restarts), for the
+life of the process, in one `functools.lru_cache` (`_search`).
+induced_modular_check lifts a witness to degree n with the induced
+matrices of P and T, one route for both.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .errors import DimensionMismatch, NotScalar, SingularMatrix
 from .exact import (
     ExactMatrix,
     GaussRat,
-    MPoly,
     induced_matrix,
     snap_gauss,
 )
@@ -94,220 +94,18 @@ def verify_modular(P, T):
     return ModularWitness(T, c)
 
 
-# -- polynomial systems --------------------------------------------------
-
-
-def _cube_constraints(P):
-    """The off-diagonal entries and diagonal differences of the cube
-    K = (P diag(1, t_1, .., t_d))^3, as MPolys in t_1..t_d, zeros
-    dropped: K = c I exactly where they all vanish."""
-    k = P.nrows
-    d = k - 1
-    t = [MPoly.constant(d, 1)] + [MPoly.variable(j, d) for j in range(d)]
-    M = K = [[t[j] * P[i, j] for j in range(k)] for i in range(k)]
-    for _ in range(2):
-        K = [[sum((K[i][r] * M[r][j] for r in range(k)), MPoly.zero(d))
-              for j in range(k)] for i in range(k)]
-    cons = [K[i][j] for i in range(k) for j in range(k) if i != j]
-    cons += [K[0][0] - K[i][i] for i in range(1, k)]
-    return [p for p in cons if p]
-
-
-def _quadrics(P, b):
-    """The first-row quadrics of (P diag(1, t_1, .., t_d))^3 = c I, as
-    MPolys in t_1..t_d, given b, row 0 of P^-1.
-
-    With c != 0, M = PT has M^2 = c M^-1, so PTP = c T^-1 P^-1 T^-1,
-    whose row 0 reads a_j(t) t_j = c b_j for a_j(t) = sum_r P[0, r]
-    P[r, j] t_r (t_0 = 1).  Cross-multiplying each entry j against one
-    entry m with b_m != 0 (m = 0 unless b_0 = 0) eliminates c:
-    b_m a_j(t) t_j - b_j a_m(t) t_m = 0 for the d indices j != m.  Every
-    witness is a zero of these; a zero need not be a witness.
-    """
-    k = P.nrows
-    d = k - 1
-
-    def a_t(j):
-        return MPoly(d, {tuple(int(i + 1 == r) + int(i + 1 == j)
-                               for i in range(d)): P[0, r] * P[r, j]
-                         for r in range(k)})
-
-    m = next(j for j in range(k) if b[j])
-    return [a_t(j) * b[m] - a_t(m) * b[j] for j in range(k) if j != m]
-
-
-# -- univariate polynomial utilities over GaussRat ----------------------
-
-
-def _coeff_list(p):
-    """Univariate MPoly as an ascending GaussRat coefficient list."""
-    deg = max((e[0] for e in p.terms), default=-1)
-    return [p.coefficient((k,)) for k in range(deg + 1)]
-
-
-def _trim(coeffs):
-    """A coefficient list as a new list, trailing zeros dropped."""
-    coeffs = list(coeffs)
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-def _poly_divmod(a, b):
-    a, b = _trim(a), _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [GaussRat(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    while len(r) >= len(b) and r:
-        f = r[-1] / b[-1]
-        shift = len(r) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            r[shift + i] = r[shift + i] - f * bc
-        r = _trim(r)
-    return q, r
-
-
-def _poly_gcd(a, b):
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    a = _trim(a)
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def _gcd_many(lists):
-    g = []
-    for coeffs in lists:
-        g = _poly_gcd(coeffs, g)
-    return g
-
-
-def _exact_roots(coeffs):
-    """Exact Gaussian-rational roots of an ascending coefficient list.
-
-    The squarefree part p / gcd(p, p') is solved numerically, so a
-    multiple root comes back as accurately as a simple one; its roots
-    are snapped and then checked exactly against it, so only true roots
-    are returned.  Ordered by (im, re) descending for deterministic
-    search output.
-    """
-    coeffs = _trim(coeffs)
-    if len(coeffs) > 2:
-        derivative = [c * i for i, c in enumerate(coeffs)][1:]
-        coeffs = _poly_divmod(coeffs, _poly_gcd(coeffs, derivative))[0]
-    if len(coeffs) <= 1:
-        return []
-    if len(coeffs) == 2:
-        return [-coeffs[0] / coeffs[1]]
-    numeric = np.roots([complex(c) for c in reversed(coeffs)])
-    roots = []
-    for z in numeric:
-        g = snap_gauss(z)
-        if g is None:
-            continue
-        value = GaussRat(0)
-        for c in reversed(coeffs):
-            value = value * g + c
-        if not value and g not in roots:
-            roots.append(g)
-    roots.sort(key=lambda g: (g.im, g.re), reverse=True)
-    return roots
-
-
-# -- bivariate elimination (resultants) ---------------------------------
-
-
-def _y_coefficients(p):
-    """Bivariate MPoly as ascending y-coefficients, each univariate in x."""
-    deg = max((e[1] for e in p.terms), default=0)
-    coeffs = [MPoly.zero(1) for _ in range(deg + 1)]
-    for (ex, ey), c in p.terms.items():
-        coeffs[ey] = coeffs[ey] + MPoly.monomial((ex,), c)
-    return coeffs
-
-
-def _resultant_y(f, g):
-    """Res_y(f, g), a univariate MPoly in x, for bivariate f, g of
-    y-degrees (1, 1) or (2, 1) in either order: the Sylvester
-    determinant written out on their y-coefficients.  These are the
-    only y-degrees two first-row quadrics with y-terms can have: of
-    q_j = b_m a_j(t) t_j - b_j a_m(t) t_m, only the one with j = 2 != m
-    has a t_2^2 term (see `_quadrics`)."""
-    f, g = _y_coefficients(f), _y_coefficients(g)
-    if len(f) < len(g):
-        f, g = g, f
-    if len(f) == 2:
-        return f[1] * g[0] - f[0] * g[1]
-    return f[2] * g[0] * g[0] - f[1] * g[0] * g[1] + f[0] * g[1] * g[1]
-
-
-# -- exact candidates, sizes 2 and 3 ------------------------------------
-
-
-_HEURISTIC_VALUES = (GaussRat(1), GaussRat(0, 1), GaussRat(-1), GaussRat(0, -1))
-
-
-def _last_coordinate(polys, prefix):
-    """Exact roots in t_d of polys with t_1..t_{d-1} set to prefix: the
-    roots of their gcd there, or None if every one vanishes there,
-    leaving t_d free."""
-    gens = []
-    for p in polys:
-        coeffs = defaultdict(GaussRat)
-        for e, c in p.terms.items():
-            coeffs[e[-1]] += prod((x0**ex for x0, ex in zip(prefix, e)),
-                                  start=c)
-        gens.append([coeffs[i] for i in range(max(coeffs, default=-1) + 1)])
-    g = _gcd_many(gens)
-    return _exact_roots(g) if g else None
-
-
-def _exact_candidates(P, b, restarts):
-    """Candidate diagonals of sizes 2 and 3, from the first-row quadrics.
-
-    With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
-    quadric free of y = t_2.  If that eliminant vanishes identically the
-    quadrics have a positive-dimensional component: the heuristic values
-    stand in for x, and the numeric stream follows.  At each x (once for
-    d = 1) the last coordinate is a root of the quadrics' gcd; where they
-    leave it free, of the cube constraints'; where those do too, a
-    heuristic value.
-    """
-    quadrics = _quadrics(P, b)
-    cube = None
-    prefixes, degenerate = [()], False
-    if len(quadrics) == 2:
-        with_y = [q for q in quadrics if any(e[1] for e in q.terms)]
-        gens_x = [_coeff_list(_y_coefficients(q)[0])
-                  for q in quadrics if q not in with_y]
-        if len(with_y) == 2:
-            gens_x.append(_coeff_list(_resultant_y(*with_y)))
-        hx = _gcd_many(gens_x)
-        degenerate = not hx
-        prefixes = [(x0,) for x0 in
-                    (_exact_roots(hx) if hx else _HEURISTIC_VALUES)]
-    for prefix in prefixes:
-        last = _last_coordinate(quadrics, prefix)
-        if last is None:
-            if cube is None:
-                cube = _cube_constraints(P)
-            last = _last_coordinate(cube, prefix)
-        for t in _HEURISTIC_VALUES if last is None else last:
-            yield prefix + (t,)
-    if degenerate:
-        yield from _numeric_candidates(P, restarts)
-
-
-# -- exact candidates, size 4 -------------------------------------------
+# -- Gaussian-integer polynomials ----------------------------------------
 #
-# On Gaussian integers, each a pair (re, im) of ints: a polynomial in t_1
-# is an ascending list of them, trailing zeros allowed, and a Gaussian
-# rational z / q is held as the pair (z, q) of one and an int q > 0.
+# On Gaussian integers, each a pair (re, im) of ints: a polynomial in one
+# variable is an ascending list of them, trailing zeros allowed, and a
+# Gaussian rational z / q is held as the pair (z, q) of one and an int q > 0.
+
+
+def _gauss_rows(M):
+    """The Gaussian-integer numerators of M's entries, as rows of pairs."""
+    re, im, _ = M.numerators()
+    return [list(zip(r, i))
+            for r, i in zip(re, im or [[0] * len(re[0])] * len(re))]
 
 
 def _gmul(a, b):
@@ -363,6 +161,17 @@ def _gp_pdivmod(a, b):
     return q, r
 
 
+def _gp_gcd(polys):
+    """A gcd of polys, primitive and without trailing zeros, by a
+    primitive pseudo-remainder sequence; [] if they all vanish."""
+    g = []
+    for h in polys:
+        h = _gp_primitive(_gp_trim(h))
+        while h:
+            g, h = h, _gp_primitive(_gp_pdivmod(g, h)[1])
+    return g
+
+
 def _gp_at(p, x, n):
     """q^n p(z / q) for x = (z, q) and n >= deg p, a Gaussian integer."""
     (zr, zi), q = x
@@ -382,15 +191,14 @@ def _ratio(u, v):
 
 
 def _gp_roots(p):
-    """The nonzero Gaussian-rational roots (z, q) of a nonzero p, each
-    once, as `_exact_roots` finds them: its squarefree part, made by a
-    primitive pseudo-remainder sequence, is solved numerically, each
-    root is snapped and kept only if it is a root exactly."""
+    """The nonzero Gaussian-rational roots (z, q) of p, each once, by the
+    (im, re) of z / q descending.  The squarefree part p / gcd(p, p') is
+    solved numerically, so a multiple root comes back as accurately as a
+    simple one; each root is snapped and kept only if it is a root
+    exactly."""
     f = _gp_primitive(_gp_trim(p))
     if len(f) > 2:
-        g, h = f, _gp_trim([(i * a, i * b) for i, (a, b) in enumerate(f)][1:])
-        while h:
-            g, h = h, _gp_primitive(_gp_pdivmod(g, h)[1])
+        g = _gp_gcd([f, [(i * a, i * b) for i, (a, b) in enumerate(f)][1:]])
         if len(g) > 1:
             f = _gp_primitive(_gp_pdivmod(f, g)[0])
     if len(f) <= 1:
@@ -411,7 +219,120 @@ def _gp_roots(p):
               x.im.numerator * (q // x.im.denominator)), q)
         if not any(_gp_at(f, x, len(f) - 1)) and x not in roots:
             roots.append(x)
-    return roots
+    return sorted(roots, reverse=True, key=lambda x: (
+        Fraction(x[0][1], x[1]), Fraction(x[0][0], x[1])))
+
+
+# -- exact candidates, sizes 2 and 3 ------------------------------------
+#
+# A polynomial in t_1..t_d is a list, by powers of t_d, of polynomials
+# in t_1..t_{d-1}; in no variable, a Gaussian integer.  For d = 1 it is
+# a polynomial in t_1 as above.
+
+
+# 1, i, -1 and -i, as (z, q)
+_HEURISTIC_VALUES = (((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1))
+
+
+def _first_row_quadrics(p, b):
+    """The first-row quadrics of (P diag(1, t_1, .., t_d))^3 = c I,
+    trailing zeros dropped, on the Gaussian-integer numerators p of P
+    and b of row 0 of P^-1, in which they are homogeneous.
+
+    With c != 0, M = PT has M^2 = c M^-1, so PTP = c T^-1 P^-1 T^-1,
+    whose row 0 reads a_j(t) t_j = c b_j for a_j(t) = sum_r P[0, r]
+    P[r, j] t_r (t_0 = 1).  Cross-multiplying each entry j against one
+    entry m with b_m != 0 (m = 0 unless b_0 = 0) eliminates c:
+    b_m a_j(t) t_j - b_j a_m(t) t_m = 0 for the d indices j != m.  Every
+    witness is a zero of these; a zero need not be a witness.
+    """
+    k = len(p)
+    m = next(j for j in range(k) if any(b[j]))
+
+    def form(terms, i):
+        # the sum of c t_r t_s over the (r, s, c) of terms, in t_1..t_i,
+        # by the power e of t_i in t_r t_s
+        if not i:
+            return sum(c[0] for *_, c in terms), sum(c[1] for *_, c in terms)
+        return _gp_trim([form([x for x in terms if (x[0] == i) + (x[1] == i)
+                               == e], i - 1) for e in range(3)])
+
+    return [form([(r, s, _gmul(w, _gmul(p[0][r], p[r][s])))
+                  for s, w in ((j, b[m]), (m, (-b[j][0], -b[j][1])))
+                  for r in range(k)], k - 1)
+            for j in range(k) if j != m]
+
+
+def _resultant_y(f, g):
+    """Res_y(f, g), a polynomial in x, for polynomials f, g in x and y
+    (lists by powers of y) of y-degrees (1, 1) or (2, 1) in either
+    order: the Sylvester determinant written out on their
+    y-coefficients.  These are the only y-degrees two first-row quadrics
+    with y-terms can have: of q_j = b_m a_j(t) t_j - b_j a_m(t) t_m,
+    only the one with j = 2 != m has a t_2^2 term (see
+    `_first_row_quadrics`)."""
+    if len(f) < len(g):
+        f, g = g, f
+    if len(f) == 2:
+        return _gp_add(_gp_mul(f[1], g[0]), _gp_mul(f[0], g[1]), -1)
+    # f_2 g_0^2 - f_1 g_0 g_1 + f_0 g_1^2
+    return _gp_add(_gp_mul(g[0], _gp_add(_gp_mul(f[2], g[0]),
+                                         _gp_mul(f[1], g[1]), -1)),
+                   _gp_mul(f[0], _gp_mul(g[1], g[1])))
+
+
+def _cube_at(p, prefix):
+    """The off-diagonal entries and diagonal differences of the cube
+    K = (P diag(1, t_1, .., t_d))^3, which all vanish exactly where
+    K = c I, with t_1 set to prefix (empty for d = 1), as polynomials in
+    t_d, times a constant; p holds the Gaussian-integer numerators of
+    P."""
+    q, k = prefix[0][1] if prefix else 1, len(p)
+    t = [[(q, 0)]] + [[z] for z, _ in prefix] + [[(0, 0), (q, 0)]]
+    M = K = [[_gp_mul([p[i][j]], t[j]) for j in range(k)] for i in range(k)]
+    for _ in range(2):
+        K = [[reduce(_gp_add, (_gp_mul(K[i][r], M[r][j]) for r in range(k)))
+              for j in range(k)] for i in range(k)]
+    return ([K[i][j] for i in range(k) for j in range(k) if i != j]
+            + [_gp_add(K[0][0], K[i][i], -1) for i in range(1, k)])
+
+
+def _exact_candidates(P, B, restarts):
+    """Candidate diagonals of sizes 2 and 3, from the first-row quadrics;
+    B = P^-1.
+
+    With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
+    quadric free of y = t_2.  If that eliminant vanishes identically the
+    quadrics have a positive-dimensional component: the heuristic values
+    stand in for x, and the numeric stream follows.  At each x (once for
+    d = 1) the last coordinate is a root of the quadrics' gcd; where they
+    leave it free, of the cube constraints'; where those do too, a
+    heuristic value.  All of it runs on Gaussian integers: GaussRat
+    values are made only for the candidates.
+    """
+    p = _gauss_rows(P)
+    quadrics = _first_row_quadrics(p, _gauss_rows(B)[0])
+    prefixes, degenerate = [()], False
+    if len(quadrics) == 2:
+        with_y = [q for q in quadrics if len(q) > 1]
+        gens_x = [q[0] for q in quadrics if len(q) == 1]
+        if len(with_y) == 2:
+            gens_x.append(_resultant_y(*with_y))
+        hx = _gp_gcd(gens_x)
+        degenerate = not hx
+        prefixes = [(x,) for x in
+                    (_gp_roots(hx) if hx else _HEURISTIC_VALUES)]
+    for prefix in prefixes:
+        at = ([[_gp_at(c, prefix[0], 2) for c in q] for q in quadrics]
+              if prefix else quadrics)
+        last = _gp_gcd(at) or _gp_gcd(_cube_at(p, prefix))
+        for t in _gp_roots(last) if last else _HEURISTIC_VALUES:
+            yield tuple(_ratio(z, (q, 0)) for z, q in prefix + (t,))
+    if degenerate:
+        yield from _numeric_candidates(P, restarts)
+
+
+# -- exact candidates, size 4 -------------------------------------------
 
 
 _QUADRICS_4 = ((0, 2), (0, 3), (2, 0), (3, 0))
@@ -440,11 +361,7 @@ def _cramer_candidates(P, B):
     every G vanishes identically, or where no relation, or no quadric on
     the line, is left at a root of D.
     """
-    (pr, pi, _), (br, bi, _) = P.numerators(), B.numerators()
-    p = [[(pr[i][j], pi[i][j] if pi else 0) for j in range(4)]
-         for i in range(4)]
-    b = [[(br[i][j], bi[i][j] if bi else 0) for j in range(4)]
-         for i in range(4)]
+    p, b = _gauss_rows(P), _gauss_rows(B)
     b00 = b[0][0]
     if not any(b00):
         return None
@@ -700,7 +617,8 @@ def _candidates(P, restarts):
     """The candidate diagonals search_T verifies, as a stream; none for
     a singular P, as det (PT)^3 = c^k != 0 needs det P != 0.  P^-1
     comes from `P.inverse()`, which is also the singularity check; the
-    2x2 and 3x3 route reads its row 0, the 4x4 route all of it."""
+    2x2 and 3x3 route reads the numerators of its row 0, the 4x4 route
+    all of them."""
     try:
         B = P.inverse()
     except SingularMatrix:
@@ -708,7 +626,7 @@ def _candidates(P, restarts):
     if P.nrows == 1:
         return [()]
     if P.nrows <= 3:
-        return _exact_candidates(P, B.row(0), restarts)
+        return _exact_candidates(P, B, restarts)
     found = _cramer_candidates(P, B) if P.nrows == 4 else None
     return _numeric_candidates(P, restarts) if found is None else found
 
@@ -724,12 +642,13 @@ def search_T(P, restarts=_SEARCH_RESTARTS):
     seeded Levenberg-Marquardt solves in blocks, whose converged points
     are snapped to Gaussian rationals.  Each distinct candidate with no
     zero entry is verified once, in stream order, and the witness
-    returned is the first that verifies: of the 4x4 route, the first in
-    (im, re) ascending order, coordinate by coordinate, the reverse of
-    `_exact_roots`'s order, which keeps group:2:2's diag(1, -i, -i, -1)
-    (c = -8i) first of its four witnesses; of the numeric stream, that
-    of the lowest-index restart.  The streams are lazy, so no block runs
-    after the one that holds it.  restarts <= 0 runs no restart.
+    returned is the first that verifies: of the 2x2 and 3x3 route, the
+    first with roots in (im, re) descending order; of the 4x4 route, the
+    first in (im, re) ascending order, coordinate by coordinate, which
+    keeps group:2:2's diag(1, -i, -i, -1) (c = -8i) first of its four
+    witnesses; of the numeric stream, that of the lowest-index restart.
+    The streams are lazy, so no block runs after the one that holds it.
+    restarts <= 0 runs no restart.
     Returns a ModularWitness (always verified exactly) or None.  None is
     a proof that no Gaussian-rational witness exists, up to the root
     snap (denominators up to 10^6), from the 2x2 and 3x3 route where the

@@ -9,7 +9,12 @@ slow by design and live here, beside the tests, not in the package.
 Beside them are the batched numeric search's earlier kernels, the cube
 residual by k x k matrix products and the Levenberg-Marquardt loop that
 gathers and scatters every row's state, which `modular._cube_residual`
-and `modular.least_squares` are checked against.
+and `modular.least_squares` are checked against, and the GaussRat and
+MPoly polynomial helpers the 2- and 3-class search ran on before it
+moved to Gaussian-integer lists: the symbolic cube's constraints, the
+Euclidean gcd over Gaussian rationals and its root finder, which the
+cube-route oracle of the tests and the Laplace expansion of the
+Sylvester matrix read.
 """
 
 import itertools
@@ -23,6 +28,7 @@ from schemekit.exact import (
     MPoly,
     composition_index,
     compositions,
+    snap_gauss,
 )
 from schemekit.genham import TransFusion, build_explicit, h_vector
 from schemekit.modular import _LM_ITERATIONS, _solve_each
@@ -218,3 +224,111 @@ def cube_residual_products(Pn):
         return cost, A, g
 
     return residual
+
+
+# -- the GaussRat/MPoly elimination the 2- and 3-class search ran on ------
+
+
+def _cube_constraints(P):
+    """The off-diagonal entries and diagonal differences of the cube
+    K = (P diag(1, t_1, .., t_d))^3, as MPolys in t_1..t_d, zeros
+    dropped: K = c I exactly where they all vanish."""
+    k = P.nrows
+    d = k - 1
+    t = [MPoly.constant(d, 1)] + [MPoly.variable(j, d) for j in range(d)]
+    M = K = [[t[j] * P[i, j] for j in range(k)] for i in range(k)]
+    for _ in range(2):
+        K = [[sum((K[i][r] * M[r][j] for r in range(k)), MPoly.zero(d))
+              for j in range(k)] for i in range(k)]
+    cons = [K[i][j] for i in range(k) for j in range(k) if i != j]
+    cons += [K[0][0] - K[i][i] for i in range(1, k)]
+    return [p for p in cons if p]
+
+
+def _coeff_list(p):
+    """Univariate MPoly as an ascending GaussRat coefficient list."""
+    deg = max((e[0] for e in p.terms), default=-1)
+    return [p.coefficient((k,)) for k in range(deg + 1)]
+
+
+def _trim(coeffs):
+    """A coefficient list as a new list, trailing zeros dropped."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_divmod(a, b):
+    a, b = _trim(a), _trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [GaussRat(0)] * max(0, len(a) - len(b) + 1)
+    r = a
+    while len(r) >= len(b) and r:
+        f = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        q[shift] = f
+        for i, bc in enumerate(b):
+            r[shift + i] = r[shift + i] - f * bc
+        r = _trim(r)
+    return q, r
+
+
+def _poly_gcd(a, b):
+    while any(b):
+        _, r = _poly_divmod(a, b)
+        a, b = b, r
+    a = _trim(a)
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def _gcd_many(lists):
+    g = []
+    for coeffs in lists:
+        g = _poly_gcd(coeffs, g)
+    return g
+
+
+def _exact_roots(coeffs):
+    """Exact Gaussian-rational roots of an ascending coefficient list.
+
+    The squarefree part p / gcd(p, p') is solved numerically, so a
+    multiple root comes back as accurately as a simple one; its roots
+    are snapped and then checked exactly against it, so only true roots
+    are returned.  Ordered by (im, re) descending for deterministic
+    search output.
+    """
+    coeffs = _trim(coeffs)
+    if len(coeffs) > 2:
+        derivative = [c * i for i, c in enumerate(coeffs)][1:]
+        coeffs = _poly_divmod(coeffs, _poly_gcd(coeffs, derivative))[0]
+    if len(coeffs) <= 1:
+        return []
+    if len(coeffs) == 2:
+        return [-coeffs[0] / coeffs[1]]
+    numeric = np.roots([complex(c) for c in reversed(coeffs)])
+    roots = []
+    for z in numeric:
+        g = snap_gauss(z)
+        if g is None:
+            continue
+        value = GaussRat(0)
+        for c in reversed(coeffs):
+            value = value * g + c
+        if not value and g not in roots:
+            roots.append(g)
+    roots.sort(key=lambda g: (g.im, g.re), reverse=True)
+    return roots
+
+
+def _y_coefficients(p):
+    """Bivariate MPoly as ascending y-coefficients, each univariate in x."""
+    deg = max((e[1] for e in p.terms), default=0)
+    coeffs = [MPoly.zero(1) for _ in range(deg + 1)]
+    for (ex, ey), c in p.terms.items():
+        coeffs[ey] = coeffs[ey] + MPoly.monomial((ex,), c)
+    return coeffs

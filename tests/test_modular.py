@@ -37,18 +37,15 @@ from schemekit.modular import (
     _LM_ITERATIONS,
     _SEARCH_RESTARTS,
     _SEARCH_SEED,
-    _coeff_list,
     _cramer_candidates,
-    _cube_constraints,
     _cube_residual,
-    _exact_roots,
-    _gcd_many,
+    _exact_candidates,
+    _first_row_quadrics,
+    _gauss_rows,
     _gp_mul,
     _gp_roots,
     _numeric_candidates,
-    _quadrics,
     _resultant_y,
-    _y_coefficients,
     induced_modular_check,
     least_squares,
     search_T,
@@ -57,11 +54,20 @@ from schemekit.modular import (
 from schemekit.scheme import eigenmatrix, fusion, tensor_product
 
 import oracles
+from oracles import (
+    _coeff_list,
+    _cube_constraints,
+    _exact_roots,
+    _gcd_many,
+    _y_coefficients,
+)
 
 
 P_BINARY = eigenmatrix(one_class(2))
 P_CYCLE4 = eigenmatrix(cycle_scheme(4))
 I_UNIT = GaussRat(0, 1)
+# the heuristic values 1, i, -1, -i as GaussRat
+HEURISTIC = [GaussRat(*z) for z, _ in _HEURISTIC_VALUES]
 
 
 def diag(*entries):
@@ -348,9 +354,9 @@ def test_search_singular_p_searches_nothing(monkeypatch, P):
     def refuse(*args):
         raise AssertionError("searched a singular P")
 
-    for name in ("least_squares", "verify_modular", "_quadrics",
-                 "_exact_candidates", "_cramer_candidates",
-                 "_numeric_candidates"):
+    for name in ("least_squares", "verify_modular", "_gauss_rows",
+                 "_first_row_quadrics", "_exact_candidates",
+                 "_cramer_candidates", "_numeric_candidates"):
         monkeypatch.setattr(modular, name, refuse)
     assert search_T(P) is None
 
@@ -455,7 +461,7 @@ def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
     # the exact stream (t_1 a heuristic value, t_2 = 4i) ends with the
     # numeric stream, here replaced by one that repeats it, then adds one
     P = _gauss_matrix([[2, 0, I_UNIT], [1, -1, 0], [1, 0, 0]])
-    exact = [(t, GaussRat(0, 4)) for t in _HEURISTIC_VALUES]
+    exact = [(t, GaussRat(0, 4)) for t in HEURISTIC]
     new = (GaussRat(2), GaussRat(4))
     seen = []
 
@@ -587,6 +593,16 @@ def test_only_search_T_verifies():
                        and node.id == "verify_modular"
                        for node in ast.walk(fn))]
     assert callers == ["_search"]
+
+
+def test_modular_imports_no_mpoly():
+    """`modular`'s polynomials are Gaussian-integer lists alone: it
+    imports no MPoly, so no second polynomial toolkit comes back."""
+    names = [alias.name for node in ast.walk(ast.parse(
+                 Path(modular.__file__).read_text()))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert "GaussRat" in names and "MPoly" not in names
 
 
 def test_least_squares_drops_only_singular_rows():
@@ -947,15 +963,36 @@ def _random_invertible(seed, k, count):
     return out
 
 
+def _quadrics(P):
+    """`modular`'s first-row quadrics of P."""
+    return _first_row_quadrics(_gauss_rows(P), _gauss_rows(P.inverse())[0])
+
+
 def _quadrics_with_y(P):
-    return [q for q in _quadrics(P, P.inverse().row(0))
-            if any(e[1] for e in q.terms)]
+    return [q for q in _quadrics(P) if len(q) > 1]
+
+
+def _terms(q, exponents=()):
+    """The (exponents over t_1..t_d, coefficient) of a polynomial of
+    `modular`: a list, by powers of t_d, of polynomials in
+    t_1..t_{d-1}, and in no variable a Gaussian integer (re, im)."""
+    if isinstance(q, tuple):
+        yield exponents, q
+    else:
+        for e, c in enumerate(q):
+            yield from _terms(c, (e,) + exponents)
+
+
+def _as_mpoly(q, nvars):
+    """The MPoly in nvars variables of a polynomial of `modular`."""
+    return MPoly(nvars, {e: GaussRat(*c) for e, c in _terms(q) if any(c)})
 
 
 P_SKEW = ExactMatrix([[GaussRat(1), GaussRat(2), GaussRat(0, 1)],
                       [GaussRat(1, 1), GaussRat(-1), GaussRat("1/2")],
                       [GaussRat(1), GaussRat(0, "-2/3"), GaussRat(3)]])
 RANDOM_3X3 = _random_invertible(3030, 3, 100)
+RANDOM_2X2 = _random_invertible(2020, 2, 10)
 
 
 @pytest.mark.parametrize("P, vanish", [
@@ -968,8 +1005,9 @@ def test_sylvester_determinant_matches_laplace(P, vanish):
     # on cycle:4 and hamming:2:2 the witnesses form a curve, so the
     # quadrics' resultant vanishes; the other two give nonzero ones
     f, g = _quadrics_with_y(P)
-    res = _resultant_y(f, g)
-    assert res == _laplace_det(_sylvester_matrix(f, g))
+    res = _as_mpoly(_resultant_y(f, g), 1)
+    assert res == _laplace_det(_sylvester_matrix(_as_mpoly(f, 2),
+                                                 _as_mpoly(g, 2)))
     assert (not res) == vanish
 
 
@@ -982,10 +1020,11 @@ def test_random_resultants_match_laplace():
         with_y = _quadrics_with_y(P)
         if len(with_y) < 2:
             continue
-        res = _resultant_y(*with_y)
-        assert res == _laplace_det(_sylvester_matrix(*with_y))
-        seen.add((tuple(sorted((len(_y_coefficients(q)) - 1 for q in with_y),
-                               reverse=True)), bool(res)))
+        res = _as_mpoly(_resultant_y(*with_y), 1)
+        assert res == _laplace_det(_sylvester_matrix(
+            *(_as_mpoly(q, 2) for q in with_y)))
+        seen.add((tuple(sorted((len(q) - 1 for q in with_y), reverse=True)),
+                  bool(res)))
     assert seen == {((1, 1), False), ((1, 1), True),
                     ((2, 1), False), ((2, 1), True)}
 
@@ -994,21 +1033,28 @@ def test_random_resultants_match_laplace():
 
 
 def test_exact_roots_of_a_double_root():
+    # (x - i)^2 (x + 1): the roots by (im, re) descending, i before -1,
+    # the order the 2- and 3-class stream yields them in, from the shared
+    # root finder and from the reference route's `_exact_roots` alike
     x = MPoly.variable(0, 1)
-    p = (x - I_UNIT) ** 2 * (x + 1)
-    assert _exact_roots(_coeff_list(p)) == [I_UNIT, GaussRat(-1)]
+    assert _exact_roots(_coeff_list((x - I_UNIT) ** 2 * (x + 1))) == [
+        I_UNIT, GaussRat(-1)]
+    p = _gp_mul(_gp_mul([(0, -1), (1, 0)], [(0, -1), (1, 0)]),
+                [(1, 0), (1, 0)])
+    assert _gp_roots(p) == [((0, 1), 1), ((-1, 0), 1)]
 
 
 def test_gp_roots_of_multiple_roots():
     # (x - i)^2 (x + 1)^3 (2x - 1) x over the Gaussian integers: a double
     # and a triple root, found on the squarefree part, and the root 0,
-    # which no witness coordinate can be, left out
+    # which no witness coordinate can be, left out; the others come by
+    # (im, re) descending
     p = [(1, 0)]
     for factor, times in (([(0, -1), (1, 0)], 2), ([(1, 0), (1, 0)], 3),
                           ([(-1, 0), (2, 0)], 1), ([(0, 0), (1, 0)], 1)):
         for _ in range(times):
             p = _gp_mul(p, factor)
-    assert sorted(_gp_roots(p)) == [((-1, 0), 1), ((0, 1), 1), ((1, 0), 2)]
+    assert _gp_roots(p) == [((0, 1), 1), ((1, 0), 2), ((-1, 0), 1)]
     # a linear p, its content divided out
     assert _gp_roots([(6, 0), (-4, 0), (0, 0)]) == [((3, 0), 2)]
     assert _gp_roots([(0, 0), (5, 5)]) == []
@@ -1051,7 +1097,7 @@ P_B0_ZERO = _with_witness(CYCLE3, ExactMatrix.identity(3), diag(1, I_UNIT, -1))
         "hamming:2:4", "b0-zero", "group:2:2", "hamming:3:2", "hamming:4:2"])
 def test_quadrics_vanish_at_witnesses(P, T):
     verify_modular(P, T)
-    quadrics = _quadrics(P, P.inverse().row(0))
+    quadrics = [_as_mpoly(q, P.nrows - 1) for q in _quadrics(P)]
     assert len(quadrics) == P.nrows - 1
     point = [T[j, j] for j in range(1, T.nrows)]
     assert all(not _value(q, point) for q in quadrics)
@@ -1073,7 +1119,7 @@ def _oracle_y_candidates(cons, x0):
         if coeffs:
             gens_y.append(coeffs)
     if not gens_y:
-        return list(_HEURISTIC_VALUES)
+        return HEURISTIC
     hy = _gcd_many(gens_y)
     return None if len(hy) == 1 else _exact_roots(hy)
 
@@ -1106,7 +1152,7 @@ def _oracle_cube_search(P):
     gens_x += [_coeff_list(_laplace_det(_sylvester_matrix(f, g)))
                for f, g in itertools.combinations(with_y, 2)]
     hx = _gcd_many(gens_x)
-    for x0 in (_exact_roots(hx) if hx else _HEURISTIC_VALUES):
+    for x0 in (_exact_roots(hx) if hx else HEURISTIC):
         ys = _oracle_y_candidates(cons, x0)
         witness = ys and _oracle_verify(P, [(x0, y0) for y0 in ys])
         if witness:
@@ -1136,16 +1182,45 @@ def _oracle_cube_search(P):
                   _gauss_matrix([[1, 1, 0], [0, 1, I_UNIT], [2, 0, 1]]),
                   diag(1, -1, GaussRat(0, 2))),
     *RANDOM_3X3[:10],
+    *RANDOM_2X2,
 ], ids=["one_class:2", "one_class:3", "one_class:4", "one_class:5", "cycle:4",
         "hamming:2:2", "hamming:2:3", "hamming:2:4", "gaussian-rational",
         "b0-zero", "lower-triangular", "diagonal", "block-diagonal",
         "conjugated-2x2", "conjugated-3x3",
-        *("random-%d" % i for i in range(10))])
+        *("random-%d" % i for i in range(10)),
+        *("random-2x2-%d" % i for i in range(10))])
 def test_quadric_route_matches_cube_route(P):
     w, oracle = search_T(P), _oracle_cube_search(P)
     assert (w is None) == (oracle is None)
     if w is not None:
         assert w.T == oracle.T and w.c == oracle.c
+
+
+@pytest.mark.parametrize("P, head", [
+    (P_CYCLE4, [(t, GaussRat(-1)) for t in HEURISTIC]),
+    (eigenmatrix(hamming(2, 3)), []),
+    (P_SKEW, []),
+    (P_BINARY, [(I_UNIT,), (-I_UNIT,)]),
+], ids=["cycle:4", "hamming:2:3", "gaussian-rational", "one_class:2"])
+def test_exact_stream_does_no_gaussrat_arithmetic(monkeypatch, P, head):
+    # the 2- and 3-class stream runs on Gaussian integers and makes
+    # GaussRat values only for its candidates: on cycle:4 the heuristic
+    # values of a degenerate eliminant, then the numeric stream; none on
+    # hamming:2:3 and the Gaussian-rational P, which have no witness;
+    # the two roots i and -i on one_class:2
+    B = P.inverse()
+
+    def refuse(*args):
+        raise AssertionError("GaussRat arithmetic")
+
+    with monkeypatch.context() as patch:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__neg__", "__pow__"):
+            patch.setattr(GaussRat, name, refuse)
+        candidates = list(_exact_candidates(P, B, _SEARCH_RESTARTS))
+    assert candidates[:4] == head
+    assert len(candidates) > 4 if P is P_CYCLE4 else candidates == head
 
 
 def test_search_result_always_verifies():
