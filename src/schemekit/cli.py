@@ -23,6 +23,9 @@ as exact strings.
 Each command prints nothing: it returns one result, its exit code with
 its JSON object and its text, and `run` prints the one form asked for
 after the command returns.  `run` is the one place output is written.
+
+Each command imports the modules it runs, so `import schemekit.cli`
+loads `errors` and `exact` alone and `--help` loads nothing more.
 """
 
 from __future__ import annotations
@@ -33,35 +36,14 @@ import sys
 from functools import partial
 from math import comb, prod
 
-from . import builders, jsonio
-from .codes import (
-    Code,
-    dual_code,
-    gray_lee_check,
-    macwilliams_transform,
-    weight_enumerator,
-    z4_enumerators,
-)
-from .errors import FormatError, MathError, SchemeKitError, SizeCapExceeded
-from .exact import ExactMatrix
-from .genham import build_explicit, eigenmatrix_gh, fusion_check_trans
-from .modular import (
-    _SEARCH_RESTARTS,
-    induced_modular_check,
-    search_T,
-    verify_modular,
-)
-from .scheme import (
+from .errors import (
     DEFAULT_CAP,
-    _axiom_report,
-    _check_tensor_cap,
-    dual_eigenmatrix,
-    eigenmatrix,
-    fusion,
-    krein_parameters,
-    numeric_eigenmatrix,
-    verify_axioms,
+    FormatError,
+    MathError,
+    SchemeKitError,
+    SizeCapExceeded,
 )
+from .exact import ExactMatrix
 
 _BUILDER_NAMES = ("one_class", "hamming", "group", "cycle")
 
@@ -87,6 +69,10 @@ def _named_builder(name, int_args):
             raise FormatError("builder %r takes %d integer argument%s, got %d"
                               % (name, k, "" if k == 1 else "s", len(int_args)))
 
+    if name not in _BUILDER_NAMES:
+        raise FormatError("unknown builder %r (expected one of %s)"
+                          % (name, ", ".join(_BUILDER_NAMES)))
+    from . import builders
     if name == "one_class":
         expect(1)
         return partial(builders.one_class, *int_args), 2
@@ -96,12 +82,9 @@ def _named_builder(name, int_args):
     if name == "cycle":
         expect(1)
         return partial(builders.cycle_scheme, *int_args), int_args[0] // 2 + 1
-    if name == "group":
-        if not int_args:
-            raise FormatError("builder 'group' needs at least one order")
-        return partial(builders.group_scheme, list(int_args)), prod(int_args)
-    raise FormatError("unknown builder %r (expected one of %s)"
-                      % (name, ", ".join(_BUILDER_NAMES)))
+    if not int_args:
+        raise FormatError("builder 'group' needs at least one order")
+    return partial(builders.group_scheme, list(int_args)), prod(int_args)
 
 
 def _spec_builder(spec):
@@ -128,7 +111,8 @@ def _read_json(spec):
 def _read_table(spec, cap):
     """The relation table and attached P (or None) of a scheme JSON file
     or '-', refused past cap vertices before anything is verified."""
-    relation, P = jsonio.parse_scheme_obj(_read_json(spec))
+    from .jsonio import parse_scheme_obj
+    relation, P = parse_scheme_obj(_read_json(spec))
     if len(relation) > cap:
         raise SizeCapExceeded("%d vertices exceeds cap %d"
                               % (len(relation), cap))
@@ -140,7 +124,8 @@ def _load_scheme(spec, cap):
     named = _spec_builder(spec)
     if named is not None:
         return named[0](cap=cap)
-    return jsonio._certified_scheme(*_read_table(spec, cap))
+    from .jsonio import _certified_scheme
+    return _certified_scheme(*_read_table(spec, cap))
 
 
 def _load_base(spec, cap):
@@ -148,14 +133,16 @@ def _load_base(spec, cap):
     intersection tensor: refused past the class-count rule of
     `_check_tensor_cap`, which a builder spec meets before its builder
     runs and a JSON table before it is verified."""
+    from .scheme import _check_tensor_cap
     named = _spec_builder(spec)
     if named is not None:
         build, classes = named
         _check_tensor_cap(classes, cap)
         return build(cap=cap)
+    from .jsonio import _certified_scheme
     relation, P = _read_table(spec, cap)
     _check_tensor_cap(int(relation.max()) + 1, cap)
-    return jsonio._certified_scheme(relation, P)
+    return _certified_scheme(relation, P)
 
 
 def _check_class_cap(base, n, cap):
@@ -171,6 +158,7 @@ def _check_search_cap(base, restarts, cap):
     """SizeCapExceeded for a base of k >= 5 classes, whose witness search
     runs the numeric stream, past cap^2 complex entries in that stream's
     per-step arrays, min(restarts, 200) k^3 of them."""
+    from .modular import _SEARCH_RESTARTS
     k = base.d + 1
     entries = min(restarts, _SEARCH_RESTARTS) * k**3
     if k >= 5 and entries > cap**2:
@@ -183,7 +171,9 @@ def _read_code(args, base):
     """The code in args.file over base, refused past --cap words before
     any pair is profiled (the enumerator is |C|^2 work), with the word
     length of --n where a command has it."""
-    words = jsonio.parse_code_file(_read_text(args.file))
+    from .codes import Code
+    from .jsonio import parse_code_file
+    words = parse_code_file(_read_text(args.file))
     if len(words) > args.cap:
         raise SizeCapExceeded("%d code words exceeds cap %d"
                               % (len(words), args.cap))
@@ -195,7 +185,8 @@ def _read_code(args, base):
 
 
 def _parse_diagonal(text):
-    entries = [jsonio.parse_gauss(tok) for tok in text.split(",") if tok.strip()]
+    from .jsonio import parse_gauss
+    entries = [parse_gauss(tok) for tok in text.split(",") if tok.strip()]
     if not entries:
         raise FormatError("empty diagonal for --T")
     return ExactMatrix.diagonal(entries)
@@ -231,6 +222,7 @@ def _matrix_text(label, M):
 
 
 def _scheme_result(s):
+    from .jsonio import scheme_to_obj
     lines = [
         "v = %d" % s.v,
         "d = %d" % s.d,
@@ -241,7 +233,7 @@ def _scheme_result(s):
         lines.append("translation orders = %s" % (tuple(s.translation.orders),))
     if s.P is not None:
         lines.append(_matrix_text("P", s.P))
-    return 0, partial(jsonio.scheme_to_obj, s), lambda: "\n".join(lines)
+    return 0, partial(scheme_to_obj, s), lambda: "\n".join(lines)
 
 
 # -- scheme --------------------------------------------------------------
@@ -253,6 +245,7 @@ def cmd_scheme_build(args):
 
 
 def cmd_scheme_verify(args):
+    from .scheme import _axiom_report, verify_axioms
     if _spec_builder(args.source) is None:
         report = verify_axioms(_read_table(args.source, args.cap)[0])
     else:
@@ -265,6 +258,8 @@ def cmd_scheme_verify(args):
 
 
 def cmd_scheme_eigen(args):
+    from .jsonio import matrix_to_obj
+    from .scheme import dual_eigenmatrix, eigenmatrix, numeric_eigenmatrix
     s = _load_base(args.source, args.cap)
     if args.numeric:
         P = numeric_eigenmatrix(s).tolist()
@@ -276,15 +271,17 @@ def cmd_scheme_eigen(args):
     out = {"P": P}
     if args.dual:
         out["Q"] = dual_eigenmatrix(P, s.v)
-    return 0, lambda: {k: jsonio.matrix_to_obj(M) for k, M in out.items()}, \
+    return 0, lambda: {k: matrix_to_obj(M) for k, M in out.items()}, \
         lambda: "\n".join(_matrix_text(k, M) for k, M in out.items())
 
 
 def cmd_scheme_krein(args):
+    from .jsonio import fraction_to_str
+    from .scheme import krein_parameters
     s = _load_base(args.source, args.cap)
     q = krein_parameters(s)
     k = s.d + 1
-    table = [[[jsonio.fraction_to_str(q[i, j, r].re) for r in range(k)]
+    table = [[[fraction_to_str(q[i, j, r].re) for r in range(k)]
               for j in range(k)] for i in range(k)]
     return 0, lambda: {"q": table}, lambda: "\n".join(
         "q[%d][j][r]:\n" % i + "\n".join("  " + "  ".join(row)
@@ -293,6 +290,7 @@ def cmd_scheme_krein(args):
 
 
 def cmd_scheme_fuse(args):
+    from .scheme import fusion
     s = _load_scheme(args.source, args.cap)
     return _scheme_result(fusion(s, _parse_blocks(args.blocks)))
 
@@ -301,19 +299,24 @@ def cmd_scheme_fuse(args):
 
 
 def cmd_gh_build(args):
+    from .genham import build_explicit
     base = _load_scheme(args.base, args.cap)
     return _scheme_result(build_explicit(base, args.n, cap=args.cap))
 
 
 def cmd_gh_eigen(args):
+    from .genham import eigenmatrix_gh
+    from .jsonio import matrix_to_obj
+    from .scheme import eigenmatrix
     base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
     P = eigenmatrix_gh(eigenmatrix(base), args.n)
-    return 0, lambda: {"P": jsonio.matrix_to_obj(P)}, \
+    return 0, lambda: {"P": matrix_to_obj(P)}, \
         partial(_matrix_text, "P", P)
 
 
 def cmd_gh_fusion_check(args):
+    from .genham import fusion_check_trans
     base = _load_scheme(args.base, args.cap)
     rep = fusion_check_trans(base, args.m, args.n, cap=args.cap)
     split = rep.split_classes
@@ -331,22 +334,28 @@ def cmd_gh_fusion_check(args):
 
 
 def cmd_code_enumerate(args):
+    from .codes import weight_enumerator
+    from .jsonio import poly_to_obj
     code = _read_code(args, _load_scheme(args.base, args.cap))
     W = weight_enumerator(code)
-    return 0, partial(jsonio.poly_to_obj, W), W.to_str
+    return 0, partial(poly_to_obj, W), W.to_str
 
 
 def cmd_code_transform(args):
+    from .codes import macwilliams_transform, weight_enumerator
+    from .jsonio import poly_to_obj
+    from .scheme import eigenmatrix
     code = _read_code(args, _load_base(args.base, args.cap))
     _check_class_cap(code.base, code.n, args.cap)
     P = eigenmatrix(code.base)
     W = weight_enumerator(code)
     dual = macwilliams_transform(W, P, code.base.v, len(code))
     names = ["t%d" % i for i in range(dual.nvars)]
-    return 0, partial(jsonio.poly_to_obj, dual), partial(dual.to_str, names)
+    return 0, partial(poly_to_obj, dual), partial(dual.to_str, names)
 
 
 def cmd_code_dual(args):
+    from .codes import dual_code
     code = _read_code(args, _load_scheme(args.base, args.cap))
     dual = dual_code(code, cap=args.cap)
     return 0, lambda: {"size": len(dual),
@@ -355,15 +364,18 @@ def cmd_code_dual(args):
 
 
 def _load_z4_code(args):
+    from . import builders
     return _read_code(args, builders.group_scheme([4], cap=args.cap))
 
 
 def cmd_code_z4(args):
+    from .codes import z4_enumerators
+    from .jsonio import poly_to_obj
     code = _load_z4_code(args)
     enums = z4_enumerators(code)
-    return 0, lambda: {"complete": jsonio.poly_to_obj(enums.complete),
-                       "symmetrized": jsonio.poly_to_obj(enums.symmetrized),
-                       "lee": jsonio.poly_to_obj(enums.lee)}, \
+    return 0, lambda: {"complete": poly_to_obj(enums.complete),
+                       "symmetrized": poly_to_obj(enums.symmetrized),
+                       "lee": poly_to_obj(enums.lee)}, \
         lambda: "complete:    %s\nsymmetrized: %s\nlee:         %s" % (
             enums.complete.to_str(["x0", "x1", "x2", "x3"]),
             enums.symmetrized.to_str(["x0", "x1", "x2"]),
@@ -371,6 +383,7 @@ def cmd_code_z4(args):
 
 
 def cmd_code_gray_check(args):
+    from .codes import gray_lee_check
     code = _load_z4_code(args)
     ok = gray_lee_check(code, cap=args.cap)
     return 0 if ok else 1, lambda: {"holds": ok}, \
@@ -381,8 +394,9 @@ def cmd_code_gray_check(args):
 
 
 def _witness_obj(w):
-    return {"T": [jsonio.gauss_to_obj(w.T[i, i]) for i in range(w.T.nrows)],
-            "c": jsonio.gauss_to_obj(w.c)}
+    from .jsonio import gauss_to_obj
+    return {"T": [gauss_to_obj(w.T[i, i]) for i in range(w.T.nrows)],
+            "c": gauss_to_obj(w.c)}
 
 
 def _witness_human(w):
@@ -391,25 +405,39 @@ def _witness_human(w):
 
 
 def cmd_modinv_verify(args):
+    from .modular import verify_modular
+    from .scheme import eigenmatrix
     P = eigenmatrix(_load_base(args.base, args.cap))
     w = verify_modular(P, _parse_diagonal(args.T))
     return 0, partial(_witness_obj, w), partial(_witness_human, w)
 
 
 def cmd_modinv_search(args):
+    from .modular import _SEARCH_RESTARTS, search_T
+    from .scheme import eigenmatrix
+    restarts = (_SEARCH_RESTARTS if args.restarts is None
+                else args.restarts)
     base = _load_base(args.base, args.cap)
-    _check_search_cap(base, args.restarts, args.cap)
+    _check_search_cap(base, restarts, args.cap)
     P = eigenmatrix(base)
-    w = search_T(P, restarts=args.restarts)
+    w = search_T(P, restarts=restarts)
     if w is None:
         detail = ("search incomplete: no witness within %d restarts"
-                  % args.restarts)
+                  % restarts)
         return 1, lambda: {"found": False, "detail": detail}, lambda: detail
     return 0, lambda: {"found": True, **_witness_obj(w)}, \
         partial(_witness_human, w)
 
 
 def cmd_modinv_lift(args):
+    from .jsonio import gauss_to_obj
+    from .modular import (
+        _SEARCH_RESTARTS,
+        induced_modular_check,
+        search_T,
+        verify_modular,
+    )
+    from .scheme import eigenmatrix
     base = _load_base(args.base, args.cap)
     _check_class_cap(base, args.n, args.cap)
     if args.T is None:
@@ -436,9 +464,9 @@ def cmd_modinv_lift(args):
         "n": args.n,
         "base": _witness_obj(w),
         "holds": rep.holds,
-        "constant": (jsonio.gauss_to_obj(rep.constant)
+        "constant": (gauss_to_obj(rep.constant)
                      if rep.constant is not None else None),
-        "expected": jsonio.gauss_to_obj(rep.expected),
+        "expected": gauss_to_obj(rep.expected),
         "matches_expected": rep.matches_expected,
         "t_hat_consistent": rep.t_hat_consistent,
     }, lambda: "base witness: %s\n%s" % (_witness_human(w), lift)
@@ -598,7 +626,7 @@ def build_parser():
 
     p = msub.add_parser("search", parents=[based],
                         help="search for a diagonal T (exactly verified)")
-    p.add_argument("--restarts", type=_positive_int, default=_SEARCH_RESTARTS,
+    p.add_argument("--restarts", type=_positive_int,
                    help="numeric restart budget for larger sizes")
     p.set_defaults(func=cmd_modinv_search)
 

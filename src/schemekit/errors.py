@@ -17,6 +17,10 @@ class DuplicateWords(FormatError):
     """A code file or word list contains a repeated word."""
 
 
+# the size cap of every construction and of the CLI's --cap
+DEFAULT_CAP = 4096
+
+
 class SizeCapExceeded(SchemeKitError):
     """A construction would exceed a size cap (vertices or classes)."""
 

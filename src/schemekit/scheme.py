@@ -33,6 +33,7 @@ from math import lcm
 import numpy as np
 
 from .errors import (
+    DEFAULT_CAP,
     AxiomViolation,
     ClosureFailure,
     DimensionMismatch,
@@ -45,8 +46,6 @@ from .exact import _SNAP_TOLERANCE, ExactMatrix
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
 
-# the size cap of every construction and of the CLI's --cap
-DEFAULT_CAP = 4096
 # the most axes of a numpy array, so the longest word of a tensor power
 _MAX_AXES = 64
 

@@ -1,15 +1,21 @@
 import ast
+import importlib
 import inspect
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from schemekit import cli
+import schemekit
+from schemekit import cli, errors
+from schemekit import scheme as scheme_module
 from schemekit.builders import cycle_scheme, group_scheme, hamming, one_class
 from schemekit.cli import run
 from schemekit.codes import Code, weight_enumerator
@@ -499,9 +505,9 @@ def test_class_cap_runs_before_the_work(tmp_path, monkeypatch, capsys, argv):
     def fail(*args, **kwargs):
         raise AssertionError("called before the class cap was checked")
 
-    for name in ("eigenmatrix", "eigenmatrix_gh", "search_T",
-                 "weight_enumerator"):
-        monkeypatch.setattr(cli, name, fail)
+    for name in ("scheme.eigenmatrix", "genham.eigenmatrix_gh",
+                 "modular.search_T", "codes.weight_enumerator"):
+        monkeypatch.setattr("schemekit." + name, fail)
     code = write_code(tmp_path, [" ".join(["0"] * 20), " ".join(["7"] * 20)])
     # C(27, 7) = 888,030 classes, over the default cap of 4096
     assert_usage_error(capsys, [code if a == "CODE" else a for a in argv])
@@ -515,7 +521,7 @@ def _searches(monkeypatch):
     def recording(P, restarts=200):
         budgets.append(restarts)
 
-    monkeypatch.setattr(cli, "search_T", recording)
+    monkeypatch.setattr("schemekit.modular.search_T", recording)
     return budgets
 
 
@@ -566,8 +572,8 @@ def test_numeric_search_cap_refuses_128_classes_at_once(monkeypatch, capsys,
     def fail(*args, **kwargs):
         raise AssertionError("called before the search cap was checked")
 
-    for name in ("eigenmatrix", "search_T"):
-        monkeypatch.setattr(cli, name, fail)
+    for name in ("scheme.eigenmatrix", "modular.search_T"):
+        monkeypatch.setattr("schemekit." + name, fail)
     argv = ["modinv", command, "--base", "group:2:2:2:2:2:2:2"]
     assert_usage_error(capsys, argv + (["--n", "1"] if command == "lift"
                                        else []))
@@ -684,7 +690,7 @@ def test_json_table_vertex_cap_boundary(tmp_path, monkeypatch, capsys,
     def fail(*args, **kwargs):
         raise AssertionError("the table was verified before the cap")
 
-    monkeypatch.setattr(cli, "verify_axioms", fail)
+    monkeypatch.setattr("schemekit.scheme.verify_axioms", fail)
     monkeypatch.setattr("schemekit.jsonio.AssociationScheme", fail)
     assert_usage_error(capsys, argv + ["--cap", "3"])
 
@@ -712,9 +718,10 @@ def test_tensor_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
     def fail(*args, **kwargs):
         raise AssertionError("called before the class cap was checked")
 
-    for name in ("eigenmatrix", "numeric_eigenmatrix", "krein_parameters",
-                 "search_T", "weight_enumerator"):
-        monkeypatch.setattr(cli, name, fail)
+    for name in ("scheme.eigenmatrix", "scheme.numeric_eigenmatrix",
+                 "scheme.krein_parameters", "modular.search_T",
+                 "codes.weight_enumerator"):
+        monkeypatch.setattr("schemekit." + name, fail)
     assert_usage_error(capsys, argv + ["--cap", "5"])
 
 
@@ -755,11 +762,11 @@ def test_class_rule_refuses_a_spec_before_its_builder(monkeypatch, capsys,
     def fail(*args, **kwargs):
         raise AssertionError("the builder ran before the class rule")
 
-    monkeypatch.setattr(cli.builders, "group_scheme", fail)
+    monkeypatch.setattr("schemekit.builders.group_scheme", fail)
     assert_refused(capsys, ["scheme", command, "group" + ":2" * 12],
                    "4096 classes: 4096^3 intersection numbers exceed "
                    "cap^2 = 16777216")
-    monkeypatch.setattr(cli.builders, "cycle_scheme", fail)
+    monkeypatch.setattr("schemekit.builders.cycle_scheme", fail)
     assert_refused(capsys, ["scheme", command, "cycle:10", "--cap", "5"],
                    "6 classes: 6^3 intersection numbers exceed cap^2 = 25")
 
@@ -777,7 +784,7 @@ def test_scheme_verify_counts_a_spec_over_its_group(tmp_path, monkeypatch,
     def fail(*args, **kwargs):
         raise AssertionError("the dense route ran on a builder spec")
 
-    monkeypatch.setattr(cli, "verify_axioms", fail)
+    monkeypatch.setattr("schemekit.scheme.verify_axioms", fail)
     monkeypatch.setattr("schemekit.scheme._product_tensor", fail)
     assert run(["scheme", "verify", "group:4:2:2"] + mode) == 0
     assert capsys.readouterr() == dense
@@ -816,7 +823,7 @@ def test_code_word_cap_boundary(tmp_path, monkeypatch, capsys, argv, mode):
 
     for name in ("Code", "weight_enumerator", "dual_code", "z4_enumerators",
                  "gray_lee_check"):
-        monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr("schemekit.codes." + name, fail)
     assert run(argv + ["--cap", "15"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1150,3 +1157,118 @@ def test_only_run_prints():
             if isinstance(node, ast.Attribute) and node.attr == "stdout":
                 writers.append(fn.name)
     assert writers == []
+
+
+# -- start-up: what the package and each command load -------------------------
+#
+# Each case below starts a fresh interpreter (about 0.15 s), since a
+# module once loaded stays in sys.modules.
+
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_LIBRARY = ["builders", "codes", "errors", "exact", "genham", "modular",
+            "scheme"]
+_LOADED = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m.split(".", 1)[1] for m in sys.modules
+                  if m.startswith("schemekit."))
+"""
+
+
+def _fresh(*args):
+    """`python *args` in a fresh interpreter on this checkout's src."""
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=_SRC))
+
+
+def test_package_loads_nothing_until_a_public_name_is_read():
+    proc = _fresh("-c", _LOADED + """
+import schemekit
+bare = loaded(), "numpy" in sys.modules
+schemekit.eigenmatrix
+print(json.dumps([bare, loaded()]))
+""")
+    assert json.loads(proc.stdout) == [[[], False], _LIBRARY]
+
+
+def test_cli_import_help_and_refusals_load_errors_and_exact_alone():
+    proc = _fresh("-c", _LOADED + """
+import schemekit.cli
+seen = [[None, loaded()]]
+for argv in (["--help"], ["scheme", "bogus"], ["scheme", "build", "nosuch"]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        seen.append([schemekit.cli.run(argv), loaded()])
+print(json.dumps(seen))
+""")
+    modules = ["cli", "errors", "exact"]
+    assert json.loads(proc.stdout) == [[None, modules], [0, modules],
+                                       [2, modules], [2, modules]]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["scheme", "eigen", "cycle:4", "--dual", "--json"], {"codes", "modular"}),
+    (["gh", "eigen", "--base", "one_class:2", "--n", "2"],
+     {"codes", "modular"}),
+    (["code", "transform", "--base", "one_class:2", "CODE"], {"modular"}),
+    (["modinv", "lift", "--base", "one_class:2", "--n", "2", "--json"],
+     {"codes"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    argv = [write_code(tmp_path, ["0 0 0", "1 1 1"]) if a == "CODE" else a
+            for a in argv]
+    proc = _fresh("-c", _LOADED + """
+import schemekit.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = schemekit.cli.run(sys.argv[1:])
+print(json.dumps([code, loaded()]))
+""", *argv)
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "scheme" in loaded and not absent & set(loaded)
+
+
+def test_module_entry_point_refuses_an_unknown_builder_cleanly():
+    # runpy warns on stderr if loading the package imports schemekit.cli
+    proc = _fresh("-m", "schemekit.cli", "scheme", "build", "nosuch")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: unknown builder 'nosuch' (expected one of "
+                           "one_class, hamming, group, cycle)\n")
+
+
+@pytest.mark.parametrize("name", schemekit.__all__)
+def test_public_name_is_its_module_object(name):
+    value = getattr(schemekit, name)
+    homes = [vars(importlib.import_module("schemekit." + m))
+             for m in _LIBRARY]
+    homes = [home[name] for home in homes if name in home]
+    assert homes and all(obj is value for obj in homes)
+
+
+def test_public_names_are_listed_and_star_importable():
+    assert set(schemekit.__all__) <= set(dir(schemekit))
+    namespace = {}
+    exec("from schemekit import *", namespace)
+    assert {name: namespace[name] for name in schemekit.__all__} == {
+        name: getattr(schemekit, name) for name in schemekit.__all__}
+
+
+@pytest.mark.parametrize("name", _LIBRARY + ["cli", "jsonio"])
+def test_reading_a_submodule_name_imports_it(monkeypatch, name):
+    module = importlib.import_module("schemekit." + name)
+    monkeypatch.delattr(schemekit, name)
+    assert getattr(schemekit, name) is module
+
+
+@pytest.mark.parametrize("name", ["nosuch", "DEFAULT_CAP", "run"])
+def test_unknown_package_attribute_is_named(name):
+    with pytest.raises(AttributeError, match="has no attribute %r" % name):
+        getattr(schemekit, name)
+
+
+def test_default_cap_lives_in_errors(capsys):
+    assert scheme_module.DEFAULT_CAP is errors.DEFAULT_CAP == 4096
+    assert run(["scheme", "eigen", "--help"]) == 0
+    assert "(default 4096," in " ".join(capsys.readouterr().out.split())
