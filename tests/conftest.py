@@ -1,5 +1,7 @@
 """Fixtures shared by every test module."""
 
+import gc
+
 import pytest
 
 from schemekit import modular
@@ -11,3 +13,17 @@ def fresh_search_memo():
     patches a candidate stream, `least_squares`, `verify_modular` or a
     restart constant sees a fresh search."""
     modular._search.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic collector off or with objects
+    frozen, as an in-process call of `cli.main()` would leave it, and
+    restore the collector so later tests run with it."""
+    yield
+    leaked = not gc.isenabled(), gc.get_freeze_count()
+    gc.enable()
+    gc.unfreeze()
+    if any(leaked):
+        pytest.fail("test left the collector disabled=%s, frozen=%d"
+                    % leaked)

@@ -1,7 +1,10 @@
 import ast
+import contextlib
+import gc
 import importlib
 import inspect
 import io
+import itertools
 import json
 import os
 import re
@@ -1272,3 +1275,91 @@ def test_default_cap_lives_in_errors(capsys):
     assert scheme_module.DEFAULT_CAP is errors.DEFAULT_CAP == 4096
     assert run(["scheme", "eigen", "--help"]) == 0
     assert "(default 4096," in " ".join(capsys.readouterr().out.split())
+
+
+# -- the process entry point and the cyclic collector -------------------------
+#
+# `main` runs a command with the collector off and freezes the heap before
+# exit.  That is safe because a command's cyclic garbage (the parser) does
+# not grow with its input: each pair below runs one command on a small and
+# a large instance and finds the same count of unreachable objects.
+
+_SEVEN_WORDS = ["0000000000", "1111111111", "1010101010", "0101010101",
+                "1100110011", "0011001100", "1110001110"]
+
+
+def _cyclic_garbage(argv):
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run(argv)
+        return code, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("small, large", [
+    (["gh", "eigen", "--base", "hamming:2:2", "--n", "3"],
+     ["gh", "eigen", "--base", "hamming:2:2", "--n", "14"]),
+    (["scheme", "krein", "hamming:2:2"], ["scheme", "krein", "group:4:4:4"]),
+    (["code", "enumerate", "--base", "one_class:2", "SEVEN"],
+     ["code", "enumerate", "--base", "one_class:2", "FULL"]),
+    # decided exactly; the 8-class search runs the numeric stream
+    (["modinv", "search", "--base", "group:2:2"],
+     ["modinv", "search", "--base", "group:2:2:2"]),
+])
+def test_cyclic_garbage_does_not_grow_with_the_input(tmp_path, small, large,
+                                                     json_flag):
+    files = {
+        "SEVEN": write_code(tmp_path, [" ".join(w) for w in _SEVEN_WORDS],
+                            "seven.txt"),
+        "FULL": write_code(tmp_path, [" ".join(w) for w in
+                                      itertools.product("01", repeat=10)],
+                           "full.txt"),
+    }
+    counts = []
+    for argv in (small, large):
+        code, garbage = _cyclic_garbage(
+            [files.get(a, a) for a in argv] + json_flag)
+        assert code in (0, 1)
+        counts.append(garbage)
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(capsys, enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        assert run(["scheme", "eigen", "cycle:4"]) == 0
+        state = gc.isenabled(), gc.get_freeze_count()
+    finally:
+        gc.enable()
+    assert state == (enabled, 0)
+
+
+def test_main_runs_the_command_without_the_collector_and_exits_with_its_code():
+    proc = _fresh("-c", """
+import atexit, gc, json, schemekit.cli
+def at_exit():
+    print(json.dumps(["exit", gc.isenabled(), gc.get_freeze_count() > 0]))
+atexit.register(at_exit)
+def run(argv=None):
+    print(json.dumps(["run", gc.isenabled(), gc.get_freeze_count()]))
+    return 3
+schemekit.cli.run = run
+schemekit.cli.main()
+""")
+    assert proc.returncode == 3
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [
+        ["run", False, 0], ["exit", False, True]]
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    argv = ["scheme", "eigen", "cycle:4", "--json"]
+    assert run(argv) == 0
+    proc = _fresh("-m", "schemekit.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, capsys.readouterr().out, "")
