@@ -39,6 +39,7 @@ from .exact import (
     MPoly,
     composition_index,
     compositions,
+    gauss_product,
     induced_numerators,
 )
 from .scheme import (
@@ -216,15 +217,6 @@ def inner_distribution(code):
     return out
 
 
-def _gauss_matmul(x, y):
-    """x @ y for Gaussian-integer arrays x and y, each given as [re] or
-    [re, im]."""
-    (xr, *xi), (yr, *yi) = x, y
-    re = xr @ yr - sum(a @ b for a in xi for b in yi)
-    im = [xr @ b for b in yi] + [a @ yr for a in xi]
-    return [re] + ([sum(im)] if im else [])
-
-
 def _transform(enumerator, P, v, code_size):
     """The dual enumerator of `macwilliams_transform` as numerators:
     (rows, nums, den) for `_poly`, rows every composition of n.
@@ -232,11 +224,10 @@ def _transform(enumerator, P, v, code_size):
     The enumerator is read as one vector of Gaussian-integer numerators
     a over one denominator D and multiplied with the numerator arrays of
     induced(Q, n), Q = `dual_eigenmatrix(P, v)`, from the induced kernel
-    `exact.induced_numerators`; the result is over D D_Q^n |C|.  Every
-    entry and partial sum of the product is at most A L^n in each part,
-    for A = sum |Re a| + |Im a| and L the largest row l1 norm of Q's
-    numerators, so it runs in int64 while A L^n < 2^62 (the kernel's
-    arrays are then int64 too) and on Python ints beyond."""
+    `exact.induced_numerators`, by `exact.gauss_product`; the result is
+    over D D_Q^n |C|.  Every entry and partial sum of the product is at
+    most A L^n in each part, for A = sum |Re a| + |Im a| and L the
+    largest row l1 norm of Q's numerators: the kernel's bound."""
     if not enumerator.is_homogeneous() or enumerator.degree() < 0:
         raise DimensionMismatch("enumerator must be homogeneous and nonzero")
     k = enumerator.nvars
@@ -256,11 +247,11 @@ def _transform(enumerator, P, v, code_size):
     L = max(sum(map(abs, chain(qre[j], qim[j] if qim else ())))
             for j in range(k))
     A = sum(map(abs, re)) + sum(map(abs, im))
-    dtype = np.int64 if A * L**n < 2**62 else object
-    a = [np.array(x, dtype=dtype) for x in ([re, im] if any(im) else [re])]
-    induced = [x.astype(dtype, copy=False)
-               for x in induced_numerators(qre, qim, n)]
-    return compositions(n, k), _gauss_matmul(a, induced), D * dq**n * code_size
+    induced = induced_numerators(qre, qim, n)
+    nums = gauss_product(np.matmul, (re, im if any(im) else None),
+                         (induced[0], induced[1] if qim else None), A * L**n)
+    return (compositions(n, k), [x for x in nums if x is not None],
+            D * dq**n * code_size)
 
 
 def macwilliams_transform(enumerator, P, v, code_size):

@@ -13,10 +13,9 @@ real values, so making one from Fractions makes no new Fraction.  An
 ExactMatrix itself is stored in one form only, its Gaussian-integer
 numerators -- a real and an imaginary integer matrix -- over one
 denominator D, kept reduced; its GaussRat entries are made when a
-caller first reads them.  The kernels
-work on the numerators: matrix product, Kronecker product and inverse
-with Python ints, and induced matrices on numpy int64 arrays while a
-bound on their entries allows and on arrays of Python ints beyond.  The
+caller first reads them.  Every product of numerator arrays, here and
+in `codes` and `scheme`, is one kernel, `gauss_product`: int64 arrays
+while the caller's bound is below 2^62, Python ints beyond.  The
 induced kernel is public, `induced_numerators`: `induced_matrix` wraps
 its arrays in an ExactMatrix, and `codes.macwilliams_transform`
 multiplies an enumerator's numerators with them directly, so no matrix
@@ -264,8 +263,33 @@ def snap_gauss(z):
 # None, so real matrices never pay for one.
 
 
-def _gmul(p, q):
+def gmul(p, q):
+    """The product of the Gaussian integers p = (a, b) and q = (c, d)."""
     return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def gauss_product(op, x, y, bound):
+    """(re, im) of op(a, c) - op(b, d) + (op(a, d) + op(b, c)) i for a
+    real bilinear product op of integer arrays (np.matmul, np.kron, a row
+    outer product) and Gaussian-integer operands x = (a, b), y = (c, d),
+    arrays or nested lists with an imaginary part None for zero; im is
+    None if both are.  bound is at least every entry of the operands and
+    every entry and partial sum of the result, in each part: the
+    package's one overflow rule makes the operands int64 arrays while
+    bound < 2^62 and arrays of Python ints (dtype object) beyond."""
+    dtype = np.int64 if bound < 2**62 else object
+    (a, b), (c, d) = x, y
+    a, c = np.asarray(a, dtype), np.asarray(c, dtype)
+    re, im = op(a, c), None
+    if d is not None:
+        d = np.asarray(d, dtype)
+        im = op(a, d)
+    if b is not None:
+        b = np.asarray(b, dtype)
+        im = op(b, c) if im is None else im + op(b, c)
+        if d is not None:
+            re = re - op(b, d)
+    return re, im
 
 
 def _axpy(acc, c, xs):
@@ -336,28 +360,19 @@ def _bareiss(rows):
         # (p * row - f * pivot row) / prev is exact; a non-real prev
         # divides through its norm
         conj, norm = _divisor(prev)
-        a = _gmul(p, conj)
+        a = gmul(p, conj)
         for r in range(k):
             if r == col:
                 rows[r] = pivot_row
                 continue
             f = head(rows[r])
             xr, xi = _gauss_axpy((None, None), a, tail(rows[r]))
-            xr, xi = _gauss_axpy((xr, xi), _gmul((-f[0], -f[1]), conj),
+            xr, xi = _gauss_axpy((xr, xi), gmul((-f[0], -f[1]), conj),
                                  pivot_row)
             rows[r] = ([x // norm for x in xr],
                        None if xi is None else [x // norm for x in xi])
         prev = p
     return rows, prev
-
-
-def _int_matmul(A, B):
-    cols = list(zip(*B))
-    return [[sum(map(mul, row, col)) for col in cols] for row in A]
-
-
-def _int_kron(A, B):
-    return [[a * b for a in ra for b in rb] for ra in A for rb in B]
 
 
 def _minus(gamma, j):
@@ -371,15 +386,16 @@ def _degree_step(m, k):
     For the g-th composition gamma of m, first[g] is its first nonzero
     part j and prev[g] the index of gamma - e_j among the compositions
     of m-1.  shifts[i, b] is the index of beta - e_i for the b-th
-    composition beta of m, or the number of compositions of m-1 (a zero
-    column ending the lower rows) where beta_i = 0.
+    composition beta of m, or the number of compositions of m-1 (the zero
+    column ending the lower rows) where beta_i = 0; one more column b of
+    that index gives the rows of degree m their own zero column.
     """
     lower = composition_index(m - 1, k)
     upper = compositions(m, k)
     first = [next(t for t, e in enumerate(gamma) if e) for gamma in upper]
     prev = [lower[_minus(gamma, j)] for gamma, j in zip(upper, first)]
     shifts = [[lower[_minus(beta, i)] if beta[i] else len(lower)
-               for beta in upper] for i in range(k)]
+               for beta in upper] + [len(lower)] for i in range(k)]
     return np.array(first), np.array(prev), np.array(shifts)
 
 
@@ -388,6 +404,13 @@ def _degree_step(m, k):
 # times the entries of its result (for Q of Z4 at n = 16 the blocks
 # take the peak memory from 129 to 58 MB)
 _GATHER_ENTRIES = 2**20
+
+
+def _row_l1(re, im):
+    """The largest row sum of |re| + |im| of the integer rows re + im i
+    (im None if real), at least 1."""
+    return max(1, *(sum(map(abs, chain(r, i)))
+                    for r, i in zip(re, im or repeat(()))))
 
 
 def induced_numerators(re, im, n):
@@ -402,37 +425,34 @@ def induced_numerators(re, im, n):
     linear form of row j, j the first nonzero part of gamma: a block of
     rows gathers the entries of its lower rows at beta - e_i for every
     column beta and base column i, and one batched matmul with the rows
-    j of M sums them over i.  Every entry and partial sum is at most L^n
-    in each part, L the largest row l1 norm sum |re| + |im|, so the
-    arrays are int64 while L^n < 2^62 and hold Python ints (dtype
-    object) beyond.
+    j of M sums them over i (`gauss_product`).  Every entry and partial
+    sum is at most L^n in each part, L = `_row_l1(re, im)`: the
+    kernel's bound.
     """
     k = len(re)
-    parts = [re] if im is None else [re, im]
-    L = max(sum(abs(x) for part in parts for x in part[j]) for j in range(k))
-    dtype = np.int64 if L <= 1 or (n < 62 and L**n < 2**62) else object
-    forms = [np.array(part, dtype=dtype) for part in parts]
-    # each degree's rows end in one zero column, read where beta_i = 0
-    rows = [np.array([[1, 0]], dtype=dtype)]
-    rows += [np.zeros((1, 2), dtype=dtype) for _ in parts[1:]]
+    # L^62 >= 2^62 for every L >= 2: past n = 62 the dtype is the same
+    bound = _row_l1(re, im) ** min(n, 62)
+    # forms[j, 0] is row j of M, made int64 or Python ints once by the
+    # kernel (times 1); each degree's rows end in one zero column
+    forms = [None if f is None else f[:, None, :]
+             for f in gauss_product(np.multiply, (re, im), (1, None), bound)]
+    rows = [np.array([[1, 0]]), None if im is None else np.zeros((1, 2), int)]
     for m in range(1, n + 1):
         first, prev, shifts = _degree_step(m, k)
-        N = len(first)
-        new = [np.zeros((N, N + 1), dtype=dtype) for _ in parts]
-        step = max(1, _GATHER_ENTRIES // (k * N))
-        for block in (slice(s, s + step) for s in range(0, N, step)):
+        step = max(1, _GATHER_ENTRIES // shifts.size)
+        blocks = [gauss_product(
+            np.matmul,
+            # coeff[g, 0, i]: entry i of row j of M
+            [None if f is None else f.take(first[s:s + step], axis=0)
+             for f in forms],
             # lower[g, i, b]: the entry at beta_b - e_i of row g's lower row
-            lower = [x.take(prev[block], axis=0).take(shifts, axis=1)
-                     for x in rows]
-            coeff = [f.take(first[block], axis=0)[:, None, :] for f in forms]
-            if im is None:
-                new[0][block, :N] = (coeff[0] @ lower[0])[:, 0]
-            else:
-                (a, b), (xr, xi) = coeff, lower
-                new[0][block, :N] = (a @ xr - b @ xi)[:, 0]
-                new[1][block, :N] = (a @ xi + b @ xr)[:, 0]
-        rows = new
-    return [x[:, :-1] for x in rows]
+            [None if x is None else
+             x.take(prev[s:s + step], axis=0).take(shifts, axis=1)
+             for x in rows], bound) for s in range(0, len(first), step)]
+        rows = [None if x[0] is None else
+                (np.concatenate(x) if len(x) > 1 else x[0])[:, 0]
+                for x in zip(*blocks)]
+    return [x[:, :-1] for x in rows if x is not None]
 
 
 class ExactMatrix:
@@ -574,25 +594,27 @@ class ExactMatrix:
                 "cannot multiply %dx%d by %dx%d"
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
-        return self._product(_int_matmul, other)
+        return self._product(np.matmul, other)
 
     def _product(self, op, other):
-        """self times other under a bilinear product op of integer
-        matrices: (ar + ai i)(br + bi i) = op(ar, br) - op(ai, bi)
-        + (op(ar, bi) + op(ai, br)) i."""
+        """self times other under a bilinear product op of integer arrays:
+        `gauss_product` on the numerators, under the product of their
+        largest row l1 norms, over the product of the denominators."""
         (ar, ai, da), (br, bi, db) = self.numerators(), other.numerators()
-        re = op(ar, br)
-        im = None if bi is None else op(ar, bi)
-        if ai is not None:
-            ai_br = op(ai, br)
-            im = ai_br if im is None else [list(map(add, x, y))
-                                           for x, y in zip(im, ai_br)]
-            if bi is not None:
-                re = [list(map(sub, x, y)) for x, y in zip(re, op(ai, bi))]
-        return ExactMatrix.from_numerators(re, im, da * db)
+        re, im = gauss_product(op, (ar, ai), (br, bi),
+                               _row_l1(ar, ai) * _row_l1(br, bi))
+        return ExactMatrix.from_numerators(
+            re.tolist(), None if im is None else im.tolist(), da * db)
 
     def scale(self, s):
-        return ExactMatrix([[s]]).kron(self)
+        """s times this matrix, on the numerators."""
+        s = GaussRat.coerce(s)
+        d = lcm(s.re.denominator, s.im.denominator)
+        c = [x.numerator * (d // x.denominator) for x in (s.re, s.im)]
+        re, im, D = self.numerators()
+        re, im = zip(*(_gauss_axpy((None, None), c, x)
+                       for x in zip(re, im or repeat(None))))
+        return ExactMatrix.from_numerators(re, im if any(im) else None, D * d)
 
     def transpose(self):
         re, im, D = self.numerators()
@@ -627,7 +649,7 @@ class ExactMatrix:
 
     def kron(self, other):
         """Kronecker product; block (i,j) is self[i,j] * other."""
-        return self._product(_int_kron, other)
+        return self._product(np.kron, other)
 
     def permuted(self, row_perm=None, col_perm=None):
         """Rows and columns reordered: entry (i,j) of the result is
@@ -938,9 +960,8 @@ def induced_matrix(M, n):
     canonical order; row gamma holds the coefficients of
     prod_j (M s)_j ^ gamma(j), where (M s)_j = sum_i M[j,i] s_i.
     The map M -> induced_matrix(M, n) is multiplicative.  It is formed
-    degree by degree on the Gaussian-integer numerators of M, over D^n:
-    int64 arrays while L^n < 2^62, L the largest row l1 norm of the
-    numerators, and arrays of Python ints beyond (`induced_numerators`).
+    degree by degree on the Gaussian-integer numerators of M, over D^n,
+    by `induced_numerators`.
     """
     if M.nrows != M.ncols:
         raise DimensionMismatch("induced matrix needs a square matrix")

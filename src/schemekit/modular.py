@@ -38,6 +38,7 @@ from .errors import DimensionMismatch, NotScalar, SingularMatrix
 from .exact import (
     ExactMatrix,
     GaussRat,
+    gmul,
     induced_matrix,
     snap_gauss,
 )
@@ -108,13 +109,9 @@ def _gauss_rows(M):
             for r, i in zip(re, im or [[0] * len(re[0])] * len(re))]
 
 
-def _gmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
 def _gdet(a, b, c, d):
     """a d - b c."""
-    x, y = _gmul(a, d), _gmul(b, c)
+    x, y = gmul(a, d), gmul(b, c)
     return x[0] - y[0], x[1] - y[1]
 
 
@@ -130,7 +127,7 @@ def _gp_mul(p, q):
     for i, a in enumerate(p):
         if any(a):
             for j, b in enumerate(q):
-                x, y = _gmul(a, b)
+                x, y = gmul(a, b)
                 u, v = out[i + j]
                 out[i + j] = (u + x, v + y)
     return out
@@ -177,7 +174,7 @@ def _gp_at(p, x, n):
     (zr, zi), q = x
     value, scale = (0, 0), 1
     for c in reversed(p + [(0, 0)] * (n + 1 - len(p))):
-        value = _gmul(value, (zr, zi))
+        value = gmul(value, (zr, zi))
         value = (value[0] + c[0] * scale, value[1] + c[1] * scale)
         scale *= q
     return value
@@ -205,7 +202,7 @@ def _gp_roots(p):
         return []
     if len(f) == 2:
         (a, b), (c, d) = f
-        z, q = _gmul((-a, -b), (c, -d)), c * c + d * d
+        z, q = gmul((-a, -b), (c, -d)), c * c + d * d
         g = gcd(*z, q)
         return [((z[0] // g, z[1] // g), q // g)] if any(z) else []
     m = max(abs(x) for c in f for x in c)
@@ -257,7 +254,7 @@ def _first_row_quadrics(p, b):
         return _gp_trim([form([x for x in terms if (x[0] == i) + (x[1] == i)
                                == e], i - 1) for e in range(3)])
 
-    return [form([(r, s, _gmul(w, _gmul(p[0][r], p[r][s])))
+    return [form([(r, s, gmul(w, gmul(p[0][r], p[r][s])))
                   for s, w in ((j, b[m]), (m, (-b[j][0], -b[j][1])))
                   for r in range(k)], k - 1)
             for j in range(k) if j != m]
@@ -368,7 +365,7 @@ def _cramer_candidates(P, B):
 
     def lin(i, j):
         # L_ij's coefficients of 1, t_2 and t_3, polynomials in t_1
-        l = [_gmul(p[i][r], p[r][j]) for r in range(4)]
+        l = [gmul(p[i][r], p[r][j]) for r in range(4)]
         return l[:2], l[2:3], l[3:]
 
     def affine(i, j):
@@ -439,7 +436,7 @@ def _cramer_candidates(P, B):
                 _gp_mul([b00], _gp_mul(T[i + j - 2], on_line(i, j))),
                 _gp_mul([b[i][j]], dL00), -1))
             if quadratic:
-                return [tuple(_ratio(_gp_at(t, s, 1), _gmul((s[1], 0), d))
+                return [tuple(_ratio(_gp_at(t, s, 1), gmul((s[1], 0), d))
                               for t in T) for s in _gp_roots(quadratic)]
         return None
 

@@ -17,11 +17,11 @@ found numerically from a random combination of the L_i, rounded to
 Gaussian integers (another combination is tried after a degenerate
 attempt or a miss below 1e-6), attached as integer rows and certified
 exactly: every row must be a character, P[j,i] P[j,k] = sum_r
-p[i][k][r] P[j,r], checked in int64 on the numerators of P, bounded by
-the valencies, so a wrong P can never pass silently.  Krein parameters
-come from the numerators of P and Q.  Fusions of a tensor power by a
-permutation group, the composite scheme among them, follow orbits of
-class tuples under the group's generators.
+p[i][k][r] P[j,r], checked on the numerators of P, bounded by the
+valencies, so a wrong P can never pass silently.  Krein parameters come
+from the numerators of P and Q, all products by `exact.gauss_product`.
+Fusions of a tensor power by a permutation group, the composite scheme
+among them, follow orbits of class tuples under the group's generators.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .errors import (
     SizeCapExceeded,
     SnapFailure,
 )
-from .exact import _SNAP_TOLERANCE, ExactMatrix
+from .exact import _SNAP_TOLERANCE, ExactMatrix, gauss_product
 
 _EIG_SEED = 81309
 _EIG_ATTEMPTS = 12
@@ -472,13 +472,10 @@ def sort_rows_canonically(M):
     return ExactMatrix(rows)
 
 
-def _row_products(a, b):
-    """(re, im) of x_i x_k for every row x = a + b i, as rows of length
-    k^2 indexed by (i, k)."""
-    n, k = a.shape
-    re = a[:, :, None] * a[:, None, :] - b[:, :, None] * b[:, None, :]
-    im = a[:, :, None] * b[:, None, :] + b[:, :, None] * a[:, None, :]
-    return re.reshape(n, k * k), im.reshape(n, k * k)
+def _row_outer(x, y):
+    """The outer product of each row of x with the same row of y, as
+    rows of length k^2 indexed by (i, j)."""
+    return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
 def certify_eigenmatrix(scheme, P):
@@ -494,10 +491,11 @@ def certify_eigenmatrix(scheme, P):
     valency k_i in modulus: P is refused unless its stored form
     (`ExactMatrix.numerators`) has denominator 1 and numerators a + b i
     with |a|, |b| <= k_i, read with no GaussRat formed.  Both sides of
-    the identity are then at most 2 k_i k_k <= 2 v^2 in each part, since
-    sum_r p[i][k][r] k_r = k_i k_k, and one int64 matmul with the
-    intersection tensor reshaped to ((d+1)^2, d+1) gives the right-hand
-    sides of every row.  Distinct rows are decided on the numerators
+    the identity are then at most 2 k_i k_k in each part, since
+    sum_r p[i][k][r] k_r = k_i k_k, and each side of every row is one
+    `exact.gauss_product` under the bound 2 max_i k_i^2: the row
+    products of P, and one matmul with the intersection tensor reshaped
+    to ((d+1)^2, d+1).  Distinct rows are decided on the numerators
     themselves, as a set of (re, im) row tuples.
     """
     k = scheme.d + 1
@@ -512,16 +510,15 @@ def certify_eigenmatrix(scheme, P):
     if D != 1 or any(not -bound <= x <= bound for part in (re, im or ())
                      for row in part for x, bound in zip(row, vals)):
         return False
-    a = np.array(re, dtype=np.int64)
-    b = np.zeros_like(a) if im is None else np.array(im, dtype=np.int64)
-    if (a[:, 0] != 1).any() or b[:, 0].any():
+    if any(row[0] != 1 for row in re) or any(row[0] for row in im or ()):
         return False
     # a real P (im None) pairs each row with itself
     if len(set(zip(map(tuple, re), map(tuple, im or re)))) != k:
         return False
-    rhs = np.concatenate([a, b]) @ tensor.T
-    lhs_re, lhs_im = _row_products(a, b)
-    return bool((lhs_re == rhs[:k]).all() and (lhs_im == rhs[k:]).all())
+    bound = 2 * max(vals) ** 2
+    lhs = gauss_product(_row_outer, (re, im), (re, im), bound)
+    rhs = gauss_product(np.matmul, (re, im), (tensor.T, None), bound)
+    return all(x is y or np.array_equal(x, y) for x, y in zip(lhs, rhs))
 
 
 @cache
@@ -638,9 +635,9 @@ def _orthogonality_dual(P, v):
 
     With k_i = P[0,i], L = lcm(k_i) and w_i = L / k_i, the numerators of
     Q over L are m_j conj(P[j,i]) w_i, m_j = v L / sum_i |P[j,i]|^2 w_i,
-    formed on Python ints.  The partial sums of P Q are at most 2 k B^2
-    in each part, B the largest numerator of P and of Q, so the check
-    of P Q = v I runs in int64 below 2^63 and on Python ints beyond.
+    formed on Python ints.  P Q = v I is checked by `exact.gauss_product`
+    under the bound 2 k B^2 on its partial sums in each part, B the
+    largest numerator of P and of Q.
     """
     re, im, D = P.numerators()
     k = P.nrows
@@ -660,13 +657,8 @@ def _orthogonality_dual(P, v):
           for i in range(k)] for sign, part in zip((1, -1), parts)]
     bound = 2 * k * max(abs(x) for rows in parts + q for row in rows
                         for x in row) ** 2
-    dtype = np.int64 if bound < 2**63 else object
-    pa, qa = (np.array(x[0], dtype=dtype) for x in (parts, q))
-    if im is None:
-        pq_re, pq_im = pa @ qa, None
-    else:
-        pb, qb = (np.array(x[1], dtype=dtype) for x in (parts, q))
-        pq_re, pq_im = pa @ qa - pb @ qb, pa @ qb + pb @ qa
+    pq_re, pq_im = gauss_product(np.matmul, (re, im),
+                                 (q[0], q[1] if im else None), bound)
     if (not np.array_equal(pq_re, np.diag([v * L] * k))
             or (pq_im is not None and pq_im.any())):
         return None
@@ -679,8 +671,7 @@ def dual_eigenmatrix(P, v):
     An eigenmatrix has orthogonal rows, sum_i P[j,i] conj(P[l,i]) / k_i
     = (v / m_j) [j = l] with k_i = P[0,i] the valencies and m_j the
     multiplicities, so Q[i,j] = m_j conj(P[j,i]) / k_i needs no inverse.
-    That Q is returned once P Q = v I holds exactly on the numerators,
-    checked in int64 while a bound allows and on Python ints beyond
+    That Q is returned once P Q = v I holds exactly on the numerators
     (`_orthogonality_dual`).  Where the relations do not give Q -- a
     denominator of P other than 1, a zero or non-real k_i, a non-integer
     m_j, a failed check -- it is P.inverse().scale(v), so a P that is no
@@ -697,26 +688,24 @@ def krein_parameters(scheme):
     non-negative real; NegativeKrein is raised at the first other one in
     (i, j, r) order.  On the stored numerators of P and Q
     (`ExactMatrix.numerators`), all entries are one matmul of P with the
-    row products of Q, over v D_P D_Q^2.  Its partial sums are at most
-    4 k B^3 for real and imaginary numerators of size at most B, so it
-    runs in int64 below 2^63 and on Python ints beyond.
+    row products of Q, over v D_P D_Q^2, both by `exact.gauss_product`
+    under the bound 4 k B^3 on their partial sums, B the largest real or
+    imaginary numerator.
     """
     P = eigenmatrix(scheme)
     v, k = scheme.v, scheme.d + 1
     (pr, pi, dp), (qr, qi, dq) = (P.numerators(),
                                   dual_eigenmatrix(P, v).numerators())
     B = max(abs(x) for part in (pr, pi, qr, qi) for row in part or () for x in row)
-    dtype = np.int64 if 4 * k * B**3 < 2**63 else object
-    pa, pb, qa, qb = (np.zeros((k, k), dtype=dtype) if x is None
-                      else np.array(x, dtype=dtype) for x in (pr, pi, qr, qi))
-    # s[r, (i, j)] = sum_m P[r,m] Q[m,i] Q[m,j], real part in rows :k
-    s = np.block([[pa, -pb], [pb, pa]]) @ np.concatenate(_row_products(qa, qb))
-    re, im = (part.T.reshape(k, k, k) for part in (s[:k], s[k:]))
-    q = ExactMatrix.from_numerators(re.reshape(k * k, k).tolist(),
-                                    im.reshape(k * k, k).tolist(),
+    bound = 4 * k * B**3
+    # s[r, (i, j)] = sum_m P[r,m] Q[m,i] Q[m,j] for s = re, im
+    re, im = gauss_product(np.matmul, (pr, pi), gauss_product(
+        _row_outer, (qr, qi), (qr, qi), bound), bound)
+    im = np.zeros_like(re) if im is None else im
+    q = ExactMatrix.from_numerators(re.T.tolist(), im.T.tolist(),
                                     v * dp * dq * dq)
     q = np.array(q.rows(), dtype=object).reshape(k, k, k)
-    bad = _first_index((im != 0) | (re < 0))
+    bad = _first_index(((im != 0) | (re < 0)).T.reshape(k, k, k))
     if bad is not None:
         raise NegativeKrein(bad, q[bad])
     return q

@@ -15,6 +15,25 @@ def fresh_search_memo():
     modular._search.cache_clear()
 
 
+@pytest.fixture
+def spy_product_dtypes(monkeypatch):
+    """spy(module): the list, growing while the test runs, of the dtypes
+    of the parts of each `exact.gauss_product` that module calls."""
+    def spy_on(module):
+        seen = []
+        product = module.gauss_product
+
+        def spy(*args):
+            nums = product(*args)
+            seen.extend(x.dtype.name for x in nums if x is not None)
+            return nums
+
+        monkeypatch.setattr(module, "gauss_product", spy)
+        return seen
+
+    return spy_on
+
+
 @pytest.fixture(autouse=True)
 def collector_left_on():
     """Fail a test that ends with the cyclic collector off or with objects

@@ -335,7 +335,36 @@ def test_matrix_permuted():
     assert q[0, 0] == GaussRat(2)
 
 
-def test_matrix_kron():
+@pytest.fixture
+def product_dtypes(spy_product_dtypes):
+    return spy_product_dtypes(exact_module)
+
+
+# (M, dtype of M @ M and of M.kron(M)): the bound of both, the square of
+# the largest row sum of |re| + |im| of M, lies on either side of 2^62
+INT64_EDGE = [
+    (ExactMatrix([[2**31 - 1, 0], [1, 1]]), "int64"),
+    (ExactMatrix([[2**31, 0], [1, 1]]), "object"),
+    # (3 * 2^30 (1 + i))^2 = 18 * 2^60 i
+    (ExactMatrix([[GaussRat(3 * 2**30, 3 * 2**30), 1], [GaussRat(0, 1), 2]]),
+     "object"),
+    # (2^32 + 1)^2 = 2^64 + 2^33 + 1, which int64 would wrap
+    (ExactMatrix([[2**32 + 1, 0], [1, -1]]), "object"),
+]
+
+
+# a zero factor: the bound still covers the other one's entries
+ZERO, HUGE = ExactMatrix([[0, 0], [0, 0]]), ExactMatrix([[2**70, 1], [1, 1]])
+
+
+def kron_reference(a, b):
+    return ExactMatrix([[a[i // b.nrows, j // b.ncols] * b[i % b.nrows,
+                                                          j % b.ncols]
+                         for j in range(a.ncols * b.ncols)]
+                        for i in range(a.nrows * b.nrows)])
+
+
+def test_matrix_kron(product_dtypes):
     a = ExactMatrix([[GaussRat(1), GaussRat(2)], [GaussRat(0), GaussRat(1)]])
     b = ExactMatrix.identity(2).scale(3)
     k = a.kron(b)
@@ -345,6 +374,12 @@ def test_matrix_kron():
     assert k[1, 3] == GaussRat(6)
     assert k[1, 2] == GaussRat(0)
     assert k[2, 0] == GaussRat(0)
+    for m, dtype in INT64_EDGE:
+        product_dtypes.clear()
+        assert m.kron(m) == kron_reference(m, m)
+        assert set(product_dtypes) == {dtype}
+    assert ZERO.kron(HUGE) == kron_reference(ZERO, HUGE)
+    assert HUGE.kron(ZERO) == kron_reference(HUGE, ZERO)
 
 
 def test_conjugate_transpose():
@@ -561,13 +596,19 @@ def singular_column(m):
     return int(str(info.value).rsplit(" ", 1)[1])
 
 
-def test_matmul_matches_definition():
+def test_matmul_matches_definition(product_dtypes):
     rng = random.Random(1968)
     for _ in range(60):
         r, s, t = (rng.randint(1, 5) for _ in range(3))
         a = rand_kind_matrix(rng, r, s, rng.choice(KINDS))
         b = rand_kind_matrix(rng, s, t, rng.choice(KINDS))
         assert a @ b == matmul_reference(a, b)
+    for m, dtype in INT64_EDGE:
+        product_dtypes.clear()
+        assert m @ m == matmul_reference(m, m)
+        assert set(product_dtypes) == {dtype}
+    assert ZERO @ HUGE == matmul_reference(ZERO, HUGE)
+    assert HUGE @ ZERO == matmul_reference(HUGE, ZERO)
 
 
 def test_inverse_matches_definition():
@@ -718,6 +759,28 @@ def test_only_the_inverse_runs_bareiss():
     assert callers == [("exact", "ExactMatrix", "inverse")]
 
 
+def test_only_exact_picks_a_numerator_dtype():
+    """One overflow rule for numerator products: outside `exact`, no
+    function chooses between np.int64 and object in a conditional
+    expression, apart from `codes._key_factor`, whose tiers encode pair
+    profiles as keys and multiply no numerators."""
+    def names(node):
+        return {getattr(n, "attr", getattr(n, "id", None))
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Attribute, ast.Name))}
+
+    choosers = set()
+    for path in sorted(Path(schemekit.__file__).parent.glob("*.py")):
+        if path.stem == "exact":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                choosers |= {(path.stem, fn.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.IfExp)
+                             and {"int64", "object"} <= names(node)}
+    assert choosers == {("codes", "_key_factor")}
+
+
 def test_induced_matrix_matches_substitution():
     """Row gamma of induced(M, n) is s^gamma under s -> M s, on
     fractional and complex matrices."""
@@ -733,6 +796,18 @@ def test_induced_matrix_matches_substitution():
             assert got.row(composition_index(n, k)[gamma]) == tuple(
                 image.coefficient(alpha) for alpha in comps)
 
+
+
+@pytest.mark.parametrize("M", [
+    eigenmatrix(one_class(2)), eigenmatrix(group_scheme([4])),
+    ExactMatrix([[2**40, 1], [GaussRat(0, 1), 3]]),
+], ids=["real", "complex", "object"])
+def test_induced_matrix_in_gathered_blocks(M, monkeypatch):
+    """A degree gathered one row at a time, as past `_GATHER_ENTRIES`
+    entries, gives the matrix gathered whole."""
+    whole = induced_matrix(M, 4)
+    monkeypatch.setattr(exact_module, "_GATHER_ENTRIES", 7)
+    assert induced_matrix(M, 4) == whole == _by_substitution(M, 4)
 
 def _by_substitution(M, n):
     """induced_matrix(M, n) from the images of the monomials under
@@ -886,17 +961,9 @@ def _random_homogeneous(rng, k, n, terms, span=5):
 
 
 @pytest.fixture
-def transform_dtypes(monkeypatch):
+def transform_dtypes(spy_product_dtypes):
     """The dtypes of the numerator products of each transform."""
-    seen = []
-    matmul = codes._gauss_matmul
-
-    def spy(x, y):
-        seen.extend(a.dtype.name for a in x + y)
-        return matmul(x, y)
-
-    monkeypatch.setattr(codes, "_gauss_matmul", spy)
-    return seen
+    return spy_product_dtypes(codes)
 
 
 @pytest.mark.parametrize("P, v, degrees", [

@@ -302,10 +302,10 @@ def test_certify_refuses_fractions_before_the_identity(monkeypatch):
     rows = _rows(eigenmatrix(s))
     rows[3][2] = rows[3][2] + GaussRat(0, 1) / 2
 
-    def refuse(a, b):
+    def refuse(*args):
         raise AssertionError("a non-integer P must be refused before the identity")
 
-    monkeypatch.setattr(scheme_module, "_row_products", refuse)
+    monkeypatch.setattr(scheme_module, "gauss_product", refuse)
     assert not certify_eigenmatrix(s, ExactMatrix(rows))
 
 
@@ -583,6 +583,24 @@ def test_dual_eigenmatrix_needs_no_inverse(name, monkeypatch):
             assert M @ got == ExactMatrix.identity(M.nrows).scale(v)
         else:
             assert got == Q
+
+
+def test_dual_eigenmatrix_past_the_int64_bound(monkeypatch,
+                                               spy_product_dtypes):
+    """P = [[1, 2^40 - 1], [1, -1]] at v = 2^40: Q's numerators over
+    lcm(k_i) = 2^40 - 1 reach (2^40 - 1)^2, so the check of P Q = v I
+    runs on Python ints, and Q still comes from the orthogonality
+    relations."""
+    P, v = ExactMatrix([[1, 2**40 - 1], [1, -1]]), 2**40
+    want = P.inverse().scale(v)
+    dtypes = spy_product_dtypes(scheme_module)
+
+    def refuse(self):
+        raise AssertionError("dual_eigenmatrix inverted P")
+
+    monkeypatch.setattr(ExactMatrix, "inverse", refuse)
+    assert dual_eigenmatrix(P, v) == want
+    assert dtypes == ["object"]
 
 
 def _tampered(P, i, j, delta):
