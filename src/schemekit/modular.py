@@ -2,23 +2,19 @@
 
 verify_modular is purely exact: it forms the cube and decides c*I on
 the Gaussian-integer numerators.  search_T refuses a singular P at once.
-Its candidates come from one of three exact routes, by size, all read
-off PTP = c T^-1 P^-1 T^-1: a 1x1 P has the one candidate T = (1); up
-to 3x3, elimination on the first-row quadrics, with one resultant,
-their Sylvester determinant written out (`_resultant_y`); at 4x4,
-Cramer's rule on three equations affine in (t_2, t_3) and one
-eliminant in t_1 of degree at most 8 (`_cramer_candidates`).  Both
-form their polynomials on the Gaussian-integer numerators of P and
-P^-1, as lists of (re, im) pairs, and share one gcd (`_gp_gcd`) and
-one root finder (`_gp_roots`); GaussRat values are made only for the
-candidates.  Larger sizes, 3x3 quadrics with a positive-dimensional
-component and the 4x4 P's the Cramer route cannot decide use seeded
-batched Levenberg-Marquardt restarts on the cube, with its residual
-and derivatives read off its coefficient tensor, snapped to Gaussian
+A 1x1 P has the one candidate T = (1).  For 2 to 4 classes one exact
+elimination (`_elimination_candidates`) reads them off M^2 = c M^-1, M
+= PT: Cramer's rule on the relations affine in t_2..t_{k-1}, one
+eliminant in t_1, and the points at its roots, on the Gaussian-integer
+numerators of P and P^-1 as lists of (re, im) pairs, with one gcd
+(`_gp_gcd`) and one root finder (`_gp_roots`).  Larger sizes, and the
+P's it leaves undecided (whose witnesses form a curve, say), use seeded
+batched Levenberg-Marquardt restarts on the cube, with its residual and
+derivatives read off its coefficient tensor, snapped to Gaussian
 rationals.  Every candidate with no zero entry (which forces c = 0)
 goes through one exact check, each distinct one once, so an inexact
 witness can never be returned.  A None is a proof of absence, up to
-the root snap, only from an exact route that decided (see search_T).
+the root snap, wherever the elimination decides (see search_T).
 search_T keeps its recent results, keyed on (P, restarts), for the
 life of the process, in one `functools.lru_cache` (`_search`).
 induced_modular_check lifts a witness to degree n with the induced
@@ -29,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import combinations, islice, product
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -107,12 +104,6 @@ def _gauss_rows(M):
     re, im, _ = M.numerators()
     return [list(zip(r, i))
             for r, i in zip(re, im or [[0] * len(re[0])] * len(re))]
-
-
-def _gdet(a, b, c, d):
-    """a d - b c."""
-    x, y = gmul(a, d), gmul(b, c)
-    return x[0] - y[0], x[1] - y[1]
 
 
 def _gp_add(p, q, sign=1):
@@ -220,242 +211,197 @@ def _gp_roots(p):
         Fraction(x[0][1], x[1]), Fraction(x[0][0], x[1])))
 
 
-# -- exact candidates, sizes 2 and 3 ------------------------------------
-#
-# A polynomial in t_1..t_d is a list, by powers of t_d, of polynomials
-# in t_1..t_{d-1}; in no variable, a Gaussian integer.  For d = 1 it is
-# a polynomial in t_1 as above.
+# -- exact candidates ----------------------------------------------------
 
 
 # 1, i, -1 and -i, as (z, q)
 _HEURISTIC_VALUES = (((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1))
 
 
-def _first_row_quadrics(p, b):
-    """The first-row quadrics of (P diag(1, t_1, .., t_d))^3 = c I,
-    trailing zeros dropped, on the Gaussian-integer numerators p of P
-    and b of row 0 of P^-1, in which they are homogeneous.
+def _cramer(rows, m):
+    """(D, N, chosen) for the first m = 1 or 2 of rows, chosen, each [a,
+    b_2, .., b_{m+1}] for a + sum_q b_q u_q = 0, whose determinant D is
+    not zero: D u_q = N_q by Cramer's rule; None if every one is."""
+    def det(w, x, y, z):
+        return _gp_add(_gp_mul(w, z), _gp_mul(x, y), -1)
 
-    With c != 0, M = PT has M^2 = c M^-1, so PTP = c T^-1 P^-1 T^-1,
-    whose row 0 reads a_j(t) t_j = c b_j for a_j(t) = sum_r P[0, r]
-    P[r, j] t_r (t_0 = 1).  Cross-multiplying each entry j against one
-    entry m with b_m != 0 (m = 0 unless b_0 = 0) eliminates c:
-    b_m a_j(t) t_j - b_j a_m(t) t_m = 0 for the d indices j != m.  Every
-    witness is a zero of these; a zero need not be a witness.
-    """
-    k = len(p)
-    m = next(j for j in range(k) if any(b[j]))
-
-    def form(terms, i):
-        # the sum of c t_r t_s over the (r, s, c) of terms, in t_1..t_i,
-        # by the power e of t_i in t_r t_s
-        if not i:
-            return sum(c[0] for *_, c in terms), sum(c[1] for *_, c in terms)
-        return _gp_trim([form([x for x in terms if (x[0] == i) + (x[1] == i)
-                               == e], i - 1) for e in range(3)])
-
-    return [form([(r, s, gmul(w, gmul(p[0][r], p[r][s])))
-                  for s, w in ((j, b[m]), (m, (-b[j][0], -b[j][1])))
-                  for r in range(k)], k - 1)
-            for j in range(k) if j != m]
+    for chosen in combinations(rows, m):
+        if m == 1:
+            (a, b), = chosen
+            D, N = _gp_trim(b), [[(-x, -y) for x, y in a]]
+        else:
+            (a0, b0, c0), (a1, b1, c1) = chosen
+            D = _gp_trim(det(b0, c0, b1, c1))
+            N = [det(a1, a0, c1, c0), det(a0, a1, b0, b1)]
+        if D:
+            return D, N, chosen
+    return None
 
 
-def _resultant_y(f, g):
-    """Res_y(f, g), a polynomial in x, for polynomials f, g in x and y
-    (lists by powers of y) of y-degrees (1, 1) or (2, 1) in either
-    order: the Sylvester determinant written out on their
-    y-coefficients.  These are the only y-degrees two first-row quadrics
-    with y-terms can have: of q_j = b_m a_j(t) t_j - b_j a_m(t) t_m,
-    only the one with j = 2 != m has a t_2^2 term (see
-    `_first_row_quadrics`)."""
-    if len(f) < len(g):
-        f, g = g, f
-    if len(f) == 2:
-        return _gp_add(_gp_mul(f[1], g[0]), _gp_mul(f[0], g[1]), -1)
-    # f_2 g_0^2 - f_1 g_0 g_1 + f_0 g_1^2
-    return _gp_add(_gp_mul(g[0], _gp_add(_gp_mul(f[2], g[0]),
-                                         _gp_mul(f[1], g[1]), -1)),
-                   _gp_mul(f[0], _gp_mul(g[1], g[1])))
+def _elimination_candidates(P, B):
+    """The candidate diagonals (t_1..t_{k-1}) of a P of k = 2..4 classes,
+    B = P^-1, lazily; returns whether they decide.
 
-
-def _cube_at(p, prefix):
-    """The off-diagonal entries and diagonal differences of the cube
-    K = (P diag(1, t_1, .., t_d))^3, which all vanish exactly where
-    K = c I, with t_1 set to prefix (empty for d = 1), as polynomials in
-    t_d, times a constant; p holds the Gaussian-integer numerators of
-    P."""
-    q, k = prefix[0][1] if prefix else 1, len(p)
-    t = [[(q, 0)]] + [[z] for z, _ in prefix] + [[(0, 0), (q, 0)]]
-    M = K = [[_gp_mul([p[i][j]], t[j]) for j in range(k)] for i in range(k)]
-    for _ in range(2):
-        K = [[reduce(_gp_add, (_gp_mul(K[i][r], M[r][j]) for r in range(k)))
-              for j in range(k)] for i in range(k)]
-    return ([K[i][j] for i in range(k) for j in range(k) if i != j]
-            + [_gp_add(K[0][0], K[i][i], -1) for i in range(1, k)])
-
-
-def _exact_candidates(P, B, restarts):
-    """Candidate diagonals of sizes 2 and 3, from the first-row quadrics;
-    B = P^-1.
-
-    With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
-    quadric free of y = t_2.  If that eliminant vanishes identically the
-    quadrics have a positive-dimensional component: the heuristic values
-    stand in for x, and the numeric stream follows.  At each x (once for
-    d = 1) the last coordinate is a root of the quadrics' gcd; where they
-    leave it free, of the cube constraints'; where those do too, a
-    heuristic value.  All of it runs on Gaussian integers: GaussRat
-    values are made only for the candidates.
-    """
-    p = _gauss_rows(P)
-    quadrics = _first_row_quadrics(p, _gauss_rows(B)[0])
-    prefixes, degenerate = [()], False
-    if len(quadrics) == 2:
-        with_y = [q for q in quadrics if len(q) > 1]
-        gens_x = [q[0] for q in quadrics if len(q) == 1]
-        if len(with_y) == 2:
-            gens_x.append(_resultant_y(*with_y))
-        hx = _gp_gcd(gens_x)
-        degenerate = not hx
-        prefixes = [(x,) for x in
-                    (_gp_roots(hx) if hx else _HEURISTIC_VALUES)]
-    for prefix in prefixes:
-        at = ([[_gp_at(c, prefix[0], 2) for c in q] for q in quadrics]
-              if prefix else quadrics)
-        last = _gp_gcd(at) or _gp_gcd(_cube_at(p, prefix))
-        for t in _gp_roots(last) if last else _HEURISTIC_VALUES:
-            yield tuple(_ratio(z, (q, 0)) for z, q in prefix + (t,))
-    if degenerate:
-        yield from _numeric_candidates(P, restarts)
-
-
-# -- exact candidates, size 4 -------------------------------------------
-
-
-_QUADRICS_4 = ((0, 2), (0, 3), (2, 0), (3, 0))
-
-
-def _cramer_candidates(P, B):
-    """Candidate diagonals of size 4, sorted, or None where this route
-    cannot decide; B = P^-1.
-
-    With M = PT, (PT)^3 = c I, c != 0, reads M^2 = c M^-1, that is
-    L_ij(t) t_i t_j = c B_ij for L_ij(t) = sum_r P_ir P_rj t_r (t_0 =
-    1).  So c = L_00 / B_00, and every E_ij = B_00 t_i t_j L_ij - B_ij
-    L_00 vanishes at a witness; they are formed on the Gaussian-integer
-    numerators of P and B, in which they are homogeneous.  E_01, E_10
-    and E_11 are affine in (t_2, t_3) over polynomials in t_1.  For the
-    first two of them whose determinant D(t_1) is not identically zero,
-    Cramer's rule gives t_2 = N_2 / D and t_3 = N_3 / D; put into the
-    first of the quadrics E_02, E_03, E_20, E_30 that stays nonzero,
-    times D^2, they give the eliminant G, of degree at most 8.  Every
-    witness has t_1 among the nonzero roots of G and of D.  Off D's
-    roots Cramer's rule gives (t_2, t_3).  On them, two of the three
-    relations that are independent there give (t_2, t_3); else one that
-    is left gives a line, on which the first quadric that stays nonzero
-    gives the points.  The candidates are sorted by (im, re) ascending,
-    coordinate by coordinate.  None where B_00 = 0, where every D or
-    every G vanishes identically, or where no relation, or no quadric on
-    the line, is left at a root of D.
+    With c != 0, (PT)^3 = c I reads t_i t_j L_ij = c B_ij, L_ij = sum_h
+    P_ih P_hj t_h and t_0 = 1.  So for the first nonzero B_rs of B's
+    top-left 2x2 block (classes 1 and q swapped if it is zero), the
+    witnesses are the zeros with no zero coordinate of all E_ij = B_rs
+    t_i t_j L_ij - B_ij t_r t_s L_rs.  The relations, the E_ij with i, j
+    <= 1, are affine in u = (t_2..t_{k-1}).  Cramer's rule on the first
+    k - 2 of them with a determinant D(t_1) not identically zero gives u
+    = N / D; G is the first other E_ij at u = N / D, the relations
+    first, not identically zero.  With no D, G is the first relation
+    less the first with a coefficient of u times the ratio of theirs to
+    its, free of u, not identically zero.  Every witness has t_1 among
+    the nonzero roots of G and of D or that coefficient.  At each, by
+    (im, re), descending up to 3 classes and ascending at 4, u comes
+    from the relations there, or else the free coordinate (t_2, or a
+    line at k = 4) from the roots, in the same order, of the first E_ij
+    nonzero on it, or the heuristic values where there is none.  Points
+    where one of the first 2k - 1 E_ij does not vanish are dropped.
+    Undecided: where G vanishes identically on a curve u = N / D with no
+    coordinate zero all along it, so holding witnesses, or with no D,
+    the points at t_1 = 1, i, -1, -i; where a root leaves u a plane,
+    those before it.  It all runs on the Gaussian-integer numerators of
+    P and B, in which the equations are homogeneous; GaussRat values are
+    made only for the candidates kept.
     """
     p, b = _gauss_rows(P), _gauss_rows(B)
-    b00 = b[0][0]
-    if not any(b00):
-        return None
+    k, m, order = len(p), len(p) - 2, list(range(len(p)))
+    if not any(map(any, b[0][:2] + b[1][:2])):
+        q = next(q for q in range(2, k) if any(b[0][q]))
+        order[1], order[q] = q, 1
+        p, b = ([[M[i][j] for j in order] for i in order] for M in (p, b))
+    r, s = next((i, j) for i in (0, 1) for j in (0, 1) if any(b[i][j]))
+    # L_ij's coefficients of t_0..t_{k-1}; the E_ij, the relations first
+    l = [[[gmul(p[i][h], p[h][j]) for h in range(k)] for j in range(k)]
+         for i in range(k)]
+    pairs = sorted((ij for ij in product(range(k), repeat=2) if ij != (r, s)),
+                   key=lambda ij: (ij[0] > 1) + (ij[1] > 1))
+    one, var = [(1, 0)], [(0, 0), (1, 0)]
+    rows = []  # each relation's part free of u, its coefficients of u
+    for i, j in pairs[:3]:
+        row = [[(0, 0)] * 4] + [[(0, 0)] * 3 for _ in range(m)]
+        (a0, a1), (c0, c1) = b[r][s], b[i][j]
+        for h, (x, y), (z, w) in zip(range(k), l[i][j], l[r][s]):
+            # B_rs t_1^(i + j) L_ijh t_h - B_ij t_1^(r + s) L_rsh t_h
+            f, e, d = row[max(h - 1, 0)], i + j + (h == 1), r + s + (h == 1)
+            f[e] = f[e][0] + a0 * x - a1 * y, f[e][1] + a0 * y + a1 * x
+            f[d] = f[d][0] - c0 * z + c1 * w, f[d][1] - c0 * w - c1 * z
+        rows.append([_gp_trim(f) for f in row])
 
-    def lin(i, j):
-        # L_ij's coefficients of 1, t_2 and t_3, polynomials in t_1
-        l = [gmul(p[i][r], p[r][j]) for r in range(4)]
-        return l[:2], l[2:3], l[3:]
+    def X(V, i, j):
+        # V_i V_j sum_h L_ijh V_h: W^3 t_i t_j L_ij at t = V / W
+        re = im = 0
+        for (a, e), (v, w) in zip(l[i][j], V):
+            re, im = re + a * v - e * w, im + a * w + e * v
+        return gmul(gmul(V[i], V[j]), (re, im))
 
-    def affine(i, j):
-        # E_ij for i, j <= 1: B_00 t_1^(i + j) L_ij - B_ij L_00
-        head = [(0, 0)] * (i + j) + [b00]
-        return [_gp_add(_gp_mul(head, f), _gp_mul([b[i][j]], f0), -1)
-                for f, f0 in zip(lin(i, j), lin(0, 0))]
+    def nonzero(V, pairs=pairs):
+        # whether W^3 E_ij at t = V / W is nonzero, lazily by pairs
+        ref = X(V, r, s)
+        return (gmul(b[r][s], X(V, i, j)) != gmul(b[i][j], ref)
+                for i, j in pairs)
 
-    rows = [affine(0, 1), affine(1, 0), affine(1, 1)]
-    for (a0, b0, c0), (a1, b1, c1) in ((rows[0], rows[1]),
-                                       (rows[0], rows[2]),
-                                       (rows[1], rows[2])):
-        D = _gp_trim(_gp_add(_gp_mul(b0, c1), _gp_mul(b1, c0), -1))
-        if D:
-            break
-    else:
-        return None
-    # (D, N_2, N_3) is D times (1, t_2, t_3)
-    N = (D, _gp_add(_gp_mul(a1, c0), _gp_mul(a0, c1), -1),
-         _gp_add(_gp_mul(b1, a0), _gp_mul(b0, a1), -1))
+    def norm(f):
+        return sum(abs(a) + abs(c) for a, c in f)
 
-    def scaled(i, j):
-        # D L_ij at (t_2, t_3) = (N_2 / D, N_3 / D)
-        out = []
-        for n, f in zip(N, lin(i, j)):
-            out = _gp_add(out, _gp_mul(n, f))
-        return out
+    def eliminant(n, T, w, after=0):
+        # The first E_ij not identically zero at t = T / W, as B_rs n_i
+        # n_j S_ij - B_ij n_r n_s w[#{i, j >= 2}] S_rs, S_ij = sum_h L_ijh
+        # T_h (with W = D, n_h = T_h / D^[h <= 1] and w = (1, D, D^2),
+        # D^(1 + #{i, j >= 2}) E_ij; with n = T, w = (1, 1, 1), W^3 E_ij),
+        # and whether no T_h is, past the first `after` pairs.  The
+        # coefficient parts of T_h and W^3 E_ij are at most bound (|f|:
+        # the sum of f's, absolute), so at t_1 = 2^K > 2 bound those are
+        # zero only where all of them are.
+        bound = norm(c for row in b for c in row) * norm(
+            c for row in p for c in row) ** 2 * max(map(norm, T)) ** 3
+        x0 = ((1 << bound.bit_length() + 1, 0), 1)
+        V = [_gp_at(f, x0, len(f)) for f in T]
+        for (i, j), e in zip(pairs[after:], nonzero(V, pairs[after:])):
+            if e:
+                S_ij, S_rs = (reduce(_gp_add, (_gp_mul([c], f) for c, f in
+                                               zip(l[i_][j_], T)))
+                              for i_, j_ in ((i, j), (r, s)))
+                return _gp_trim(_gp_add(
+                    _gp_mul([b[r][s]], _gp_mul(_gp_mul(n[i], n[j]), S_ij)),
+                    _gp_mul([b[i][j]], _gp_mul(w[(i > 1) + (j > 1)],
+                                               _gp_mul(_gp_mul(n[r], n[s]),
+                                                       S_rs))), -1)), True
+        return [], all(map(any, V))
 
-    DL00 = _gp_mul(D, scaled(0, 0))
-    for i, j in _QUADRICS_4:
-        G = _gp_trim(_gp_add(_gp_mul([b00], _gp_mul(N[i + j - 1],
-                                                    scaled(i, j))),
-                             _gp_mul([b[i][j]], DL00), -1))
-        if G:
-            break
-    else:
-        return None
+    live = [row for row in rows if any(any(c) for f in row[1:] for c in f)]
+    found = _cramer(live, m) if live else None
+    if found:  # D times each other relation at u = N / D
+        (D, N, chosen), pivot = found, found[0]
+        reduced = (reduce(_gp_add, map(_gp_mul, row, [D, *N]))
+                   for row in rows if row not in chosen)
+    else:  # the relations less R times the ratio of their u_q to its
+        D, N, pivot = [] if m else one, [], []
+        reduced = (row[0] for row in rows)
+        if live:
+            R = live[0]
+            q = next(q for q in range(1, k - 1) if R[q])
+            reduced, pivot = (_gp_add(_gp_mul(S[0], R[q]), _gp_mul(
+                R[0], S[q]), -1) for S in rows if S is not R), R[q]
+    G, curve = next(filter(None, map(_gp_trim, reduced)), []), True
+    if found and not G:  # past the relations, which vanish on the curve
+        G, curve = eliminant([one, var, *N], [D, _gp_mul(var, D), *N],
+                             [one, D, _gp_mul(D, D)], 3)
+    deg = max(map(len, [D, *N, *(f for row in rows for f in row)])) - 1
 
-    def on_a_root(x):
-        # the candidates (t_2, t_3) at a root x of D, or None
-        n = max(len(f) for row in rows for f in row) - 1
-        rel = [[_gp_at(f, x, n) for f in row] for row in rows]
-        live = [r for r in rel if any(r[1]) or any(r[2])]
-        if not live:
-            return None
-        a0, b0, c0 = live[0]
-        for a1, b1, c1 in live[1:]:
-            det = _gdet(b0, c0, b1, c1)
-            if any(det):
-                return [(_ratio(_gdet(c0, a0, c1, a1), det),
-                         _ratio(_gdet(a0, b0, a1, b1), det))]
-        # the line (t_2, t_3) = (T_2(s), T_3(s)) / d, s free
-        neg = [(-a0[0], -a0[1])]
-        T, d = (([(0, 0), c0], neg + [(-b0[0], -b0[1])]), c0) if any(c0) \
-            else ((neg, [(0, 0), b0]), b0)
-        q = [(x[1], 0)]
-
-        def on_line(i, j):
-            # q d L_ij on the line
-            c, l2, l3 = lin(i, j)
-            return _gp_add(_gp_mul([d], [_gp_at(c, x, 1)]), _gp_mul(
-                q, _gp_add(_gp_mul(l2, T[0]), _gp_mul(l3, T[1]))))
-
-        dL00 = _gp_mul([d], on_line(0, 0))
-        for i, j in _QUADRICS_4:
-            # q d^2 E_ij on the line, a quadratic in s
-            quadratic = _gp_trim(_gp_add(
-                _gp_mul([b00], _gp_mul(T[i + j - 2], on_line(i, j))),
-                _gp_mul([b[i][j]], dL00), -1))
-            if quadratic:
-                return [tuple(_ratio(_gp_at(t, s, 1), gmul((s[1], 0), d))
-                              for t in T) for s in _gp_roots(quadratic)]
-        return None
-
-    candidates = []
-    roots = _gp_roots(G)
-    n = max(map(len, N)) - 1
-    for x in roots + [x for x in _gp_roots(D) if x not in roots]:
-        t1 = _ratio(x[0], (x[1], 0))
-        d = _gp_at(D, x, n)
+    def at(x):
+        # t = V / V_0 for each candidate V at t_1 = x, or None for a plane
+        (z, q), d = x, _gp_at(D, x, deg)
+        N_x = [_gp_at(f, x, deg) for f in N]
+        if not any(d):
+            here = [[[_gp_at(f, x, deg)] for f in row] for row in rows]
+            live = [row for row in here if any(any(f[0]) for f in row[1:])]
+            if any(any(row[0][0]) for row in here if row not in live):
+                return []  # a relation reads 0 = a != 0
+            found = _cramer(live, m)
+            if found:
+                d, N_x = found[0][0], [f[0] for f in found[1]]
         if any(d):
-            candidates.append((t1, _ratio(_gp_at(N[1], x, n), d),
-                               _ratio(_gp_at(N[2], x, n), d)))
-            continue
-        found = on_a_root(x)
-        if found is None:
+            return [[(q * d[0], q * d[1]), gmul(z, d),
+                     *((q * a, q * c) for a, c in N_x)]]
+        # the line u = U(v) / W, v free
+        if m == 1:
+            W, U = (1, 0), [var]
+        elif not live:
             return None
-        candidates += [(t1, *t) for t in found]
-    candidates.sort(key=lambda t: tuple((g.im, g.re) for g in t))
-    return candidates
+        else:
+            (a, c), b2, b3 = (f[0] for f in live[0])
+            W, U = ((b3, [[(0, 0), b3], [(-a, -c), (-b2[0], -b2[1])]])
+                    if any(b3) else (b2, [[(-a, -c)], [(0, 0), b2]]))
+        T = [[(q * W[0], q * W[1])], [gmul(z, W)],
+             *([(q * a, q * c) for a, c in f] for f in U)]
+        e = eliminant(T, T, [one] * 3)[0]
+        return [[_gp_at(f, v, 1) for f in T] for v in (_gp_roots(
+            e)[::1 if k < 4 else -1] if e else _HEURISTIC_VALUES)]
+
+    def kept(vectors, check=True):
+        # those t = V / V_0, in P's order, at which the first 2k - 1 E_ij
+        # vanish (a cheap sieve: verify_modular checks them all)
+        return (tuple(_ratio(V[order[h]], V[0]) for h in range(1, k))
+                for V in vectors
+                if not (check and any(islice(nonzero(V), 2 * k - 1))))
+
+    if not G and curve:
+        for x in _HEURISTIC_VALUES:  # off the roots of D, on the curve
+            yield from kept(at(x) or (), not any(_gp_at(D, x, deg)))
+        return False
+    roots, extra = _gp_roots(G), pivot and _gp_roots(pivot)  # descending
+    if extra:
+        roots = sorted(set(roots + extra), reverse=True, key=lambda x: (
+            Fraction(x[0][1], x[1]), Fraction(x[0][0], x[1])))
+    for x in roots[::1 if k < 4 else -1]:
+        found = at(x)
+        if found is None:
+            return False
+        yield from kept(found)
+    return True
 
 
 # -- numeric candidates -------------------------------------------------
@@ -611,47 +557,39 @@ def _numeric_candidates(P, restarts):
 
 
 def _candidates(P, restarts):
-    """The candidate diagonals search_T verifies, as a stream; none for
-    a singular P, as det (PT)^3 = c^k != 0 needs det P != 0.  P^-1
-    comes from `P.inverse()`, which is also the singularity check; the
-    2x2 and 3x3 route reads the numerators of its row 0, the 4x4 route
-    all of them."""
+    """The candidate diagonals search_T verifies, as a stream: none for
+    a singular P (det (PT)^3 = c^k != 0 needs det P != 0), which
+    `P.inverse()`, giving B, refuses; up to 4 classes the elimination's,
+    then the numeric stream unless they decide."""
     try:
         B = P.inverse()
     except SingularMatrix:
-        return ()
+        return
     if P.nrows == 1:
-        return [()]
-    if P.nrows <= 3:
-        return _exact_candidates(P, B, restarts)
-    found = _cramer_candidates(P, B) if P.nrows == 4 else None
-    return _numeric_candidates(P, restarts) if found is None else found
+        yield ()
+    elif P.nrows > 4 or not (yield from _elimination_candidates(P, B)):
+        yield from _numeric_candidates(P, restarts)
 
 
 def search_T(P, restarts=_SEARCH_RESTARTS):
     """Find a diagonal T, normalized to T[0,0] = 1, with (PT)^3 = c I.
 
-    A singular P is not searched.  The candidates come from the exact
-    route for P's size: `_exact_candidates` for two and three classes,
-    `_cramer_candidates` for four.  Beyond four classes, where the 3x3
-    quadrics have a positive-dimensional component and where the 4x4
-    route cannot decide, they are `_numeric_candidates`, from `restarts`
+    A singular P is not searched.  For 2 to 4 classes the candidates come
+    from `_elimination_candidates`; beyond four classes, and after it
+    where it does not decide, from `_numeric_candidates`, `restarts`
     seeded Levenberg-Marquardt solves in blocks, whose converged points
     are snapped to Gaussian rationals.  Each distinct candidate with no
     zero entry is verified once, in stream order, and the witness
-    returned is the first that verifies: of the 2x2 and 3x3 route, the
-    first with roots in (im, re) descending order; of the 4x4 route, the
-    first in (im, re) ascending order, coordinate by coordinate, which
-    keeps group:2:2's diag(1, -i, -i, -1) (c = -8i) first of its four
-    witnesses; of the numeric stream, that of the lowest-index restart.
-    The streams are lazy, so no block runs after the one that holds it.
-    restarts <= 0 runs no restart.
+    returned is the first that verifies: of the elimination, the first
+    in (im, re) order, coordinate by coordinate, descending up to 3
+    classes and ascending at 4, which keeps group:2:2's diag(1, -i, -i,
+    -1) (c = -8i) first of its four witnesses; of the numeric stream,
+    that of the lowest-index restart.  The streams are lazy, so no block
+    runs after the one that holds it.  restarts <= 0 runs no restart.
     Returns a ModularWitness (always verified exactly) or None.  None is
     a proof that no Gaussian-rational witness exists, up to the root
-    snap (denominators up to 10^6), from the 2x2 and 3x3 route where the
-    quadrics are zero-dimensional and fix every coordinate, and from the
-    4x4 route wherever it decides; after the heuristic values or the
-    numeric stream it means "search incomplete".
+    snap (denominators up to 10^6), wherever the elimination decides;
+    after the numeric stream it means "search incomplete".
 
     The result depends on P's values and `restarts` alone, so it is kept
     for the life of the process, keyed on (P, restarts) with P compared

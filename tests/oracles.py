@@ -14,11 +14,15 @@ MPoly polynomial helpers the 2- and 3-class search ran on before it
 moved to Gaussian-integer lists: the symbolic cube's constraints, the
 Euclidean gcd over Gaussian rationals and its root finder, which the
 cube-route oracle of the tests and the Laplace expansion of the
-Sylvester matrix read.
+Sylvester matrix read.  Last, the two eliminations `search_T` ran on
+before one replaced them, the first-row quadrics with one resultant for
+2 and 3 classes and Cramer's rule for 4, against which the tests check
+the one that did.
 """
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -28,10 +32,24 @@ from schemekit.exact import (
     MPoly,
     composition_index,
     compositions,
+    gmul,
     snap_gauss,
 )
+from schemekit import modular
 from schemekit.genham import TransFusion, build_explicit, h_vector
-from schemekit.modular import _LM_ITERATIONS, _solve_each
+from schemekit.modular import (
+    _HEURISTIC_VALUES,
+    _LM_ITERATIONS,
+    _gauss_rows,
+    _gp_add,
+    _gp_at,
+    _gp_gcd,
+    _gp_mul,
+    _gp_roots,
+    _gp_trim,
+    _ratio,
+    _solve_each,
+)
 from schemekit.scheme import (
     TranslationStructure,
     _check_power_cap,
@@ -332,3 +350,266 @@ def _y_coefficients(p):
     for (ex, ey), c in p.terms.items():
         coeffs[ey] = coeffs[ey] + MPoly.monomial((ex,), c)
     return coeffs
+
+# -- the two eliminations search_T ran on before one replaced them --------
+#
+# The first-row quadrics with one Sylvester resultant for 2 and 3 classes,
+# Cramer's rule on E_ij = B_00 t_i t_j L_ij - B_ij L_00 for 4, as they ran
+# in the package, on its Gaussian-integer polynomial toolkit.
+
+
+def _gdet(a, b, c, d):
+    """a d - b c."""
+    x, y = gmul(a, d), gmul(b, c)
+    return x[0] - y[0], x[1] - y[1]
+
+
+def first_row_quadrics(p, b):
+    """The first-row quadrics of (P diag(1, t_1, .., t_d))^3 = c I,
+    trailing zeros dropped, on the Gaussian-integer numerators p of P
+    and b of row 0 of P^-1, in which they are homogeneous.
+
+    With c != 0, M = PT has M^2 = c M^-1, so PTP = c T^-1 P^-1 T^-1,
+    whose row 0 reads a_j(t) t_j = c b_j for a_j(t) = sum_r P[0, r]
+    P[r, j] t_r (t_0 = 1).  Cross-multiplying each entry j against one
+    entry m with b_m != 0 (m = 0 unless b_0 = 0) eliminates c:
+    b_m a_j(t) t_j - b_j a_m(t) t_m = 0 for the d indices j != m.  Every
+    witness is a zero of these; a zero need not be a witness.
+    """
+    k = len(p)
+    m = next(j for j in range(k) if any(b[j]))
+
+    def form(terms, i):
+        # the sum of c t_r t_s over the (r, s, c) of terms, in t_1..t_i,
+        # by the power e of t_i in t_r t_s
+        if not i:
+            return sum(c[0] for *_, c in terms), sum(c[1] for *_, c in terms)
+        return _gp_trim([form([x for x in terms if (x[0] == i) + (x[1] == i)
+                               == e], i - 1) for e in range(3)])
+
+    return [form([(r, s, gmul(w, gmul(p[0][r], p[r][s])))
+                  for s, w in ((j, b[m]), (m, (-b[j][0], -b[j][1])))
+                  for r in range(k)], k - 1)
+            for j in range(k) if j != m]
+
+
+def resultant_y(f, g):
+    """Res_y(f, g), a polynomial in x, for polynomials f, g in x and y
+    (lists by powers of y) of y-degrees (1, 1) or (2, 1) in either
+    order: the Sylvester determinant written out on their
+    y-coefficients.  These are the only y-degrees two first-row quadrics
+    with y-terms can have: of q_j = b_m a_j(t) t_j - b_j a_m(t) t_m,
+    only the one with j = 2 != m has a t_2^2 term (see
+    `first_row_quadrics`)."""
+    if len(f) < len(g):
+        f, g = g, f
+    if len(f) == 2:
+        return _gp_add(_gp_mul(f[1], g[0]), _gp_mul(f[0], g[1]), -1)
+    # f_2 g_0^2 - f_1 g_0 g_1 + f_0 g_1^2
+    return _gp_add(_gp_mul(g[0], _gp_add(_gp_mul(f[2], g[0]),
+                                         _gp_mul(f[1], g[1]), -1)),
+                   _gp_mul(f[0], _gp_mul(g[1], g[1])))
+
+
+def cube_at(p, prefix):
+    """The off-diagonal entries and diagonal differences of the cube
+    K = (P diag(1, t_1, .., t_d))^3, which all vanish exactly where
+    K = c I, with t_1 set to prefix (empty for d = 1), as polynomials in
+    t_d, times a constant; p holds the Gaussian-integer numerators of
+    P."""
+    q, k = prefix[0][1] if prefix else 1, len(p)
+    t = [[(q, 0)]] + [[z] for z, _ in prefix] + [[(0, 0), (q, 0)]]
+    M = K = [[_gp_mul([p[i][j]], t[j]) for j in range(k)] for i in range(k)]
+    for _ in range(2):
+        K = [[reduce(_gp_add, (_gp_mul(K[i][r], M[r][j]) for r in range(k)))
+              for j in range(k)] for i in range(k)]
+    return ([K[i][j] for i in range(k) for j in range(k) if i != j]
+            + [_gp_add(K[0][0], K[i][i], -1) for i in range(1, k)])
+
+
+def quadric_candidates(P, B, restarts):
+    """Candidate diagonals of sizes 2 and 3, from the first-row quadrics;
+    B = P^-1.
+
+    With d = 2, x = t_1 is a root of the gcd of Res_y(q_1, q_2) and any
+    quadric free of y = t_2.  If that eliminant vanishes identically the
+    quadrics have a positive-dimensional component: the heuristic values
+    stand in for x, and the numeric stream follows.  At each x (once for
+    d = 1) the last coordinate is a root of the quadrics' gcd; where they
+    leave it free, of the cube constraints'; where those do too, a
+    heuristic value.  All of it runs on Gaussian integers: GaussRat
+    values are made only for the candidates.
+    """
+    p = _gauss_rows(P)
+    quadrics = first_row_quadrics(p, _gauss_rows(B)[0])
+    prefixes, degenerate = [()], False
+    if len(quadrics) == 2:
+        with_y = [q for q in quadrics if len(q) > 1]
+        gens_x = [q[0] for q in quadrics if len(q) == 1]
+        if len(with_y) == 2:
+            gens_x.append(resultant_y(*with_y))
+        hx = _gp_gcd(gens_x)
+        degenerate = not hx
+        prefixes = [(x,) for x in
+                    (_gp_roots(hx) if hx else _HEURISTIC_VALUES)]
+    for prefix in prefixes:
+        at = ([[_gp_at(c, prefix[0], 2) for c in q] for q in quadrics]
+              if prefix else quadrics)
+        last = _gp_gcd(at) or _gp_gcd(cube_at(p, prefix))
+        for t in _gp_roots(last) if last else _HEURISTIC_VALUES:
+            yield tuple(_ratio(z, (q, 0)) for z, q in prefix + (t,))
+    if degenerate:
+        yield from modular._numeric_candidates(P, restarts)
+
+
+# -- exact candidates, size 4 -------------------------------------------
+
+
+_QUADRICS_4 = ((0, 2), (0, 3), (2, 0), (3, 0))
+
+
+def cramer_candidates(P, B):
+    """Candidate diagonals of size 4, sorted, or None where this route
+    cannot decide; B = P^-1.
+
+    With M = PT, (PT)^3 = c I, c != 0, reads M^2 = c M^-1, that is
+    L_ij(t) t_i t_j = c B_ij for L_ij(t) = sum_r P_ir P_rj t_r (t_0 =
+    1).  So c = L_00 / B_00, and every E_ij = B_00 t_i t_j L_ij - B_ij
+    L_00 vanishes at a witness; they are formed on the Gaussian-integer
+    numerators of P and B, in which they are homogeneous.  E_01, E_10
+    and E_11 are affine in (t_2, t_3) over polynomials in t_1.  For the
+    first two of them whose determinant D(t_1) is not identically zero,
+    Cramer's rule gives t_2 = N_2 / D and t_3 = N_3 / D; put into the
+    first of the quadrics E_02, E_03, E_20, E_30 that stays nonzero,
+    times D^2, they give the eliminant G, of degree at most 8.  Every
+    witness has t_1 among the nonzero roots of G and of D.  Off D's
+    roots Cramer's rule gives (t_2, t_3).  On them, two of the three
+    relations that are independent there give (t_2, t_3); else one that
+    is left gives a line, on which the first quadric that stays nonzero
+    gives the points.  The candidates are sorted by (im, re) ascending,
+    coordinate by coordinate.  None where B_00 = 0, where every D or
+    every G vanishes identically, or where no relation, or no quadric on
+    the line, is left at a root of D.
+    """
+    p, b = _gauss_rows(P), _gauss_rows(B)
+    b00 = b[0][0]
+    if not any(b00):
+        return None
+
+    def lin(i, j):
+        # L_ij's coefficients of 1, t_2 and t_3, polynomials in t_1
+        l = [gmul(p[i][r], p[r][j]) for r in range(4)]
+        return l[:2], l[2:3], l[3:]
+
+    def affine(i, j):
+        # E_ij for i, j <= 1: B_00 t_1^(i + j) L_ij - B_ij L_00
+        head = [(0, 0)] * (i + j) + [b00]
+        return [_gp_add(_gp_mul(head, f), _gp_mul([b[i][j]], f0), -1)
+                for f, f0 in zip(lin(i, j), lin(0, 0))]
+
+    rows = [affine(0, 1), affine(1, 0), affine(1, 1)]
+    for (a0, b0, c0), (a1, b1, c1) in ((rows[0], rows[1]),
+                                       (rows[0], rows[2]),
+                                       (rows[1], rows[2])):
+        D = _gp_trim(_gp_add(_gp_mul(b0, c1), _gp_mul(b1, c0), -1))
+        if D:
+            break
+    else:
+        return None
+    # (D, N_2, N_3) is D times (1, t_2, t_3)
+    N = (D, _gp_add(_gp_mul(a1, c0), _gp_mul(a0, c1), -1),
+         _gp_add(_gp_mul(b1, a0), _gp_mul(b0, a1), -1))
+
+    def scaled(i, j):
+        # D L_ij at (t_2, t_3) = (N_2 / D, N_3 / D)
+        out = []
+        for n, f in zip(N, lin(i, j)):
+            out = _gp_add(out, _gp_mul(n, f))
+        return out
+
+    DL00 = _gp_mul(D, scaled(0, 0))
+    for i, j in _QUADRICS_4:
+        G = _gp_trim(_gp_add(_gp_mul([b00], _gp_mul(N[i + j - 1],
+                                                    scaled(i, j))),
+                             _gp_mul([b[i][j]], DL00), -1))
+        if G:
+            break
+    else:
+        return None
+
+    def on_a_root(x):
+        # the candidates (t_2, t_3) at a root x of D, or None
+        n = max(len(f) for row in rows for f in row) - 1
+        rel = [[_gp_at(f, x, n) for f in row] for row in rows]
+        live = [r for r in rel if any(r[1]) or any(r[2])]
+        if not live:
+            return None
+        a0, b0, c0 = live[0]
+        for a1, b1, c1 in live[1:]:
+            det = _gdet(b0, c0, b1, c1)
+            if any(det):
+                return [(_ratio(_gdet(c0, a0, c1, a1), det),
+                         _ratio(_gdet(a0, b0, a1, b1), det))]
+        # the line (t_2, t_3) = (T_2(s), T_3(s)) / d, s free
+        neg = [(-a0[0], -a0[1])]
+        T, d = (([(0, 0), c0], neg + [(-b0[0], -b0[1])]), c0) if any(c0) \
+            else ((neg, [(0, 0), b0]), b0)
+        q = [(x[1], 0)]
+
+        def on_line(i, j):
+            # q d L_ij on the line
+            c, l2, l3 = lin(i, j)
+            return _gp_add(_gp_mul([d], [_gp_at(c, x, 1)]), _gp_mul(
+                q, _gp_add(_gp_mul(l2, T[0]), _gp_mul(l3, T[1]))))
+
+        dL00 = _gp_mul([d], on_line(0, 0))
+        for i, j in _QUADRICS_4:
+            # q d^2 E_ij on the line, a quadratic in s
+            quadratic = _gp_trim(_gp_add(
+                _gp_mul([b00], _gp_mul(T[i + j - 2], on_line(i, j))),
+                _gp_mul([b[i][j]], dL00), -1))
+            if quadratic:
+                return [tuple(_ratio(_gp_at(t, s, 1), gmul((s[1], 0), d))
+                              for t in T) for s in _gp_roots(quadratic)]
+        return None
+
+    candidates = []
+    roots = _gp_roots(G)
+    n = max(map(len, N)) - 1
+    for x in roots + [x for x in _gp_roots(D) if x not in roots]:
+        t1 = _ratio(x[0], (x[1], 0))
+        d = _gp_at(D, x, n)
+        if any(d):
+            candidates.append((t1, _ratio(_gp_at(N[1], x, n), d),
+                               _ratio(_gp_at(N[2], x, n), d)))
+            continue
+        found = on_a_root(x)
+        if found is None:
+            return None
+        candidates += [(t1, *t) for t in found]
+    candidates.sort(key=lambda t: tuple((g.im, g.re) for g in t))
+    return candidates
+
+
+def old_candidates(P, restarts):
+    """`modular._candidates` on the two eliminations above, with whether
+    they decide: the quadrics of 2 and 3 classes where they are
+    zero-dimensional, the Cramer route where it gives a list; after the
+    heuristic values, or in place of the Cramer route, the numeric
+    stream follows."""
+    B = P.inverse()
+    k = P.nrows
+    if k == 1:
+        return [()], True
+    if k <= 3:
+        quadrics = first_row_quadrics(_gauss_rows(P), _gauss_rows(B)[0])
+        with_y = [q for q in quadrics if len(q) > 1]
+        gens_x = [q[0] for q in quadrics if len(q) == 1]
+        if len(with_y) == 2:
+            gens_x.append(resultant_y(*with_y))
+        return (quadric_candidates(P, B, restarts),
+                k == 2 or bool(_gp_gcd(gens_x)))
+    found = cramer_candidates(P, B) if k == 4 else None
+    if found is None:
+        return modular._numeric_candidates(P, restarts), False
+    return found, True

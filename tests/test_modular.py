@@ -37,15 +37,13 @@ from schemekit.modular import (
     _LM_ITERATIONS,
     _SEARCH_RESTARTS,
     _SEARCH_SEED,
-    _cramer_candidates,
+    _candidates,
     _cube_residual,
-    _exact_candidates,
-    _first_row_quadrics,
+    _elimination_candidates,
     _gauss_rows,
     _gp_mul,
     _gp_roots,
     _numeric_candidates,
-    _resultant_y,
     induced_modular_check,
     least_squares,
     search_T,
@@ -60,6 +58,9 @@ from oracles import (
     _exact_roots,
     _gcd_many,
     _y_coefficients,
+    first_row_quadrics,
+    old_candidates,
+    resultant_y,
 )
 
 
@@ -96,6 +97,17 @@ def _refuse_least_squares(monkeypatch):
         raise AssertionError("least_squares called")
 
     monkeypatch.setattr(modular, "least_squares", no_solve)
+
+
+def _route(P):
+    """The candidates of `_elimination_candidates` on P, and whether they
+    decide."""
+    stream, out = _elimination_candidates(P, P.inverse()), []
+    while True:
+        try:
+            out.append(next(stream))
+        except StopIteration as stop:
+            return out, stop.value
 
 
 P_Z4 = eigenmatrix(group_scheme([4]))
@@ -296,16 +308,16 @@ def test_search_none_for_z4(monkeypatch):
 
 
 def test_search_group22_witness(monkeypatch):
-    # four classes: the exact 4x4 route, whose candidates hold all four
-    # witnesses; this one comes first in (im, re) ascending order
+    # four classes: the elimination decides, and its candidates hold all
+    # four witnesses; this one comes first in (im, re) ascending order
     _refuse_least_squares(monkeypatch)
     w = search_T(P_Z22)
     assert w is not None
     assert w.T == diag(1, -I_UNIT, -I_UNIT, -1)
     assert w.c == GaussRat(0, -8)
-    witnesses = [e for e in _cramer_candidates(P_Z22, P_Z22.inverse())
-                 if _oracle_verify(P_Z22, [e])]
-    assert len(witnesses) == 4
+    candidates, decided = _route(P_Z22)
+    witnesses = [e for e in candidates if _oracle_verify(P_Z22, [e])]
+    assert decided and len(witnesses) == 4
     assert witnesses[0] == (-I_UNIT, -I_UNIT, GaussRat(-1))
 
 
@@ -349,28 +361,36 @@ def test_search_one_class4_double_root():
 ], ids=["3x3", "4x4", "1x1", "2x2"])
 def test_search_singular_p_searches_nothing(monkeypatch, P):
     # det (PT)^3 = c^k is nonzero for every witness, so det P must be;
-    # the inverse that gives b refuses P before the 1x1 shortcut and
+    # the inverse that gives B refuses P before the 1x1 shortcut and
     # before either stream
     def refuse(*args):
         raise AssertionError("searched a singular P")
 
     for name in ("least_squares", "verify_modular", "_gauss_rows",
-                 "_first_row_quadrics", "_exact_candidates",
-                 "_cramer_candidates", "_numeric_candidates"):
+                 "_elimination_candidates", "_numeric_candidates"):
         monkeypatch.setattr(modular, name, refuse)
     assert search_T(P) is None
 
 
-def test_search_cycle4_takes_one_resultant(monkeypatch):
+def test_search_cycle4_takes_one_elimination(monkeypatch):
+    # cycle:4's witnesses form a curve: one Cramer solve gives it, its
+    # eliminant vanishes identically, and its point at t_1 = 1 is the
+    # witness, with no root found and no numeric restart
     calls = []
+    cramer = modular._cramer
 
-    def counting(f, g):
-        calls.append((f, g))
-        return _resultant_y(f, g)
+    def counting(rows, m):
+        calls.append(m)
+        return cramer(rows, m)
 
-    monkeypatch.setattr(modular, "_resultant_y", counting)
+    def no_roots(p):
+        raise AssertionError("found roots")
+
+    monkeypatch.setattr(modular, "_cramer", counting)
+    monkeypatch.setattr(modular, "_gp_roots", no_roots)
+    _refuse_least_squares(monkeypatch)
     assert search_T(P_CYCLE4).T == diag(1, 1, -1)
-    assert len(calls) == 1
+    assert calls == [1]
 
 
 def test_search_nonpositive_restarts_search_nothing(monkeypatch):
@@ -457,10 +477,9 @@ def test_search_refuses_a_non_square_P():
 
 
 def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
-    # the quadrics of this P have a positive-dimensional component, so
-    # the exact stream (t_1 a heuristic value, t_2 = 4i) ends with the
-    # numeric stream, here replaced by one that repeats it, then adds one
-    P = _gauss_matrix([[2, 0, I_UNIT], [1, -1, 0], [1, 0, 0]])
+    # cycle:4's witnesses form a curve, so the exact stream (here t_1 a
+    # heuristic value, t_2 = 4i, none a witness) ends undecided, with the
+    # numeric stream, here one that repeats it, then adds one
     exact = [(t, GaussRat(0, 4)) for t in HEURISTIC]
     new = (GaussRat(2), GaussRat(4))
     seen = []
@@ -469,11 +488,28 @@ def test_search_verifies_a_repeat_across_streams_once(monkeypatch):
         seen.append((T[1, 1], T[2, 2]))
         return verify_modular(P, T)
 
+    def elimination(P, B):
+        yield from exact
+        return False
+
     monkeypatch.setattr(modular, "verify_modular", recording)
+    monkeypatch.setattr(modular, "_elimination_candidates", elimination)
     monkeypatch.setattr(modular, "_numeric_candidates",
                         lambda P, restarts: iter(exact[::-1] + [new] + exact))
-    assert search_T(P) is None
+    assert search_T(P_CYCLE4) is None
     assert seen == exact + [new]
+
+
+def test_search_decides_the_old_curve_P(monkeypatch):
+    # the quadrics of this P have a positive-dimensional component, and
+    # search_T ran the heuristic values and the numeric stream on it;
+    # the elimination decides it, with one witness
+    _refuse_least_squares(monkeypatch)
+    P = _gauss_matrix([[2, 0, I_UNIT], [1, -1, 0], [1, 0, 0]])
+    w = search_T(P)
+    assert w.T == diag(1, 2, GaussRat(0, 4)) and w.c == GaussRat(-8)
+    candidates, decided = _route(P)
+    assert decided and candidates == [(GaussRat(2), GaussRat(0, 4))]
 
 
 def test_search_verifies_no_candidate_with_a_zero_entry(monkeypatch):
@@ -504,7 +540,7 @@ def test_search_serves_an_equal_P_from_the_memo(monkeypatch):
     def refuse(*args):
         raise AssertionError("searched again")
 
-    for name in ("_exact_candidates", "_numeric_candidates",
+    for name in ("_elimination_candidates", "_numeric_candidates",
                  "verify_modular"):
         monkeypatch.setattr(modular, name, refuse)
     monkeypatch.setattr(ExactMatrix, "inverse", refuse)
@@ -864,10 +900,10 @@ def _seeded_fusions(orders, count, seed):
 
 
 def test_cramer_route_against_the_numeric_stream():
-    """On 4-class P's: where the exact 4x4 route decides, a None means
-    that no numeric candidate verifies, and a numeric witness means that
-    it finds one; where it declines, search_T returns the numeric
-    stream's first witness."""
+    """On 4-class P's: where the elimination decides, a None means that
+    no numeric candidate verifies, and a numeric witness means that it
+    finds one; where it does not, search_T returns the numeric stream's
+    first witness."""
     corpus = [P_Z4, P_Z22, eigenmatrix(cycle_scheme(6)),
               *(eigenmatrix(hamming(3, q)) for q in range(2, 6)),
               eigenmatrix(tensor_product(one_class(2), one_class(3)))]
@@ -884,13 +920,13 @@ def test_cramer_route_against_the_numeric_stream():
                                dict.fromkeys(e for e in stream if all(e)))
                    if w]
         w = search_T(P)
-        if _cramer_candidates(P, P.inverse()) is None:
+        if not _route(P)[1]:
             assert w == (numeric[0] if numeric else None)
             continue
         decided += 1
         assert (w is not None) >= bool(numeric)
         gained += w is not None and not numeric
-    assert (len(distinct), decided, gained) == (16, 15, 2)
+    assert (len(distinct), decided, gained) == (16, 16, 2)
 
 
 @pytest.mark.parametrize("P", _NUMERIC_PS, ids=_NUMERIC_IDS)
@@ -964,8 +1000,9 @@ def _random_invertible(seed, k, count):
 
 
 def _quadrics(P):
-    """`modular`'s first-row quadrics of P."""
-    return _first_row_quadrics(_gauss_rows(P), _gauss_rows(P.inverse())[0])
+    """The first-row quadrics of P, of the route the elimination
+    replaced."""
+    return first_row_quadrics(_gauss_rows(P), _gauss_rows(P.inverse())[0])
 
 
 def _quadrics_with_y(P):
@@ -973,8 +1010,8 @@ def _quadrics_with_y(P):
 
 
 def _terms(q, exponents=()):
-    """The (exponents over t_1..t_d, coefficient) of a polynomial of
-    `modular`: a list, by powers of t_d, of polynomials in
+    """The (exponents over t_1..t_d, coefficient) of a polynomial of the
+    quadric route: a list, by powers of t_d, of polynomials in
     t_1..t_{d-1}, and in no variable a Gaussian integer (re, im)."""
     if isinstance(q, tuple):
         yield exponents, q
@@ -984,7 +1021,8 @@ def _terms(q, exponents=()):
 
 
 def _as_mpoly(q, nvars):
-    """The MPoly in nvars variables of a polynomial of `modular`."""
+    """The MPoly in nvars variables of a polynomial of the quadric
+    route."""
     return MPoly(nvars, {e: GaussRat(*c) for e, c in _terms(q) if any(c)})
 
 
@@ -1005,14 +1043,14 @@ def test_sylvester_determinant_matches_laplace(P, vanish):
     # on cycle:4 and hamming:2:2 the witnesses form a curve, so the
     # quadrics' resultant vanishes; the other two give nonzero ones
     f, g = _quadrics_with_y(P)
-    res = _as_mpoly(_resultant_y(f, g), 1)
+    res = _as_mpoly(resultant_y(f, g), 1)
     assert res == _laplace_det(_sylvester_matrix(_as_mpoly(f, 2),
                                                  _as_mpoly(g, 2)))
     assert (not res) == vanish
 
 
 def test_random_resultants_match_laplace():
-    """`_resultant_y` is the Laplace expansion of the Sylvester matrix
+    """`resultant_y` is the Laplace expansion of the Sylvester matrix
     on random 3x3 P's, whose quadrics give y-degrees (1, 1) and (2, 1),
     each with vanishing and nonzero resultants, and never (2, 2)."""
     seen = set()
@@ -1020,7 +1058,7 @@ def test_random_resultants_match_laplace():
         with_y = _quadrics_with_y(P)
         if len(with_y) < 2:
             continue
-        res = _as_mpoly(_resultant_y(*with_y), 1)
+        res = _as_mpoly(resultant_y(*with_y), 1)
         assert res == _laplace_det(_sylvester_matrix(
             *(_as_mpoly(q, 2) for q in with_y)))
         seen.add((tuple(sorted((len(q) - 1 for q in with_y), reverse=True)),
@@ -1201,13 +1239,17 @@ def test_quadric_route_matches_cube_route(P):
     (eigenmatrix(hamming(2, 3)), []),
     (P_SKEW, []),
     (P_BINARY, [(I_UNIT,), (-I_UNIT,)]),
-], ids=["cycle:4", "hamming:2:3", "gaussian-rational", "one_class:2"])
+    (P_Z22, [(-I_UNIT, -I_UNIT, GaussRat(-1)),
+             (-I_UNIT, I_UNIT, GaussRat(1))]),
+], ids=["cycle:4", "hamming:2:3", "gaussian-rational", "one_class:2",
+        "group:2:2"])
 def test_exact_stream_does_no_gaussrat_arithmetic(monkeypatch, P, head):
-    # the 2- and 3-class stream runs on Gaussian integers and makes
-    # GaussRat values only for its candidates: on cycle:4 the heuristic
-    # values of a degenerate eliminant, then the numeric stream; none on
-    # hamming:2:3 and the Gaussian-rational P, which have no witness;
-    # the two roots i and -i on one_class:2
+    # the elimination runs on Gaussian integers and makes GaussRat values
+    # only for its candidates: on cycle:4 the points at the heuristic
+    # values of the curve its eliminant vanishes on, then the numeric
+    # stream; none on hamming:2:3 and the Gaussian-rational P, which
+    # have no witness; the two roots i and -i on one_class:2; on
+    # group:2:2 four witnesses, two of them on a line at a root of D
     B = P.inverse()
 
     def refuse(*args):
@@ -1218,9 +1260,15 @@ def test_exact_stream_does_no_gaussrat_arithmetic(monkeypatch, P, head):
                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                      "__neg__", "__pow__"):
             patch.setattr(GaussRat, name, refuse)
-        candidates = list(_exact_candidates(P, B, _SEARCH_RESTARTS))
-    assert candidates[:4] == head
-    assert len(candidates) > 4 if P is P_CYCLE4 else candidates == head
+        patch.setattr(ExactMatrix, "inverse", lambda self: B)
+        candidates = list(_candidates(P, _SEARCH_RESTARTS))
+    assert candidates[:len(head)] == head
+    if P is P_CYCLE4:
+        assert len(candidates) > 4
+    elif P is P_Z22:
+        assert len(candidates) == 4
+    else:
+        assert candidates == head
 
 
 def test_search_result_always_verifies():
@@ -1228,6 +1276,163 @@ def test_search_result_always_verifies():
         w = search_T(P)
         check = verify_modular(P, w.T)
         assert check.c == w.c
+
+
+# -- the elimination against the two routes it replaced ----------------------
+
+
+def _planted(seed, count):
+    """count seeded P = S M S^-1 T^-1 of 2 to 4 classes with M^3 = I, so
+    that T is a witness: S a random Gaussian-integer matrix, T a random
+    diagonal of small Gaussian rationals with T[0, 0] = 1."""
+    rng, out = random.Random(seed), []
+    values = [GaussRat(1), GaussRat(-1), I_UNIT, -I_UNIT, GaussRat(2),
+              GaussRat(1, 1), GaussRat(Fraction(1, 2)), GaussRat(0, 2)]
+    cubes = {2: ORDER3, 3: CYCLE3, 4: _plus_one(CYCLE3, 3)}
+    while len(out) < count:
+        k = rng.choice((2, 3, 3, 4))
+        S = ExactMatrix([[GaussRat(rng.choice((0, 0, 1, -1, 2)),
+                                   rng.choice((0, 0, 0, 1)))
+                          for _ in range(k)] for _ in range(k)])
+        try:
+            out.append(_with_witness(cubes[k], S, diag(
+                1, *(rng.choice(values) for _ in range(k - 1)))))
+        except SingularMatrix:
+            continue
+    return out
+
+
+def _old_search(P):
+    """search_T on the first-row quadric and Cramer routes: (the witness
+    or None, whether a route decided)."""
+    candidates, decided = old_candidates(P, _SEARCH_RESTARTS)
+    return _oracle_verify(P, dict.fromkeys(
+        e for e in candidates if all(e))), decided
+
+
+def test_elimination_against_the_old_routes(monkeypatch):
+    """On a seeded corpus of 2 to 4 classes (the bench bases and more
+    Hamming schemes, random P's, P's with a planted witness, fusions of
+    Z2^3, Z4 x Z2, Z4^2 and Z2^4): wherever an old route decided, search_T
+    gives its witness, or None; elsewhere the same or a witness that
+    verifies.  The elimination decides all but cycle:4's P, there twice
+    (it is hamming:2:2's), whose witnesses form a curve, with one at t_1
+    = 1.  So no numeric restart runs: least_squares is never called on a
+    P whose witness set is finite, nor on that curve."""
+    corpus = [eigenmatrix(s) for s in (
+        one_class(2), one_class(3), one_class(4), one_class(5),
+        cycle_scheme(4), cycle_scheme(6), group_scheme([4]),
+        group_scheme([2, 2]), hamming(2, 2), hamming(2, 3), hamming(2, 4),
+        hamming(3, 2), hamming(3, 3), hamming(3, 4),
+        tensor_product(one_class(2), one_class(3)))]
+    corpus += (RANDOM_3X3 + _random_invertible(2020, 2, 30)
+               + _random_invertible(4040, 4, 30) + _planted(77, 80))
+    for orders in ([2, 2, 2], [4, 2], [2, 2, 2, 2], [4, 4]):
+        corpus += _seeded_fusions(orders, 3, 2031)
+    calls = []
+
+    def counting(residual, x0):
+        calls.append(len(x0))
+        return least_squares(residual, x0)
+
+    monkeypatch.setattr(modular, "least_squares", counting)
+    old_decided = new_decided = gained = 0
+    for P in corpus:
+        old, decided = _old_search(P)
+        old_decided += decided
+        del calls[:]
+        w = search_T(P)
+        assert not calls
+        new_decided += _route(P)[1]
+        if decided or w is None:
+            assert w == old
+        elif w != old:
+            assert verify_modular(P, w.T).c == w.c
+            gained += 1
+    assert (len(corpus), old_decided, new_decided, gained) == (
+        267, 241, 265, 0)
+
+
+_BLOCK_DIAGONAL = _gauss_matrix([[1, 1, 0], [1, -1, 0], [0, 0, 2]])
+# P^-1 starts with 0; the 2x2 has its witness diag(1, i), c = 1
+_B0_ZERO_2X2 = _gauss_matrix([[-1, -1], [1, 0]]) @ diag(1, -I_UNIT)
+_B0_ZERO_3X3 = _gauss_matrix([[I_UNIT, I_UNIT, 1],
+                              [GaussRat("-1/2", "1/2"), GaussRat("-1/2"),
+                               I_UNIT],
+                              [GaussRat("1/2"), 0, 0]])
+# decided by neither old route: search_T returned None after the
+# numeric restarts
+_NEW_3X3 = _gauss_matrix([
+    [0, 0, GaussRat(2, 1)],
+    [0, GaussRat("1/2", "1/2"), GaussRat(0, "-1/2")],
+    [GaussRat(0, 2), 1, GaussRat(-1, "1/3")]])
+_NEW_4X4 = _gauss_matrix([
+    [GaussRat("-1/2"), GaussRat(0, "1/8"), 0, GaussRat(0, "-1/2")],
+    [0, GaussRat(0, "-1/2"), 0, 0],
+    [GaussRat("-3/4"), GaussRat(0, "9/16"), 1, GaussRat(0, "-1/4")],
+    [GaussRat("-3/4"), GaussRat(0, "9/16"), 2, GaussRat(0, "-3/4")]])
+# G vanishes on the curve u = N / D, but so does t_2: no witness there
+_ZERO_ON_THE_CURVE = _gauss_matrix([
+    [0, GaussRat("-1/3", -1), 0],
+    [0, 0, GaussRat(-1, -1)],
+    [GaussRat(1, "-1/3"), 0, GaussRat("2/3")]])
+# the top-left 2x2 block of P^-1 is zero, so classes 1 and 2 swap
+_ZERO_BLOCK = _gauss_matrix([
+    [-I_UNIT, GaussRat(-1, "1/2"), GaussRat(1, "-1/2"), GaussRat("1/2", 1)],
+    [0, 1, GaussRat(1, "2/3"), 1],
+    [0, GaussRat(1, "2/3"), 0, 0],
+    [GaussRat(1, 2), GaussRat(1, -1), 0, 0]])
+
+
+@pytest.mark.parametrize("P, want, decided", [
+    (_BLOCK_DIAGONAL, ((1, I_UNIT, GaussRat("-1/2", "1/2")), GaussRat(2, 2)),
+     True),
+    (_B0_ZERO_2X2, ((1, I_UNIT), GaussRat(1)), True),
+    (_B0_ZERO_3X3, ((1, 2 * I_UNIT, 2 * I_UNIT), GaussRat(1)), True),
+    (P_B0_ZERO, ((1, 1, 1), I_UNIT), False),
+    (_NEW_3X3, ((1, GaussRat("72/17", "-84/17"), GaussRat("72/17", "18/17")),
+                GaussRat("15336/289", "-20952/289")), True),
+    (_NEW_4X4, ((1, 2 * I_UNIT, -1, 2 * I_UNIT), GaussRat(1)), True),
+    (_ZERO_ON_THE_CURVE, None, True),
+    (_ZERO_BLOCK, None, True),
+], ids=["block-diagonal", "b0-zero-2x2", "b0-zero-3x3", "b0-zero",
+        "new-3x3", "new-4x4", "zero-on-the-curve", "zero-block"])
+def test_elimination_decides(monkeypatch, P, want, decided):
+    # the block-diagonal P's witness is found only by E_22, the first
+    # E_ij that stays nonzero on the line t_1 = i; B_00 = 0 is no reason
+    # to decline (every diagonal is a witness of P_B0_ZERO, which the
+    # heuristic values find); three P's the old routes left to the
+    # numeric stream, where search_T returned None
+    _refuse_least_squares(monkeypatch)
+    assert _route(P)[1] == decided
+    w = search_T(P)
+    if want is None:
+        assert w is None
+    else:
+        assert w.T == diag(*want[0]) and w.c == want[1]
+
+
+def test_one_exact_source():
+    """`_candidates` draws on one elimination, then the numeric stream,
+    and no other candidate source is left in `modular`: a second
+    elimination route cannot come back unseen."""
+    tree = ast.parse(Path(modular.__file__).read_text())
+    sources = [fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name.endswith("_candidates")]
+    assert sorted(sources) == ["_candidates", "_elimination_candidates",
+                               "_numeric_candidates"]
+    body = next(fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and fn.name == "_candidates")
+    called = {node.func.id for node in ast.walk(body)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)}
+    assert {name for name in called if name.endswith("_candidates")} == {
+        "_elimination_candidates", "_numeric_candidates"}
+    for name in ("_first_row_quadrics", "_resultant_y", "_cube_at",
+                 "_exact_candidates", "_cramer_candidates", "_gdet",
+                 "_QUADRICS_4"):
+        assert not hasattr(modular, name), name
 
 
 # -- induced lift ---------------------------------------------------------
